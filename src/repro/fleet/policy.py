@@ -213,6 +213,12 @@ class FleetPolicy:
     # ------------------------------------------------------------------
     # Vectorized FallbackPolicy._record_outcome
     # ------------------------------------------------------------------
+    def _count(self, name: str, amount: int) -> None:
+        """Add to one transition counter and its ``fallback.*`` twin."""
+        if amount:
+            setattr(self, name, getattr(self, name) + amount)
+            obs.inc(f"fallback.{name}", float(amount))
+
     def _record_primary(self, rows: np.ndarray) -> None:
         if rows.size == 0:
             return
@@ -224,7 +230,7 @@ class FleetPolicy:
                 self._state[sub] == _RECOVERING, self._streak[sub] + 1, 1
             )
             recovered = streak >= self.recovery_ticks
-            self.recoveries += int(recovered.sum())
+            self._count("recoveries", int(recovered.sum()))
             self._state[sub] = np.where(recovered, _HEALTHY, _RECOVERING)
             self._streak[sub] = np.where(recovered, 0, streak)
         self._judged[rows] = True
@@ -233,8 +239,8 @@ class FleetPolicy:
         if rows.size == 0:
             return
         state = self._state[rows]
-        self.demotions += int(
-            ((state == _HEALTHY) | (state == _RECOVERING)).sum()
+        self._count(
+            "demotions", int(((state == _HEALTHY) | (state == _RECOVERING)).sum())
         )
         self._state[rows] = _DEGRADED
         self._streak[rows] = 0
@@ -243,8 +249,8 @@ class FleetPolicy:
     def _record_failsafe(self, rows: np.ndarray) -> None:
         if rows.size == 0:
             return
-        self.failsafe_entries += int((self._state[rows] != _FAILSAFE).sum())
-        self.failsafe_ticks += int(rows.size)
+        self._count("failsafe_entries", int((self._state[rows] != _FAILSAFE).sum()))
+        self._count("failsafe_ticks", int(rows.size))
         self._state[rows] = _FAILSAFE
         self._streak[rows] = 0
         self._judged[rows] = True
@@ -288,41 +294,20 @@ class FleetPolicy:
                 self.features.push_rows(emitted, raw_block, completeness_block)
                 features_s += time.perf_counter() - started
 
-            # Rows that just emitted a *recorded* tick on the fast path
-            # satisfy every per-row precondition by construction (they
-            # have samples, never fault, staleness 0), so the whole
-            # partition reduces to mask arithmetic; anything else --
-            # compat rows, caught-up rows, placeholder emissions --
-            # walks the reference checks row by row.
+            # FallbackPolicy's per-container checks as row masks: rows
+            # without samples are skipped, faulted rows demoted, rows
+            # with features go to the primary unless they are stale.
             live = np.asarray(self.index.live_rows(), dtype=np.intp)
-            fast_ok = (
-                telemetry.emitted_mask[live] & telemetry.recorded_mask[live]
-            )
-            demoted: list[int] = []
-            slow_primary: list[int] = []
-            for row in live[~fast_ok]:
-                row = int(row)
-                container = telemetry.container_at(row)
-                if telemetry.row_end(row) <= container.created_at:
-                    continue  # no samples yet
-                if row in telemetry.faulted:
-                    demoted.append(row)
-                    continue
-                if not self.features.has_features[row]:
-                    continue
-                if (
-                    self.staleness_budget is not None
-                    and telemetry.staleness(row) > self.staleness_budget
-                ):
-                    demoted.append(row)
-                    continue
-                slow_primary.append(row)
-
-            primary_rows = np.concatenate([
-                live[fast_ok & self.features.has_features[live]],
-                np.asarray(slow_primary, dtype=np.intp),
-            ])
-            primary_rows.sort()
+            sampled = telemetry.sampled_mask[live]
+            faulted = telemetry.faulted_mask[live]
+            usable = self.features.has_features[live] & ~faulted
+            stale = np.zeros_like(usable)
+            if self.staleness_budget is not None:
+                stale = usable & (
+                    telemetry.staleness[live] > self.staleness_budget
+                )
+            demoted = live[sampled & (faulted | stale)].tolist()
+            primary_rows = live[sampled & usable & ~stale]
             saturated: set[tuple[str, str]] = set()
             flags = None
             if primary_rows.size:

@@ -3,39 +3,61 @@
 :class:`FleetTelemetryStream` replaces N per-container
 :class:`~repro.telemetry.stream.InstanceTelemetryStream` objects with
 one ``(n_rows, n_metrics)`` float64 matrix written in place each tick,
-plus a per-row completeness vector in place of per-stream flags.  Two
-row kinds coexist:
+plus a per-row completeness vector in place of per-stream flags.
 
-- **fast rows** (plain :class:`~repro.telemetry.agent.TelemetryAgent`
-  sharing this stream's catalog): synthesis state lives in
-  struct-of-arrays buffers -- per-row RNG streams, counter
-  accumulators and previous-cumulative rows aligned with the matrix
-  row axis, and per *host group* (rows sharing ``(namespace, node,
-  start)``) the shared host stream state.  Every tick a single batched
-  kernel gathers each group's container tick fields once, computes all
-  host states with segment-ordered vector accumulation, synthesizes
-  every stream's metrics through
-  :meth:`~repro.telemetry.catalog.MetricCatalog.synthesize_rows`, and
-  converts counters to rates across the whole row axis.  This is
-  bitwise-exact against the per-container reference streams: the state
-  math replicates the scalar arithmetic op for op
-  (:mod:`repro.telemetry.synthesis`), each stream's RNG draws happen
-  in its own generator in the exact per-tick order, and the
-  counter/rate recurrences are elementwise per stream.
-- **compat rows** (wrapped agents -- ``MetricDropout``, ``ChaosAgent``,
-  ``ResilientTelemetry`` -- or agents with a foreign catalog): the
-  wrapper's own stream object is kept and stepped row-wise, so fault
-  injection, retry/LOCF imputation and staleness accounting behave
-  identically to the per-container path.
+**Synthesis.**  Synthesis state lives in struct-of-arrays buffers --
+per-row RNG streams, counter accumulators and previous-cumulative rows
+aligned with the matrix row axis, and per *host group* (rows sharing
+``(namespace, node, start)``) the shared host stream state.  Every tick
+a single batched kernel gathers each group's container tick fields
+once, computes all host states with segment-ordered vector
+accumulation, synthesizes every stream's metrics through
+:meth:`~repro.telemetry.catalog.MetricCatalog.synthesize_rows`, and
+converts counters to rates across the whole row axis.  This is
+bitwise-exact against the per-container reference streams: the state
+math replicates the scalar arithmetic op for op
+(:mod:`repro.telemetry.synthesis`), each stream's RNG draws happen in
+its own generator in the exact per-tick order, and the counter/rate
+recurrences are elementwise per stream.
+
+**Fault injection.**  An agent stack ``ResilientTelemetry ->
+ChaosAgent -> MetricDropout -> TelemetryAgent`` (or any subsequence of
+it) is unwrapped at :meth:`FleetTelemetryStream.add_row` into per-row
+fault settings and state: the dropout probability, generator and held
+row; the chaos agent (config and blackouts) and delayed-tick marker;
+the resilience settings, last real row and staleness.  Such a row gets
+its own host group, because a lost tick desynchronises its host stream
+from its group-mates; host *state* is still shared per ``(namespace,
+node, tick)``.  Each round then runs in five steps:
+
+1. decide every faultable row's chaos mode for its tick (blackout,
+   hard, transient, nan, ok) from the keyed blake2b hash, with the
+   retry budget applied; a lost tick skips synthesis and advances the
+   row's clock, like ``InstanceTelemetryStream.skip``;
+2. synthesize every remaining row in one kernel pass;
+3. apply dropout sample-and-hold and NaN corruption to the emitted
+   rows;
+4. mask NaNs with each resilient row's last real reading and set its
+   completeness;
+5. impute lost ticks by last-observation-carried-forward, or mark the
+   row faulted with :class:`~repro.reliability.telemetry.TelemetryUnavailable`
+   once it has no reading or its staleness budget is exhausted.
+
+The outcome is :attr:`~FleetTelemetryStream.faulted_mask` plus the
+:attr:`~FleetTelemetryStream.staleness` array.  Every step reproduces
+the per-stream wrappers (``_DropoutInstanceStream``,
+``_ChaosInstanceStream``, ``ResilientInstanceStream``) bit for bit,
+including their ``obs`` counters.  Any other agent stack -- another
+wrapper, a wrong wrapper order, or a catalog other than the fleet's --
+raises :class:`TypeError` at :meth:`~FleetTelemetryStream.add_row`.
 
 Emission is *rounds-based* to mirror ``_ContainerStream.catch_up``:
-each :meth:`advance_round` advances every behind, unfaulted row by
-exactly one tick (normally the only round per policy tick); a
-:class:`~repro.reliability.telemetry.TelemetryFault` marks the row
-faulted for the remainder of the tick, exactly like ``catch_up``
-aborting.  Per-row pipeline state is independent, so pushing rounds
-through the feature pipeline preserves each row's tick order, which is
-all the reference semantics require.
+each :meth:`~FleetTelemetryStream.advance_round` advances every behind,
+unfaulted row by exactly one tick (normally the only round per policy
+tick); a fault marks the row faulted for the remainder of the tick,
+exactly like ``catch_up`` aborting.  Per-row pipeline state is
+independent, so pushing rounds through the feature pipeline preserves
+each row's tick order, which is all the reference semantics require.
 """
 
 from __future__ import annotations
@@ -46,12 +68,29 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from repro import obs
-from repro.reliability.telemetry import TelemetryFault
+from repro.cluster.faults import MetricDropout, _dropout_seed
+from repro.reliability.chaos import ChaosAgent, InjectedTelemetryError
+from repro.reliability.telemetry import (
+    ResilientTelemetry,
+    TelemetryFault,
+    TelemetryUnavailable,
+)
 from repro.telemetry import synthesis
 from repro.telemetry.agent import TelemetryAgent, _stream_seed
 from repro.telemetry.catalog import MetricCatalog
 
 __all__ = ["FleetTelemetryStream"]
+
+#: The supported wrapper order, outermost first, above a TelemetryAgent.
+_WRAPPERS = (ResilientTelemetry, ChaosAgent, MetricDropout)
+
+
+def _describe(agent) -> str:
+    names = []
+    while agent is not None and len(names) < 8:
+        names.append(type(agent).__name__)
+        agent = getattr(agent, "agent", None)
+    return " -> ".join(names)
 
 
 class FleetTelemetryStream:
@@ -66,22 +105,19 @@ class FleetTelemetryStream:
         self.raw = np.zeros((capacity, self.n_metrics))
         self.completeness = np.ones(capacity)
         self._containers: dict[int, object] = {}
-        self._compat: dict[int, object] = {}
         #: Rows whose emission faulted during the current tick, mapped
         #: to the fault (cleared by :meth:`begin_tick`).
         self.faulted: dict[int, TelemetryFault] = {}
-        #: Rows on the batched fast path (vs compat stream objects).
-        self.fast_mask = np.zeros(capacity, dtype=bool)
-        #: Rows emitted during the current tick (any round).
-        self.emitted_mask = np.zeros(capacity, dtype=bool)
-        #: Fast rows whose latest emission came from a *recorded*
-        #: simulation tick (vs the all-zero placeholder for a member
-        #: whose own history does not cover the group clock).  Lets the
-        #: policy's vectorized partition prove ``row_end > created_at``
-        #: without touching container objects.
-        self.recorded_mask = np.zeros(capacity, dtype=bool)
+        self.faulted_mask = np.zeros(capacity, dtype=bool)
+        #: Rows known to have recorded samples (a recorded emission, a
+        #: lost tick or a fault).  Group-mates are created on one node
+        #: at one tick and stepped together, so a row's own history
+        #: covers every tick its group emits.
+        self.sampled_mask = np.zeros(capacity, dtype=bool)
+        #: Consecutive lost ticks per resilient row (0 elsewhere).
+        self.staleness = np.zeros(capacity, dtype=np.int64)
 
-        # --- fast-path row axis (aligned with ``raw``) -----------------
+        # --- row axis (aligned with ``raw``) ---------------------------
         n_ctr_c = catalog.spec_arrays(catalog.container).counter_idx.size
         self._n_ctr_container = n_ctr_c
         self._row_group = np.full(capacity, -1, dtype=np.int64)
@@ -94,10 +130,25 @@ class FleetTelemetryStream:
         # immutable after construction, so caching is exact.
         self._row_alloc = np.zeros(capacity)
 
-        # --- fast-path host-group axis (slot-indexed) ------------------
+        # --- per-row fault state (rows with a wrapped agent) -----------
+        self._wrapped = np.zeros(capacity, dtype=bool)
+        self._drop_p = np.zeros(capacity)
+        self._drop_rng: dict[int, np.random.Generator] = {}
+        self._has_held = np.zeros(capacity, dtype=bool)
+        self._chaos: dict[int, ChaosAgent] = {}
+        self._delayed = np.full(capacity, -1, dtype=np.int64)
+        self._resilient: dict[int, ResilientTelemetry] = {}
+        self._is_resilient = np.zeros(capacity, dtype=bool)
+        self._has_last_real = np.zeros(capacity, dtype=bool)
+        # ``(capacity, n_metrics)`` rows, allocated with the first
+        # wrapped row so clean fleets pay nothing for them.
+        self._held: np.ndarray | None = None
+        self._last_real: np.ndarray | None = None
+
+        # --- host-group axis (slot-indexed) ----------------------------
         n_ctr_h = catalog.spec_arrays(catalog.host).counter_idx.size
         self._n_ctr_host = n_ctr_h
-        self._group_slots: dict[tuple[str, str, int], int] = {}
+        self._group_slots: dict[tuple, int] = {}
         self._grp_key: list[tuple | None] = []
         self._grp_node: list[object | None] = []
         self._grp_rng: list[np.random.Generator | None] = []
@@ -105,6 +156,8 @@ class FleetTelemetryStream:
         self._grp_containers: list[list] = []
         self._grp_clock: list[int] = []
         self._grp_convert: list[bool] = []
+        #: The wrapped row owning a singleton group, -1 for shared ones.
+        self._grp_row: list[int] = []
         self._grp_accum = np.zeros((0, n_ctr_h))
         self._grp_prev = np.zeros((0, n_ctr_h))
         self._grp_has_prev = np.zeros(0, dtype=bool)
@@ -126,82 +179,137 @@ class FleetTelemetryStream:
         if capacity <= self.capacity:
             return
         old = self.capacity
-        for name, fill, dtype in (
-            ("completeness", 1.0, np.float64),
-            ("fast_mask", False, bool),
-            ("emitted_mask", False, bool),
-            ("recorded_mask", False, bool),
-            ("_row_has_prev", False, bool),
-            ("_row_convert", False, bool),
+        for name, fill in (
+            ("completeness", 1.0),
+            ("faulted_mask", False),
+            ("sampled_mask", False),
+            ("staleness", 0),
+            ("_row_group", -1),
+            ("_row_has_prev", False),
+            ("_row_convert", False),
+            ("_row_alloc", 0.0),
+            ("_wrapped", False),
+            ("_drop_p", 0.0),
+            ("_has_held", False),
+            ("_delayed", -1),
+            ("_is_resilient", False),
+            ("_has_last_real", False),
         ):
-            fresh = np.full(capacity, fill, dtype=dtype)
-            fresh[:old] = getattr(self, name)
+            current = getattr(self, name)
+            fresh = np.full(capacity, fill, dtype=current.dtype)
+            fresh[:old] = current
             setattr(self, name, fresh)
-        fresh_alloc = np.zeros(capacity)
-        fresh_alloc[:old] = self._row_alloc
-        self._row_alloc = fresh_alloc
-        for name, width in (
-            ("raw", self.n_metrics),
-            ("_row_accum", self._n_ctr_container),
-            ("_row_prev", self._n_ctr_container),
-        ):
-            fresh = np.zeros((capacity, width))
-            fresh[:old] = getattr(self, name)
+        for name in ("raw", "_row_accum", "_row_prev", "_held", "_last_real"):
+            current = getattr(self, name)
+            if current is None:
+                continue
+            fresh = np.zeros((capacity, current.shape[1]))
+            fresh[:old] = current
             setattr(self, name, fresh)
-        row_group = np.full(capacity, -1, dtype=np.int64)
-        row_group[:old] = self._row_group
-        self._row_group = row_group
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
     def add_row(self, row: int, namespace: str, agent, container,
                 nodes: dict) -> None:
-        """Attach synthesis state for ``container`` to matrix ``row``.
+        """Attach synthesis and fault state for ``container`` to ``row``.
 
-        Plain :class:`TelemetryAgent` instances sharing this stream's
-        catalog take the grouped fast path; anything else keeps its own
-        per-row stream object so its fault/imputation semantics are
-        preserved bit for bit.
+        ``agent`` is a :class:`TelemetryAgent` sharing this stream's
+        catalog, optionally wrapped as ``ResilientTelemetry ->
+        ChaosAgent -> MetricDropout`` (any subsequence, in that order).
+        Any other stack raises :class:`TypeError`.
         """
         if row in self._containers:
             raise ValueError(f"Row {row} is already occupied.")
+        resilient, chaos, dropout, base = self._unwrap(agent)
+        wrapped = resilient is not None or chaos is not None or dropout is not None
         self._containers[row] = container
-        if type(agent) is TelemetryAgent and agent.catalog is self.catalog:
-            start = container.created_at
-            node = nodes[container.node]
-            key = (namespace, node.name, start)
-            slot = self._group_slots.get(key)
-            if slot is None:
-                slot = self._new_group(key, agent, node, start)
-            members = self._grp_members[slot]
-            position = bisect_left(members, row)
-            members.insert(position, row)
-            self._grp_containers[slot].insert(position, container)
-            self._row_group[row] = slot
-            # Generator(PCG64(seed)) is the same construction
-            # default_rng(seed) performs, minus dispatch overhead; the
-            # bit streams are identical.
-            self._row_rng[row] = Generator(PCG64(
-                _stream_seed(agent.seed, f"container:{container.name}:{start}")
-            ))
-            self._row_accum[row] = 0.0
-            self._row_prev[row] = 0.0
-            self._row_has_prev[row] = False
-            self._row_convert[row] = agent.convert_counters
-            quota = container.cpu_cgroup.quota_cores
-            self._row_alloc[row] = (
-                quota if quota is not None else float(node.spec.cores)
-            )
-            self.fast_mask[row] = True
-        else:
-            self._compat[row] = agent.open_stream(
-                container, nodes, history=self.history
-            )
+        start = container.created_at
+        node = nodes[container.node]
+        key = (namespace, node.name, start)
+        if wrapped:
+            # A lost tick skips this row's host draws, so it keeps its
+            # own host stream instead of sharing the group's.
+            key += (row,)
+        slot = self._group_slots.get(key)
+        if slot is None:
+            slot = self._new_group(key, base, node, start, row if wrapped else -1)
+        members = self._grp_members[slot]
+        position = bisect_left(members, row)
+        members.insert(position, row)
+        self._grp_containers[slot].insert(position, container)
+        self._row_group[row] = slot
+        # Generator(PCG64(seed)) is the same construction
+        # default_rng(seed) performs, minus dispatch overhead; the
+        # bit streams are identical.
+        self._row_rng[row] = Generator(PCG64(
+            _stream_seed(base.seed, f"container:{container.name}:{start}")
+        ))
+        self._row_accum[row] = 0.0
+        self._row_prev[row] = 0.0
+        self._row_has_prev[row] = False
+        self._row_convert[row] = base.convert_counters
+        quota = container.cpu_cgroup.quota_cores
+        self._row_alloc[row] = (
+            quota if quota is not None else float(node.spec.cores)
+        )
         self.completeness[row] = 1.0
-        self.emitted_mask[row] = False
+        self.faulted_mask[row] = False
+        self.sampled_mask[row] = False
+        self.staleness[row] = 0
+        self._wrapped[row] = wrapped
+        self._drop_p[row] = 0.0
+        self._has_held[row] = False
+        self._delayed[row] = -1
+        self._is_resilient[row] = resilient is not None
+        self._has_last_real[row] = False
+        if not wrapped:
+            return
+        if self._held is None:
+            self._held = np.zeros_like(self.raw)
+            self._last_real = np.zeros_like(self.raw)
+        # A row with no prior reading masks NaNs with zeros.
+        self._last_real[row] = 0.0
+        if dropout is not None and dropout.probability > 0.0:
+            self._drop_p[row] = dropout.probability
+            self._drop_rng[row] = Generator(PCG64(
+                _dropout_seed(dropout.seed, container.name)
+            ))
+        if chaos is not None:
+            self._chaos[row] = chaos
+        if resilient is not None:
+            self._resilient[row] = resilient
 
-    def _new_group(self, key, agent, node, start: int) -> int:
+    def _unwrap(self, agent):
+        """``(resilient, chaos, dropout, base)`` layers of ``agent``."""
+        layers: dict[type, object] = {}
+        current = agent
+        depth = 0
+        while type(current) is not TelemetryAgent:
+            kind = type(current)
+            if kind not in _WRAPPERS[depth:]:
+                raise TypeError(
+                    f"Unsupported telemetry agent stack {_describe(agent)}: "
+                    "the fleet takes a TelemetryAgent optionally wrapped as "
+                    "ResilientTelemetry -> ChaosAgent -> MetricDropout "
+                    "(any subsequence, in that order)."
+                )
+            depth = _WRAPPERS.index(kind) + 1
+            layers[kind] = current
+            current = current.agent
+        if current.catalog is not self.catalog:
+            raise TypeError(
+                f"Unsupported telemetry agent stack {_describe(agent)}: its "
+                "metric catalog is not the fleet's."
+            )
+        return (
+            layers.get(ResilientTelemetry),
+            layers.get(ChaosAgent),
+            layers.get(MetricDropout),
+            current,
+        )
+
+    def _new_group(self, key, agent, node, start: int, owner: int) -> int:
         rng = Generator(PCG64(
             _stream_seed(agent.seed, f"host:{node.name}:{start}")
         ))
@@ -214,6 +322,7 @@ class FleetTelemetryStream:
             self._grp_containers[slot] = []
             self._grp_clock[slot] = start
             self._grp_convert[slot] = agent.convert_counters
+            self._grp_row[slot] = owner
         else:
             slot = len(self._grp_key)
             self._grp_key.append(key)
@@ -223,6 +332,7 @@ class FleetTelemetryStream:
             self._grp_containers.append([])
             self._grp_clock.append(start)
             self._grp_convert.append(agent.convert_counters)
+            self._grp_row.append(owner)
             if slot >= self._grp_accum.shape[0]:
                 cap = max(16, 2 * self._grp_accum.shape[0])
                 for name in ("_grp_accum", "_grp_prev"):
@@ -242,26 +352,24 @@ class FleetTelemetryStream:
     def retire_row(self, row: int) -> None:
         self._containers.pop(row)
         slot = int(self._row_group[row])
-        if slot >= 0:
-            self._row_group[row] = -1
-            self._row_rng.pop(row, None)
-            self.fast_mask[row] = False
-            members = self._grp_members[slot]
-            position = members.index(row)
-            members.pop(position)
-            self._grp_containers[slot].pop(position)
-            if not members:
-                del self._group_slots[self._grp_key[slot]]
-                self._grp_key[slot] = None
-                self._grp_node[slot] = None
-                self._grp_rng[slot] = None
-                self._grp_free.append(slot)
-                self._scan = None
-        else:
-            self._compat.pop(row, None)
+        self._row_group[row] = -1
+        self._row_rng.pop(row, None)
+        self._drop_rng.pop(row, None)
+        self._chaos.pop(row, None)
+        self._resilient.pop(row, None)
+        members = self._grp_members[slot]
+        position = members.index(row)
+        members.pop(position)
+        self._grp_containers[slot].pop(position)
+        if not members:
+            del self._group_slots[self._grp_key[slot]]
+            self._grp_key[slot] = None
+            self._grp_node[slot] = None
+            self._grp_rng[slot] = None
+            self._grp_free.append(slot)
+            self._scan = None
         self.faulted.pop(row, None)
-        self.emitted_mask[row] = False
-        self.recorded_mask[row] = False
+        self.faulted_mask[row] = False
 
     # ------------------------------------------------------------------
     # Per-row introspection (used by the fleet policy)
@@ -271,67 +379,34 @@ class FleetTelemetryStream:
 
     def clock(self, row: int) -> int:
         """Next tick the row will emit."""
-        stream = self._compat.get(row)
-        if stream is not None:
-            return stream.clock
         return self._grp_clock[int(self._row_group[row])]
-
-    def row_end(self, row: int) -> int:
-        """One past the last recorded simulation tick for the row."""
-        container = self._containers[row]
-        return container.created_at + len(container.history)
-
-    def staleness(self, row: int) -> int:
-        stream = self._compat.get(row)
-        if stream is None:
-            return 0
-        return int(getattr(stream, "staleness", 0))
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
     def begin_tick(self) -> None:
-        """Reset per-tick fault/emission state before the first round."""
+        """Reset per-tick fault state before the first round."""
         self.faulted.clear()
-        self.emitted_mask[:] = False
-        self.recorded_mask[:] = False
+        self.faulted_mask[:] = False
 
     def advance_round(self) -> np.ndarray:
         """Advance every behind, unfaulted row by exactly one tick.
 
-        Writes the emitted rows into :attr:`raw` / :attr:`completeness`
-        and returns their indices (ascending).  An empty result means
-        the whole fleet is caught up for this tick.
+        Writes the emitted rows -- synthesized or imputed -- into
+        :attr:`raw` / :attr:`completeness` and returns their indices
+        (ascending).  An empty result means the whole fleet is caught
+        up for this tick.
         """
-        emitted = self._advance_fast()
-        for row in sorted(self._compat):
-            if row in self.faulted:
-                continue
-            stream = self._compat[row]
-            container = self._containers[row]
-            if stream.clock >= container.created_at + len(container.history):
-                continue
-            try:
-                values = stream.emit()
-            except TelemetryFault as fault:
-                self.faulted[row] = fault
-                continue
-            self.raw[row] = values
-            self.completeness[row] = stream.tail.last_completeness()
-            emitted.append(row)
-        emitted.sort()
-        rows = np.asarray(emitted, dtype=np.intp)
-        self.emitted_mask[rows] = True
-        return rows
-
-    def _advance_fast(self) -> list[int]:
-        """One batched synthesis pass over every behind fast group."""
         scan = self._scan
         if scan is None:
             scan = self._scan = sorted(self._group_slots.items())
         active: list[int] = []
+        corrupt: list[tuple[int, int]] = []
+        lost: list[int] = []
         clocks = self._grp_clock
         grp_containers = self._grp_containers
+        grp_row = self._grp_row
+        faulted = self.faulted_mask
         for _key, slot in scan:
             anchor = grp_containers[slot][0]
             t = clocks[slot]
@@ -342,14 +417,175 @@ class FleetTelemetryStream:
                     f"Container {anchor.name} has no recorded tick {t}; "
                     "advance the simulation before emitting."
                 )
+            row = grp_row[slot]
+            if row >= 0:
+                if faulted[row]:
+                    continue
+                read = self._read(row, anchor.name, t)
+                if read == "lost":
+                    clocks[slot] = t + 1
+                    lost.append(row)
+                    continue
+                if read == "fault":
+                    continue
+                if read == "nan":
+                    corrupt.append((row, t))
             active.append(slot)
-        if not active:
-            return []
-        with obs.trace("fleet.synthesize"):
-            rows = self._synthesize_groups(active)
-        obs.inc("telemetry.rows_emitted", float(len(rows)))
-        return rows
+        emitted: list[int] = []
+        if active:
+            with obs.trace("fleet.synthesize"):
+                emitted = self._synthesize_groups(active)
+            obs.inc("telemetry.rows_emitted", float(len(emitted)))
+            if self._held is not None:  # some row has a wrapped agent
+                self._apply_faults(emitted, corrupt)
+        if lost:
+            emitted += self._impute(sorted(lost))
+        emitted.sort()
+        return np.asarray(emitted, dtype=np.intp)
 
+    # ------------------------------------------------------------------
+    # Fault injection on the row matrix
+    # ------------------------------------------------------------------
+    def _read(self, row: int, name: str, t: int) -> str:
+        """Step 1: the outcome of one wrapped row's read of tick ``t``.
+
+        ``"ok"`` / ``"nan"`` synthesize (``"nan"`` then corrupts),
+        ``"lost"`` skips the tick, ``"fault"`` leaves the row behind.
+        Mirrors ``_ChaosInstanceStream.emit`` under the retry loop of
+        ``ResilientInstanceStream.emit``.
+        """
+        chaos = self._chaos.get(row)
+        if chaos is None:
+            return "ok"
+        mode = chaos.stream_mode(name, t)
+        if mode == "ok" or mode == "nan":
+            return mode
+        resilient = self._resilient.get(row)
+        if resilient is not None and not issubclass(
+            InjectedTelemetryError, resilient.retry_on
+        ):
+            resilient = None  # injected faults propagate unretried
+        retries = resilient.max_retries if resilient is not None else 0
+        if mode == "hard":
+            # Every attempt of the tick fails.
+            obs.inc("chaos.hard_failures", float(retries + 1))
+            message = f"chaos: telemetry read for {name} failed at tick {t}."
+        else:
+            if self._delayed[row] == t:
+                return "ok"  # the delayed reading arrived
+            self._delayed[row] = t
+            obs.inc("chaos.transient_failures")
+            message = f"chaos: telemetry read for {name} delayed at tick {t}."
+            retries = min(retries, 1)  # the first retry succeeds
+        if resilient is None:
+            self._fault(row, InjectedTelemetryError(message))
+            return "fault"
+        for attempt in range(retries):
+            delay = resilient.backoff_base * (2.0 ** attempt)
+            obs.inc("resilience.retries")
+            obs.observe("resilience.retry_backoff_seconds", delay)
+            if resilient.sleep is not None:
+                resilient.sleep(delay)
+        if mode == "transient" and retries:
+            return "ok"
+        return "lost"
+
+    def _apply_faults(self, emitted: list[int],
+                      corrupt: list[tuple[int, int]]) -> None:
+        """Steps 3 and 4 on the synthesized rows."""
+        rows = np.asarray(emitted, dtype=np.intp)
+        rows = rows[self._wrapped[rows]]
+        if rows.size == 0:
+            return
+        dropping = rows[self._drop_p[rows] > 0.0]
+        if dropping.size:
+            self._dropout(dropping)
+        for row, t in corrupt:
+            # Corrupt the delivered row only: the held row and the
+            # synthesis state stay clean.
+            name = self._containers[row].name
+            columns = self._chaos[row].nan_columns(name, t, self.n_metrics)
+            self.raw[row, columns] = np.nan
+            obs.inc("chaos.nan_rows")
+        resilient = rows[self._is_resilient[rows]]
+        if resilient.size:
+            self._mask_nans(resilient)
+
+    def _dropout(self, rows: np.ndarray) -> None:
+        """Sample-and-hold: each row draws one uniform per metric."""
+        uniforms = self._tick_scratch("dropout", rows.size, self.n_metrics)
+        for i, row in enumerate(rows.tolist()):
+            self._drop_rng[row].random(out=uniforms[i])
+        dropped = uniforms < self._drop_p[rows][:, None]
+        dropped[~self._has_held[rows]] = False  # the first sample always exists
+        block = self.raw[rows]
+        hit = dropped.any(axis=1)
+        if hit.any():
+            np.copyto(block, self._held[rows], where=dropped)
+            self.raw[rows] = block
+            self.completeness[rows[hit]] = 1.0 - dropped[hit].mean(axis=1)
+            if obs.enabled():
+                obs.inc("faults.readings_dropped", float(dropped.sum()))
+        self._held[rows] = block
+        self._has_held[rows] = True
+
+    def _mask_nans(self, rows: np.ndarray) -> None:
+        """NaNs take the row's last real value; the row becomes real."""
+        block = self.raw[rows]
+        nan = np.isnan(block)
+        for i in np.flatnonzero(nan.any(axis=1)).tolist():
+            row = int(rows[i])
+            mask = nan[i]
+            block[i, mask] = self._last_real[row, mask]
+            self.raw[row] = block[i]
+            self.completeness[row] = 1.0 - float(mask.mean())
+            obs.inc("resilience.nan_masked_values", float(mask.sum()))
+        self._last_real[rows] = block
+        self._has_last_real[rows] = True
+        self.staleness[rows] = 0
+
+    def _impute(self, lost: list[int]) -> list[int]:
+        """Step 5: carry the last real row forward, within budget."""
+        imputed: list[int] = []
+        for row in lost:
+            obs.inc("telemetry.rows_skipped")
+            obs.inc("resilience.ticks_lost")
+            self.sampled_mask[row] = True
+            self.staleness[row] += 1
+            staleness = int(self.staleness[row])
+            budget = self._resilient[row].staleness_budget
+            name = self._containers[row].name
+            if not self._has_last_real[row]:
+                tick = self.clock(row) - 1
+                self._unavailable(row, (
+                    f"Telemetry for {name} lost at tick {tick} with no prior "
+                    "observation to impute from."
+                ))
+            elif staleness > budget:
+                self._unavailable(row, (
+                    f"Telemetry for {name} stale for {staleness} "
+                    f"consecutive ticks (budget {budget})."
+                ))
+            else:
+                self.raw[row] = self._last_real[row]
+                self.completeness[row] = 0.0
+                obs.inc("resilience.imputed_ticks")
+                obs.set_gauge("resilience.staleness", float(staleness))
+                imputed.append(row)
+        return imputed
+
+    def _unavailable(self, row: int, message: str) -> None:
+        obs.inc("resilience.unavailable")
+        self._fault(row, TelemetryUnavailable(message))
+
+    def _fault(self, row: int, fault: TelemetryFault) -> None:
+        self.faulted[row] = fault
+        self.faulted_mask[row] = True
+        self.sampled_mask[row] = True
+
+    # ------------------------------------------------------------------
+    # The batched synthesis kernel
+    # ------------------------------------------------------------------
     def _synthesize_groups(self, active: list[int]) -> list[int]:
         catalog = self.catalog
 
@@ -498,7 +734,7 @@ class FleetTelemetryStream:
             raw_host[grp_members[slot]] = host_values[gi]
         self.raw[rows_arr, self.n_host:] = container_values
         self.completeness[rows_arr] = 1.0
-        self.recorded_mask[rows_arr] = row_pair_arr >= 0
+        self.sampled_mask[rows_arr[row_pair_arr >= 0]] = True
         return row_list
 
     def _tick_scratch(self, name: str, n: int, k: int) -> np.ndarray:

@@ -62,12 +62,17 @@ class InjectedTelemetryError(TelemetryFault):
     """A chaos-injected telemetry read failure."""
 
 
-def _chaos_uniform(seed: int, stream: str, t: int) -> float:
-    """Deterministic uniform in [0, 1) for one (stream, tick) cell."""
+def _chaos_seed(seed: int, stream: str, t: int) -> int:
+    """Deterministic 64-bit key for one (stream, tick) cell."""
     digest = hashlib.blake2b(
         f"{seed}:{stream}:{t}".encode(), digest_size=8
     ).digest()
-    return int.from_bytes(digest, "little") / 2.0**64
+    return int.from_bytes(digest, "little")
+
+
+def _chaos_uniform(seed: int, stream: str, t: int) -> float:
+    """Deterministic uniform in [0, 1) for one (stream, tick) cell."""
+    return _chaos_seed(seed, stream, t) / 2.0**64
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,33 @@ class ChaosAgent:
         )
         return _ChaosInstanceStream(inner, self)
 
+    def stream_mode(self, name: str, t: int) -> str:
+        """The fate of stream ``name``'s read of tick ``t``: ``"hard"``,
+        ``"transient"``, ``"nan"`` or ``"ok"``."""
+        for blackout in self.blackouts:
+            if blackout.active(t) and blackout.hits_stream:
+                return "hard"
+        config = self.config
+        u = _chaos_uniform(config.seed, name, t)
+        edge = config.hard_failure_probability
+        if u < edge:
+            return "hard"
+        edge += config.transient_failure_probability
+        if u < edge:
+            return "transient"
+        edge += config.nan_probability
+        if u < edge:
+            return "nan"
+        return "ok"
+
+    def nan_columns(self, name: str, t: int, size: int) -> np.ndarray:
+        """Columns a ``"nan"`` read of tick ``t`` corrupts in a row of
+        ``size`` values."""
+        config = self.config
+        rng = np.random.default_rng(_chaos_seed(config.seed, f"nan:{name}", t))
+        count = max(1, int(round(size * config.nan_fraction)))
+        return rng.choice(size, size=count, replace=False)
+
 
 class _ChaosInstanceStream:
     """Per-tick injection shell around one instance stream."""
@@ -209,26 +241,9 @@ class _ChaosInstanceStream:
     def clock(self) -> int:
         return self.inner.clock
 
-    def _mode(self, t: int) -> str:
-        for blackout in self.chaos.blackouts:
-            if blackout.active(t) and blackout.hits_stream:
-                return "hard"
-        config = self.chaos.config
-        u = _chaos_uniform(config.seed, self.name, t)
-        edge = config.hard_failure_probability
-        if u < edge:
-            return "hard"
-        edge += config.transient_failure_probability
-        if u < edge:
-            return "transient"
-        edge += config.nan_probability
-        if u < edge:
-            return "nan"
-        return "ok"
-
     def emit(self) -> np.ndarray:
         t = self.clock
-        mode = self._mode(t)
+        mode = self.chaos.stream_mode(self.name, t)
         if mode == "hard":
             obs.inc("chaos.hard_failures")
             raise InjectedTelemetryError(
@@ -244,14 +259,8 @@ class _ChaosInstanceStream:
             )
         row = self.inner.emit()
         if mode == "nan":
-            config = self.chaos.config
-            rng = np.random.default_rng(
-                _chaos_seed(config.seed, f"nan:{self.name}", t)
-            )
-            count = max(1, int(round(row.size * config.nan_fraction)))
-            columns = rng.choice(row.size, size=count, replace=False)
             row = row.copy()
-            row[columns] = np.nan
+            row[self.chaos.nan_columns(self.name, t, row.size)] = np.nan
             # Corrupt the delivered copy only -- synthesis state stays
             # clean, so later ticks can still be read.
             self.inner.tail.amend_last(row)
@@ -260,13 +269,6 @@ class _ChaosInstanceStream:
 
     def skip(self) -> None:
         self.inner.skip()
-
-
-def _chaos_seed(seed: int, stream: str, t: int) -> int:
-    digest = hashlib.blake2b(
-        f"{seed}:{stream}:{t}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
 
 
 # ----------------------------------------------------------------------

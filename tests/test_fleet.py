@@ -1,11 +1,13 @@
 """Tests for the fleet-scale vectorized serving path (`repro.fleet`):
 row membership, bitwise telemetry/pipeline parity with the
 per-container reference, decision equivalence under clean, dropout and
-full-chaos stacks, and per-shard checkpointed crash rescue."""
+full-chaos stacks, and per-shard checkpointed crash rescue of clean and
+chaos cells."""
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.fleet.features import FleetPipelineStream
 from repro.fleet.membership import FleetIndex, FleetMember
 from repro.fleet.orchestrator import (
@@ -270,6 +272,52 @@ class TestFleetEquivalence:
         # Chaos must actually demote something or the parity is vacuous.
         assert fleet.counters["demotions"] > 0
 
+    def test_chaos_fleet_obs_counters_match_fallback_chain(self, tiny_model):
+        """With obs on, the fleet's ``fallback.*`` counters equal the
+        per-container FallbackPolicy chain's."""
+        ticks = 40
+        specs = make_fleet_specs(2, base_seed=0, kind="teastore-chaos")
+        workloads = default_fleet_workloads(2, ticks, seed=0)
+        names = ("demotions", "recoveries", "failsafe_entries", "failsafe_ticks")
+
+        def fallback_counters(run):
+            obs.reset()
+            obs.enable()
+            try:
+                run()
+                counters = obs.snapshot()["counters"]
+            finally:
+                obs.disable()
+                obs.reset()
+            return {
+                name: counters.get(f"fallback.{name}", 0.0) for name in names
+            }
+
+        def fleet_run():
+            runner = FleetShardRunner(
+                0, specs, tiny_model, policy_options={"recovery_ticks": 2}
+            )
+            runner.start()
+            for t in range(ticks):
+                runner.tick(workloads[:, t])
+            return runner.finish()
+
+        def reference_run():
+            for row, spec in enumerate(specs):
+                _drive_reference_cell(
+                    spec, tiny_model, workloads[row], use_fallback=True
+                )
+
+        fleet_counters = fallback_counters(fleet_run)
+        assert fleet_counters == fallback_counters(reference_run)
+        assert fleet_counters["demotions"] > 0
+        assert fleet_counters["recoveries"] > 0
+        # The counters mirror the policy's own attributes.
+        fleet = fleet_run()
+        assert fleet_counters == {
+            name: float(fleet.counters[name]) for name in names
+        }
+
     def test_scale_in_retires_and_reuses_rows(self, tiny_model):
         """Short replica lifespans force scale-in mid-run; fleet rows
         are retired/reused and decisions still match the reference."""
@@ -355,6 +403,38 @@ class TestFleetKillResume:
                 clean.cells[namespace].total_scale_outs
                 == crashed.cells[namespace].total_scale_outs
             )
+
+    def test_chaos_worker_loss_inside_blackout_is_bitwise_rescued(
+        self, tiny_model, tmp_path
+    ):
+        """Chaos cells checkpoint their per-row fault state: kill shard
+        0's worker inside the tick 20-28 stream blackout and the rescued
+        fleet is bitwise identical to an uninterrupted run."""
+        ticks = 35
+        specs = make_fleet_specs(4, base_seed=0, kind="teastore-chaos")
+        workloads = default_fleet_workloads(4, ticks, seed=0)
+        clean = FleetOrchestrator(
+            specs, tiny_model, n_shards=2, n_jobs=2
+        ).run(workloads)
+        crashed = FleetOrchestrator(
+            specs, tiny_model, n_shards=2, n_jobs=2,
+            checkpoint_dir=tmp_path / "checkpoints",
+            checkpoint_interval=6,
+            die_at_tick={0: 26},
+        ).run(workloads)
+        # Resumed from the tick-24 checkpoint, mid-blackout.
+        assert crashed.shard_results[0].resumed_from_tick == 24
+        assert crashed.decisions == clean.decisions
+        assert crashed.health == clean.health
+        assert crashed.counters == clean.counters
+        assert clean.counters["demotions"] > 0
+        for namespace in clean.cells:
+            for attribute in ("extra_replicas", "violations",
+                              "response_time", "throughput"):
+                assert np.array_equal(
+                    getattr(clean.cells[namespace], attribute),
+                    getattr(crashed.cells[namespace], attribute),
+                ), f"{namespace}.{attribute}"
 
     def test_sharding_is_invariant_under_n_jobs_and_n_shards(
         self, tiny_model

@@ -3,20 +3,32 @@
 The fleet's struct-of-arrays kernel promises bitwise equality with
 ``TelemetryAgent.instance_matrix`` for every emitted row -- across
 history-window boundaries, for rows added mid-window (scale-out),
-after row retirement/reuse, and in fleets mixing plain fast-path
-agents with wrapped compat-path agents.  The one documented exception
-is counter *rates* on a stream's very first tick, which the batch
-matrix back-fills non-causally (see ``repro/telemetry/stream.py``);
-first-tick comparisons therefore skip the counter columns.
+after row retirement/reuse, and in fleets mixing plain and wrapped
+agents.  The one documented exception is counter *rates* on a
+stream's very first tick, which the batch matrix back-fills
+non-causally (see ``repro/telemetry/stream.py``); first-tick
+comparisons therefore skip the counter columns.
+
+The fault layer (dropout, chaos and resilient imputation as row masks)
+is checked against the per-stream wrapper stack
+``ResilientInstanceStream(_ChaosInstanceStream(_DropoutInstanceStream(
+InstanceTelemetryStream)))`` row by row and tick by tick.
 """
 
+import copy
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.cluster.faults import MetricDropout
 from repro.fleet.orchestrator import build_cell, make_fleet_specs
 from repro.fleet.telemetry import FleetTelemetryStream
-from repro.reliability.telemetry import ResilientTelemetry
+from repro.reliability.chaos import ChaosAgent, ChaosConfig, TelemetryBlackout
+from repro.reliability.telemetry import ResilientTelemetry, TelemetryFault
+from repro.telemetry.agent import TelemetryAgent
 
 
 def _build(base_seed):
@@ -171,8 +183,8 @@ class TestBatchedSynthesisProperties:
     @given(seed=st.integers(0, 2**16), ticks=st.integers(3, 10))
     @settings(max_examples=5, deadline=None)
     def test_mixed_plain_and_wrapped_fleet(self, seed, ticks):
-        """Wrapped agents ride the compat path; plain agents the fast
-        path; both emit the same bits as the reference matrix."""
+        """Plain and wrapped agents share one batched pass per round
+        and both emit the same bits as the reference matrix."""
         spec, cell, containers = _build(seed)
         agent = cell.agent
         nodes = cell.simulation.nodes
@@ -181,9 +193,6 @@ class TestBatchedSynthesisProperties:
         for row, container in enumerate(containers):
             row_agent = wrapped if row % 2 else agent
             fleet.add_row(row, spec.namespace, row_agent, container, nodes)
-        assert fleet.fast_mask[: len(containers)].tolist() == [
-            row % 2 == 0 for row in range(len(containers))
-        ]
         per_row = {row: [] for row in range(len(containers))}
         for _ in range(ticks):
             cell.simulation.step({cell.application: 45.0})
@@ -191,8 +200,206 @@ class TestBatchedSynthesisProperties:
                 fleet, range(len(containers))
             ).items():
                 per_row[row].append(values)
+            assert not fleet.faulted
+            assert np.all(fleet.completeness[: len(containers)] == 1.0)
+            assert np.all(fleet.staleness[: len(containers)] == 0)
         counter_cols = _counter_columns(agent.catalog)
         for row, container in enumerate(containers):
             _assert_rows_match_matrix(
                 agent, container, nodes, per_row[row], counter_cols
+            )
+
+
+# ----------------------------------------------------------------------
+# The fault layer against the per-stream wrapper stack
+# ----------------------------------------------------------------------
+#: obs counters both paths must total identically.
+_FAULT_COUNTERS = ("faults.", "chaos.", "resilience.", "telemetry.rows_")
+
+
+def _fault_counters(run):
+    """``run()``'s increments of the fault-layer obs counters."""
+    before = obs.snapshot()["counters"]
+    run()
+    after = obs.snapshot()["counters"]
+    return {
+        name: value - before.get(name, 0.0)
+        for name, value in after.items()
+        if name.startswith(_FAULT_COUNTERS) and value != before.get(name, 0.0)
+    }
+
+
+def _add_totals(totals, delta):
+    for name, value in delta.items():
+        totals[name] = totals.get(name, 0.0) + value
+
+
+def _reference_tick(streams, containers, outcome):
+    """``_ContainerStream.catch_up`` over every reference stream."""
+    for row, stream in streams.items():
+        container = containers[row]
+        end = container.created_at + len(container.history)
+        delivered, fault = [], None
+        while stream.clock < end:
+            try:
+                values = stream.emit()
+            except TelemetryFault as error:
+                fault = type(error).__name__
+                break
+            delivered.append(
+                (values.tobytes(), stream.tail.last_completeness())
+            )
+        outcome[row] = (
+            delivered, fault, getattr(stream, "staleness", 0), stream.clock
+        )
+
+
+def _fleet_tick(fleet, rows, outcome):
+    fleet.begin_tick()
+    delivered = {row: [] for row in rows}
+    while True:
+        emitted = fleet.advance_round()
+        if emitted.size == 0:
+            break
+        for row in emitted.tolist():
+            delivered[row].append(
+                (fleet.raw[row].tobytes(), float(fleet.completeness[row]))
+            )
+    assert set(np.flatnonzero(fleet.faulted_mask).tolist()) == set(
+        fleet.faulted
+    )
+    for row in rows:
+        fault = fleet.faulted.get(row)
+        outcome[row] = (
+            delivered[row],
+            None if fault is None else type(fault).__name__,
+            int(fleet.staleness[row]),
+            fleet.clock(row),
+        )
+
+
+def _fault_stack(base, layers, probability, budget, retries, blackout, seed):
+    agent = base
+    if "dropout" in layers:
+        agent = MetricDropout(agent, probability=probability, seed=seed + 1)
+    if "chaos" in layers:
+        agent = ChaosAgent(agent, ChaosConfig(
+            hard_failure_probability=0.08,
+            transient_failure_probability=0.12,
+            nan_probability=0.1,
+            blackouts=(blackout,),
+            seed=seed,
+        ))
+    if "resilient" in layers:
+        agent = ResilientTelemetry(
+            agent, staleness_budget=budget, max_retries=retries
+        )
+    return agent
+
+
+class TestFaultMaskParity:
+    @given(
+        seed=st.integers(0, 2**16),
+        layers=st.sampled_from([
+            ("resilient", "chaos", "dropout"),
+            ("chaos", "dropout"),
+            ("resilient", "dropout"),
+            ("resilient", "chaos"),
+        ]),
+        probability=st.sampled_from([0.0, 0.1, 1.0]),
+        budget=st.sampled_from([0, 2]),
+        retries=st.sampled_from([0, 2]),
+        blackout_start=st.integers(2, 12),
+        blackout_length=st.integers(1, 6),
+        scale_tick=st.integers(1, 14),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_per_stream_wrappers(
+        self, seed, layers, probability, budget, retries,
+        blackout_start, blackout_length, scale_tick,
+    ):
+        """Delivered bits, completeness, faults, staleness, clocks and
+        fault-layer obs counters equal the wrapper stack's, row by row
+        and tick by tick, across a blackout and a mid-window scale-out."""
+        spec, cell, containers = _build(seed)
+        nodes = cell.simulation.nodes
+        blackout = TelemetryBlackout(
+            blackout_start, blackout_start + blackout_length
+        )
+        agent = _fault_stack(
+            cell.agent, layers, probability, budget, retries, blackout, seed
+        )
+        fleet = FleetTelemetryStream(agent.catalog, capacity=16)
+        streams = {}
+
+        def add(row, container):
+            fleet.add_row(row, spec.namespace, agent, container, nodes)
+            streams[row] = agent.open_stream(container, nodes, history=16)
+
+        for row, container in enumerate(containers):
+            add(row, container)
+        totals = {"fleet": {}, "reference": {}}
+        obs.reset()
+        obs.enable()
+        try:
+            for t in range(22):
+                if t == scale_tick:
+                    service, placement = next(
+                        iter(cell.autoscaler.rules.placements.items())
+                    )
+                    containers.append(cell.simulation.add_replica(
+                        cell.application, service, placement
+                    ))
+                    add(len(containers) - 1, containers[-1])
+                cell.simulation.step({cell.application: 50.0})
+                rows = sorted(streams)
+                mine, reference = {}, {}
+                _add_totals(totals["fleet"], _fault_counters(
+                    lambda: _fleet_tick(fleet, rows, mine)
+                ))
+                _add_totals(totals["reference"], _fault_counters(
+                    lambda: _reference_tick(streams, containers, reference)
+                ))
+                for row in rows:
+                    assert mine[row] == reference[row], f"row {row} tick {t}"
+        finally:
+            obs.disable()
+            obs.reset()
+        assert totals["fleet"] == totals["reference"]
+        if "chaos" in layers:
+            assert totals["reference"].get("chaos.hard_failures", 0) > 0
+
+
+class TestUnsupportedStacks:
+    def _fleet_and_container(self):
+        _, cell, containers = _build(0)
+        fleet = FleetTelemetryStream(cell.agent.catalog, capacity=4)
+        return cell, fleet, containers[0]
+
+    @pytest.mark.parametrize("make", [
+        lambda a: MetricDropout(ChaosAgent(a, ChaosConfig()), probability=0.1),
+        lambda a: ChaosAgent(ResilientTelemetry(a), ChaosConfig()),
+        lambda a: ResilientTelemetry(ResilientTelemetry(a)),
+        lambda a: TelemetryAgent(catalog=copy.copy(a.catalog), seed=a.seed),
+    ], ids=[
+        "wrong-order", "resilient-inside-chaos", "repeated", "foreign-catalog",
+    ])
+    def test_unsupported_stack_raises_type_error(self, make):
+        cell, fleet, container = self._fleet_and_container()
+        with pytest.raises(TypeError, match="Unsupported telemetry agent stack"):
+            fleet.add_row(
+                0, "ns", make(cell.agent), container, cell.simulation.nodes
+            )
+        assert fleet.advance_round().size == 0  # nothing was attached
+
+    def test_unknown_wrapper_is_named(self):
+        class Recorder:
+            def __init__(self, agent):
+                self.agent = agent
+                self.catalog = agent.catalog
+
+        cell, fleet, container = self._fleet_and_container()
+        with pytest.raises(TypeError, match="Recorder -> TelemetryAgent"):
+            fleet.add_row(
+                0, "ns", Recorder(cell.agent), container, cell.simulation.nodes
             )
