@@ -8,7 +8,7 @@ n_features)`` matrix per tick from telemetry synthesis through one
 
 - **correctness** (always asserted): on a >= 256-container fleet the
   vectorized path's per-tick saturation decisions equal the
-  per-container streaming ``MonitorlessPolicy`` reference
+  per-container streaming reference chain (``tests/serving_reference.py``)
   container-for-container;
 - **resilience** (always asserted): killing a shard's worker mid-run
   leaves the merged result bitwise identical to an uninterrupted run,
@@ -45,8 +45,8 @@ from repro.fleet.orchestrator import (
     default_fleet_workloads,
     make_fleet_specs,
 )
-from repro.orchestrator.policies import MonitorlessPolicy
 from repro.parallel.jobs import available_cores
+from tests.serving_reference import ReferenceMonitorlessPolicy
 
 from conftest import SEED
 
@@ -87,7 +87,7 @@ def _cross_check(model) -> dict:
     reference_decisions = [set() for _ in range(CROSS_CHECK_TICKS)]
     for row, spec in enumerate(specs):
         cell = build_cell(spec)
-        policy = MonitorlessPolicy(model, cell.agent, window=16, streaming=True)
+        policy = ReferenceMonitorlessPolicy(model, cell.agent, window=16)
         for t in range(CROSS_CHECK_TICKS):
             cell.simulation.step({cell.application: float(workloads[row, t])})
             saturated = policy.saturated_services(

@@ -19,13 +19,6 @@ scatters per call, while the flat path runs one compacted traversal
 over every (row, tree) lane.  Large batches are gather-bound in both
 paths, so the recorded sweep is honest about the taper.
 
-A third stage times the hist forest's uint8 byte kernel on
-*pre-binned* codes (``predict_proba_binned``) against the float walk
-and records the per-call ``Binner.transform`` cost separately: the
-byte walk is the faster kernel, but binning raw floats costs more
-than the traversal saves on this feature width -- which is why
-``predict_proba`` never bins implicitly.
-
 Environment knobs:
 
 - ``BENCH_PREDICT_TREES``  forest size            (default 250)
@@ -146,61 +139,24 @@ def test_predict_speedup(benchmark, corpus, engineered, table_printer):
         rows,
     )
 
-    # Byte kernel on pre-binned codes vs the float walk (hist forest,
-    # full batch): the uint8 walk itself is faster, but the per-call
-    # binning pass is not free -- record all three so the default path
-    # choice (float for raw input) is backed by numbers.
-    hist_flat = forests["hist"]._flat()
-    binner = forests["hist"].binner_
-    X_full = np.ascontiguousarray(X_all[order])
-    codes_full = binner.transform(X_full)
-    assert np.array_equal(
-        hist_flat.predict_proba_binned(codes_full),
-        hist_flat.predict_proba(X_full),
-    ), "byte kernel diverged from the float walk on pre-binned codes"
-    t_float = _time(hist_flat.predict_proba, X_full)
-    t_byte = _time(hist_flat.predict_proba_binned, codes_full)
-    t_bin = _time(binner.transform, X_full)
-    byte_kernel = {
-        "batch": int(X_full.shape[0]),
-        "float_walk_ms": round(t_float * 1e3, 3),
-        "byte_walk_ms": round(t_byte * 1e3, 3),
-        "binner_transform_ms": round(t_bin * 1e3, 3),
-        "byte_kernel_speedup": round(t_float / t_byte, 2),
-    }
-    table_printer(
-        "Hist byte kernel (pre-binned codes) vs float walk, full batch",
-        [{
-            "float walk [ms]": byte_kernel["float_walk_ms"],
-            "byte walk [ms]": byte_kernel["byte_walk_ms"],
-            "transform [ms]": byte_kernel["binner_transform_ms"],
-            "kernel speedup": byte_kernel["byte_kernel_speedup"],
-        }],
-    )
-
     record = {
         "cpu_count": cores,
         "seed": SEED,
         "trees": N_TREES,
         "n_samples": int(X_all.shape[0]),
         "n_features": int(X_all.shape[1]),
-        "hist_byte_path_compiled": forests["hist"]._flat().binned,
         "bitwise_equal_all_batches": True,  # asserted above, both modes
         "serving_batch": SERVING_BATCH,
         "serving_speedup": {
             mode: round(value, 2) for mode, value in serving_speedup.items()
         },
         "batches": sweep,
-        "byte_kernel": byte_kernel,
         "floor_serving_speedup": MIN_FLAT_SPEEDUP,
         "thresholds_enforced": enforce,
         "generated_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
-    assert forests["hist"]._flat().binned, (
-        "hist-mode forest failed to compile the uint8 byte path"
-    )
     if enforce:
         for mode, speedup in serving_speedup.items():
             assert speedup >= MIN_FLAT_SPEEDUP, (

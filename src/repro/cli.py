@@ -311,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument("--resume", action="store_true",
                            help="resume the scenario from --checkpoint "
                                 "instead of starting fresh")
-    lifecycle.add_argument("--allow-model-swap", action="store_true",
-                           help="with --resume and --model: accept a model "
-                                "whose fingerprint differs from the one "
-                                "the checkpoint was saved with")
     lifecycle.add_argument("--interference", type=int, nargs="*",
                            default=None,
                            help="interference scenario ids mixed into "
@@ -853,10 +849,7 @@ def _cmd_lifecycle(args, out) -> int:
 
                 model = MonitorlessModel.load(args.model)
             runner = DriftScenarioRunner.resume(
-                args.checkpoint,
-                config,
-                model=model,
-                allow_model_swap=args.allow_model_swap,
+                args.checkpoint, config, model=model
             )
             print(f"Resumed from tick {runner.t}.", file=out)
         else:

@@ -1,12 +1,16 @@
 """Fleet-scale vectorized serving: struct-of-arrays streaming from
 telemetry to policy, sharded over workers.
 
-The per-container path (one ``InstanceTelemetryStream`` +
-``PipelineStream`` + policy object per container) stays the reference
-implementation; this package carries one ``(n_containers, n_features)``
-float64 matrix per tick end to end and must match the reference
-container-for-container -- bitwise for filter-based pipeline configs,
-within the documented 1e-9 streaming tolerance for PCA.
+This package is the streaming serving path.  It carries one
+``(n_containers, n_features)`` float64 matrix per tick end to end, for
+one cell or thousands: the per-container policies
+``MonitorlessPolicy(streaming=True)`` and ``FallbackPolicy`` are
+one-cell views over :class:`FleetPolicy`.  The per-container chain it
+replaced (one ``InstanceTelemetryStream`` + ``PipelineStream`` + policy
+object per container) lives on in ``tests/serving_reference.py`` as the
+slow reference, and the fleet must match it container-for-container --
+bitwise for filter-based pipeline configs, within the documented 1e-9
+streaming tolerance for PCA.
 
 - :mod:`repro.fleet.membership` -- namespace/pod/container ->
   deployment rollup keys mapped onto matrix rows;

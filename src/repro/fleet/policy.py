@@ -1,10 +1,8 @@
 """Fleet-wide saturation policy: one ``predict_proba`` per tick.
 
-:class:`FleetPolicy` is the struct-of-arrays counterpart of the
-per-container chain ``MonitorlessPolicy(streaming=True)`` (clean
-cells) and ``FallbackPolicy`` (cells with a secondary threshold
-policy).  Every registered cell's containers occupy rows of one
-telemetry matrix and one feature matrix; each tick the policy
+:class:`FleetPolicy` is the serving path for streaming Monitorless.
+Every registered cell's containers occupy rows of one telemetry matrix
+and one feature matrix; each tick the policy
 
 1. syncs membership (scale-out/scale-in -> row insertion/retirement),
 2. advances telemetry in rounds (see
@@ -12,13 +10,25 @@ telemetry matrix and one feature matrix; each tick the policy
    each round through the batched pipeline,
 3. classifies the *whole fleet* with a single ``predict_proba`` call
    on the feature matrix -- per-row results are independent of batch
-   composition, so the verdicts equal the per-cell reference's,
-4. runs the healthy/degraded/failsafe/recovering state machine as
-   vectorized int8 state + streak arrays whose transitions replicate
-   ``FallbackPolicy._record_outcome`` exactly.
+   composition,
+4. runs the healthy/degraded/failsafe/recovering fallback state
+   machine as vectorized int8 state + streak arrays.
 
 The return value is the set of saturated ``(namespace, deployment)``
 rollup keys; a deployment is saturated when any replica row flags.
+
+The per-container policies are one-cell views over this class:
+``MonitorlessPolicy(streaming=True)`` registers its one cell on the
+first tick, and ``FallbackPolicy`` attaches a threshold secondary to
+it.  The per-container streaming chain they used to run is kept as the
+slow reference in ``tests/serving_reference.py``.
+
+Rows are judged in *membership order* -- cells in registration order,
+each cell's pods in ``deployment.instances`` order -- which is the
+order a lifecycle manager observes them in.  Row indices alone would
+not do: a new replica takes the smallest free row, so after a scale-out
+the matrix order differs from the deployment's, and both the drift
+window and the retrain stream depend on the order rows arrive in.
 """
 
 from __future__ import annotations
@@ -57,6 +67,8 @@ class _Cell:
     agent: object
     secondary: object | None = None
     pods: set[str] = field(default_factory=set)
+    #: The cell's rows in ``deployment.instances`` order.
+    order: list[int] = field(default_factory=list)
     #: ``simulation.membership_version`` at the last reconciliation;
     #: lets :meth:`FleetPolicy._sync_cell` skip untouched cells.
     synced_version: int = -1
@@ -73,7 +85,6 @@ class FleetPolicy:
         *,
         catalog=None,
         capacity: int = 64,
-        history: int = 16,
         staleness_budget: int | None = None,
         failsafe: str = "hold",
         recovery_ticks: int = 3,
@@ -86,7 +97,6 @@ class FleetPolicy:
         if staleness_budget is not None and staleness_budget < 0:
             raise ValueError("staleness_budget must be >= 0.")
         self.model = model
-        self.history = history
         self.staleness_budget = staleness_budget
         self.failsafe = failsafe
         self.recovery_ticks = recovery_ticks
@@ -97,21 +107,22 @@ class FleetPolicy:
         self.lifecycle = lifecycle
         self.index = FleetIndex()
         self._cells: dict[str, _Cell] = {}
+        # Live rows in membership order; None until sync() rebuilds it
+        # after a cell's membership changed.
+        self._order: np.ndarray | None = None
         if catalog is None:
             from repro.telemetry.catalog import default_catalog
 
             catalog = default_catalog()
-        self.telemetry = FleetTelemetryStream(
-            catalog, capacity=capacity, history=history
-        )
+        self.telemetry = FleetTelemetryStream(catalog, capacity=capacity)
         self.features = FleetPipelineStream(
             model.pipeline_, catalog.feature_meta(), capacity=capacity
         )
         self._capacity = self.features.capacity
         self._state = np.full(self._capacity, _HEALTHY, dtype=np.int8)
         self._streak = np.zeros(self._capacity, dtype=np.int32)
-        # Rows with at least one recorded outcome; the reference health
-        # mapping only contains containers that were ever judged.
+        # Rows with at least one recorded outcome: health() lists only
+        # containers that were ever judged.
         self._judged = np.zeros(self._capacity, dtype=bool)
         self.demotions = 0
         self.recoveries = 0
@@ -152,6 +163,11 @@ class FleetPolicy:
         """Reconcile matrix rows with every cell's live replica set."""
         for cell in self._cells.values():
             self._sync_cell(cell)
+        if self._order is None:
+            self._order = np.asarray(
+                [row for cell in self._cells.values() for row in cell.order],
+                dtype=np.intp,
+            )
 
     def _sync_cell(self, cell: _Cell) -> None:
         version = getattr(cell.simulation, "membership_version", None)
@@ -196,6 +212,13 @@ class FleetPolicy:
             self._streak[row] = 0
             self._judged[row] = False
         cell.pods = live
+        row_of = self.index.row_of
+        cell.order = [
+            row_of(cell.namespace, instance.container.name)
+            for replicas in deployment.instances.values()
+            for instance in replicas
+        ]
+        self._order = None
         if version is not None:
             cell.synced_version = version
 
@@ -211,7 +234,7 @@ class FleetPolicy:
         self._capacity = capacity
 
     # ------------------------------------------------------------------
-    # Vectorized FallbackPolicy._record_outcome
+    # The fallback health state machine, vectorized over rows
     # ------------------------------------------------------------------
     def _count(self, name: str, amount: int) -> None:
         """Add to one transition counter and its ``fallback.*`` twin."""
@@ -294,10 +317,10 @@ class FleetPolicy:
                 self.features.push_rows(emitted, raw_block, completeness_block)
                 features_s += time.perf_counter() - started
 
-            # FallbackPolicy's per-container checks as row masks: rows
-            # without samples are skipped, faulted rows demoted, rows
-            # with features go to the primary unless they are stale.
-            live = np.asarray(self.index.live_rows(), dtype=np.intp)
+            # The fallback checks as row masks, in membership order:
+            # rows without samples are skipped, faulted rows demoted,
+            # rows with features go to the primary unless they are stale.
+            live = self._order
             sampled = telemetry.sampled_mask[live]
             faulted = telemetry.faulted_mask[live]
             usable = self.features.has_features[live] & ~faulted
@@ -319,9 +342,9 @@ class FleetPolicy:
                     # candidate falls through to the secondary.
                     self.classifier_errors += 1
                     self.last_classifier_error = type(error).__name__
-                    obs.inc("fleet.classifier_errors")
+                    obs.inc("fallback.classifier_errors")
                     obs.inc(
-                        "fleet.classifier_error"
+                        "fallback.classifier_error"
                         f"{{type={type(error).__name__}}}"
                     )
                     demoted.extend(int(row) for row in primary_rows)
@@ -401,23 +424,16 @@ class FleetPolicy:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def health(self, namespace: str | None = None) -> dict:
-        """Pod -> state-name mapping, mirroring ``FallbackPolicy.health``.
-
-        With ``namespace`` the keys are pods of that cell; without, the
-        keys are ``(namespace, pod)`` tuples for the whole fleet.  Only
-        pods with at least one recorded outcome appear.
-        """
+    def health(self) -> dict:
+        """``(namespace, pod)`` -> health-state name of every live pod
+        with at least one recorded outcome."""
         result: dict = {}
         for row in self.index.live_rows():
-            if not self._judged[row]:
-                continue
-            member = self.index.member_at(row)
-            state = _STATE_NAMES[int(self._state[row])]
-            if namespace is None:
-                result[(member.namespace, member.pod)] = state
-            elif member.namespace == namespace:
-                result[member.pod] = state
+            if self._judged[row]:
+                member = self.index.member_at(row)
+                result[(member.namespace, member.pod)] = _STATE_NAMES[
+                    int(self._state[row])
+                ]
         return result
 
     def _export_gauges(self) -> None:
@@ -428,4 +444,4 @@ class FleetPolicy:
             if self._judged[row]:
                 counts[_STATE_NAMES[int(self._state[row])]] += 1
         for state, count in counts.items():
-            obs.set_gauge(f"fleet.containers_{state}", float(count))
+            obs.set_gauge(f"fallback.containers_{state}", float(count))

@@ -14,8 +14,8 @@ once, computes all host states with segment-ordered vector
 accumulation, synthesizes every stream's metrics through
 :meth:`~repro.telemetry.catalog.MetricCatalog.synthesize_rows`, and
 converts counters to rates across the whole row axis.  This is
-bitwise-exact against the per-container reference streams: the state
-math replicates the scalar arithmetic op for op
+bitwise-exact against per-container ``InstanceTelemetryStream``
+objects: the state math replicates the scalar arithmetic op for op
 (:mod:`repro.telemetry.synthesis`), each stream's RNG draws happen in
 its own generator in the exact per-tick order, and the counter/rate
 recurrences are elementwise per stream.
@@ -51,11 +51,12 @@ including their ``obs`` counters.  Any other agent stack -- another
 wrapper, a wrong wrapper order, or a catalog other than the fleet's --
 raises :class:`TypeError` at :meth:`~FleetTelemetryStream.add_row`.
 
-Emission is *rounds-based* to mirror ``_ContainerStream.catch_up``:
-each :meth:`~FleetTelemetryStream.advance_round` advances every behind,
+Emission is *rounds-based*, mirroring the per-container catch-up loop
+of the reference chain in ``tests/serving_reference.py``: each
+:meth:`~FleetTelemetryStream.advance_round` advances every behind,
 unfaulted row by exactly one tick (normally the only round per policy
 tick); a fault marks the row faulted for the remainder of the tick,
-exactly like ``catch_up`` aborting.  Per-row pipeline state is
+exactly like the catch-up loop aborting.  Per-row pipeline state is
 independent, so pushing rounds through the feature pipeline preserves
 each row's tick order, which is all the reference semantics require.
 """
@@ -96,10 +97,8 @@ def _describe(agent) -> str:
 class FleetTelemetryStream:
     """One raw-metric matrix per tick for the whole fleet."""
 
-    def __init__(self, catalog: MetricCatalog, capacity: int = 64,
-                 history: int = 16):
+    def __init__(self, catalog: MetricCatalog, capacity: int = 64):
         self.catalog = catalog
-        self.history = history
         self.n_host = catalog.n_host
         self.n_metrics = catalog.n_metrics
         self.raw = np.zeros((capacity, self.n_metrics))

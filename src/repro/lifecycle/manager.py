@@ -1,10 +1,10 @@
 """Champion/challenger lifecycle management for the serving loop.
 
-:class:`LifecycleManager` sits beside a serving policy
-(:class:`~repro.orchestrator.policies.MonitorlessPolicy` or
-:class:`~repro.fleet.policy.FleetPolicy`) and closes the loop the
-paper leaves open -- *the model itself* as a monitored, replaceable
-component:
+:class:`LifecycleManager` sits beside the serving policy
+(:class:`~repro.fleet.policy.FleetPolicy`, directly or through its
+one-cell view ``MonitorlessPolicy(streaming=True)``) and closes the
+loop the paper leaves open -- *the model itself* as a monitored,
+replaceable component:
 
 1. every classified feature batch is **observed**: fed to the
    completeness-aware drift detector, buffered for retraining, and
@@ -135,10 +135,11 @@ class LifecycleManager:
         """Called by the policy with each tick's classified batch.
 
         ``features`` are the engineered rows the champion just scored,
-        ``flags`` its per-row verdicts, ``completeness`` the optional
-        per-row observedness fractions.  Returns the challenger's
-        per-row flags when one is shadow-scoring (never acted upon by
-        the caller), else ``None``.
+        in membership order (the drift window and the retrain stream
+        depend on row order), ``flags`` its per-row verdicts,
+        ``completeness`` the optional per-row observedness fractions.
+        Returns the challenger's per-row flags when one is
+        shadow-scoring (never acted upon by the caller), else ``None``.
         """
         features = np.atleast_2d(np.asarray(features))
         if features.shape[0] == 0:

@@ -321,17 +321,14 @@ class DriftScenarioRunner:
 
     @classmethod
     def resume(
-        cls,
-        checkpoint_path,
-        config=None,
-        *,
-        model=None,
-        allow_model_swap: bool = False,
+        cls, checkpoint_path, config=None, *, model=None
     ) -> "DriftScenarioRunner":
         """Continue a checkpointed scenario from its saved tick.
 
-        ``model`` asks to resume serving with that model; the
-        checkpoint's fingerprint guard applies (see
+        ``model``, when given, must be the model the checkpoint was
+        serving: the lifecycle manager's registry owns the serving
+        model, so any other model raises
+        :class:`~repro.reliability.checkpoint.CheckpointError` (see
         :meth:`~repro.orchestrator.loop.Orchestrator.resume_from`).
         """
         from repro.orchestrator.loop import Orchestrator
@@ -340,7 +337,7 @@ class DriftScenarioRunner:
         runner.config = config = config or DriftScenarioConfig()
         runner.workload = scenario_workload(config)
         runner.orchestrator = Orchestrator.resume_from(
-            checkpoint_path, model=model, allow_model_swap=allow_model_swap
+            checkpoint_path, model=model
         )
         runner.manager = runner.orchestrator.policy.lifecycle
         if runner.manager is None:

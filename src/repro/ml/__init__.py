@@ -12,8 +12,8 @@ estimators on top of numpy:
   with feature importances, class weights and probability predictions.
 - :mod:`repro.ml.flatforest` -- ensembles compiled to one contiguous
   struct-of-arrays and traversed all-rows x all-trees in one batched
-  kernel (with a uint8 byte path for hist-fitted forests); the default
-  serial inference engine behind every tree ensemble above.
+  kernel; the default serial inference engine behind every tree
+  ensemble above.
 - :class:`repro.ml.boosting.AdaBoostClassifier` -- SAMME / SAMME.R.
 - :class:`repro.ml.gbm.GradientBoostingClassifier` -- second-order
   (XGBoost-style) boosted trees with ``min_child_weight`` and ``gamma``.

@@ -10,20 +10,10 @@ concatenated with per-tree node offsets and child indices rebased to
 global node ids -- and traverses **all rows x all trees** in a single
 level-synchronous walk over a flat ``(n_rows * n_trees)`` node-index
 vector, compacting finished lanes out of the active set each level.
-
-Two traversal currencies share one kernel:
-
-- **exact floats** -- rows gathered from the raw float64 matrix and
-  compared against the stored float64 thresholds, reproducing every
-  comparison of the per-tree walk bit for bit;
-- **hist byte codes** -- when every node threshold is exactly one of a
-  fitted :class:`~repro.ml.binning.Binner`'s edges (always true for
-  ``tree_method='hist'`` ensembles), thresholds are translated at
-  compile time into per-feature ``uint8`` bin codes, and traversal
-  compares the uint8 code matrix instead.  The binner contract
-  ``code(x) <= b  <=>  x <= bin_edges_[f][b]`` (NaN and +/-inf
-  included) makes both paths land every row in the same leaf, so the
-  byte path is bitwise-equivalent, not approximately equal.
+Rows are gathered from the raw float64 matrix and compared against the
+stored float64 thresholds, reproducing every comparison of the
+per-tree walk bit for bit (hist-mode trees store their thresholds as
+raw bin edges, so they take the same walk).
 
 :class:`FlatForest` layers classification voting on top: leaf values
 are expanded to the ensemble's full class count at compile time and
@@ -92,10 +82,6 @@ class FlatTrees:
         Concatenated per-node value table, ``(total_nodes, k)`` (or
         ``(total_nodes,)`` for regression ensembles), aligned with the
         node arrays so ``value[leaves]`` gathers every vote at once.
-    code_threshold:
-        Per-node ``uint8`` bin codes, present only when every internal
-        threshold mapped exactly onto a bin edge (see
-        :meth:`compile_codes`).
     """
 
     def __init__(self, feature, threshold, left, right, offsets, value):
@@ -108,7 +94,6 @@ class FlatTrees:
         self.roots = offsets[:-1]
         self.is_leaf = feature == _LEAF
         self.n_trees = len(offsets) - 1
-        self.code_threshold: np.ndarray | None = None
 
     @classmethod
     def from_arrays(cls, trees, values) -> "FlatTrees":
@@ -144,69 +129,19 @@ class FlatTrees:
         return cls(feature, threshold, left, right, offsets, value)
 
     # ------------------------------------------------------------------
-    # Hist byte codes
-    # ------------------------------------------------------------------
-    def compile_codes(self, bin_edges) -> bool:
-        """Translate float thresholds into per-feature uint8 bin codes.
-
-        For each internal node on feature ``f`` with threshold ``v``,
-        finds ``b`` with ``bin_edges[f][b] == v`` (hist-mode trees only
-        ever split on edge values, so the match is exact, verified
-        here).  On success ``code_threshold`` is populated and
-        :meth:`apply_binned` becomes available; any non-matching
-        threshold disables the byte path and returns ``False`` --
-        callers fall back to the bitwise-identical float walk.
-        """
-        code = np.zeros(self.feature.size, dtype=np.uint8)
-        internal = ~self.is_leaf
-        for f, edges in enumerate(bin_edges):
-            sel = np.flatnonzero(internal & (self.feature == f))
-            if sel.size == 0:
-                continue
-            b = np.searchsorted(edges, self.threshold[sel], side="left")
-            if np.any(b >= edges.size) or np.any(
-                edges[np.minimum(b, edges.size - 1)] != self.threshold[sel]
-            ):
-                self.code_threshold = None
-                return False
-            code[sel] = b  # b < edges.size <= 255, fits uint8
-        if internal.any() and np.any(
-            self.feature[internal] >= len(bin_edges)
-        ):
-            self.code_threshold = None
-            return False
-        self.code_threshold = code
-        return True
-
-    # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
     def apply(self, X) -> np.ndarray:
         """Leaf ids, shape ``(n_rows, n_trees)``, float comparisons."""
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-        return self._walk(X.ravel(), X.shape[0], X.shape[1], self.threshold)
+        return self._walk(X.ravel(), X.shape[0], X.shape[1])
 
-    def apply_binned(self, codes) -> np.ndarray:
-        """Leaf ids from a pre-binned uint8 code matrix.
-
-        Requires a successful :meth:`compile_codes`; lands every row in
-        the same leaf as :meth:`apply` on the raw matrix by the binner
-        contract ``code(x) <= b  <=>  x <= edges[b]``.
-        """
-        if self.code_threshold is None:
-            raise RuntimeError("compile_codes() has not succeeded.")
-        codes = np.ascontiguousarray(np.asarray(codes, dtype=np.uint8))
-        return self._walk(
-            codes.ravel(), codes.shape[0], codes.shape[1], self.code_threshold
-        )
-
-    def _walk(self, cells, n_rows, n_cols, thresholds) -> np.ndarray:
+    def _walk(self, cells, n_rows, n_cols) -> np.ndarray:
         """All rows x a tree range, level-synchronous and compacted.
 
-        ``cells`` is the row-major flattened input matrix (float64 or
-        uint8 -- the kernel only gathers and compares); ``thresholds``
-        the matching per-node comparison array.
+        ``cells`` is the row-major flattened float64 input matrix.
         """
+        threshold = self.threshold
         row_base = np.arange(n_rows, dtype=np.int64) * n_cols
         out = np.empty((n_rows, self.n_trees), dtype=np.int64)
         if n_rows * self.n_trees <= _UNCHUNKED_CELLS:
@@ -225,7 +160,7 @@ class FlatTrees:
                 nd = node[idx]
                 f = self.feature[nd]
                 xv = cells[base[idx] + f]
-                go_left = xv <= thresholds[nd]
+                go_left = xv <= threshold[nd]
                 nxt = np.where(go_left, self.left[nd], self.right[nd])
                 node[idx] = nxt
                 idx = idx[~self.is_leaf[nxt]]
@@ -245,16 +180,13 @@ class FlatForest:
     """
 
     def __init__(self, flat: FlatTrees, n_estimators: int,
-                 chunk_trees: int = _CHUNK_TREES, binner=None):
+                 chunk_trees: int = _CHUNK_TREES):
         self.flat = flat
         self.n_estimators = n_estimators
         self.chunk_trees = chunk_trees
-        self.binner = binner
-        if binner is not None:
-            flat.compile_codes(binner.bin_edges_)
 
     @classmethod
-    def from_estimators(cls, estimators, n_classes: int, binner=None,
+    def from_estimators(cls, estimators, n_classes: int,
                         chunk_trees: int = _CHUNK_TREES) -> "FlatForest":
         """Compile fitted ``DecisionTreeClassifier`` ensemble members.
 
@@ -282,39 +214,12 @@ class FlatForest:
                 expanded[:, np.asarray(tree.classes_, dtype=np.int64)] = table
                 values.append(expanded)
         flat = FlatTrees.from_arrays(trees, values)
-        return cls(flat, len(estimators), chunk_trees=chunk_trees,
-                   binner=binner)
-
-    @property
-    def binned(self) -> bool:
-        """Whether the uint8 byte path compiled successfully."""
-        return self.flat.code_threshold is not None
+        return cls(flat, len(estimators), chunk_trees=chunk_trees)
 
     def predict_proba(self, X) -> np.ndarray:
         """Soft-vote class probabilities, bitwise-equal to the
-        per-tree chunked reference.
-
-        Always runs the float walk.  The uint8 byte walk is faster per
-        node visit (measured ~1.5x on the full corpus), but binning a
-        raw float matrix first costs a per-feature ``searchsorted``
-        pass that exceeds the traversal saving at every batch size on
-        wide feature matrices -- so raw-float callers take the float
-        walk, and the byte path is reserved for callers that already
-        hold bin codes (:meth:`predict_proba_binned`).
-        """
+        per-tree chunked reference."""
         return self._vote(self.flat.apply(X))
-
-    def predict_proba_binned(self, codes) -> np.ndarray:
-        """Soft-vote probabilities from a pre-binned uint8 code matrix.
-
-        For callers that keep their features as bin codes (or reuse one
-        ``Binner.transform`` across several predicts): skips the float
-        gather entirely and compares uint8 codes against the
-        compile-time ``code_threshold`` table.  Lands every row in the
-        same leaf as :meth:`predict_proba` on the raw matrix, so the
-        output is bitwise-identical.  Requires :attr:`binned`.
-        """
-        return self._vote(self.flat.apply_binned(codes))
 
     def _vote(self, leaves: np.ndarray) -> np.ndarray:
         # One gather for every (row, tree) vote, then the historical

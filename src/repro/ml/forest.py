@@ -244,7 +244,6 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             flat = FlatForest.from_estimators(
                 self.estimators_,
                 n_classes=len(self.classes_),
-                binner=getattr(self, "binner_", None),
                 chunk_trees=_PREDICT_CHUNK_TREES,
             )
             self._flat_forest_ = flat

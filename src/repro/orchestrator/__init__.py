@@ -15,8 +15,9 @@
 
 The monitorless policy supports two data paths: batch (re-transform a
 sliding window per container per tick) and streaming
-(``streaming=True``: persistent per-container telemetry and pipeline
-streams, O(1) incremental work per tick).
+(``streaming=True``: a one-cell view over the fleet serving path,
+:class:`repro.fleet.policy.FleetPolicy`, with O(1) incremental work per
+container per tick).
 """
 
 from repro.orchestrator.autoscaler import Autoscaler, ScalingRules

@@ -223,10 +223,11 @@ class Orchestrator:
         Passing ``model`` asks to resume *serving with that model*.
         The checkpoint header stores the fingerprint of the model the
         run was saved with; resuming with a different one silently
-        changes every remaining verdict (and corrupts per-container
-        pipeline streams if the feature pipeline differs), so a
-        mismatch raises :class:`CheckpointError` unless
-        ``allow_model_swap=True`` explicitly accepts the swap.
+        changes every remaining verdict, so a mismatch raises
+        :class:`CheckpointError` unless ``allow_model_swap=True``
+        explicitly accepts the swap.  A policy with a lifecycle manager
+        never accepts one: the manager's registry owns the serving
+        model, and promotions go through it.
         """
         from repro.reliability.checkpoint import (
             CheckpointError,
@@ -240,19 +241,27 @@ class Orchestrator:
         header = read_header(path)
         stored = header.get("model_fingerprint")
         offered = model_fingerprint(model)
-        if stored is not None and offered != stored and not allow_model_swap:
+        swap = stored is not None and offered != stored
+        if swap and not allow_model_swap:
             raise CheckpointError(
                 f"{path} was checkpointed with model {stored[:12]}... but "
                 f"resume was offered model {offered[:12]}...; refusing to "
-                "swap the serving model mid-run (pass "
-                "allow_model_swap=True / --allow-model-swap to override)."
+                "swap the serving model mid-run (pass allow_model_swap=True "
+                "to override; checkpoints with a lifecycle manager never "
+                "accept a swap)."
             )
         orchestrator = load_checkpoint(path)
-        target = orchestrator.policy
-        if not hasattr(target, "model") and hasattr(target, "primary"):
-            target = target.primary
-        if hasattr(target, "model"):
-            target.model = model
+        policy = orchestrator.policy
+        if getattr(policy, "lifecycle", None) is not None:
+            if swap:
+                raise CheckpointError(
+                    f"{path} serves under a lifecycle manager, whose "
+                    "registry owns the serving model; refusing to swap in "
+                    f"model {offered[:12]}... (promote it through the "
+                    "registry instead)."
+                )
+        elif hasattr(policy, "model"):
+            policy.model = model
         return orchestrator
 
     def run(self, workloads: dict[str, np.ndarray]) -> OrchestratorResult:

@@ -45,35 +45,6 @@ class NoScalingPolicy:
         return set()
 
 
-class _ContainerStream:
-    """One container's live data path: telemetry stream + pipeline stream."""
-
-    __slots__ = ("telemetry", "features", "last_features", "last_complete")
-
-    def __init__(self, telemetry, features):
-        self.telemetry = telemetry
-        self.features = features
-        self.last_features: np.ndarray | None = None
-        self.last_complete: float = 1.0
-
-    def catch_up(self, end: int) -> np.ndarray | None:
-        """Consume every unseen tick up to ``end``; O(new ticks).
-
-        Rows flagged incomplete by the telemetry layer (imputed or
-        masked readings) are pushed with ``imputed=True`` so the
-        pipeline can account for them; fully observed rows take the
-        identical code path as before.
-        """
-        telemetry = self.telemetry
-        while telemetry.clock < end:
-            row = telemetry.emit()
-            self.last_complete = telemetry.tail.last_completeness()
-            self.last_features = self.features.push(
-                row, imputed=self.last_complete < 1.0
-            )
-        return self.last_features
-
-
 class MonitorlessPolicy:
     """The monitorless detector over live platform metrics.
 
@@ -83,12 +54,16 @@ class MonitorlessPolicy:
       tick, every container's last ``window`` seconds of metrics are
       re-synthesized and re-transformed from scratch -- O(window) work
       per container per tick;
-    - **streaming** (``streaming=True``): each container holds a
-      persistent telemetry stream and pipeline stream; each tick only
-      the *new* rows are synthesized and pushed -- O(1) per container
-      per tick.  Replicas created mid-run are caught up from their
-      creation tick, so their temporal features warm up exactly as the
-      batch path's shortened windows do.
+    - **streaming** (``streaming=True``): a one-cell view over a
+      private :class:`~repro.fleet.policy.FleetPolicy` (:attr:`fleet`).
+      The first :meth:`saturated_services` call registers
+      ``(simulation, application)`` as the fleet's only cell, named
+      after the application; each tick only the *new* rows are
+      synthesized and pushed -- O(1) per container per tick.  Replicas
+      created mid-run are caught up from their creation tick, so their
+      temporal features warm up exactly as the batch path's shortened
+      windows do.  A later call with another simulation or application
+      raises :class:`ValueError`.
 
     The classifier is invoked once per tick on all containers' current
     feature rows (per-call overhead dominates at per-tick batch sizes).
@@ -100,20 +75,20 @@ class MonitorlessPolicy:
     agent:
         Telemetry agent (must use the catalog the model was trained on).
     window:
-        Batch mode: seconds of history per prediction; must cover the
+        Seconds of history per batch-mode prediction; must cover the
         model's longest temporal feature (the paper uses 15 s + the
-        current sample).  Streaming mode keeps that much telemetry tail
-        for inspection but does not recompute from it.
+        current sample).  Streaming mode keeps per-row rolling state
+        instead and does not use it.
     streaming:
         Select the incremental data path.
     lifecycle:
-        Optional :class:`~repro.lifecycle.manager.LifecycleManager`.
-        When attached, the policy follows its champion (promotions swap
-        the serving model between ticks) and reports every classified
-        batch to it; the manager's challenger shadow-scores the same
-        batch but never influences the returned verdicts.  ``None``
-        (default) leaves the serving path byte-identical to a
-        lifecycle-free policy.
+        Optional :class:`~repro.lifecycle.manager.LifecycleManager`;
+        requires ``streaming=True``.  When attached, the fleet follows
+        its champion (promotions swap the serving model between ticks)
+        and reports every classified batch to it; the manager's
+        challenger shadow-scores the same batch but never influences
+        the returned verdicts.  ``None`` (default) leaves the serving
+        path byte-identical to a lifecycle-free policy.
     """
 
     name = "monitorless"
@@ -128,30 +103,65 @@ class MonitorlessPolicy:
     ):
         if window < 1:
             raise ValueError("window must be >= 1.")
-        self.model = model
+        if lifecycle is not None and not streaming:
+            raise ValueError(
+                "A lifecycle manager requires the streaming data path "
+                "(streaming=True)."
+            )
         self.agent = agent
         self.window = window
         self.streaming = streaming
-        self.lifecycle = lifecycle
         self.meta = agent.catalog.feature_meta()
-        self._streams: dict[str, _ContainerStream] = {}
+        self._model = None if streaming else model  # batch mode's
+        #: The private one-cell fleet serving streaming mode (``None``
+        #: in batch mode).
+        self.fleet = None
+        if streaming:
+            from repro.fleet.policy import FleetPolicy
+
+            self.fleet = FleetPolicy(
+                model, catalog=agent.catalog, lifecycle=lifecycle
+            )
+        self._cell: tuple | None = None  # (simulation, application)
+
+    @property
+    def model(self) -> MonitorlessModel:
+        """The serving model; in streaming mode the fleet's, which
+        follows lifecycle promotions."""
+        return self._model if self.fleet is None else self.fleet.model
+
+    @model.setter
+    def model(self, model: MonitorlessModel) -> None:
+        if self.fleet is None:
+            self._model = model
+        else:
+            self.fleet.model = model
+
+    @property
+    def lifecycle(self):
+        return None if self.fleet is None else self.fleet.lifecycle
+
+    def _serve(self, simulation, application: str, t: int,
+               secondary=None) -> set[str]:
+        """The one-cell fleet's verdict; registers the cell on first use."""
+        if self._cell is None:
+            self.fleet.add_cell(
+                application, simulation, application, self.agent,
+                secondary=secondary,
+            )
+            self._cell = (simulation, application)
+        elif self._cell[0] is not simulation or self._cell[1] != application:
+            raise ValueError(
+                f"This policy serves application {self._cell[1]!r} of the "
+                "simulation it first saw; build one policy per cell."
+            )
+        return {service for _, service in self.fleet.saturated_services(t)}
 
     def _classify(
-        self,
-        services: list[str],
-        current_rows: list[np.ndarray],
-        t: int | None = None,
-        completeness=None,
+        self, services: list[str], current_rows: list[np.ndarray]
     ) -> set[str]:
         if not current_rows:
             return set()
-        if (
-            self.lifecycle is not None
-            and self.lifecycle.champion is not self.model
-        ):
-            # A promotion happened since the last tick; the pipeline is
-            # frozen within a lineage, so live streams stay valid.
-            self.model = self.lifecycle.champion
         with obs.trace("policy.classify"):
             batch = np.vstack(current_rows)
             classifier = self.model.classifier_
@@ -162,8 +172,6 @@ class MonitorlessPolicy:
                 flags = positive >= self.model.prediction_threshold
             else:
                 flags = np.asarray(classifier.predict(batch)) == 1
-        if self.lifecycle is not None and t is not None:
-            self.lifecycle.observe(t, batch, flags, completeness)
         saturated = {
             service for service, flag in zip(services, flags) if flag
         }
@@ -172,50 +180,14 @@ class MonitorlessPolicy:
             obs.inc("policy.saturation_verdicts", len(saturated))
         return saturated
 
-    def _stream_for(self, container, simulation) -> _ContainerStream:
-        stream = self._streams.get(container.name)
-        if stream is None:
-            stream = _ContainerStream(
-                self.agent.open_stream(
-                    container, simulation.nodes, history=self.window
-                ),
-                self.model.pipeline_.stream(),
-            )
-            self._streams[container.name] = stream
-        return stream
-
     def saturated_services(
         self, simulation: ClusterSimulation, application: str, t: int
     ) -> set[str]:
+        if self.fleet is not None:
+            return self._serve(simulation, application, t)
         deployment = simulation.deployments[application]
         services: list[str] = []
         current_rows: list[np.ndarray] = []
-        if self.streaming:
-            completeness: list[float] = []
-            live: set[str] = set()
-            for service, replicas in deployment.instances.items():
-                for instance in replicas:
-                    container = instance.container
-                    live.add(container.name)
-                    end = container.created_at + len(container.history)
-                    if end <= container.created_at:
-                        continue  # no samples yet
-                    stream = self._stream_for(container, simulation)
-                    features = stream.catch_up(end)
-                    if features is not None:
-                        services.append(service)
-                        current_rows.append(features)
-                        completeness.append(stream.last_complete)
-            # Retired replicas (scale-in) never come back; drop their
-            # state.  Membership rarely changes, so skip the sweep
-            # entirely unless some stream key is no longer live.
-            if not self._streams.keys() <= live:
-                for name in [n for n in self._streams if n not in live]:
-                    del self._streams[name]
-            return self._classify(
-                services, current_rows, t=t, completeness=completeness
-            )
-
         for service, replicas in deployment.instances.items():
             for instance in replicas:
                 container = instance.container
@@ -229,7 +201,7 @@ class MonitorlessPolicy:
                 features = self.model.transform(window_matrix, self.meta)
                 services.append(service)
                 current_rows.append(features[-1])
-        return self._classify(services, current_rows, t=t)
+        return self._classify(services, current_rows)
 
 
 class ThresholdPolicy:

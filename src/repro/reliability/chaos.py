@@ -416,6 +416,7 @@ def run_chaos(
     from repro.core.thresholds import ThresholdBaseline
     from repro.orchestrator.policies import MonitorlessPolicy, ThresholdPolicy
     from repro.telemetry.agent import TelemetryAgent
+    from repro.telemetry.store import MetricFrame
     from repro.workloads.patterns import linear_ramp
 
     if config is None:
@@ -444,7 +445,6 @@ def run_chaos(
     # --- Chaos run: full injection stack + fallback chain. -----------
     effective = ChaosConfig(**{**config.__dict__, "blackouts": blackouts})
     fallback_holder: dict = {}
-    resilient_holder: dict = {}
 
     def chaotic_policy(simulation):
         base = TelemetryAgent(seed=seed)
@@ -471,7 +471,6 @@ def run_chaos(
             recovery_ticks=config.recovery_ticks,
         )
         fallback_holder["policy"] = policy
-        resilient_holder["primary"] = primary
         return policy
 
     orchestrator, simulation = _build_orchestrator(model, chaotic_policy, seed)
@@ -527,26 +526,24 @@ def run_chaos(
         return int(_counter(after, name) - _counter(before, name))
 
     policy = fallback_holder["policy"]
-    # Safe-subset tail summary of one surviving stream: means of the
-    # headline utilization metrics that exist, unknown names skipped.
+    # Safe-subset summary of the first live container's last delivered
+    # reading: the headline utilization metrics that exist, unknown
+    # names skipped.
     telemetry_summary: dict = {}
-    for stream in policy.primary._streams.values():
-        tail = stream.telemetry.tail
-        if len(tail) == 0:
-            continue
-        frame = tail.frame().select_available(
+    live = policy.fleet.index.live_rows()
+    if live:
+        telemetry = policy.fleet.telemetry
+        row = live[0]
+        frame = MetricFrame(
+            telemetry.raw[row : row + 1], telemetry.catalog.names()
+        ).select_available(
             ["kernel.all.cpu.util", "mem.util.used_pct", "not.a.metric"]
         )
         telemetry_summary = {
-            "container": stream.telemetry.container.name,
-            "completeness_mean": float(tail.completeness_window().mean()),
-            **{
-                name: float(frame.column(name).mean())
-                for name in frame.columns
-                if frame.has_metric(name)
-            },
+            "container": telemetry.container_at(row).name,
+            "completeness": float(telemetry.completeness[row]),
+            **{name: float(frame.column(name)[0]) for name in frame.columns},
         }
-        break
 
     delta = chaos_result.slo_violation_count - clean_result.slo_violation_count
     bound = config.max_violation_delta_fraction * duration

@@ -103,19 +103,6 @@ def model_fingerprint(model) -> str:
     return hashlib.sha256(buffer.getvalue()).hexdigest()
 
 
-def _serving_model(policy):
-    """The model a policy serves with, if it exposes one.
-
-    Walks one level of wrapping (``FallbackPolicy.primary``) so chaos
-    runs fingerprint the monitorless model, not the wrapper.
-    """
-    model = getattr(policy, "model", None)
-    if model is not None:
-        return model
-    primary = getattr(policy, "primary", None)
-    return getattr(primary, "model", None)
-
-
 def write_record(path, payload, fields: dict, *, kind: str = "checkpoint") -> dict:
     """Atomically write one self-validating record file.
 
@@ -173,7 +160,7 @@ def save_checkpoint(orchestrator, path) -> dict:
                 orchestrator.policy, "name", type(orchestrator.policy).__name__
             ),
         }
-        model = _serving_model(orchestrator.policy)
+        model = getattr(orchestrator.policy, "model", None)
         if model is not None:
             fields["model_fingerprint"] = model_fingerprint(model)
         header = write_record(path, orchestrator, fields, kind="checkpoint")

@@ -5,9 +5,9 @@
 detector and demotes *per container* when that container's data path
 degrades:
 
-1. **primary** -- the container's resilient telemetry stream delivered
+1. **primary** -- the container's resilient telemetry delivered
    (possibly imputed) features and the classifier produced a verdict;
-2. **secondary** -- the stream raised
+2. **secondary** -- the telemetry raised
    :class:`~repro.reliability.telemetry.TelemetryFault` (staleness
    budget exhausted, injected failure) or the classifier raised: the
    container is judged by
@@ -21,19 +21,24 @@ degrades:
 Each container walks a health state machine ``healthy -> degraded ->
 failsafe -> recovering -> healthy``; ``recovering`` requires
 ``recovery_ticks`` consecutive primary successes before the container
-counts as healthy again.  Transitions are exported as ``obs`` counters
-(``fallback.demotions`` / ``fallback.recoveries`` /
-``fallback.failsafe_entries``; classifier failures additionally emit
-``fallback.classifier_error{type=<ExceptionClass>}``) and per-state
-gauges, and mirrored on
-the policy object (:attr:`demotions`, :attr:`recoveries`,
+counts as healthy again.
+
+The chain runs on the primary's one-cell
+:class:`~repro.fleet.policy.FleetPolicy`, which keeps the states as
+row arrays: the policy configures that fleet's fallback settings and
+attaches the secondary to its cell.  Transitions are exported as
+``obs`` counters (``fallback.demotions`` / ``fallback.recoveries`` /
+``fallback.failsafe_entries`` / ``fallback.failsafe_ticks``;
+classifier failures additionally emit ``fallback.classifier_errors``
+and ``fallback.classifier_error{type=<ExceptionClass>}``) and
+``fallback.containers_<state>`` gauges, and mirrored on the policy
+object (:attr:`demotions`, :attr:`recoveries`,
 :attr:`failsafe_entries`, :attr:`health`) for obs-disabled callers.
 """
 
 from __future__ import annotations
 
 from repro import obs
-from repro.reliability.telemetry import TelemetryFault
 
 __all__ = [
     "FallbackPolicy",
@@ -48,7 +53,12 @@ DEGRADED = "degraded"
 FAILSAFE = "failsafe"
 RECOVERING = "recovering"
 
-_STATES = (HEALTHY, DEGRADED, FAILSAFE, RECOVERING)
+
+def _forward(name: str) -> property:
+    return property(
+        lambda self: getattr(self.fleet, name),
+        doc=f"The fleet's ``{name}``.",
+    )
 
 
 class FallbackPolicy:
@@ -61,6 +71,8 @@ class FallbackPolicy:
         chain tracks per-container stream health, which only exists on
         the streaming path), normally built over a
         :class:`~repro.reliability.telemetry.ResilientTelemetry` agent.
+        The fallback policy takes over its fleet, so drive the chain
+        through this policy only.
     secondary:
         A ``ThresholdPolicy`` used per-container while demoted.
     staleness_budget:
@@ -100,150 +112,37 @@ class FallbackPolicy:
             raise ValueError("staleness_budget must be >= 0.")
         self.primary = primary
         self.secondary = secondary
-        self.staleness_budget = staleness_budget
-        self.failsafe = failsafe
-        self.recovery_ticks = recovery_ticks
-        self.health: dict[str, str] = {}
-        self.demotions = 0
-        self.recoveries = 0
-        self.failsafe_entries = 0
-        self.failsafe_ticks = 0
-        self.last_classifier_error: str | None = None
-        self._streak: dict[str, int] = {}
+        self.fleet = primary.fleet
+        self.fleet.staleness_budget = staleness_budget
+        self.fleet.failsafe = failsafe
+        self.fleet.recovery_ticks = recovery_ticks
 
-    # ------------------------------------------------------------------
-    # Health bookkeeping
-    # ------------------------------------------------------------------
-    def _record_outcome(self, name: str, outcome: str) -> None:
-        state = self.health.get(name, HEALTHY)
-        if outcome == "primary":
-            if state == HEALTHY:
-                new = HEALTHY
-            else:
-                streak = self._streak.get(name, 0) + 1 if state == RECOVERING else 1
-                if streak >= self.recovery_ticks:
-                    new = HEALTHY
-                    self.recoveries += 1
-                    obs.inc("fallback.recoveries")
-                    self._streak.pop(name, None)
-                else:
-                    new = RECOVERING
-                    self._streak[name] = streak
-        elif outcome == "secondary":
-            if state in (HEALTHY, RECOVERING):
-                self.demotions += 1
-                obs.inc("fallback.demotions")
-            new = DEGRADED
-            self._streak.pop(name, None)
-        else:  # fail-safe
-            if state != FAILSAFE:
-                self.failsafe_entries += 1
-                obs.inc("fallback.failsafe_entries")
-            self.failsafe_ticks += 1
-            obs.inc("fallback.failsafe_ticks")
-            new = FAILSAFE
-            self._streak.pop(name, None)
-        self.health[name] = new
+    staleness_budget = _forward("staleness_budget")
+    failsafe = _forward("failsafe")
+    recovery_ticks = _forward("recovery_ticks")
+    lifecycle = _forward("lifecycle")
+    demotions = _forward("demotions")
+    recoveries = _forward("recoveries")
+    failsafe_entries = _forward("failsafe_entries")
+    failsafe_ticks = _forward("failsafe_ticks")
+    last_classifier_error = _forward("last_classifier_error")
 
-    def _export_gauges(self) -> None:
-        if not obs.enabled():
-            return
-        counts = dict.fromkeys(_STATES, 0)
-        for state in self.health.values():
-            counts[state] += 1
-        for state, count in counts.items():
-            obs.set_gauge(f"fallback.containers_{state}", float(count))
+    @property
+    def model(self):
+        """The serving model (the fleet's)."""
+        return self.fleet.model
 
-    # ------------------------------------------------------------------
-    # The per-tick verdict
-    # ------------------------------------------------------------------
+    @model.setter
+    def model(self, model) -> None:
+        self.fleet.model = model
+
+    @property
+    def health(self) -> dict[str, str]:
+        """Pod -> health state of every container judged so far."""
+        return {pod: state for (_, pod), state in self.fleet.health().items()}
+
     def saturated_services(self, simulation, application: str, t: int):
         with obs.trace("policy.fallback"):
-            deployment = simulation.deployments[application]
-            live: set[str] = set()
-            # (service, container, features) for containers whose
-            # primary data path delivered this tick.
-            primary_items: list = []
-            demoted: list = []  # (service, container)
-            for service, replicas in deployment.instances.items():
-                for instance in replicas:
-                    container = instance.container
-                    live.add(container.name)
-                    end = container.created_at + len(container.history)
-                    if end <= container.created_at:
-                        continue  # no samples yet
-                    stream = self.primary._stream_for(container, simulation)
-                    try:
-                        features = stream.catch_up(end)
-                    except TelemetryFault:
-                        demoted.append((service, container))
-                        continue
-                    if features is None:
-                        continue
-                    staleness = getattr(stream.telemetry, "staleness", 0)
-                    if (
-                        self.staleness_budget is not None
-                        and staleness > self.staleness_budget
-                    ):
-                        demoted.append((service, container))
-                        continue
-                    primary_items.append(
-                        (service, container, features, stream.last_complete)
-                    )
-
-            # Retired replicas (scale-in) never come back; drop state.
-            # Membership rarely changes, so skip the sweeps unless some
-            # tracked key is no longer live.
-            if not self.primary._streams.keys() <= live:
-                for name in [
-                    n for n in self.primary._streams if n not in live
-                ]:
-                    del self.primary._streams[name]
-            if not self.health.keys() <= live:
-                for name in [n for n in self.health if n not in live]:
-                    del self.health[name]
-                    self._streak.pop(name, None)
-
-            try:
-                saturated = self.primary._classify(
-                    [service for service, _, _, _ in primary_items],
-                    [features for _, _, features, _ in primary_items],
-                    t=t,
-                    completeness=[
-                        complete for _, _, _, complete in primary_items
-                    ],
-                )
-            except Exception as error:
-                # The classifier itself failed: every primary candidate
-                # falls through to the secondary this tick.
-                self.last_classifier_error = type(error).__name__
-                obs.inc("fallback.classifier_errors")
-                obs.inc(
-                    "fallback.classifier_error"
-                    f"{{type={type(error).__name__}}}"
-                )
-                saturated = set()
-                demoted.extend(
-                    (service, container)
-                    for service, container, _, _ in primary_items
-                )
-            else:
-                for service, container, _, _ in primary_items:
-                    self._record_outcome(container.name, "primary")
-
-            for service, container in demoted:
-                try:
-                    verdict = self.secondary.instance_saturated(
-                        container, simulation
-                    )
-                except Exception:
-                    self._record_outcome(container.name, "failsafe")
-                    if self.failsafe == "scale-up":
-                        saturated.add(service)
-                else:
-                    self._record_outcome(container.name, "secondary")
-                    if verdict:
-                        saturated.add(service)
-
-            self._export_gauges()
-        return saturated
+            return self.primary._serve(
+                simulation, application, t, secondary=self.secondary
+            )

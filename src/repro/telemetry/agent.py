@@ -121,8 +121,9 @@ class TelemetryAgent:
         rng = np.random.default_rng(_stream_seed(self.seed, f"host:{node.name}:{start}"))
         values = self.catalog.synthesize(self.catalog.host, state, rng)
         if self.convert_counters:
-            counter_mask = np.array([s.counter for s in self.catalog.host])
-            values = counters_to_rates(values, counter_mask)
+            values = counters_to_rates(
+                values, self.catalog.spec_arrays(self.catalog.host).counters
+            )
         return values
 
     def container_metrics(
@@ -135,8 +136,9 @@ class TelemetryAgent:
         )
         values = self.catalog.synthesize(self.catalog.container, state, rng)
         if self.convert_counters:
-            counter_mask = np.array([s.counter for s in self.catalog.container])
-            values = counters_to_rates(values, counter_mask)
+            values = counters_to_rates(
+                values, self.catalog.spec_arrays(self.catalog.container).counters
+            )
         return values
 
     def instance_matrix(

@@ -216,31 +216,17 @@ class MetricCatalog:
         state: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Vectorized metric synthesis from a state matrix.
+        """Batch metric synthesis from a state matrix.
 
         ``state`` has shape ``(T, n_channels)``; returns ``(T, len(specs))``.
+        The rows are :meth:`synthesize_rows` with one generator drawing
+        them in tick order (``[rng] * T``, the order of
+        ``rng.normal(size=(T, k))``), and counters accumulate down the
+        tick axis with ``np.cumsum``.
         """
-        T = state.shape[0]
-        arrays = self.spec_arrays(specs)
-        values = state[:, arrays.channels] * arrays.gains + arrays.bases
-        complement = arrays.complement
-        if complement.any():
-            raw = state[:, arrays.channels[complement]] * arrays.gains[complement]
-            values[:, complement] = (
-                100.0 - raw + arrays.bases[complement]
-            )
-        noisy = arrays.noisy
-        if noisy.any():
-            values[:, noisy] += rng.normal(
-                0.0, arrays.noises[noisy], size=(T, int(noisy.sum()))
-            )
-        nonneg = arrays.nonneg
-        if nonneg.any():
-            # Domain-non-negative gauges: measurement noise must not
-            # drive e.g. cpu.steal below zero.
-            values[:, nonneg] = np.maximum(values[:, nonneg], 0.0)
-        counters = arrays.counters
-        if counters.any():
+        values = self.synthesize_rows(specs, state, [rng] * state.shape[0])
+        counters = self.spec_arrays(specs).counter_idx
+        if counters.size:
             # Counter metrics accumulate; preprocessing differentiates back.
             values[:, counters] = np.cumsum(
                 np.maximum(values[:, counters], 0.0), axis=0
@@ -254,20 +240,20 @@ class MetricCatalog:
         rngs,
         noise_scratch: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Driver + noise synthesis for many *independent streams* at once.
+        """Driver, complement, noise and non-negative clamp for N rows.
 
-        ``states`` has shape ``(N, n_channels)`` -- one tick of N
-        different streams; ``rngs[i]`` is stream *i*'s generator.  Row
-        *i* of the result is bitwise what :meth:`synthesize_step` would
-        produce from ``states[i]`` and ``rngs[i]``: the driver math is
-        elementwise, and each stream's Gaussian draw is one k-vector
+        The one synthesis kernel: :meth:`synthesize`, :meth:`synthesize_step`
+        and :class:`repro.fleet.telemetry.FleetTelemetryStream` all call
+        it.  ``states`` has shape ``(N, n_channels)``; ``rngs[i]`` is
+        row *i*'s generator, and rows may share one (``[rng] * N``
+        draws the rows one after another).  The driver math is
+        elementwise, and each row's Gaussian draw is one k-vector
         ``standard_normal`` into a scratch row scaled by the per-metric
         sigmas -- the same bit-generator consumption and the same
         floating-point product as ``rng.normal(0.0, sigma)``.
 
-        Counter accumulation and rate conversion are left to the caller
-        (they carry cross-tick state; see
-        :class:`repro.fleet.telemetry.FleetTelemetryStream`).
+        Counter accumulation and rate conversion are left to the caller:
+        they carry state along the tick axis.
         """
         arrays = self.spec_arrays(specs)
         n = states.shape[0]
@@ -291,6 +277,8 @@ class MetricCatalog:
             np.multiply(noise_scratch, arrays.sigma, out=noise_scratch)
             values[:, arrays.noisy_idx] += noise_scratch
         if arrays.nonneg_idx.size:
+            # Domain-non-negative gauges: measurement noise must not
+            # drive e.g. cpu.steal below zero.
             values[:, arrays.nonneg_idx] = np.maximum(
                 values[:, arrays.nonneg_idx], 0.0
             )
@@ -309,31 +297,17 @@ class MetricCatalog:
         ``state_row`` has shape ``(n_channels,)``; ``counter_accum``
         carries the running cumulative sums of the counter columns
         (pass the returned accumulator back in on the next tick; pass
-        ``None`` on the first).  Feeding the rows of a state matrix
-        through this method with a fresh ``rng`` reproduces
-        :meth:`synthesize` bitwise: per-row driver arithmetic is
-        elementwise, Gaussian draws happen in the same order, and the
-        running accumulator performs the same sequential additions as
-        ``np.cumsum``.
+        ``None`` on the first).  The row is :meth:`synthesize_rows` on
+        a one-row batch, so feeding the rows of a state matrix through
+        this method with a fresh ``rng`` reproduces :meth:`synthesize`
+        bitwise: the running accumulator performs the same sequential
+        additions as ``np.cumsum``.
         """
-        arrays = self.spec_arrays(specs)
-        values = state_row[arrays.channels] * arrays.gains + arrays.bases
-        complement = arrays.complement
-        if complement.any():
-            raw = (
-                state_row[arrays.channels[complement]] * arrays.gains[complement]
-            )
-            values[complement] = 100.0 - raw + arrays.bases[complement]
-        noisy = arrays.noisy
-        if noisy.any():
-            values[noisy] += rng.normal(0.0, arrays.noises[noisy])
-        nonneg = arrays.nonneg
-        if nonneg.any():
-            values[nonneg] = np.maximum(values[nonneg], 0.0)
-        counters = arrays.counters
+        values = self.synthesize_rows(specs, state_row[None, :], [rng])[0]
+        counters = self.spec_arrays(specs).counter_idx
         if counter_accum is None:
-            counter_accum = np.zeros(int(counters.sum()))
-        if counters.any():
+            counter_accum = np.zeros(counters.size)
+        if counters.size:
             counter_accum = counter_accum + np.maximum(values[counters], 0.0)
             values[counters] = counter_accum
         return values, counter_accum

@@ -105,7 +105,7 @@ class TestTrainEvaluateExplain:
         text = out.getvalue()
         assert "== span tree ==" in text
         assert "orchestrator.tick" in text
-        assert "pipeline.transform_tick" in text
+        assert "fleet.push_rows" in text
         assert "== metrics (json) ==" in text
         assert '"orchestrator.ticks": 600.0' in text
         assert "== metrics (prometheus) ==" in text

@@ -5,8 +5,8 @@ The compiled kernel (:mod:`repro.ml.flatforest`) must be *bitwise*
 indistinguishable from the code it replaced: same leaves from the
 traversal (property-tested against a verbatim copy of the historical
 ``_apply`` loop, non-finite cells included), same probabilities from
-the vote accumulation (reference = the 16-tree chunk loop), and the
-hist byte path must land every row in the same leaf as the float path.
+the vote accumulation (reference = the 16-tree chunk loop), for exact
+and hist-fitted forests alike.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.boosting import AdaBoostClassifier
-from repro.ml.flatforest import FlatForest, FlatTrees, tree_apply
+from repro.ml.flatforest import FlatTrees, tree_apply
 from repro.ml.forest import (
     RandomForestClassifier,
     _PREDICT_CHUNK_TREES,
@@ -198,47 +198,17 @@ class TestForestEquivalence:
             tree.predict_proba(Xq, check_input=False),
         )
 
-    def test_byte_path_equals_float_path(self, training_data):
+    def test_hist_forest_float_path_equals_reference(self, training_data):
+        """Hist-mode trees store raw bin-edge thresholds, so the float
+        walk serves them bitwise like exact trees."""
         X, y = training_data
         forest = RandomForestClassifier(
             n_estimators=13, min_samples_leaf=4, tree_method="hist",
             random_state=2,
         ).fit(X, y)
-        flat = forest._flat()
-        assert flat.binned, "hist thresholds must map exactly onto bin edges"
-        rng = np.random.default_rng(7)
-        Xq = make_query(rng, 120, X.shape[1])
+        Xq = np.random.default_rng(7).normal(size=(150, X.shape[1]))
         np.testing.assert_array_equal(
-            flat.flat.apply(Xq),
-            flat.flat.apply_binned(forest.binner_.transform(Xq)),
-        )
-        # Voting over byte-walk leaves must be bitwise the reference
-        # probabilities too (predict_proba_binned = the codes-in path).
-        Xq_finite = rng.normal(size=(150, X.shape[1]))
-        np.testing.assert_array_equal(
-            flat.predict_proba_binned(forest.binner_.transform(Xq_finite)),
-            reference_forest_proba(forest, Xq_finite),
-        )
-        np.testing.assert_array_equal(
-            forest.predict_proba(Xq_finite),
-            reference_forest_proba(forest, Xq_finite),
-        )
-
-    def test_code_compile_rejects_foreign_edges(self, training_data):
-        X, y = training_data
-        forest = RandomForestClassifier(
-            n_estimators=5, min_samples_leaf=4, random_state=3
-        ).fit(X, y)  # exact mode: thresholds are midpoints, not edges
-        from repro.ml.binning import Binner
-
-        binner = Binner(16).fit(X)
-        flat = FlatForest.from_estimators(
-            forest.estimators_, n_classes=2, binner=binner
-        )
-        assert not flat.binned  # falls back to the float walk
-        Xq = np.random.default_rng(8).normal(size=(100, X.shape[1]))
-        np.testing.assert_array_equal(
-            flat.predict_proba(Xq), reference_forest_proba(forest, Xq)
+            forest.predict_proba(Xq), reference_forest_proba(forest, Xq)
         )
 
     def test_parallel_path_matches_flat_path(self, training_data):

@@ -1,8 +1,9 @@
 """Tests for the fleet-scale vectorized serving path (`repro.fleet`):
 row membership, bitwise telemetry/pipeline parity with the
-per-container reference, decision equivalence under clean, dropout and
-full-chaos stacks, and per-shard checkpointed crash rescue of clean and
-chaos cells."""
+per-container reference, decision equivalence with the per-container
+chain of ``tests/serving_reference.py`` under clean, dropout and
+full-chaos stacks, lifecycle observation order, and per-shard
+checkpointed crash rescue of clean and chaos cells."""
 
 import numpy as np
 import pytest
@@ -22,9 +23,12 @@ from repro.fleet.telemetry import FleetTelemetryStream
 from repro.orchestrator.autoscaler import Autoscaler, ScalingRules
 from repro.orchestrator.loop import Orchestrator, OrchestratorResult
 from repro.orchestrator.policies import MonitorlessPolicy
-from repro.reliability.fallback import FallbackPolicy
 from repro.telemetry.agent import TelemetryAgent
 from repro.telemetry.catalog import default_catalog
+from tests.serving_reference import (
+    ReferenceFallbackPolicy,
+    ReferenceMonitorlessPolicy,
+)
 
 
 def _member(namespace="cell-0", pod="teastore.auth.1", service="auth"):
@@ -157,9 +161,9 @@ def _drive_reference_cell(spec, model, workload, *, use_fallback=False,
     cell = build_cell(spec)
     if autoscaler is not None:
         cell.autoscaler = autoscaler(cell)
-    primary = MonitorlessPolicy(model, cell.agent, window=16, streaming=True)
+    primary = ReferenceMonitorlessPolicy(model, cell.agent, window=16)
     if use_fallback:
-        policy = FallbackPolicy(
+        policy = ReferenceFallbackPolicy(
             primary, cell.secondary, recovery_ticks=recovery_ticks
         )
     else:
@@ -174,6 +178,16 @@ def _drive_reference_cell(spec, model, workload, *, use_fallback=False,
         decisions.append(set(saturated))
         extras.append(cell.autoscaler.extra_replicas)
     return decisions, extras, policy, cell
+
+
+def _short_rules():
+    """TeaStore scaling rules whose replicas retire after 8 ticks."""
+    base = build_cell(make_fleet_specs(1)[0]).autoscaler.rules
+    return ScalingRules(
+        placements=base.placements,
+        replica_lifespan=8,
+        scale_groups=base.scale_groups,
+    )
 
 
 class TestFleetEquivalence:
@@ -322,22 +336,13 @@ class TestFleetEquivalence:
         """Short replica lifespans force scale-in mid-run; fleet rows
         are retired/reused and decisions still match the reference."""
         ticks = 50
-
-        def short_rules():
-            base = build_cell(make_fleet_specs(1)[0]).autoscaler.rules
-            return ScalingRules(
-                placements=base.placements,
-                replica_lifespan=8,
-                scale_groups=base.scale_groups,
-            )
-
         spec = make_fleet_specs(1, base_seed=1, kind="teastore")[0]
         workload = default_fleet_workloads(1, ticks, seed=1)[0]
 
         cell = build_cell(spec)
         cell.autoscaler = Autoscaler(
             simulation=cell.simulation, application=cell.application,
-            rules=short_rules(),
+            rules=_short_rules(),
         )
         policy = FleetPolicy(tiny_model)
         policy.add_cell(
@@ -356,7 +361,7 @@ class TestFleetEquivalence:
             spec, tiny_model, workload,
             autoscaler=lambda c: Autoscaler(
                 simulation=c.simulation, application=c.application,
-                rules=short_rules(),
+                rules=_short_rules(),
             ),
         )
         for t in range(ticks):
@@ -367,6 +372,66 @@ class TestFleetEquivalence:
         # plus every scale-out replica ever added.
         assert cell.autoscaler.total_scale_outs > 1
         assert policy.index.capacity < 7 + cell.autoscaler.total_scale_outs
+
+
+class _RecordingManager:
+    """Stands in for a ``LifecycleManager``: serves a fixed champion and
+    records every ``observe`` call bitwise."""
+
+    def __init__(self, champion):
+        self.champion = champion
+        self.calls = []
+
+    def observe(self, t, features, flags, completeness=None):
+        features = np.asarray(features)
+        self.calls.append((
+            t,
+            features.shape,
+            features.tobytes(),
+            np.asarray(flags).tolist(),
+            np.asarray(completeness, dtype=np.float64).tolist(),
+        ))
+
+
+class TestLifecycleObservationOrder:
+    def test_view_observes_like_the_reference_chain(self, tiny_model):
+        """Through scale-out and scale-in (which reuses rows) the view
+        hands its lifecycle manager the same rows, in the same order,
+        as the per-container chain: membership order, not row order."""
+        ticks = 50
+        spec = make_fleet_specs(1, base_seed=1, kind="teastore")[0]
+        workload = default_fleet_workloads(1, ticks, seed=1)[0]
+        recorded = {}
+        for name, policy_class in (
+            ("reference", ReferenceMonitorlessPolicy),
+            ("view", MonitorlessPolicy),
+        ):
+            cell = build_cell(spec)
+            cell.autoscaler = Autoscaler(
+                simulation=cell.simulation, application=cell.application,
+                rules=_short_rules(),
+            )
+            manager = _RecordingManager(tiny_model)
+            policy = policy_class(
+                tiny_model, cell.agent, window=16, streaming=True,
+                lifecycle=manager,
+            )
+            extras = []
+            for t in range(ticks):
+                cell.simulation.step({cell.application: float(workload[t])})
+                cell.autoscaler.act(
+                    policy.saturated_services(
+                        cell.simulation, cell.application, t
+                    ),
+                    t,
+                )
+                extras.append(cell.autoscaler.extra_replicas)
+            recorded[name] = manager.calls
+            # The run scales out and back in, so rows are reused.
+            assert cell.autoscaler.total_scale_outs > 1
+            assert any(b < a for a, b in zip(extras, extras[1:]))
+        assert len(recorded["view"]) == ticks
+        assert recorded["view"] == recorded["reference"]
 
 
 class TestFleetKillResume:

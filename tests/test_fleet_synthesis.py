@@ -81,9 +81,7 @@ class TestBatchedSynthesisProperties:
         """Full-fleet emission crossing the 16-tick history window."""
         spec, cell, containers = _build(seed)
         agent = cell.agent
-        fleet = FleetTelemetryStream(
-            agent.catalog, capacity=len(containers), history=16
-        )
+        fleet = FleetTelemetryStream(agent.catalog, capacity=len(containers))
         for row, container in enumerate(containers):
             fleet.add_row(
                 row, spec.namespace, agent, container, cell.simulation.nodes
@@ -235,7 +233,7 @@ def _add_totals(totals, delta):
 
 
 def _reference_tick(streams, containers, outcome):
-    """``_ContainerStream.catch_up`` over every reference stream."""
+    """The reference chain's catch-up loop over every stream."""
     for row, stream in streams.items():
         container = containers[row]
         end = container.created_at + len(container.history)

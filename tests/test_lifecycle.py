@@ -494,6 +494,16 @@ class TestPolicyWiring:
         )
         assert policy.lifecycle is None
 
+    def test_lifecycle_requires_streaming(self, tiny_model, tmp_path):
+        from repro.orchestrator.policies import MonitorlessPolicy
+        from repro.telemetry.agent import TelemetryAgent
+
+        manager = LifecycleManager(tiny_model, registry=tmp_path)
+        with pytest.raises(ValueError, match="streaming"):
+            MonitorlessPolicy(
+                tiny_model, TelemetryAgent(seed=0), lifecycle=manager
+            )
+
     def test_fleet_phase_shape_unchanged_without_lifecycle(self, tiny_model):
         from repro.fleet.policy import FleetPolicy
 
@@ -506,15 +516,13 @@ class TestPolicyWiring:
     def test_fallback_records_typed_classifier_error(
         self, tiny_model, monkeypatch
     ):
-        from tests.test_reliability import _drive, _fallback_setup
+        from tests.test_reliability import _drive, _fallback_setup, broken_model
 
         simulation, policy = _fallback_setup(tiny_model, [])
         _drive(simulation, policy, 3)
-
-        def explode(*args, **kwargs):
-            raise ValueError("classifier down")
-
-        monkeypatch.setattr(policy.primary, "_classify", explode)
+        monkeypatch.setattr(
+            policy, "model", broken_model(tiny_model, ValueError)
+        )
         obs.reset()
         obs.enable()
         try:
@@ -558,15 +566,59 @@ class TestResumeFingerprint:
         with pytest.raises(CheckpointError, match="refusing to swap"):
             Orchestrator.resume_from(checkpoint, model=other)
 
-    def test_allow_model_swap_overrides(self, tiny_model, checkpoint):
+    def test_swap_refused_under_a_lifecycle(self, tiny_model, checkpoint):
+        """The manager's registry owns the serving model: even an
+        explicitly allowed swap is refused, instead of being silently
+        undone by the champion on the next tick."""
         from repro.orchestrator.loop import Orchestrator
+        from repro.reliability.checkpoint import CheckpointError
 
         other = pickle.loads(pickle.dumps(tiny_model))
         other.prediction_threshold = 0.55
-        resumed = Orchestrator.resume_from(
-            checkpoint, model=other, allow_model_swap=True
+        with pytest.raises(CheckpointError, match="lifecycle manager"):
+            Orchestrator.resume_from(
+                checkpoint, model=other, allow_model_swap=True
+            )
+
+    def test_allowed_swap_serves_without_a_lifecycle(
+        self, tiny_model, tmp_path
+    ):
+        """A lifecycle-free streaming checkpoint resumed with another
+        model (threshold 0: every row flags) serves that model."""
+        from repro.orchestrator.loop import Orchestrator
+        from repro.orchestrator.policies import MonitorlessPolicy
+        from repro.telemetry.agent import TelemetryAgent
+        from tests.test_reliability import _threshold_orchestrator
+
+        orchestrator = _threshold_orchestrator()
+        orchestrator.policy = MonitorlessPolicy(
+            tiny_model, TelemetryAgent(seed=0), streaming=True
         )
+        orchestrator.start()
+        for _ in range(4):
+            orchestrator.tick({"teastore": 20.0})
+        path = tmp_path / "stream.ckpt"
+        orchestrator.save_checkpoint(path)
+
+        other = pickle.loads(pickle.dumps(tiny_model))
+        other.prediction_threshold = 0.0
+        resumed = Orchestrator.resume_from(
+            path, model=other, allow_model_swap=True
+        )
+        obs.reset()
+        obs.enable()
+        try:
+            resumed.tick({"teastore": 20.0})
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
         assert resumed.policy.model is other
+        assert counters["policy.classified_instances"] > 0
+        assert (
+            counters["policy.saturation_verdicts"]
+            == counters["policy.classified_instances"]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 (`repro.reliability`): telemetry resilience, the policy fallback
 chain, checkpoint/resume equivalence and the chaos harness."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -454,6 +456,21 @@ def _fallback_setup(
     return simulation, policy
 
 
+class _ExplodingClassifier:
+    def __init__(self, error):
+        self.error = error
+
+    def predict_proba(self, X):
+        raise self.error("classifier down")
+
+
+def broken_model(model, error):
+    """A copy of ``model`` whose classifier raises ``error``."""
+    broken = copy.copy(model)
+    broken.classifier_ = _ExplodingClassifier(error)
+    return broken
+
+
 def _drive(simulation, policy, ticks, rate=30.0):
     timeline = []
     for t in range(ticks):
@@ -526,10 +543,9 @@ class TestFallbackPolicy:
         _drive(simulation, policy, 3)
         assert set(policy.health.values()) == {HEALTHY}
 
-        def explode(*args, **kwargs):
-            raise RuntimeError("classifier down")
-
-        monkeypatch.setattr(policy.primary, "_classify", explode)
+        monkeypatch.setattr(
+            policy, "model", broken_model(tiny_model, RuntimeError)
+        )
         simulation.step({"teastore": 30.0})
         saturated = policy.saturated_services(simulation, "teastore", 3)
         assert set(policy.health.values()) == {DEGRADED}
@@ -660,20 +676,34 @@ class TestCheckpointResume:
         self, tiny_model, tmp_path
     ):
         """Resume mid-outage with the full resilience stack: streaming
-        state (ring buffers, RNGs, staleness, health machine) must
-        round-trip so decisions *and telemetry matrices* stay bitwise
+        state (rolling features, RNGs, staleness, health machine) must
+        round-trip so decisions *and telemetry rows* stay bitwise
         identical."""
         duration = 45
         workload = linear_ramp(duration, 10, 260)
+        checkpoint_tick = 23  # inside the blackout window
+
+        def telemetry_state(orchestrator):
+            fleet = orchestrator.policy.fleet
+            rows = fleet.index.live_rows()
+            return {
+                fleet.telemetry.container_at(row).name: (
+                    fleet.telemetry.raw[row].tobytes(),
+                    float(fleet.telemetry.completeness[row]),
+                    int(fleet.telemetry.staleness[row]),
+                )
+                for row in rows
+            }
+
         reference = _monitorless_orchestrator(tiny_model)
         reference.start()
-        result = _run_to_end(reference, workload)
-        reference_tails = {
-            name: stream.telemetry.tail.window()
-            for name, stream in reference.policy.primary._streams.items()
-        }
+        for t in range(checkpoint_tick):
+            reference.tick({"teastore": float(workload[t])})
+        at_checkpoint = telemetry_state(reference)
+        # The checkpoint lands mid-outage: some rows are imputing.
+        assert any(staleness for _, _, staleness in at_checkpoint.values())
+        result = _run_to_end(reference, workload, start=checkpoint_tick)
 
-        checkpoint_tick = 23  # inside the blackout window
         orchestrator = _monitorless_orchestrator(tiny_model)
         orchestrator.start()
         for t in range(checkpoint_tick):
@@ -683,6 +713,7 @@ class TestCheckpointResume:
         del orchestrator
 
         resumed = Orchestrator.resume_from(path)
+        assert telemetry_state(resumed) == at_checkpoint
         out = _run_to_end(resumed, workload, start=checkpoint_tick)
         assert np.array_equal(out.extra_replicas, result.extra_replicas)
         assert np.array_equal(out.violations, result.violations)
@@ -691,13 +722,7 @@ class TestCheckpointResume:
         assert resumed.policy.health == reference.policy.health
         assert resumed.policy.demotions == reference.policy.demotions
         assert resumed.policy.recoveries == reference.policy.recoveries
-        resumed_tails = {
-            name: stream.telemetry.tail.window()
-            for name, stream in resumed.policy.primary._streams.items()
-        }
-        assert set(resumed_tails) == set(reference_tails)
-        for name, tail in reference_tails.items():
-            assert np.array_equal(resumed_tails[name], tail)
+        assert telemetry_state(resumed) == telemetry_state(reference)
 
     def test_header_readable_without_unpickling(self, tmp_path):
         orchestrator = _threshold_orchestrator()

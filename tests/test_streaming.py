@@ -383,13 +383,13 @@ class TestStreamingPolicy:
             )
             agreements += batch_verdict == stream_verdict
         assert agreements >= 0.7 * len(workload)
-        # One persistent stream pair per live container.
+        # One fleet row per live container.
         live = {
             instance.container.name
             for replicas in sim.deployments["teastore"].instances.values()
             for instance in replicas
         }
-        assert set(stream_policy._streams) == live
+        assert stream_policy.fleet.index.pods_in("teastore") == live
 
     def test_streaming_closed_loop_with_scaling(self, tiny_model):
         sim = _teastore_sim()
@@ -408,19 +408,33 @@ class TestStreamingPolicy:
         result = orchestrator.run({"teastore": linear_ramp(duration, 10, 260)})
         assert result.duration == duration
         assert len(result.extra_replicas) == duration
-        # Scale-out replicas appear and their streams are caught up and
-        # pruned once their lifespan expires.
+        # Scale-out replicas appear, are caught up, and leave the fleet
+        # once their lifespan expires.
+        assert result.total_scale_outs > 0
+        fleet = policy.fleet
         live = {
             instance.container.name
             for replicas in sim.deployments["teastore"].instances.values()
             for instance in replicas
         }
-        assert set(policy._streams) <= live
-        for stream in policy._streams.values():
-            container = stream.telemetry.container
-            assert stream.telemetry.clock == container.created_at + len(
+        assert fleet.index.pods_in("teastore") <= live
+        for row in fleet.index.live_rows():
+            container = fleet.telemetry.container_at(row)
+            assert fleet.telemetry.clock(row) == container.created_at + len(
                 container.history
             )
+
+    def test_streaming_policy_serves_one_cell(self, tiny_model):
+        sim = _teastore_sim()
+        policy = MonitorlessPolicy(
+            tiny_model, TelemetryAgent(seed=0), window=16, streaming=True
+        )
+        sim.step({"teastore": 10.0})
+        policy.saturated_services(sim, "teastore", 0)
+        other = _teastore_sim()
+        other.step({"teastore": 10.0})
+        with pytest.raises(ValueError, match="one policy per cell"):
+            policy.saturated_services(other, "teastore", 1)
 
     def test_edge_deployment_streaming_kwarg(self, tiny_model):
         from repro.orchestrator.edge import EdgeDeployment
