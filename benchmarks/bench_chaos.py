@@ -39,7 +39,7 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_chaos.json"
 
 @pytest.fixture(scope="module")
 def small_model():
-    """Same quick-to-train model as ``bench_streaming.py``."""
+    """Same quick-to-train model as ``bench_obs.py``."""
     runs = [run_by_id(i) for i in (1, 2, 7, 9, 12, 24)]
     corpus = build_training_corpus(
         duration=80, calibration_duration=100, seed=3, runs=runs

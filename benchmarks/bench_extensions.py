@@ -27,7 +27,7 @@ from conftest import SEED
 def test_edge_offloading_traffic(benchmark, model, table_printer):
     simulation = ClusterSimulation(evaluation_nodes(), seed=SEED)
     simulation.deploy(teastore_application(), teastore_placements())
-    edge = EdgeDeployment(model, TelemetryAgent(seed=SEED), window=16)
+    edge = EdgeDeployment(model, TelemetryAgent(seed=SEED))
 
     account = benchmark.pedantic(
         lambda: edge.account(simulation, "teastore", duration=3600),

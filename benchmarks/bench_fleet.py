@@ -87,7 +87,7 @@ def _cross_check(model) -> dict:
     reference_decisions = [set() for _ in range(CROSS_CHECK_TICKS)]
     for row, spec in enumerate(specs):
         cell = build_cell(spec)
-        policy = ReferenceMonitorlessPolicy(model, cell.agent, window=16)
+        policy = ReferenceMonitorlessPolicy(model, cell.agent)
         for t in range(CROSS_CHECK_TICKS):
             cell.simulation.step({cell.application: float(workloads[row, t])})
             saturated = policy.saturated_services(

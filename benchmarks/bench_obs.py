@@ -33,12 +33,15 @@ from pathlib import Path
 
 from repro import obs
 from repro.apps.teastore import teastore_application
-from repro.cluster.simulation import ClusterSimulation, Placement
+from repro.cluster.simulation import ClusterSimulation
 from repro.core.model import MonitorlessModel
 from repro.datasets.configs import run_by_id
-from repro.datasets.experiments import evaluation_nodes, teastore_placements
+from repro.datasets.experiments import (
+    evaluation_nodes,
+    teastore_placements,
+    teastore_scaling_rules,
+)
 from repro.datasets.generate import build_training_corpus
-from repro.orchestrator.autoscaler import ScalingRules
 from repro.orchestrator.loop import Orchestrator
 from repro.orchestrator.policies import MonitorlessPolicy
 from repro.parallel.jobs import available_cores
@@ -59,7 +62,7 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_obs.json"
 
 @pytest.fixture(scope="module")
 def small_model():
-    """Same quick-to-train model as ``bench_streaming.py``."""
+    """Same quick-to-train model as ``bench_chaos.py``."""
     runs = [run_by_id(i) for i in (1, 2, 7, 9, 12, 24)]
     corpus = build_training_corpus(
         duration=80, calibration_duration=100, seed=3, runs=runs
@@ -75,19 +78,10 @@ def _closed_loop(model, duration: int):
     simulation = ClusterSimulation(evaluation_nodes(), seed=SEED)
     simulation.deploy(teastore_application(), teastore_placements())
     agent = TelemetryAgent(seed=SEED)
-    policy = MonitorlessPolicy(model, agent, window=16, streaming=True)
-    rules = ScalingRules(
-        placements={
-            "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=4 * 2**30),
-            "recommender": Placement(
-                node="M2", cpu_limit=1.0, memory_limit=4 * 2**30
-            ),
-            "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * 2**30),
-        },
-        replica_lifespan=120,
-        scale_groups=(("auth", "recommender"),),
+    policy = MonitorlessPolicy(model, agent)
+    orchestrator = Orchestrator(
+        simulation, "teastore", policy, teastore_scaling_rules()
     )
-    orchestrator = Orchestrator(simulation, "teastore", policy, rules)
     workload = linear_ramp(duration, 10, 240)
     started = time.perf_counter()
     result = orchestrator.run({"teastore": workload})

@@ -14,14 +14,14 @@ import pytest
 
 from repro.apps.sockshop import sockshop_application
 from repro.apps.teastore import teastore_application
-from repro.cluster.simulation import ClusterSimulation, Placement
+from repro.cluster.simulation import ClusterSimulation
 from repro.core.thresholds import BASELINE_KINDS, tune_threshold_baseline
 from repro.datasets.experiments import (
     evaluation_nodes,
     sockshop_placements,
     teastore_placements,
+    teastore_scaling_rules,
 )
-from repro.orchestrator.autoscaler import ScalingRules
 from repro.orchestrator.loop import Orchestrator
 from repro.orchestrator.policies import (
     MonitorlessPolicy,
@@ -36,24 +36,12 @@ from repro.workloads.traces import teastore_trace
 from conftest import EVAL_DURATION, SEED
 
 
-def _scaling_rules():
-    return ScalingRules(
-        placements={
-            "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=4 * 2**30),
-            "recommender": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * 2**30),
-            "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * 2**30),
-        },
-        replica_lifespan=120,
-        scale_groups=(("auth", "recommender"),),
-    )
-
-
 def _run_policy(policy_factory, duration):
     simulation = ClusterSimulation(evaluation_nodes(), seed=SEED)
     simulation.deploy(teastore_application(), teastore_placements())
     simulation.deploy(sockshop_application(), sockshop_placements())
     policy = policy_factory(simulation)
-    rules = None if isinstance(policy, NoScalingPolicy) else _scaling_rules()
+    rules = None if isinstance(policy, NoScalingPolicy) else teastore_scaling_rules()
     orchestrator = Orchestrator(simulation, "teastore", policy, rules)
     workloads = {
         "teastore": teastore_trace(duration=duration, seed=SEED + 7),
@@ -92,7 +80,7 @@ def test_table7_autoscaling(benchmark, model, tuned_baselines, table_printer):
         "CPU-AND-MEM": lambda sim: ThresholdPolicy(
             tuned_baselines["cpu-and-mem"], agent
         ),
-        "monitorless": lambda sim: MonitorlessPolicy(model, agent, window=16),
+        "monitorless": lambda sim: MonitorlessPolicy(model, agent),
         "No Scaling (baseline)": lambda sim: NoScalingPolicy(),
         "RT-based (optimal)": lambda sim: ResponseTimePolicy(
             ["recommender", "auth"], rt_threshold=0.5
@@ -128,7 +116,7 @@ def test_table7_autoscaling(benchmark, model, tuned_baselines, table_printer):
     # Benchmark target: one short monitorless closed-loop segment.
     benchmark.pedantic(
         lambda: _run_policy(
-            lambda sim: MonitorlessPolicy(model, agent, window=16), 600
+            lambda sim: MonitorlessPolicy(model, agent), 600
         ),
         rounds=1,
         iterations=1,

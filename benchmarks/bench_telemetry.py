@@ -3,9 +3,9 @@
 Isolates the fleet's metric-synthesis layer: the struct-of-arrays
 kernel in ``FleetTelemetryStream`` (one ``(rows x 1040)`` pass per
 tick, host drivers computed once per ``(namespace, node)`` group and
-broadcast to member rows) against the historical per-container
-``InstanceTelemetryStream`` loop it replaced, and records the contract
-to ``BENCH_telemetry.json`` at the repository root:
+broadcast to member rows) against the per-container reference streams
+of ``tests/serving_reference.py`` (the loop it replaced), and records
+the contract to ``BENCH_telemetry.json`` at the repository root:
 
 - **correctness** (always asserted): every batched row of every tick
   is *bitwise identical* to the corresponding reference stream's
@@ -41,6 +41,7 @@ from repro.fleet.orchestrator import (
 )
 from repro.fleet.telemetry import FleetTelemetryStream
 from repro.parallel.jobs import available_cores
+from tests.serving_reference import open_reference_stream
 
 from conftest import SEED
 
@@ -91,7 +92,7 @@ def _run_reference(registry):
     catalog = registry[0][1].catalog
     n_rows = len(registry)
     streams = [
-        agent.open_stream(container, nodes)
+        open_reference_stream(agent, container, nodes)
         for (_namespace, agent, container, nodes) in registry
     ]
     out = np.empty((TICKS, n_rows, catalog.n_metrics))

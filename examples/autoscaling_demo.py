@@ -13,12 +13,15 @@ a bursty workload trace, and compares three scaling policies:
 """
 
 from repro.apps.teastore import teastore_application
-from repro.cluster.simulation import ClusterSimulation, Placement
+from repro.cluster.simulation import ClusterSimulation
 from repro.core.model import MonitorlessModel
 from repro.datasets.configs import run_by_id
-from repro.datasets.experiments import evaluation_nodes, teastore_placements
+from repro.datasets.experiments import (
+    evaluation_nodes,
+    teastore_placements,
+    teastore_scaling_rules,
+)
 from repro.datasets.generate import build_training_corpus
-from repro.orchestrator.autoscaler import ScalingRules
 from repro.orchestrator.loop import Orchestrator
 from repro.orchestrator.policies import (
     MonitorlessPolicy,
@@ -28,7 +31,6 @@ from repro.orchestrator.policies import (
 from repro.telemetry.agent import TelemetryAgent
 from repro.workloads.traces import teastore_trace
 
-GIB = 2**30
 TRACE_SECONDS = 1200
 
 
@@ -46,20 +48,7 @@ def train_model() -> MonitorlessModel:
 def run_policy(name: str, policy, scale: bool):
     simulation = ClusterSimulation(evaluation_nodes(), seed=0)
     simulation.deploy(teastore_application(), teastore_placements())
-    rules = (
-        ScalingRules(
-            placements={
-                "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=4 * GIB),
-                "recommender": Placement(node="M2", cpu_limit=1.0,
-                                         memory_limit=4 * GIB),
-                "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * GIB),
-            },
-            replica_lifespan=120,
-            scale_groups=(("auth", "recommender"),),
-        )
-        if scale
-        else None
-    )
+    rules = teastore_scaling_rules() if scale else None
     orchestrator = Orchestrator(simulation, "teastore", policy, rules)
     trace = teastore_trace(duration=TRACE_SECONDS, seed=7)
     result = orchestrator.run({"teastore": trace})
@@ -77,7 +66,7 @@ def main() -> None:
     print(f"\nReplaying a {TRACE_SECONDS}s bursty trace under three policies:")
     run_policy("no scaling", NoScalingPolicy(), scale=False)
     run_policy(
-        "monitorless", MonitorlessPolicy(model, agent, window=16), scale=True
+        "monitorless", MonitorlessPolicy(model, agent), scale=True
     )
     run_policy(
         "RT-based (optimal)",

@@ -176,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--duration", type=int, default=600,
                         help="trace seconds to stream (default 600, the "
                              "TeaStore trace minimum)")
-    stream.add_argument("--batch", action="store_true",
-                        help="use the batch data path instead, for comparison")
     stream.add_argument("--seed", type=int, default=0)
     _add_trace_argument(stream)
 
@@ -505,14 +503,14 @@ def _cmd_stream(args, out) -> int:
 
     from repro.apps.sockshop import sockshop_application
     from repro.apps.teastore import teastore_application
-    from repro.cluster.simulation import ClusterSimulation, Placement
+    from repro.cluster.simulation import ClusterSimulation
     from repro.core.model import MonitorlessModel
     from repro.datasets.experiments import (
         evaluation_nodes,
         sockshop_placements,
         teastore_placements,
+        teastore_scaling_rules,
     )
-    from repro.orchestrator.autoscaler import ScalingRules
     from repro.orchestrator.loop import Orchestrator
     from repro.orchestrator.policies import MonitorlessPolicy
     from repro.telemetry.agent import TelemetryAgent
@@ -524,21 +522,10 @@ def _cmd_stream(args, out) -> int:
     simulation.deploy(teastore_application(), teastore_placements())
     simulation.deploy(sockshop_application(), sockshop_placements())
     agent = TelemetryAgent(seed=args.seed)
-    policy = MonitorlessPolicy(
-        model, agent, window=16, streaming=not args.batch
+    policy = MonitorlessPolicy(model, agent)
+    orchestrator = Orchestrator(
+        simulation, "teastore", policy, teastore_scaling_rules()
     )
-    rules = ScalingRules(
-        placements={
-            "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=4 * 2**30),
-            "recommender": Placement(
-                node="M2", cpu_limit=1.0, memory_limit=4 * 2**30
-            ),
-            "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * 2**30),
-        },
-        replica_lifespan=120,
-        scale_groups=(("auth", "recommender"),),
-    )
-    orchestrator = Orchestrator(simulation, "teastore", policy, rules)
 
     duration = args.duration
     workloads = {
@@ -550,8 +537,7 @@ def _cmd_stream(args, out) -> int:
             hatch_seconds=int(duration // 7 * 0.7),
         ),
     }
-    mode = "batch" if args.batch else "streaming"
-    print(f"Running the {mode} closed loop for {duration}s...", file=out)
+    print(f"Running the streaming closed loop for {duration}s...", file=out)
     orchestrator.start()
     started = time.perf_counter()
     for t in range(duration):
@@ -575,10 +561,13 @@ def _cmd_stream(args, out) -> int:
 def _cmd_obs(args, out) -> int:
     from repro import obs
     from repro.apps.teastore import teastore_application
-    from repro.cluster.simulation import ClusterSimulation, Placement
+    from repro.cluster.simulation import ClusterSimulation
     from repro.core.thresholds import ThresholdBaseline
-    from repro.datasets.experiments import evaluation_nodes, teastore_placements
-    from repro.orchestrator.autoscaler import ScalingRules
+    from repro.datasets.experiments import (
+        evaluation_nodes,
+        teastore_placements,
+        teastore_scaling_rules,
+    )
     from repro.orchestrator.loop import Orchestrator
     from repro.orchestrator.policies import MonitorlessPolicy, ThresholdPolicy
     from repro.telemetry.agent import TelemetryAgent
@@ -590,9 +579,7 @@ def _cmd_obs(args, out) -> int:
     if args.model:
         from repro.core.model import MonitorlessModel
 
-        policy = MonitorlessPolicy(
-            MonitorlessModel.load(args.model), agent, window=16, streaming=True
-        )
+        policy = MonitorlessPolicy(MonitorlessModel.load(args.model), agent)
     else:
         policy = ThresholdPolicy(
             ThresholdBaseline(
@@ -600,18 +587,9 @@ def _cmd_obs(args, out) -> int:
             ),
             agent,
         )
-    rules = ScalingRules(
-        placements={
-            "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=4 * 2**30),
-            "recommender": Placement(
-                node="M2", cpu_limit=1.0, memory_limit=4 * 2**30
-            ),
-            "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * 2**30),
-        },
-        replica_lifespan=120,
-        scale_groups=(("auth", "recommender"),),
+    orchestrator = Orchestrator(
+        simulation, "teastore", policy, teastore_scaling_rules()
     )
-    orchestrator = Orchestrator(simulation, "teastore", policy, rules)
     # A saturating ramp: enough load that the policy fires and the
     # autoscaler/fault counters have something to show at any duration.
     workload = linear_ramp(args.duration, 10, 240)

@@ -246,78 +246,3 @@ class MetricDropout:
 
     def container_state(self, container, node, start, end):
         return self.agent.container_state(container, node, start, end)
-
-    def open_stream(self, container, nodes, start=None, history=16):
-        """Streaming counterpart of :meth:`instance_matrix` dropout.
-
-        Wraps the inner agent's :class:`InstanceTelemetryStream` and
-        applies sample-and-hold dropout row by row.  Masks are drawn
-        from the same ``blake2b(seed:container)`` RNG as the batch
-        path, one row per emit, so a stream opened at the container's
-        creation tick reproduces the batch dropout matrix row for row
-        -- bitwise with ``convert_counters=False``; with counter-rate
-        conversion the underlying streams already differ at the first
-        tick (the documented non-causal backfill), and sample-and-hold
-        carries that one divergence along the held counter columns.
-        """
-        inner = self.agent.open_stream(
-            container, nodes, start=start, history=history
-        )
-        return _DropoutInstanceStream(self, inner)
-
-
-class _DropoutInstanceStream:
-    """Per-tick sample-and-hold dropout over an instance stream."""
-
-    def __init__(self, dropout: MetricDropout, inner):
-        self._dropout = dropout
-        self.inner = inner
-        self._rng = np.random.default_rng(
-            _dropout_seed(dropout.seed, inner.container.name)
-        )
-        self._held: np.ndarray | None = None
-
-    @property
-    def container(self):
-        return self.inner.container
-
-    @property
-    def tail(self):
-        return self.inner.tail
-
-    @property
-    def clock(self) -> int:
-        return self.inner.clock
-
-    def emit(self) -> np.ndarray:
-        row = self.inner.emit()
-        probability = self._dropout.probability
-        if probability == 0.0:
-            self._held = row
-            return row
-        # One row of uniforms per emit: numpy fills random((T, k)) in
-        # C order, so consecutive random(k) draws reproduce the batch
-        # path's per-row masks exactly.
-        dropped = self._rng.random(row.shape) < probability
-        if self._held is None:
-            dropped[:] = False  # the first sample always exists
-        if dropped.any():
-            row = row.copy()
-            row[dropped] = self._held[dropped]
-            self.inner.tail.amend_last(
-                row, completeness=1.0 - float(dropped.mean())
-            )
-            if obs.enabled():
-                obs.inc("faults.readings_dropped", float(dropped.sum()))
-        self._held = row  # held values chain, as in the batch path
-        return row
-
-    def skip(self) -> None:
-        # A skipped tick draws no mask: nothing was scraped at all.
-        self.inner.skip()
-
-    def advance_to(self, end: int) -> np.ndarray | None:
-        row = None
-        while self.clock < end:
-            row = self.emit()
-        return row

@@ -25,7 +25,6 @@ from repro.core.features.pipeline import (
     FeaturePipeline,
     MonitorlessPipeline,
     PipelineConfig,
-    PipelineStream,
 )
 from repro.core.features.scaling import LogScaler
 from repro.core.features.selection import (
@@ -33,7 +32,7 @@ from repro.core.features.selection import (
     RandomForestFilter,
     VarianceFilter,
 )
-from repro.core.features.temporal import TemporalFeatures, TemporalState
+from repro.core.features.temporal import TemporalFeatures
 
 __all__ = [
     "FeatureMeta",
@@ -42,13 +41,11 @@ __all__ = [
     "BinaryLevelFeatures",
     "LogScaler",
     "TemporalFeatures",
-    "TemporalState",
     "InteractionFeatures",
     "RandomForestFilter",
     "PCAReducer",
     "VarianceFilter",
     "MonitorlessPipeline",
     "FeaturePipeline",
-    "PipelineStream",
     "PipelineConfig",
 ]

@@ -105,28 +105,3 @@ class BinaryLevelFeatures:
 
     def fit_transform(self, X, meta, y=None):
         return self.fit(X, meta, y).transform(X, meta)
-
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Streaming mode: one raw row -> row with level columns appended.
-
-        Thresholds are pure per-sample comparisons, so the output is
-        bitwise identical to the matching row of :meth:`transform`.
-        """
-        if not hasattr(self, "source_columns_"):
-            raise RuntimeError("BinaryLevelFeatures must be fitted first.")
-        if row.shape != (len(self.input_meta_),):
-            raise ValueError(
-                f"row has shape {row.shape}; step was fitted with "
-                f"{len(self.input_meta_)} columns."
-            )
-        if not self.source_columns_:
-            return row
-        levels = [
-            1.0
-            if (low is None or value > low) and (high is None or value <= high)
-            else 0.0
-            for index, columns in self.source_columns_
-            for value in (row[index],)
-            for _, low, high in columns
-        ]
-        return np.concatenate([row, levels])

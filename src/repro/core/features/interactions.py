@@ -86,21 +86,3 @@ class InteractionFeatures:
 
     def fit_transform(self, X, meta, y=None):
         return self.fit(X, meta, y).transform(X, meta)
-
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Streaming mode: append the pair products for one row."""
-        if not hasattr(self, "pairs_"):
-            raise RuntimeError("InteractionFeatures must be fitted first.")
-        if row.shape != (self.n_features_in_,):
-            raise ValueError(
-                f"row has shape {row.shape}; step was fitted with "
-                f"{self.n_features_in_} columns."
-            )
-        if not self.pairs_:
-            return row
-        if not hasattr(self, "_left_index"):
-            self._left_index = np.asarray([i for i, _ in self.pairs_])
-            self._right_index = np.asarray([j for _, j in self.pairs_])
-        return np.concatenate(
-            [row, row[self._left_index] * row[self._right_index]]
-        )

@@ -44,7 +44,6 @@ __all__ = [
     "PipelineConfig",
     "MonitorlessPipeline",
     "FeaturePipeline",
-    "PipelineStream",
     "grid_search_pipeline",
 ]
 
@@ -232,118 +231,6 @@ class MonitorlessPipeline:
         if not hasattr(self, "output_meta_"):
             raise RuntimeError("Pipeline must be fit_transform-ed first.")
         return [feature.name for feature in self.output_meta_]
-
-    # ------------------------------------------------------------------
-    # Streaming
-    # ------------------------------------------------------------------
-    def stream(self) -> "PipelineStream":
-        """A stateful per-tick view of the fitted pipeline.
-
-        One stream per independent metric series (one per container);
-        the fitted parameters stay frozen and shared, only the O(1)
-        rolling temporal state lives in the stream.
-        """
-        if not hasattr(self, "variance_"):
-            raise RuntimeError("Pipeline must be fit_transform-ed first.")
-        return PipelineStream(self)
-
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Push one raw metric row through the pipeline incrementally.
-
-        Convenience wrapper around a single internal
-        :class:`PipelineStream` (created on first call, reset with
-        :meth:`reset_stream`): successive calls are treated as
-        successive ticks of ONE series.  For several concurrent series
-        hold one :meth:`stream` each instead.
-        """
-        if not hasattr(self, "_default_stream") or self._default_stream is None:
-            self._default_stream = self.stream()
-        return self._default_stream.push(row)
-
-    def reset_stream(self) -> None:
-        """Forget the internal :meth:`transform_tick` series state."""
-        self._default_stream = None
-
-
-class PipelineStream:
-    """Incremental (per-tick) execution of a fitted pipeline.
-
-    Mirrors :meth:`MonitorlessPipeline.transform` step by step on
-    single rows, with the temporal step backed by an O(1)
-    :class:`~repro.core.features.temporal.TemporalState` instead of a
-    growing history.  Stacked outputs equal the batch transform of the
-    stacked inputs to within 1e-9 (bitwise for filter-based configs;
-    the PCA projection is the one step where BLAS may differ in the
-    last bits).
-    """
-
-    def __init__(self, pipeline: MonitorlessPipeline):
-        if not hasattr(pipeline, "variance_"):
-            raise RuntimeError("Pipeline must be fit_transform-ed first.")
-        self.pipeline = pipeline
-        self.temporal_state = (
-            pipeline.temporal_.make_state()
-            if pipeline.temporal_ is not None
-            else None
-        )
-        self.ticks = 0
-        self.imputed_ticks = 0
-        self._last_clean: np.ndarray | None = None
-
-    def push(self, row: np.ndarray, imputed: bool = False) -> np.ndarray:
-        """One raw metric row -> one engineered feature row.
-
-        ``imputed=True`` flags a row whose values were partly or fully
-        carried forward by the resilience layer; it is transformed
-        normally but counted in :attr:`imputed_ticks`.  Any NaN entries
-        are masked to the last clean input (0.0 before one exists)
-        *before* the temporal step -- a NaN pushed into the cumulative
-        :class:`~repro.core.features.temporal.TemporalState` would
-        poison every subsequent rolling feature irrecoverably.
-        """
-        pipeline = self.pipeline
-        row = np.asarray(row, dtype=np.float64)
-        if row.ndim != 1:
-            raise ValueError("push expects a single 1-D metric row.")
-        nan_mask = np.isnan(row)
-        if nan_mask.any():
-            row = row.copy()
-            row[nan_mask] = (
-                0.0 if self._last_clean is None else self._last_clean[nan_mask]
-            )
-            imputed = True
-            obs.inc("pipeline.nan_masked_values", float(nan_mask.sum()))
-        self._last_clean = row
-        if imputed:
-            self.imputed_ticks += 1
-            obs.inc("pipeline.imputed_ticks")
-        with obs.trace("pipeline.transform_tick"):
-            with obs.trace("pipeline.step.binary"):
-                row = pipeline.binary_.transform_tick(row)
-            with obs.trace("pipeline.step.log"):
-                row = pipeline.log_.transform_tick(row)
-            if pipeline.scaler_ is not None:
-                with obs.trace("pipeline.step.normalize"):
-                    row = pipeline.scaler_.transform_tick(row)
-            if pipeline.reduction1_ is not None:
-                with obs.trace("pipeline.step.reduction1"):
-                    row = pipeline.reduction1_.transform_tick(row)
-            if pipeline.temporal_ is not None:
-                with obs.trace("pipeline.step.temporal"):
-                    row = pipeline.temporal_.transform_tick(
-                        row, self.temporal_state
-                    )
-            if pipeline.interactions_ is not None:
-                with obs.trace("pipeline.step.interactions"):
-                    row = pipeline.interactions_.transform_tick(row)
-            if pipeline.reduction2_ is not None:
-                with obs.trace("pipeline.step.reduction2"):
-                    row = pipeline.reduction2_.transform_tick(row)
-            with obs.trace("pipeline.step.variance"):
-                row = pipeline.variance_.transform_tick(row)
-        obs.inc("pipeline.ticks")
-        self.ticks += 1
-        return row
 
 
 # The streaming-era name for the pipeline; both names are public API.

@@ -49,19 +49,3 @@ class LogScaler:
 
     def fit_transform(self, X, meta, y=None):
         return self.fit(X, meta, y).transform(X, meta)
-
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Streaming mode: ``log1p`` the byte-valued entries of one row."""
-        if not hasattr(self, "columns_"):
-            raise RuntimeError("LogScaler must be fitted first.")
-        if row.shape != (self.n_features_in_,):
-            raise ValueError(
-                f"row has shape {row.shape}; step was fitted with "
-                f"{self.n_features_in_} columns."
-            )
-        if not self.columns_:
-            return row
-        row = row.copy()
-        cols = np.asarray(self.columns_)
-        row[cols] = np.log1p(np.maximum(row[cols], 0.0))
-        return row

@@ -118,12 +118,6 @@ class RandomForestFilter:
     def fit_transform(self, X, meta, y, groups=None):
         return self.fit(X, meta, y, groups).transform(X, meta)
 
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Streaming mode: column subset of one row."""
-        if not hasattr(self, "selected_"):
-            raise RuntimeError("RandomForestFilter must be fitted first.")
-        return row[self.selected_]
-
 
 class PCAReducer:
     """PCA projection; output features become latent components."""
@@ -149,19 +143,6 @@ class PCAReducer:
 
     def fit_transform(self, X, meta, y=None, groups=None):
         return self.fit(X, meta, y, groups).transform(X, meta)
-
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Streaming mode: project one row onto the kept components.
-
-        The only pipeline step that is not bitwise-identical to its
-        batch counterpart: BLAS may evaluate a 1-row product with a
-        different kernel than a T-row product, so agreement is to
-        floating-point accuracy (far inside the pipeline's 1e-9
-        contract), not exact.
-        """
-        if not hasattr(self, "pca_"):
-            raise RuntimeError("PCAReducer must be fitted first.")
-        return self.pca_.transform(row[None, :])[0, : self.keep_]
 
 
 class VarianceFilter:
@@ -192,9 +173,3 @@ class VarianceFilter:
 
     def fit_transform(self, X, meta, y=None, groups=None):
         return self.fit(X, meta, y, groups).transform(X, meta)
-
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Streaming mode: column subset of one row."""
-        if not hasattr(self, "selected_"):
-            raise RuntimeError("VarianceFilter must be fitted first.")
-        return row[self.selected_]

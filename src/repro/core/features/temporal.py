@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.features.meta import FeatureMeta
 
-__all__ = ["TemporalFeatures", "TemporalState", "rolling_average", "lagged"]
+__all__ = ["TemporalFeatures", "rolling_average", "lagged"]
 
 
 def _rolling_average_2d(values: np.ndarray, window: int) -> np.ndarray:
@@ -89,64 +89,6 @@ def _group_slices(groups: np.ndarray | None, n: int) -> list[slice]:
             slices.append(slice(start, t))
             start = t
     return slices
-
-
-class TemporalState:
-    """O(1)-per-tick rolling state for streaming AVG/LAG features.
-
-    Holds, for the ``k`` source columns of a fitted
-    :class:`TemporalFeatures`:
-
-    - the running cumulative sum (the same sequential additions
-      ``np.cumsum`` performs, so trailing averages computed as
-      cumulative differences are bitwise equal to the batch path);
-    - ring buffers of the last ``max(windows) + 1`` cumulative rows and
-      the last ``max(windows)`` raw rows;
-    - the run's first row (batch lag warm-up repeats it).
-
-    Memory is O(max_window x k) regardless of stream length.  One state
-    corresponds to one run / one container; never share it across
-    series (that is what ``groups`` prevents in batch mode).
-    """
-
-    def __init__(self, n_columns: int, windows: tuple[int, ...]):
-        self.t = 0
-        max_window = max(windows) if windows else 1
-        self.cumulative = np.zeros(n_columns)
-        self._cum_ring = np.zeros((max_window + 2, n_columns))
-        self._raw_ring = np.zeros((max_window + 1, n_columns))
-        self._first: np.ndarray | None = None
-
-    def cumulative_before(self, t: int) -> np.ndarray:
-        """The cumulative row after tick ``t`` (must still be retained)."""
-        return self._cum_ring[t % self._cum_ring.shape[0]]
-
-    def raw_at(self, t: int) -> np.ndarray:
-        """The raw source row of tick ``t`` (must still be retained)."""
-        return self._raw_ring[t % self._raw_ring.shape[0]]
-
-    @property
-    def first_row(self) -> np.ndarray:
-        if self._first is None:
-            raise ValueError("State is empty; push a row first.")
-        return self._first
-
-    def window_extremes(self, t: int, x_value: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column (min, max) over the trailing ``x_value + 1`` rows
-        ending at tick ``t`` (warm-up shortened), for the same clamp the
-        batch path applies to cumulative-difference averages."""
-        count = min(x_value, t) + 1
-        rows = np.stack([self.raw_at(t - i) for i in range(count)])
-        return rows.min(axis=0), rows.max(axis=0)
-
-    def push(self, source: np.ndarray) -> None:
-        """Advance the state by one tick's source columns."""
-        self.cumulative = self.cumulative + source
-        self._cum_ring[self.t % self._cum_ring.shape[0]] = self.cumulative
-        self._raw_ring[self.t % self._raw_ring.shape[0]] = source
-        if self.t == 0:
-            self._first = source.copy()
-        self.t += 1
 
 
 class TemporalFeatures:
@@ -221,57 +163,3 @@ class TemporalFeatures:
 
     def fit_transform(self, X, meta, y=None, groups=None):
         return self.fit(X, meta, y).transform(X, meta, groups)
-
-    def make_state(self) -> TemporalState:
-        """A fresh rolling state for one streamed run / container."""
-        if not hasattr(self, "columns_"):
-            raise RuntimeError("TemporalFeatures must be fitted first.")
-        return TemporalState(len(self.columns_), self.windows)
-
-    def transform_tick(
-        self, row: np.ndarray, state: TemporalState
-    ) -> np.ndarray:
-        """Streaming mode: one row -> row with AVG/LAG columns appended.
-
-        Trailing averages are computed as cumulative-sum differences --
-        the exact arithmetic of the batch path's ``np.cumsum`` -- and
-        the warm-up prefix (shortened averages, first-row lags) follows
-        the same rules, so stacked outputs are bitwise identical to
-        :meth:`transform` over the same rows.
-        """
-        if not hasattr(self, "columns_"):
-            raise RuntimeError("TemporalFeatures must be fitted first.")
-        if row.shape != (self.n_features_in_,):
-            raise ValueError(
-                f"row has shape {row.shape}; step was fitted with "
-                f"{self.n_features_in_} columns."
-            )
-        if not self.columns_:
-            return row
-        source = row[self.columns_]
-        state.push(source)
-        t = state.t - 1  # 0-based index of the row just pushed
-        blocks = [row]
-        for x_value in self.windows:
-            if x_value == 0:
-                averaged = source.copy()
-            else:
-                if t > x_value:
-                    averaged = (
-                        state.cumulative
-                        - state.cumulative_before(t - x_value - 1)
-                    ) / (x_value + 1)
-                else:
-                    averaged = state.cumulative / (t + 1)
-                # The same window-extremes clamp as the batch path.
-                lo, hi = state.window_extremes(t, x_value)
-                averaged = np.clip(averaged, lo, hi)
-            if x_value == 0:
-                shifted = source.copy()
-            elif t >= x_value:
-                shifted = state.raw_at(t - x_value).copy()
-            else:
-                shifted = state.first_row.copy()
-            blocks.append(averaged)
-            blocks.append(shifted)
-        return np.concatenate(blocks)

@@ -33,7 +33,6 @@ from repro.ml.neural import MLPClassifier
 
 __all__ = [
     "MonitorlessModel",
-    "ModelStream",
     "CLASSIFIERS",
     "make_classifier",
     "predict_proba_trusted",
@@ -60,8 +59,8 @@ def _supports_check_input(classifier) -> bool:
 def predict_proba_trusted(classifier, features: np.ndarray) -> np.ndarray:
     """``predict_proba`` skipping input re-validation where supported.
 
-    The streaming and fleet serving paths hand the classifier feature
-    matrices they already own and validated (pipeline output buffers),
+    The fleet serving path hands the classifier feature matrices it
+    already owns and validated (pipeline output buffers),
     so the per-call ``check_array`` pass is pure overhead there.  Tree
     and forest classifiers expose ``check_input=False`` for exactly
     this; classifiers without the parameter get the ordinary call.
@@ -312,19 +311,6 @@ class MonitorlessModel:
         return [(names[i], float(importances[i])) for i in order]
 
     # ------------------------------------------------------------------
-    # Streaming inference
-    # ------------------------------------------------------------------
-    def stream(self) -> "ModelStream":
-        """A per-tick prediction stream over one live metric series.
-
-        Push one raw 1040-metric row per second and get the engineered
-        feature row / saturation verdict back without recomputing any
-        history.  Open one stream per container.
-        """
-        self._check_fitted()
-        return ModelStream(self)
-
-    # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
@@ -343,48 +329,3 @@ class MonitorlessModel:
         if not isinstance(model, MonitorlessModel):
             raise TypeError(f"{path} does not contain a MonitorlessModel.")
         return model
-
-
-class ModelStream:
-    """Streaming inference over one metric series: pipeline stream +
-    per-row classification.
-
-    The fitted model is shared and read-only; only the O(1) temporal
-    state lives here.  ``transform_tick`` stacked over time equals the
-    batch ``model.transform`` of the stacked rows to within 1e-9 (the
-    pipeline's streaming contract), so per-tick verdicts agree with
-    the batch path on the same series.
-    """
-
-    def __init__(self, model: MonitorlessModel):
-        self.model = model
-        self._pipeline_stream = model.pipeline_.stream()
-
-    @property
-    def ticks(self) -> int:
-        """Rows pushed so far."""
-        return self._pipeline_stream.ticks
-
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Raw metric row -> engineered feature row."""
-        return self._pipeline_stream.push(row)
-
-    def predict_proba_tick(self, row: np.ndarray) -> float:
-        """Raw metric row -> saturation probability."""
-        features = self.transform_tick(row)
-        classifier = self.model.classifier_
-        if not hasattr(classifier, "predict_proba"):
-            raise AttributeError(
-                f"{self.model.classifier_name} exposes no probabilities; "
-                "use predict_tick()."
-            )
-        return float(predict_proba_trusted(classifier, features[None, :])[0, 1])
-
-    def predict_tick(self, row: np.ndarray) -> int:
-        """Raw metric row -> binary saturation verdict (1 = saturated)."""
-        features = self.transform_tick(row)
-        classifier = self.model.classifier_
-        if hasattr(classifier, "predict_proba"):
-            positive = predict_proba_trusted(classifier, features[None, :])[0, 1]
-            return int(positive >= self.model.prediction_threshold)
-        return int(np.asarray(classifier.predict(features[None, :]))[0])

@@ -81,6 +81,29 @@ def teastore_placements() -> dict[str, list[Placement]]:
     }
 
 
+def teastore_scaling_rules(node: str = "M2"):
+    """The TeaStore autoscaling recipe (section 4.2.2).
+
+    Auth, Recommender and WebUI scale out onto ``node`` (2, 1 and 1
+    cores, 4 GB each); a replica lives 120 s, and Auth and Recommender
+    always scale together.
+    """
+    from repro.orchestrator.autoscaler import ScalingRules
+
+    def place(cores):
+        return Placement(node=node, cpu_limit=cores, memory_limit=4 * GIB)
+
+    return ScalingRules(
+        placements={
+            "auth": place(2.0),
+            "recommender": place(1.0),
+            "webui": place(1.0),
+        },
+        replica_lifespan=120,
+        scale_groups=(("auth", "recommender"),),
+    )
+
+
 def sockshop_placements() -> dict[str, list[Placement]]:
     """Sockshop over M1/M2/M3; the *-DB services get 2 cores."""
     gib4 = 4 * GIB

@@ -1,24 +1,25 @@
-"""Batched feature engineering: the fleet counterpart of
-:class:`~repro.core.features.pipeline.PipelineStream`.
+"""Batched feature engineering: a fitted pipeline run tick by tick
+over the whole fleet matrix.
 
-One :class:`FleetPipelineStream` replaces N per-container stream
-objects.  All rolling/lag/rate state lives in preallocated
-``(n_rows, ...)`` arrays updated with numpy ops; each matrix row is an
-independent series, so every per-row output is bitwise identical to
-what a dedicated ``PipelineStream`` would produce for that container
-(the documented exception stays: PCA-based reductions may differ from
-the per-tick path in the last bits, within the 1e-9 streaming
-tolerance).
+One :class:`FleetPipelineStream` serves every container.  All
+rolling/lag/rate state lives in preallocated ``(n_rows, ...)`` arrays
+updated with numpy ops; each matrix row is an independent series, so
+every per-row output is bitwise identical to a per-container pipeline
+stream (the reference in ``tests/serving_reference.py``) fed the same
+rows, and to the batch ``transform`` of that container's whole series
+(PCA-based reductions may differ in the last bits, within the 1e-9
+streaming tolerance).
 
 Row independence is what makes this work: the stateless steps (binary
 levels, log scaling, normalization, filters, interactions) apply the
 *batch* ``transform`` of the fitted pipeline directly to the fleet
 matrix -- elementwise per row, so a fleet tick is arithmetically the
 same as N single-row transforms.  Only the temporal step is stateful;
-:class:`FleetTemporalState` re-implements
-:meth:`~repro.core.features.temporal.TemporalFeatures.transform_tick`
-over per-row tick counters and ``(ring, n_rows, k)`` ring buffers with
-the exact cumulative-difference + window-extremes-clamp arithmetic.
+:class:`FleetTemporalState` computes
+:meth:`~repro.core.features.temporal.TemporalFeatures.transform`'s
+AVG/LAG columns one tick at a time, over per-row tick counters and
+``(ring, n_rows, k)`` ring buffers, with the batch path's
+cumulative-difference + window-extremes-clamp arithmetic.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ __all__ = ["FleetTemporalState", "FleetPipelineStream"]
 
 
 class FleetTemporalState:
-    """Per-row :class:`~repro.core.features.temporal.TemporalState`
-    arrays: one fleet-wide struct of rings instead of N objects."""
+    """Per-row O(1) rolling AVG/LAG state: one fleet-wide struct of
+    rings (running cumulative sums, recent cumulative and raw rows, each
+    series' first row)."""
 
     def __init__(self, n_columns: int, windows: tuple[int, ...],
                  capacity: int):
@@ -81,8 +83,8 @@ class FleetTemporalState:
     def push_blocks(self, rows: np.ndarray,
                     source: np.ndarray) -> list[np.ndarray]:
         """Advance ``rows`` by one tick each and return the AVG/LAG
-        blocks, ordered exactly like ``transform_tick`` concatenates
-        them (``avg_x, lag_x`` per window)."""
+        blocks in the batch transform's column order (``avg_x, lag_x``
+        per window)."""
         t = self.t[rows]  # 0-based tick index of the rows being pushed
         cum = self.cumulative[rows] + source
         self.cumulative[rows] = cum
@@ -100,7 +102,7 @@ class FleetTemporalState:
             averaged = np.where(
                 (t > x_value)[:, None], (cum - before) / (x_value + 1), warm
             )
-            # The same window-extremes clamp as the per-tick path: min
+            # The same window-extremes clamp as the batch path: min
             # and max are exact, so gathering ring rows one offset at a
             # time (masked to the warm-up length) matches the stacked
             # reduction bit for bit.
@@ -125,8 +127,8 @@ class FleetPipelineStream:
     Feeds ``(m, n_raw)`` row batches (one tick per row per push)
     through the fitted steps and stores the engineered rows in
     :attr:`features`.  NaN inputs are masked to each row's last clean
-    input (0.0 before one exists) *before* the temporal step, exactly
-    like ``PipelineStream.push``.
+    input (0.0 before one exists) *before* the temporal step: a NaN in
+    the cumulative sums would poison every later rolling feature.
     """
 
     def __init__(

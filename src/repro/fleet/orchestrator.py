@@ -28,6 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.datasets.experiments import (
+    evaluation_nodes,
+    teastore_placements,
+    teastore_scaling_rules,
+)
 from repro.fleet.policy import FleetPolicy
 from repro.orchestrator.loop import OrchestratorResult
 from repro.orchestrator.slo import SloPolicy, slo_violations
@@ -70,28 +75,9 @@ class FleetCell:
     secondary: object = None
 
 
-def _teastore_rules():
-    from repro.cluster.simulation import Placement
-    from repro.orchestrator.autoscaler import ScalingRules
-
-    gib4 = 4 * 2**30
-    return ScalingRules(
-        placements={
-            "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=gib4),
-            "recommender": Placement(
-                node="M2", cpu_limit=1.0, memory_limit=gib4
-            ),
-            "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=gib4),
-        },
-        replica_lifespan=120,
-        scale_groups=(("auth", "recommender"),),
-    )
-
-
 def _teastore_simulation(spec: FleetCellSpec):
     from repro.apps.teastore import teastore_application
     from repro.cluster.simulation import ClusterSimulation
-    from repro.datasets.experiments import evaluation_nodes, teastore_placements
 
     simulation = ClusterSimulation(evaluation_nodes(), seed=spec.seed)
     simulation.deploy(teastore_application(), teastore_placements())
@@ -110,7 +96,7 @@ def _build_teastore_cell(spec: FleetCellSpec) -> FleetCell:
         agent=TelemetryAgent(seed=spec.seed),
         autoscaler=Autoscaler(
             simulation=simulation, application="teastore",
-            rules=_teastore_rules(),
+            rules=teastore_scaling_rules(),
         ),
     )
 
@@ -131,7 +117,7 @@ def _build_dropout_cell(spec: FleetCellSpec) -> FleetCell:
         agent=agent,
         autoscaler=Autoscaler(
             simulation=simulation, application="teastore",
-            rules=_teastore_rules(),
+            rules=teastore_scaling_rules(),
         ),
     )
 
@@ -178,7 +164,7 @@ def _build_chaos_cell(spec: FleetCellSpec) -> FleetCell:
         agent=resilient,
         autoscaler=Autoscaler(
             simulation=simulation, application="teastore",
-            rules=_teastore_rules(),
+            rules=teastore_scaling_rules(),
         ),
         secondary=secondary,
     )

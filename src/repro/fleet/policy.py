@@ -1,6 +1,6 @@
 """Fleet-wide saturation policy: one ``predict_proba`` per tick.
 
-:class:`FleetPolicy` is the serving path for streaming Monitorless.
+:class:`FleetPolicy` is the serving path for Monitorless.
 Every registered cell's containers occupy rows of one telemetry matrix
 and one feature matrix; each tick the policy
 
@@ -18,10 +18,10 @@ The return value is the set of saturated ``(namespace, deployment)``
 rollup keys; a deployment is saturated when any replica row flags.
 
 The per-container policies are one-cell views over this class:
-``MonitorlessPolicy(streaming=True)`` registers its one cell on the
-first tick, and ``FallbackPolicy`` attaches a threshold secondary to
-it.  The per-container streaming chain they used to run is kept as the
-slow reference in ``tests/serving_reference.py``.
+``MonitorlessPolicy`` registers its one cell on the first tick, and
+``FallbackPolicy`` attaches a threshold secondary to it.  The
+per-container streaming chain they used to run is kept as the slow
+reference in ``tests/serving_reference.py``.
 
 Rows are judged in *membership order* -- cells in registration order,
 each cell's pods in ``deployment.instances`` order -- which is the
@@ -43,6 +43,7 @@ from repro.core.model import predict_proba_trusted
 from repro.fleet.features import FleetPipelineStream
 from repro.fleet.membership import FleetIndex, FleetMember
 from repro.fleet.telemetry import FleetTelemetryStream
+from repro.reliability.checkpoint import model_fingerprint
 from repro.reliability.fallback import DEGRADED, FAILSAFE, HEALTHY, RECOVERING
 
 __all__ = ["FleetPolicy"]
@@ -96,7 +97,7 @@ class FleetPolicy:
             raise ValueError("recovery_ticks must be >= 1.")
         if staleness_budget is not None and staleness_budget < 0:
             raise ValueError("staleness_budget must be >= 0.")
-        self.model = model
+        self._model = model
         self.staleness_budget = staleness_budget
         self.failsafe = failsafe
         self.recovery_ticks = recovery_ticks
@@ -145,6 +146,32 @@ class FleetPolicy:
         }
         if lifecycle is not None:
             self.phase_seconds["shadow"] = 0.0
+
+    @property
+    def model(self):
+        """The serving model.
+
+        A new model may replace it between ticks only if it keeps the
+        fleet's feature pipeline -- the same object (a lifecycle
+        promotion, see ``refit_classifier``) or a value-equal copy (the
+        serving model reloaded from disk) -- because the per-row feature
+        state was built by that pipeline.  Anything else raises
+        :class:`ValueError` before a tick is served.
+        """
+        return self._model
+
+    @model.setter
+    def model(self, model) -> None:
+        pipeline = self.features.pipeline
+        if model.pipeline_ is not pipeline and model_fingerprint(
+            model.pipeline_
+        ) != model_fingerprint(pipeline):
+            raise ValueError(
+                "The new serving model's feature pipeline differs from "
+                "the one the fleet's feature rows were built with; serve "
+                "it from a new policy."
+            )
+        self._model = model
 
     # ------------------------------------------------------------------
     # Cells and membership

@@ -1,9 +1,8 @@
 """Struct-of-arrays telemetry for a whole fleet.
 
-:class:`FleetTelemetryStream` replaces N per-container
-:class:`~repro.telemetry.stream.InstanceTelemetryStream` objects with
-one ``(n_rows, n_metrics)`` float64 matrix written in place each tick,
-plus a per-row completeness vector in place of per-stream flags.
+:class:`FleetTelemetryStream` emits every container's instance row
+``M_{I,t}`` tick by tick into one ``(n_rows, n_metrics)`` float64
+matrix written in place, plus a per-row completeness vector.
 
 **Synthesis.**  Synthesis state lives in struct-of-arrays buffers --
 per-row RNG streams, counter accumulators and previous-cumulative rows
@@ -14,8 +13,9 @@ once, computes all host states with segment-ordered vector
 accumulation, synthesizes every stream's metrics through
 :meth:`~repro.telemetry.catalog.MetricCatalog.synthesize_rows`, and
 converts counters to rates across the whole row axis.  This is
-bitwise-exact against per-container ``InstanceTelemetryStream``
-objects: the state math replicates the scalar arithmetic op for op
+bitwise-exact against the per-container reference streams of
+``tests/serving_reference.py``: the state math replicates the scalar
+arithmetic op for op
 (:mod:`repro.telemetry.synthesis`), each stream's RNG draws happen in
 its own generator in the exact per-tick order, and the counter/rate
 recurrences are elementwise per stream.
@@ -33,7 +33,7 @@ node, tick)``.  Each round then runs in five steps:
 1. decide every faultable row's chaos mode for its tick (blackout,
    hard, transient, nan, ok) from the keyed blake2b hash, with the
    retry budget applied; a lost tick skips synthesis and advances the
-   row's clock, like ``InstanceTelemetryStream.skip``;
+   row's clock, like a missed scrape;
 2. synthesize every remaining row in one kernel pass;
 3. apply dropout sample-and-hold and NaN corruption to the emitted
    rows;
@@ -45,9 +45,8 @@ node, tick)``.  Each round then runs in five steps:
 
 The outcome is :attr:`~FleetTelemetryStream.faulted_mask` plus the
 :attr:`~FleetTelemetryStream.staleness` array.  Every step reproduces
-the per-stream wrappers (``_DropoutInstanceStream``,
-``_ChaosInstanceStream``, ``ResilientInstanceStream``) bit for bit,
-including their ``obs`` counters.  Any other agent stack -- another
+the per-container reference wrappers of ``tests/serving_reference.py``
+bit for bit, including their ``obs`` counters.  Any other agent stack -- another
 wrapper, a wrong wrapper order, or a catalog other than the fleet's --
 raises :class:`TypeError` at :meth:`~FleetTelemetryStream.add_row`.
 
@@ -450,8 +449,7 @@ class FleetTelemetryStream:
 
         ``"ok"`` / ``"nan"`` synthesize (``"nan"`` then corrupts),
         ``"lost"`` skips the tick, ``"fault"`` leaves the row behind.
-        Mirrors ``_ChaosInstanceStream.emit`` under the retry loop of
-        ``ResilientInstanceStream.emit``.
+        Mirrors a chaos read under the resilience layer's retry loop.
         """
         chaos = self._chaos.get(row)
         if chaos is None:
@@ -747,8 +745,8 @@ class FleetTelemetryStream:
                             accum, prev, has_prev) -> None:
         """Counter accumulation + rate conversion across the row axis.
 
-        Replicates ``synthesize_step``'s running accumulator and
-        ``_ScopeStream.step``'s rate recurrence per stream: row *i*'s
+        Replicates a per-container stream's running accumulator and
+        rate recurrence: row *i*'s
         accumulator/prev live in ``accum[state_rows[i]]`` /
         ``prev[state_rows[i]]``.  ``convert`` masks rows whose agent
         converts counters to rates; unconverted rows keep the raw

@@ -2,7 +2,7 @@
 
 :class:`LifecycleManager` sits beside the serving policy
 (:class:`~repro.fleet.policy.FleetPolicy`, directly or through its
-one-cell view ``MonitorlessPolicy(streaming=True)``) and closes the
+one-cell view ``MonitorlessPolicy``) and closes the
 loop the paper leaves open -- *the model itself* as a monitored,
 replaceable component:
 

@@ -260,8 +260,8 @@ class DriftScenarioRunner:
         from repro.datasets.experiments import (
             evaluation_nodes,
             teastore_placements,
+            teastore_scaling_rules,
         )
-        from repro.orchestrator.autoscaler import ScalingRules
         from repro.orchestrator.loop import Orchestrator
         from repro.orchestrator.policies import MonitorlessPolicy
         from repro.telemetry.agent import TelemetryAgent
@@ -276,27 +276,9 @@ class DriftScenarioRunner:
         simulation = ClusterSimulation(evaluation_nodes(), seed=config.seed)
         simulation.deploy(teastore_application(), teastore_placements())
         node = config.antagonist_node
-        rules = ScalingRules(
-            placements={
-                "auth": Placement(
-                    node=node, cpu_limit=2.0, memory_limit=4 * 2**30
-                ),
-                "recommender": Placement(
-                    node=node, cpu_limit=1.0, memory_limit=4 * 2**30
-                ),
-                "webui": Placement(
-                    node=node, cpu_limit=1.0, memory_limit=4 * 2**30
-                ),
-            },
-            replica_lifespan=120,
-            scale_groups=(("auth", "recommender"),),
-        )
+        rules = teastore_scaling_rules(node=node)
         policy = MonitorlessPolicy(
-            model,
-            TelemetryAgent(seed=config.seed),
-            window=16,
-            streaming=True,
-            lifecycle=self.manager,
+            model, TelemetryAgent(seed=config.seed), lifecycle=self.manager
         )
         self.antagonist_name: str | None = None
         if config.antagonist is not None:

@@ -103,20 +103,6 @@ class StandardScaler(BaseEstimator):
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def transform_tick(self, row: np.ndarray) -> np.ndarray:
-        """Streaming mode: standardize a single sample row.
-
-        Elementwise, so bitwise identical to the matching row of
-        :meth:`transform`.
-        """
-        check_is_fitted(self, "std_")
-        if row.shape != (self.std_.shape[0],):
-            raise ValueError(
-                f"row has shape {row.shape}; scaler was fitted with "
-                f"{self.std_.shape[0]} features."
-            )
-        return (row - self.mean_) / self.std_
-
     def inverse_transform(self, X) -> np.ndarray:
         check_is_fitted(self, "std_")
         X = check_array(X)

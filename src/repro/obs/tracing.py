@@ -1,16 +1,16 @@
 """Span tracing: parent/child timing trees over the runtime's code paths.
 
-A span is one timed region (``orchestrator.tick``, ``pipeline.step.
-temporal``, ...).  Spans opened while another span is open become its
+A span is one timed region (``orchestrator.tick``,
+``fleet.push_rows``, ...).  Spans opened while another span is open become its
 children, so one closed-loop tick yields a tree::
 
     orchestrator.tick
     ├── simulation.step
     ├── policy.saturated_services
-    │   ├── telemetry.emit
-    │   └── pipeline.transform_tick
-    │       ├── pipeline.step.binary
-    │       └── ...
+    │   └── policy.fleet
+    │       ├── fleet.synthesize
+    │       ├── fleet.push_rows
+    │       └── policy.classify
     └── autoscaler.act
 
 Durations come from :func:`time.perf_counter_ns` (monotonic; immune to

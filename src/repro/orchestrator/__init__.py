@@ -13,11 +13,9 @@
   ``run(workloads)`` for a pre-recorded trace or ``start()`` /
   ``tick(arrivals)`` / ``finish()`` for live, per-tick arrivals.
 
-The monitorless policy supports two data paths: batch (re-transform a
-sliding window per container per tick) and streaming
-(``streaming=True``: a one-cell view over the fleet serving path,
-:class:`repro.fleet.policy.FleetPolicy`, with O(1) incremental work per
-container per tick).
+The monitorless policy is a one-cell view over the fleet serving path,
+:class:`repro.fleet.policy.FleetPolicy`: O(1) incremental work per
+container per tick.
 """
 
 from repro.orchestrator.autoscaler import Autoscaler, ScalingRules

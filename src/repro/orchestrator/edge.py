@@ -57,22 +57,13 @@ class EdgeDeployment:
     The predictions are identical to the centralized mode -- the same
     model runs on the same metrics, just on the other side of the
     network -- so this class reuses :class:`MonitorlessPolicy` for
-    inference and layers traffic accounting on top.  Pass
-    ``streaming=True`` to run the agents on the incremental per-tick
-    data path (the natural fit for edge inference, which sees each
-    sample exactly once).
+    inference and layers traffic accounting on top.  Its per-tick
+    streaming data path is the natural fit for edge inference, which
+    sees each sample exactly once.
     """
 
-    def __init__(
-        self,
-        model: MonitorlessModel,
-        agent: TelemetryAgent,
-        window: int = 16,
-        streaming: bool = False,
-    ):
-        self.policy = MonitorlessPolicy(
-            model, agent, window=window, streaming=streaming
-        )
+    def __init__(self, model: MonitorlessModel, agent: TelemetryAgent):
+        self.policy = MonitorlessPolicy(model, agent)
         self.agent = agent
 
     def n_metrics(self) -> int:

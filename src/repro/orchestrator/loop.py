@@ -227,7 +227,9 @@ class Orchestrator:
         :class:`CheckpointError` unless ``allow_model_swap=True``
         explicitly accepts the swap.  A policy with a lifecycle manager
         never accepts one: the manager's registry owns the serving
-        model, and promotions go through it.
+        model, and promotions go through it.  A monitorless policy also
+        refuses (``ValueError``) a model whose feature pipeline differs
+        from the one it serves.
         """
         from repro.reliability.checkpoint import (
             CheckpointError,

@@ -28,7 +28,6 @@ from repro.reliability.fallback import (
     FallbackPolicy,
 )
 from repro.reliability.telemetry import (
-    ResilientInstanceStream,
     ResilientTelemetry,
     TelemetryFault,
     TelemetryUnavailable,
@@ -50,7 +49,6 @@ __all__ = [
     "DEGRADED",
     "FAILSAFE",
     "RECOVERING",
-    "ResilientInstanceStream",
     "ResilientTelemetry",
     "TelemetryFault",
     "TelemetryUnavailable",

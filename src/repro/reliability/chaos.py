@@ -186,12 +186,6 @@ class ChaosAgent:
             )
         return self.agent.container_state(container, node, start, end)
 
-    def open_stream(self, container, nodes, start=None, history=16):
-        inner = self.agent.open_stream(
-            container, nodes, start=start, history=history
-        )
-        return _ChaosInstanceStream(inner, self)
-
     def stream_mode(self, name: str, t: int) -> str:
         """The fate of stream ``name``'s read of tick ``t``: ``"hard"``,
         ``"transient"``, ``"nan"`` or ``"ok"``."""
@@ -218,57 +212,6 @@ class ChaosAgent:
         rng = np.random.default_rng(_chaos_seed(config.seed, f"nan:{name}", t))
         count = max(1, int(round(size * config.nan_fraction)))
         return rng.choice(size, size=count, replace=False)
-
-
-class _ChaosInstanceStream:
-    """Per-tick injection shell around one instance stream."""
-
-    def __init__(self, inner, chaos: ChaosAgent):
-        self.inner = inner
-        self.chaos = chaos
-        self.name = inner.container.name
-        self._delayed_tick: int | None = None
-
-    @property
-    def container(self):
-        return self.inner.container
-
-    @property
-    def tail(self):
-        return self.inner.tail
-
-    @property
-    def clock(self) -> int:
-        return self.inner.clock
-
-    def emit(self) -> np.ndarray:
-        t = self.clock
-        mode = self.chaos.stream_mode(self.name, t)
-        if mode == "hard":
-            obs.inc("chaos.hard_failures")
-            raise InjectedTelemetryError(
-                f"chaos: telemetry read for {self.name} failed at tick {t}."
-            )
-        if mode == "transient" and self._delayed_tick != t:
-            # Delayed reading: the first attempt times out, a retry of
-            # the same tick succeeds.
-            self._delayed_tick = t
-            obs.inc("chaos.transient_failures")
-            raise InjectedTelemetryError(
-                f"chaos: telemetry read for {self.name} delayed at tick {t}."
-            )
-        row = self.inner.emit()
-        if mode == "nan":
-            row = row.copy()
-            row[self.chaos.nan_columns(self.name, t, row.size)] = np.nan
-            # Corrupt the delivered copy only -- synthesis state stays
-            # clean, so later ticks can still be read.
-            self.inner.tail.amend_last(row)
-            obs.inc("chaos.nan_rows")
-        return row
-
-    def skip(self) -> None:
-        self.inner.skip()
 
 
 # ----------------------------------------------------------------------
@@ -369,26 +312,21 @@ def _default_node_faults(duration: int) -> tuple:
 
 def _build_orchestrator(model, policy_factory, seed: int):
     from repro.apps.teastore import teastore_application
-    from repro.cluster.simulation import ClusterSimulation, Placement
-    from repro.datasets.experiments import evaluation_nodes, teastore_placements
-    from repro.orchestrator.autoscaler import ScalingRules
+    from repro.cluster.simulation import ClusterSimulation
+    from repro.datasets.experiments import (
+        evaluation_nodes,
+        teastore_placements,
+        teastore_scaling_rules,
+    )
     from repro.orchestrator.loop import Orchestrator
 
     simulation = ClusterSimulation(evaluation_nodes(), seed=seed)
     simulation.deploy(teastore_application(), teastore_placements())
-    rules = ScalingRules(
-        placements={
-            "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=4 * 2**30),
-            "recommender": Placement(
-                node="M2", cpu_limit=1.0, memory_limit=4 * 2**30
-            ),
-            "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * 2**30),
-        },
-        replica_lifespan=120,
-        scale_groups=(("auth", "recommender"),),
-    )
     policy = policy_factory(simulation)
-    return Orchestrator(simulation, "teastore", policy, rules), simulation
+    return (
+        Orchestrator(simulation, "teastore", policy, teastore_scaling_rules()),
+        simulation,
+    )
 
 
 def _counter(snapshot: dict, name: str) -> float:
@@ -435,9 +373,7 @@ def run_chaos(
 
     # --- Clean reference run (no injection, no resilience layer). ----
     def clean_policy(simulation):
-        return MonitorlessPolicy(
-            model, TelemetryAgent(seed=seed), window=16, streaming=True
-        )
+        return MonitorlessPolicy(model, TelemetryAgent(seed=seed))
 
     clean_orchestrator, _ = _build_orchestrator(model, clean_policy, seed)
     clean_result = clean_orchestrator.run({"teastore": workload})
@@ -457,7 +393,7 @@ def run_chaos(
             staleness_budget=config.staleness_budget,
             max_retries=config.max_retries,
         )
-        primary = MonitorlessPolicy(model, resilient, window=16, streaming=True)
+        primary = MonitorlessPolicy(model, resilient)
         secondary = ThresholdPolicy(
             ThresholdBaseline(
                 kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0

@@ -17,13 +17,13 @@ For checkpoints the payload is one :mod:`pickle` of the whole
 :class:`~repro.orchestrator.loop.Orchestrator` object graph.  One
 pickle (rather than per-component state dicts) is load-bearing: the
 simulation's containers are *shared* between the cluster state and the
-policy's telemetry streams, and pickling the graph in one pass
-preserves that aliasing exactly.  Everything that makes the loop
-deterministic rides along -- ``TemporalState`` cumulative sums, metric
-ring buffers, ``np.random.Generator`` bit-generator states, counter
-accumulators, fallback health states and the orchestrator's own tick
-accounting -- so a resumed run replays the remaining ticks bitwise
-identically to an uninterrupted one.
+policy's fleet telemetry, and pickling the graph in one pass preserves
+that aliasing exactly.  Everything that makes the loop deterministic
+rides along -- the fleet's rolling feature rings and cumulative sums,
+``np.random.Generator`` bit-generator states, counter accumulators,
+fallback health states and the orchestrator's own tick accounting --
+so a resumed run replays the remaining ticks bitwise identically to an
+uninterrupted one.
 
 The header also records the sha256 fingerprint of the serving model
 (``model_fingerprint``) when the policy exposes one, so a resume can

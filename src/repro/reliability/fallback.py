@@ -1,6 +1,6 @@
 """The policy fallback chain: monitorless -> thresholds -> fail-safe.
 
-:class:`FallbackPolicy` runs a streaming
+:class:`FallbackPolicy` runs a
 :class:`~repro.orchestrator.policies.MonitorlessPolicy` as the primary
 detector and demotes *per container* when that container's data path
 degrades:
@@ -67,9 +67,7 @@ class FallbackPolicy:
     Parameters
     ----------
     primary:
-        A ``MonitorlessPolicy`` with ``streaming=True`` (the fallback
-        chain tracks per-container stream health, which only exists on
-        the streaming path), normally built over a
+        A ``MonitorlessPolicy``, normally built over a
         :class:`~repro.reliability.telemetry.ResilientTelemetry` agent.
         The fallback policy takes over its fleet, so drive the chain
         through this policy only.
@@ -99,11 +97,6 @@ class FallbackPolicy:
         failsafe: str = "hold",
         recovery_ticks: int = 3,
     ):
-        if not getattr(primary, "streaming", False):
-            raise ValueError(
-                "FallbackPolicy requires a streaming MonitorlessPolicy "
-                "(streaming=True)."
-            )
         if failsafe not in ("hold", "scale-up"):
             raise ValueError('failsafe must be "hold" or "scale-up".')
         if recovery_ticks < 1:
@@ -129,7 +122,8 @@ class FallbackPolicy:
 
     @property
     def model(self):
-        """The serving model (the fleet's)."""
+        """The serving model: the fleet's, which refuses a model with
+        another feature pipeline."""
         return self.fleet.model
 
     @model.setter

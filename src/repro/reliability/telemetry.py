@@ -2,8 +2,10 @@
 
 Real collectors are lossy: scrapes time out, exporters crash, rows
 arrive with holes.  :class:`ResilientTelemetry` wraps any
-telemetry-agent-shaped object and makes its *streams* degradation
-tolerant:
+telemetry-agent-shaped object and makes its per-tick readings
+degradation tolerant; the fleet's telemetry
+(:class:`~repro.fleet.telemetry.FleetTelemetryStream`) applies the
+contract to every row whose agent it wraps:
 
 - **Retry with deterministic backoff**: an agent read that raises a
   :class:`TelemetryFault` (or any configured exception type) is
@@ -13,33 +15,27 @@ tolerant:
   slept implicitly, because simulated time must not depend on wall
   clocks.
 - **Gap detection + LOCF imputation**: when every retry fails the
-  tick is *lost*: the inner stream is told to :meth:`skip` it (the
-  clock keeps tracking real time, exactly like a missed scrape) and
-  the last fully observed row is carried forward, flagged with
-  completeness 0.0 in the stream tail.  Consecutive lost ticks are
-  the stream's *staleness*; once it exceeds ``staleness_budget`` the
-  stream raises :class:`TelemetryUnavailable` instead of serving ever
-  staler guesses -- the policy layer decides what to do next.  A
-  budget of 0 disables imputation entirely.
+  tick is *lost*: the row's clock moves past it unsynthesized
+  (tracking real time, exactly like a missed scrape) and the last
+  fully observed row is carried forward with completeness 0.0.
+  Consecutive lost ticks are the row's *staleness*; once it exceeds
+  ``staleness_budget`` the row faults with
+  :class:`TelemetryUnavailable` instead of serving ever staler
+  guesses -- the policy layer decides what to do next.  A budget of 0
+  disables imputation entirely.
 - **NaN masking**: NaN entries in an otherwise delivered row are
   replaced with the last observed value for that metric (0.0 before
   one exists) and the row's completeness flag reflects the masked
-  fraction.  NaNs must never reach
-  :class:`~repro.core.features.temporal.TemporalState` -- a single
-  NaN would poison its cumulative sums irrecoverably.
+  fraction.  NaNs must never reach the rolling temporal feature state
+  -- a single NaN would poison its cumulative sums irrecoverably.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from repro import obs
 
 __all__ = [
     "TelemetryFault",
     "TelemetryUnavailable",
     "ResilientTelemetry",
-    "ResilientInstanceStream",
 ]
 
 
@@ -54,9 +50,9 @@ class TelemetryUnavailable(TelemetryFault):
 class ResilientTelemetry:
     """Degradation-tolerant wrapper around a telemetry agent.
 
-    Batch reads pass straight through; :meth:`open_stream` returns a
-    :class:`ResilientInstanceStream` implementing the retry /
-    imputation / masking contract described in the module docstring.
+    Batch reads pass straight through; per-tick serving reads follow
+    the retry / imputation / masking contract described in the module
+    docstring.
 
     Parameters
     ----------
@@ -64,7 +60,7 @@ class ResilientTelemetry:
         Any telemetry-agent-shaped object (``TelemetryAgent``,
         ``MetricDropout``, a chaos injector, ...).
     staleness_budget:
-        Maximum consecutive lost ticks a stream bridges via
+        Maximum consecutive lost ticks a row bridges via
         last-observation-carried-forward before raising
         :class:`TelemetryUnavailable`.  0 disables imputation.
     max_retries:
@@ -118,137 +114,3 @@ class ResilientTelemetry:
 
     def container_state(self, container, node, start, end):
         return self.agent.container_state(container, node, start, end)
-
-    def open_stream(self, container, nodes, start=None, history=16):
-        inner = self.agent.open_stream(
-            container, nodes, start=start, history=history
-        )
-        return ResilientInstanceStream(
-            inner,
-            staleness_budget=self.staleness_budget,
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            retry_on=self.retry_on,
-            sleep=self.sleep,
-        )
-
-
-class ResilientInstanceStream:
-    """Retry / LOCF-imputation / NaN-masking shell around one stream.
-
-    Attributes
-    ----------
-    staleness:
-        Consecutive ticks without a real reading (0 while healthy).
-    imputed_ticks / masked_values / retries / lost_ticks:
-        Monotonic per-stream counters, also mirrored as ``obs``
-        counters under ``resilience.*``.
-    """
-
-    def __init__(
-        self,
-        inner,
-        *,
-        staleness_budget: int = 5,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
-        retry_on: tuple = (TelemetryFault,),
-        sleep=None,
-    ):
-        self.inner = inner
-        self.staleness_budget = staleness_budget
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.retry_on = tuple(retry_on)
-        self.sleep = sleep
-        self.staleness = 0
-        self.imputed_ticks = 0
-        self.masked_values = 0
-        self.retries = 0
-        self.lost_ticks = 0
-        self._last_real: np.ndarray | None = None
-
-    @property
-    def container(self):
-        return self.inner.container
-
-    @property
-    def tail(self):
-        return self.inner.tail
-
-    @property
-    def clock(self) -> int:
-        return self.inner.clock
-
-    def emit(self) -> np.ndarray:
-        """The next tick's row: real if possible, imputed if allowed.
-
-        Raises :class:`TelemetryUnavailable` when the reading is lost
-        and imputation cannot cover it (no prior observation, or the
-        staleness budget is exhausted).  Either way the stream clock
-        advances, so one bad tick can never wedge the stream: the next
-        call serves the next tick.
-        """
-        attempt = 0
-        while True:
-            try:
-                row = self.inner.emit()
-                break
-            except self.retry_on as error:
-                if attempt >= self.max_retries:
-                    return self._lost_tick(error)
-                delay = self.backoff_base * (2.0 ** attempt)
-                self.retries += 1
-                attempt += 1
-                obs.inc("resilience.retries")
-                obs.observe("resilience.retry_backoff_seconds", delay)
-                if self.sleep is not None:
-                    self.sleep(delay)
-        row = self._mask_nans(row)
-        self.staleness = 0
-        self._last_real = row
-        return row
-
-    def _mask_nans(self, row: np.ndarray) -> np.ndarray:
-        mask = np.isnan(row)
-        if not mask.any():
-            return row
-        row = row.copy()
-        row[mask] = (
-            0.0 if self._last_real is None else self._last_real[mask]
-        )
-        self.masked_values += int(mask.sum())
-        obs.inc("resilience.nan_masked_values", float(mask.sum()))
-        self.inner.tail.amend_last(
-            row, completeness=1.0 - float(mask.mean())
-        )
-        return row
-
-    def _lost_tick(self, error: BaseException) -> np.ndarray:
-        # The reading for this tick is gone for good; skip it so the
-        # clock keeps tracking real time and recovery is possible the
-        # moment the fault clears.
-        tick = self.inner.clock
-        self.inner.skip()
-        self.lost_ticks += 1
-        self.staleness += 1
-        obs.inc("resilience.ticks_lost")
-        name = getattr(self.container, "name", "?")
-        if self._last_real is None:
-            obs.inc("resilience.unavailable")
-            raise TelemetryUnavailable(
-                f"Telemetry for {name} lost at tick {tick} with no prior "
-                f"observation to impute from."
-            ) from error
-        if self.staleness > self.staleness_budget:
-            obs.inc("resilience.unavailable")
-            raise TelemetryUnavailable(
-                f"Telemetry for {name} stale for {self.staleness} "
-                f"consecutive ticks (budget {self.staleness_budget})."
-            ) from error
-        imputed = self._last_real.copy()
-        self.inner.tail.push(imputed, completeness=0.0)
-        self.imputed_ticks += 1
-        obs.inc("resilience.imputed_ticks")
-        obs.set_gauge("resilience.staleness", float(self.staleness))
-        return imputed

@@ -18,29 +18,26 @@ reproduces that monitoring surface over the simulated cluster:
   row of the instance's node concatenated with its container row).
 - :mod:`repro.telemetry.rates` -- counter-to-rate and utilization
   normalisation preprocessing (section 3.1).
-- :mod:`repro.telemetry.store` -- small time-series containers used to
-  pass named series around: the batch :class:`MetricFrame` and the
-  streaming :class:`MetricStream` ring buffer.
-- :mod:`repro.telemetry.stream` -- per-tick emission
-  (:class:`InstanceTelemetryStream`, opened via
-  ``TelemetryAgent.open_stream``): one instance row per simulation
-  tick with O(1) synthesis state instead of whole-run matrices.
+- :mod:`repro.telemetry.store` -- :class:`MetricFrame`, a metric
+  matrix with named columns.
+
+Per-tick emission for live serving is the fleet's
+(:class:`repro.fleet.telemetry.FleetTelemetryStream`): one row per
+container per tick with O(1) synthesis state instead of whole-run
+matrices.
 """
 
 from repro.telemetry.agent import TelemetryAgent
 from repro.telemetry.catalog import MetricCatalog, MetricSpec, default_catalog
 from repro.telemetry.rates import counters_to_rates, to_percent
-from repro.telemetry.store import MetricFrame, MetricStream
-from repro.telemetry.stream import InstanceTelemetryStream
+from repro.telemetry.store import MetricFrame
 
 __all__ = [
     "MetricSpec",
     "MetricCatalog",
     "default_catalog",
     "TelemetryAgent",
-    "InstanceTelemetryStream",
     "counters_to_rates",
     "to_percent",
     "MetricFrame",
-    "MetricStream",
 ]

@@ -163,33 +163,6 @@ class TelemetryAgent:
         obs.inc("telemetry.rows_synthesized", matrix.shape[0])
         return matrix
 
-    # ------------------------------------------------------------------
-    # Streaming
-    # ------------------------------------------------------------------
-    def open_stream(
-        self,
-        container: Container,
-        nodes: dict[str, Node],
-        start: int | None = None,
-        history: int = 16,
-    ):
-        """Open a per-tick emission stream for one container.
-
-        The streaming counterpart of :meth:`instance_matrix`: call
-        ``emit()`` (or ``advance_to(end)``) after each simulation step
-        to obtain the instance row ``M_{I,t}`` without re-synthesizing
-        any history.  Opened at the container's creation tick (the
-        default) the rows match the whole-run matrix bitwise -- except
-        counter *rates* on the very first tick, which the batch
-        converter back-fills non-causally (see
-        :mod:`repro.telemetry.stream`).
-        """
-        from repro.telemetry.stream import InstanceTelemetryStream
-
-        return InstanceTelemetryStream(
-            self, container, nodes, start=start, history=history
-        )
-
     def utilization_series(
         self, container: Container, nodes: dict[str, Node]
     ) -> tuple[np.ndarray, np.ndarray]:

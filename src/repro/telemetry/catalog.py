@@ -242,9 +242,8 @@ class MetricCatalog:
     ) -> np.ndarray:
         """Driver, complement, noise and non-negative clamp for N rows.
 
-        The one synthesis kernel: :meth:`synthesize`, :meth:`synthesize_step`
-        and :class:`repro.fleet.telemetry.FleetTelemetryStream` all call
-        it.  ``states`` has shape ``(N, n_channels)``; ``rngs[i]`` is
+        The one synthesis kernel: :meth:`synthesize` and
+        :class:`repro.fleet.telemetry.FleetTelemetryStream` both call it.  ``states`` has shape ``(N, n_channels)``; ``rngs[i]`` is
         row *i*'s generator, and rows may share one (``[rng] * N``
         draws the rows one after another).  The driver math is
         elementwise, and each row's Gaussian draw is one k-vector
@@ -283,34 +282,6 @@ class MetricCatalog:
                 values[:, arrays.nonneg_idx], 0.0
             )
         return values
-
-    def synthesize_step(
-        self,
-        specs: list[MetricSpec],
-        state_row: np.ndarray,
-        rng: np.random.Generator,
-        counter_accum: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One-tick metric synthesis: the streaming counterpart of
-        :meth:`synthesize`.
-
-        ``state_row`` has shape ``(n_channels,)``; ``counter_accum``
-        carries the running cumulative sums of the counter columns
-        (pass the returned accumulator back in on the next tick; pass
-        ``None`` on the first).  The row is :meth:`synthesize_rows` on
-        a one-row batch, so feeding the rows of a state matrix through
-        this method with a fresh ``rng`` reproduces :meth:`synthesize`
-        bitwise: the running accumulator performs the same sequential
-        additions as ``np.cumsum``.
-        """
-        values = self.synthesize_rows(specs, state_row[None, :], [rng])[0]
-        counters = self.spec_arrays(specs).counter_idx
-        if counter_accum is None:
-            counter_accum = np.zeros(counters.size)
-        if counters.size:
-            counter_accum = counter_accum + np.maximum(values[counters], 0.0)
-            values[counters] = counter_accum
-        return values, counter_accum
 
 
 # ----------------------------------------------------------------------

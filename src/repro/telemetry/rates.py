@@ -22,9 +22,9 @@ def counters_to_rates(
     samples we back-fill it with the first computed rate, like PCP
     (rather than emit a bogus 0 or the raw cumulative value).  A
     **single-sample** window has no delta to back-fill from, so its
-    lone row gets rate 0.0 -- the same value the causal streaming
-    emitter (:mod:`repro.telemetry.stream`) produces for a first tick
-    with no successor.  Counter wraps / resets (negative diffs) are
+    lone row gets rate 0.0 -- the same value the causal fleet emitter
+    (:class:`repro.fleet.telemetry.FleetTelemetryStream`) produces for
+    a first tick with no successor.  Counter wraps / resets (negative diffs) are
     clamped to 0.
     """
     values = np.asarray(values, dtype=np.float64)

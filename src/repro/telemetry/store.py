@@ -4,18 +4,13 @@
 together without pulling in a dataframe dependency; supports column
 selection, horizontal concatenation and vertical stacking of aligned
 frames.
-
-:class:`MetricStream` is its streaming counterpart: a fixed-capacity
-ring buffer of metric rows that per-tick producers push into and
-per-tick consumers read windows out of, without ever materialising the
-whole run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MetricFrame", "MetricStream", "UnknownMetricError"]
+__all__ = ["MetricFrame", "UnknownMetricError"]
 
 
 class UnknownMetricError(KeyError):
@@ -119,138 +114,3 @@ class MetricFrame:
         return MetricFrame(
             np.vstack([frame.values for frame in frames]), list(columns)
         )
-
-
-class MetricStream:
-    """A fixed-capacity ring buffer of named metric rows.
-
-    The streaming data path appends one row per tick with :meth:`push`;
-    only the most recent ``capacity`` rows are retained.  :meth:`window`
-    returns the retained tail in chronological order, and
-    :meth:`frame` wraps it as a :class:`MetricFrame` for batch-style
-    consumers.  Memory is O(capacity x columns) regardless of run
-    length.
-
-    Each row carries a *completeness* fraction in [0, 1]: 1.0 for a
-    fully observed reading (the default, so historical producers are
-    unchanged), lower when some or all of the row was imputed by the
-    resilience layer.  Consumers that must distinguish real from
-    carried-forward data read :meth:`completeness_window`.
-    """
-
-    def __init__(self, columns: list[str], capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1.")
-        if len(set(columns)) != len(columns):
-            raise ValueError("Column names must be unique.")
-        self.columns = list(columns)
-        self.capacity = capacity
-        self._buffer = np.zeros((capacity, len(columns)))
-        self._completeness = np.ones(capacity)
-        self._total = 0  # rows ever pushed
-
-    def __len__(self) -> int:
-        """Rows currently retained (<= capacity)."""
-        return min(self._total, self.capacity)
-
-    @property
-    def total(self) -> int:
-        """Rows ever pushed, including rows already evicted."""
-        return self._total
-
-    def has_metric(self, name: str) -> bool:
-        """Whether a metric stream of that name is carried."""
-        return name in self.columns
-
-    def push(self, row: np.ndarray, completeness: float = 1.0) -> None:
-        """Append one row, evicting the oldest once at capacity."""
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (len(self.columns),):
-            raise ValueError(
-                f"Expected a row of {len(self.columns)} values, "
-                f"got shape {row.shape}."
-            )
-        if not 0.0 <= completeness <= 1.0:
-            raise ValueError("completeness must be in [0, 1].")
-        slot = self._total % self.capacity
-        self._buffer[slot] = row
-        self._completeness[slot] = completeness
-        self._total += 1
-
-    def amend_last(
-        self, row: np.ndarray, completeness: float | None = None
-    ) -> None:
-        """Replace the most recent row in place (same tick, new values).
-
-        Used by wrappers that post-process a just-emitted reading --
-        dropout substitution, NaN masking, imputation -- without
-        advancing the stream clock.  ``completeness`` updates the row's
-        flag when given, otherwise the existing flag is kept.
-        """
-        if self._total == 0:
-            raise ValueError("Stream is empty; nothing to amend.")
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (len(self.columns),):
-            raise ValueError(
-                f"Expected a row of {len(self.columns)} values, "
-                f"got shape {row.shape}."
-            )
-        slot = (self._total - 1) % self.capacity
-        self._buffer[slot] = row
-        if completeness is not None:
-            if not 0.0 <= completeness <= 1.0:
-                raise ValueError("completeness must be in [0, 1].")
-            self._completeness[slot] = completeness
-
-    def last(self) -> np.ndarray:
-        """The most recent row (a copy)."""
-        if self._total == 0:
-            raise ValueError("Stream is empty.")
-        return self._buffer[(self._total - 1) % self.capacity].copy()
-
-    def last_completeness(self) -> float:
-        """Completeness flag of the most recent row."""
-        if self._total == 0:
-            raise ValueError("Stream is empty.")
-        return float(self._completeness[(self._total - 1) % self.capacity])
-
-    def window(self, n: int | None = None) -> np.ndarray:
-        """The last ``n`` retained rows, oldest first (a copy).
-
-        ``n`` defaults to everything retained; asking for more rows
-        than are retained is an error (silent truncation would hide
-        warm-up bugs).
-        """
-        held = len(self)
-        if n is None:
-            n = held
-        if n < 0 or n > held:
-            raise ValueError(f"window of {n} rows requested; {held} retained.")
-        if n == 0:
-            return np.empty((0, len(self.columns)))
-        end = self._total % self.capacity
-        start = (self._total - n) % self.capacity
-        if n < self.capacity and start < end:
-            return self._buffer[start:end].copy()
-        return np.vstack([self._buffer[start:], self._buffer[:end]])
-
-    def completeness_window(self, n: int | None = None) -> np.ndarray:
-        """Per-row completeness flags aligned with :meth:`window`."""
-        held = len(self)
-        if n is None:
-            n = held
-        if n < 0 or n > held:
-            raise ValueError(f"window of {n} rows requested; {held} retained.")
-        if n == 0:
-            return np.empty(0)
-        end = self._total % self.capacity
-        start = (self._total - n) % self.capacity
-        if n < self.capacity and start < end:
-            return self._completeness[start:end].copy()
-        return np.concatenate(
-            [self._completeness[start:], self._completeness[:end]]
-        )
-
-    def frame(self, n: int | None = None) -> MetricFrame:
-        """The retained tail as a :class:`MetricFrame`."""
-        return MetricFrame(self.window(n), list(self.columns))

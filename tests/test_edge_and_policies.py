@@ -1,5 +1,6 @@
 """Tests for edge offloading and additional policy behaviours."""
 
+import numpy as np
 import pytest
 
 from repro.apps.teastore import teastore_application
@@ -7,6 +8,7 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.datasets.experiments import evaluation_nodes, teastore_placements
 from repro.orchestrator.edge import EdgeDeployment, TrafficAccount
 from repro.telemetry.agent import TelemetryAgent
+from repro.workloads.patterns import linear_ramp
 
 
 @pytest.fixture()
@@ -48,7 +50,7 @@ class TestEdgeDeployment:
 
     def test_edge_predictions_identical_to_policy(self, tiny_model, teastore_sim):
         agent = TelemetryAgent(seed=0)
-        edge = EdgeDeployment(tiny_model, agent, window=8)
+        edge = EdgeDeployment(tiny_model, agent)
         for _ in range(10):
             teastore_sim.step({"teastore": 200.0})
         direct = edge.policy.saturated_services(teastore_sim, "teastore", 9)
@@ -63,36 +65,51 @@ class TestEdgeDeployment:
 
 
 class TestBatchedMonitorlessPolicy:
+    """One classifier call per tick judges every container."""
+
     def test_no_history_returns_empty(self, tiny_model, teastore_sim):
         from repro.orchestrator.policies import MonitorlessPolicy
 
-        policy = MonitorlessPolicy(tiny_model, TelemetryAgent(seed=0), window=8)
+        policy = MonitorlessPolicy(tiny_model, TelemetryAgent(seed=0))
         assert policy.saturated_services(teastore_sim, "teastore", 0) == set()
 
-    def test_batched_matches_per_container_predictions(
-        self, tiny_model, teastore_sim
-    ):
-        """The batched fast path must agree with predicting container by
-        container through the public model API."""
+    def test_view_matches_training_path(self, tiny_model, teastore_sim):
+        """At every tick of a TeaStore ramp the serving view flags the
+        services whose container the training path flags --
+        ``predict`` on the container's whole recorded matrix, last row
+        -- and each fleet feature row equals ``transform(...)[-1]``
+        bitwise.  Counter-rate conversion is off: the batch converter
+        back-fills a series' first rate from its second sample, which a
+        per-tick stream cannot see."""
         from repro.orchestrator.policies import MonitorlessPolicy
 
-        agent = TelemetryAgent(seed=0)
-        policy = MonitorlessPolicy(tiny_model, agent, window=8)
-        for _ in range(12):
-            teastore_sim.step({"teastore": 700.0})
-        batched = policy.saturated_services(teastore_sim, "teastore", 11)
-
-        expected = set()
+        agent = TelemetryAgent(seed=0, convert_counters=False)
         meta = agent.catalog.feature_meta()
+        policy = MonitorlessPolicy(tiny_model, agent)
+        fleet = policy.fleet
         deployment = teastore_sim.deployments["teastore"]
-        for service, replicas in deployment.instances.items():
-            for instance in replicas:
-                container = instance.container
-                end = container.created_at + len(container.history)
-                start = max(container.created_at, end - 8)
-                window = agent.instance_matrix(
-                    container, teastore_sim.nodes, start=start, end=end
-                )
-                if tiny_model.predict(window, meta)[-1] == 1:
-                    expected.add(service)
-        assert batched == expected
+        flagged_ticks = 0
+        for t, rate in enumerate(linear_ramp(60, 10, 400)):
+            teastore_sim.step({"teastore": float(rate)})
+            saturated = policy.saturated_services(teastore_sim, "teastore", t)
+            expected = set()
+            for service, replicas in deployment.instances.items():
+                for instance in replicas:
+                    container = instance.container
+                    matrix = agent.instance_matrix(container, teastore_sim.nodes)
+                    row = fleet.index.row_of("teastore", container.name)
+                    assert np.array_equal(
+                        fleet.features.features[row],
+                        tiny_model.transform(matrix, meta)[-1],
+                    ), f"{container.name} at tick {t}"
+                    if tiny_model.predict(matrix, meta)[-1] == 1:
+                        expected.add(service)
+            assert saturated == expected, f"tick {t}"
+            flagged_ticks += bool(saturated)
+        assert 0 < flagged_ticks < 60
+        # One fleet row per live container.
+        assert fleet.index.pods_in("teastore") == {
+            instance.container.name
+            for replicas in deployment.instances.values()
+            for instance in replicas
+        }

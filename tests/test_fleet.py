@@ -2,8 +2,10 @@
 row membership, bitwise telemetry/pipeline parity with the
 per-container reference, decision equivalence with the per-container
 chain of ``tests/serving_reference.py`` under clean, dropout and
-full-chaos stacks, lifecycle observation order, and per-shard
-checkpointed crash rescue of clean and chaos cells."""
+full-chaos stacks, lifecycle observation order, serving-model swaps,
+and per-shard checkpointed crash rescue of clean and chaos cells."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -23,11 +25,14 @@ from repro.fleet.telemetry import FleetTelemetryStream
 from repro.orchestrator.autoscaler import Autoscaler, ScalingRules
 from repro.orchestrator.loop import Orchestrator, OrchestratorResult
 from repro.orchestrator.policies import MonitorlessPolicy
+from repro.reliability.fallback import FallbackPolicy
 from repro.telemetry.agent import TelemetryAgent
 from repro.telemetry.catalog import default_catalog
 from tests.serving_reference import (
+    PipelineStream,
     ReferenceFallbackPolicy,
     ReferenceMonitorlessPolicy,
+    open_reference_stream,
 )
 
 
@@ -74,7 +79,7 @@ class TestFleetPipelineBitwise:
         fleet = FleetPipelineStream(
             tiny_model.pipeline_, meta, capacity=4, chunk_rows=2
         )
-        references = [tiny_model.pipeline_.stream() for _ in range(3)]
+        references = [PipelineStream(tiny_model.pipeline_) for _ in range(3)]
         rng = np.random.default_rng(42)
         starts = [0, 0, 5]  # row 2 joins later, mid-run
         for t in range(14):
@@ -138,7 +143,7 @@ class TestFleetTelemetryBitwise:
                 row, spec.namespace, agent, container, cell.simulation.nodes
             )
         references = [
-            agent.open_stream(container, cell.simulation.nodes)
+            open_reference_stream(agent, container, cell.simulation.nodes)
             for container in containers
         ]
         for t in range(8):
@@ -161,7 +166,7 @@ def _drive_reference_cell(spec, model, workload, *, use_fallback=False,
     cell = build_cell(spec)
     if autoscaler is not None:
         cell.autoscaler = autoscaler(cell)
-    primary = ReferenceMonitorlessPolicy(model, cell.agent, window=16)
+    primary = ReferenceMonitorlessPolicy(model, cell.agent)
     if use_fallback:
         policy = ReferenceFallbackPolicy(
             primary, cell.secondary, recovery_ticks=recovery_ticks
@@ -412,10 +417,7 @@ class TestLifecycleObservationOrder:
                 rules=_short_rules(),
             )
             manager = _RecordingManager(tiny_model)
-            policy = policy_class(
-                tiny_model, cell.agent, window=16, streaming=True,
-                lifecycle=manager,
-            )
+            policy = policy_class(tiny_model, cell.agent, lifecycle=manager)
             extras = []
             for t in range(ticks):
                 cell.simulation.step({cell.application: float(workload[t])})
@@ -432,6 +434,98 @@ class TestLifecycleObservationOrder:
             assert any(b < a for a, b in zip(extras, extras[1:]))
         assert len(recorded["view"]) == ticks
         assert recorded["view"] == recorded["reference"]
+
+
+def _foreign_pipeline_model(model):
+    """A copy of ``model`` whose feature pipeline was fitted elsewhere:
+    the same feature count, so its classifier would silently score the
+    serving pipeline's columns."""
+    other = pickle.loads(pickle.dumps(model))
+    other.pipeline_.scaler_.mean_ = other.pipeline_.scaler_.mean_ + 1.0
+    return other
+
+
+def _drive_ramp(policy, cell, ticks, start=0):
+    decisions = []
+    for t in range(start, start + ticks):
+        cell.simulation.step({cell.application: 40.0 + 8.0 * t})
+        decisions.append(
+            policy.saturated_services(cell.simulation, cell.application, t)
+        )
+    return decisions
+
+
+class TestServingModelSwap:
+    """A new serving model must keep the feature pipeline the fleet's
+    rows were built with; every entry point refuses another one before
+    a tick is served."""
+
+    def test_monitorless_policy_refuses_another_pipeline(self, tiny_model):
+        cell = build_cell(make_fleet_specs(1)[0])
+        policy = MonitorlessPolicy(tiny_model, cell.agent)
+        _drive_ramp(policy, cell, 3)
+        with pytest.raises(ValueError, match="feature pipeline"):
+            policy.model = _foreign_pipeline_model(tiny_model)
+        assert policy.model is tiny_model
+
+    def test_fallback_policy_refuses_another_pipeline(self, tiny_model):
+        cell = build_cell(make_fleet_specs(1, kind="teastore-chaos")[0])
+        policy = FallbackPolicy(
+            MonitorlessPolicy(tiny_model, cell.agent), cell.secondary
+        )
+        _drive_ramp(policy, cell, 3)
+        with pytest.raises(ValueError, match="feature pipeline"):
+            policy.model = _foreign_pipeline_model(tiny_model)
+        assert policy.model is tiny_model
+
+    def test_resume_refuses_another_pipeline(self, tiny_model, tmp_path):
+        cell = build_cell(make_fleet_specs(1)[0])
+        orchestrator = Orchestrator(
+            cell.simulation, cell.application,
+            MonitorlessPolicy(tiny_model, cell.agent),
+            cell.autoscaler.rules,
+        )
+        orchestrator.start()
+        for t in range(4):
+            orchestrator.tick({cell.application: 40.0 + 8.0 * t})
+        path = tmp_path / "stream.ckpt"
+        orchestrator.save_checkpoint(path)
+        with pytest.raises(ValueError, match="feature pipeline"):
+            Orchestrator.resume_from(
+                path, model=_foreign_pipeline_model(tiny_model),
+                allow_model_swap=True,
+            )
+
+    def test_promotion_and_reloaded_copy_are_served(self, tiny_model,
+                                                   tmp_path):
+        """A ``refit_classifier`` challenger (aliased pipeline) and a
+        copy of the serving model reloaded from disk are accepted; the
+        copy leaves every verdict unchanged."""
+        path = tmp_path / "model.pkl"
+        tiny_model.save(path)
+        reference = build_cell(make_fleet_specs(1)[0])
+        expected = _drive_ramp(
+            MonitorlessPolicy(tiny_model, reference.agent), reference, 30
+        )
+
+        cell = build_cell(make_fleet_specs(1)[0])
+        policy = MonitorlessPolicy(tiny_model, cell.agent)
+        decisions = _drive_ramp(policy, cell, 10)
+        rng = np.random.default_rng(0)
+        challenger = tiny_model.refit_classifier(
+            rng.normal(size=(40, tiny_model.n_engineered_features_)),
+            np.arange(40) % 2,
+        )
+        policy.model = challenger
+        assert policy.model is challenger
+        policy.model = tiny_model
+        reloaded = type(tiny_model).load(path)
+        assert reloaded.pipeline_ is not tiny_model.pipeline_
+        policy.model = reloaded
+        assert policy.model is reloaded
+        decisions += _drive_ramp(policy, cell, 20, start=10)
+        assert decisions == expected
+        assert any(decisions)
 
 
 class TestFleetKillResume:

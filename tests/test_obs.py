@@ -359,6 +359,7 @@ class TestRuntimeInstrumentation:
         from repro.cluster.simulation import ClusterSimulation, Placement
         from repro.telemetry.agent import TelemetryAgent
         from repro.workloads.patterns import constant
+        from tests.serving_reference import open_reference_stream
 
         simulation = ClusterSimulation(
             {"training": MACHINES["training"]}, seed=0
@@ -369,7 +370,9 @@ class TestRuntimeInstrumentation:
         result = simulation.run({"solr": constant(10, 50.0)})
         agent = TelemetryAgent(seed=0)
         obs.enable()
-        stream = agent.open_stream(result.containers[0], result.nodes)
+        stream = open_reference_stream(
+            agent, result.containers[0], result.nodes
+        )
         stream.advance_to(stream.start + 10)
         agent.instance_matrix(result.containers[0], result.nodes)
         snapshot = obs.snapshot()

@@ -151,7 +151,7 @@ class TestPolicies:
 
         sim = _teastore_sim()
         agent = TelemetryAgent(seed=0)
-        policy = MonitorlessPolicy(tiny_model, agent, window=8)
+        policy = MonitorlessPolicy(tiny_model, agent)
         for _ in range(10):
             sim.step({"teastore": 300.0})
         saturated = policy.saturated_services(sim, "teastore", 9)

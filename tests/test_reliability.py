@@ -19,8 +19,11 @@ from repro.cluster.faults import (
 from repro.cluster.node import MACHINES
 from repro.cluster.simulation import ClusterSimulation, Placement
 from repro.core.thresholds import ThresholdBaseline
-from repro.datasets.experiments import evaluation_nodes, teastore_placements
-from repro.orchestrator.autoscaler import ScalingRules
+from repro.datasets.experiments import (
+    evaluation_nodes,
+    teastore_placements,
+    teastore_scaling_rules,
+)
 from repro.orchestrator.loop import Orchestrator
 from repro.orchestrator.policies import MonitorlessPolicy, ThresholdPolicy
 from repro.reliability.chaos import (
@@ -42,14 +45,18 @@ from repro.reliability.fallback import (
     FallbackPolicy,
 )
 from repro.reliability.telemetry import (
-    ResilientInstanceStream,
     ResilientTelemetry,
     TelemetryFault,
     TelemetryUnavailable,
 )
 from repro.telemetry.agent import TelemetryAgent
-from repro.telemetry.store import MetricFrame, MetricStream, UnknownMetricError
+from repro.telemetry.store import MetricFrame, UnknownMetricError
 from repro.workloads.patterns import constant, linear_ramp
+from tests.serving_reference import (
+    MetricStream,
+    ResilientInstanceStream,
+    open_reference_stream,
+)
 
 
 # ----------------------------------------------------------------------
@@ -114,13 +121,15 @@ class _ScriptedStream:
 
 def _open_resilient(solr_run, plan, **kwargs):
     agent = TelemetryAgent(seed=0)
-    inner = agent.open_stream(solr_run.containers[0], solr_run.nodes)
+    inner = open_reference_stream(agent, solr_run.containers[0], solr_run.nodes)
     return ResilientInstanceStream(_ScriptedStream(inner, plan), **kwargs)
 
 
 def _clean_rows(solr_run, n):
     agent = TelemetryAgent(seed=0)
-    stream = agent.open_stream(solr_run.containers[0], solr_run.nodes)
+    stream = open_reference_stream(
+        agent, solr_run.containers[0], solr_run.nodes
+    )
     return np.vstack([stream.emit() for _ in range(n)])
 
 
@@ -300,7 +309,7 @@ class TestResilientStream:
             resilient.instance_matrix(container, solr_run.nodes),
             agent.instance_matrix(container, solr_run.nodes),
         )
-        stream = resilient.open_stream(container, solr_run.nodes)
+        stream = open_reference_stream(resilient, container, solr_run.nodes)
         assert isinstance(stream, ResilientInstanceStream)
         assert stream.staleness_budget == 2
 
@@ -320,7 +329,9 @@ class TestDropoutThroughResilience:
             TelemetryAgent(seed=0), probability=probability, seed=1
         )
         resilient = ResilientTelemetry(dropout, staleness_budget=3)
-        return resilient.open_stream(solr_run.containers[0], solr_run.nodes)
+        return open_reference_stream(
+            resilient, solr_run.containers[0], solr_run.nodes
+        )
 
     def test_zero_probability_is_identity(self, solr_run):
         stream = self._resilient_dropout(solr_run, 0.0)
@@ -345,13 +356,15 @@ class TestDropoutThroughResilience:
         )
         container = solr_run.containers[0]
         batch = dropout.instance_matrix(container, solr_run.nodes)
-        stream = dropout.open_stream(container, solr_run.nodes)
+        stream = open_reference_stream(dropout, container, solr_run.nodes)
         rows = np.vstack([stream.emit() for _ in range(40)])
         assert np.array_equal(rows, batch)
 
     def test_dropout_flags_completeness(self, solr_run):
         dropout = MetricDropout(TelemetryAgent(seed=0), probability=0.5, seed=1)
-        stream = dropout.open_stream(solr_run.containers[0], solr_run.nodes)
+        stream = open_reference_stream(
+            dropout, solr_run.containers[0], solr_run.nodes
+        )
         for _ in range(10):
             stream.emit()
         flags = stream.tail.completeness_window()
@@ -443,7 +456,7 @@ def _fallback_setup(
     )
     chaotic = ChaosAgent(TelemetryAgent(seed=0), config)
     resilient = ResilientTelemetry(chaotic, staleness_budget=budget)
-    primary = MonitorlessPolicy(tiny_model, resilient, streaming=True)
+    primary = MonitorlessPolicy(tiny_model, resilient)
     secondary = ThresholdPolicy(
         ThresholdBaseline(
             kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0
@@ -482,16 +495,12 @@ def _drive(simulation, policy, ticks, rate=30.0):
 
 class TestFallbackPolicy:
     def test_requires_streaming_primary(self, tiny_model):
-        agent = TelemetryAgent(seed=0)
-        primary = MonitorlessPolicy(tiny_model, agent, streaming=False)
-        secondary = ThresholdPolicy(
-            ThresholdBaseline(
-                kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0
-            ),
-            agent,
-        )
+        """The streaming fleet view is the only primary there is: a
+        batch primary cannot be built at all."""
         with pytest.raises(ValueError, match="streaming"):
-            FallbackPolicy(primary, secondary)
+            MonitorlessPolicy(
+                tiny_model, TelemetryAgent(seed=0), streaming=False
+            )
 
     def test_invalid_failsafe_rejected(self, tiny_model):
         simulation, policy = _fallback_setup(tiny_model, [])
@@ -582,18 +591,9 @@ def _threshold_orchestrator(seed=0):
         ),
         TelemetryAgent(seed=seed),
     )
-    rules = ScalingRules(
-        placements={
-            "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=4 * 2**30),
-            "recommender": Placement(
-                node="M2", cpu_limit=1.0, memory_limit=4 * 2**30
-            ),
-            "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * 2**30),
-        },
-        replica_lifespan=120,
-        scale_groups=(("auth", "recommender"),),
+    return Orchestrator(
+        simulation, "teastore", policy, teastore_scaling_rules()
     )
-    return Orchestrator(simulation, "teastore", policy, rules)
 
 
 def _monitorless_orchestrator(tiny_model, seed=0):
@@ -614,7 +614,7 @@ def _monitorless_orchestrator(tiny_model, seed=0):
         config,
     )
     resilient = ResilientTelemetry(chaotic, staleness_budget=3)
-    primary = MonitorlessPolicy(tiny_model, resilient, streaming=True)
+    primary = MonitorlessPolicy(tiny_model, resilient)
     secondary = ThresholdPolicy(
         ThresholdBaseline(
             kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0
@@ -622,18 +622,9 @@ def _monitorless_orchestrator(tiny_model, seed=0):
         chaotic,
     )
     policy = FallbackPolicy(primary, secondary, recovery_ticks=2)
-    rules = ScalingRules(
-        placements={
-            "auth": Placement(node="M2", cpu_limit=2.0, memory_limit=4 * 2**30),
-            "recommender": Placement(
-                node="M2", cpu_limit=1.0, memory_limit=4 * 2**30
-            ),
-            "webui": Placement(node="M2", cpu_limit=1.0, memory_limit=4 * 2**30),
-        },
-        replica_lifespan=120,
-        scale_groups=(("auth", "recommender"),),
+    return Orchestrator(
+        simulation, "teastore", policy, teastore_scaling_rules()
     )
-    return Orchestrator(simulation, "teastore", policy, rules)
 
 
 def _run_to_end(orchestrator, workload, start=0):

@@ -1,5 +1,7 @@
-"""The streaming data path: ring buffers, per-tick telemetry emission,
-the incremental pipeline/model, and the streaming closed loop.
+"""The streaming data path: the per-container reference streams of
+``tests/serving_reference.py`` (ring buffer, per-tick telemetry
+emission, incremental pipeline) against the batch path, and the
+streaming closed loop.
 
 The load-bearing guarantee, asserted throughout: stacking the per-tick
 outputs equals the batch transform of the stacked inputs to within
@@ -24,13 +26,17 @@ from repro.core.features.pipeline import (
     MonitorlessPipeline,
     PipelineConfig,
 )
-from repro.core.model import MonitorlessModel
 from repro.orchestrator.autoscaler import ScalingRules
 from repro.orchestrator.loop import Orchestrator
 from repro.orchestrator.policies import MonitorlessPolicy, NoScalingPolicy
 from repro.telemetry.agent import TelemetryAgent
-from repro.telemetry.store import MetricFrame, MetricStream
+from repro.telemetry.store import MetricFrame
 from repro.workloads.patterns import constant, linear_ramp
+from tests.serving_reference import (
+    MetricStream,
+    PipelineStream,
+    open_reference_stream,
+)
 
 TOLERANCE = 1e-9
 
@@ -108,7 +114,9 @@ class TestTelemetryStream:
         agent = TelemetryAgent(seed=5, convert_counters=False)
         container = _solr_container(solr_sim)
         batch = agent.instance_matrix(container, solr_sim.nodes)
-        stream = agent.open_stream(container, solr_sim.nodes, history=8)
+        stream = open_reference_stream(
+            agent, container, solr_sim.nodes, history=8
+        )
         rows = np.vstack([stream.emit() for _ in range(batch.shape[0])])
         assert np.array_equal(rows, batch)
         # The bounded tail holds exactly the newest rows.
@@ -118,7 +126,7 @@ class TestTelemetryStream:
         agent = TelemetryAgent(seed=5, convert_counters=True)
         container = _solr_container(solr_sim)
         batch = agent.instance_matrix(container, solr_sim.nodes)
-        stream = agent.open_stream(container, solr_sim.nodes)
+        stream = open_reference_stream(agent, container, solr_sim.nodes)
         rows = np.vstack([stream.emit() for _ in range(batch.shape[0])])
         # From the second tick on: bitwise identical.
         assert np.array_equal(rows[1:], batch[1:])
@@ -130,7 +138,7 @@ class TestTelemetryStream:
     def test_emit_past_recorded_history_raises(self, solr_sim):
         agent = TelemetryAgent(seed=5)
         container = _solr_container(solr_sim)
-        stream = agent.open_stream(container, solr_sim.nodes)
+        stream = open_reference_stream(agent, container, solr_sim.nodes)
         stream.advance_to(container.created_at + len(container.history))
         with pytest.raises(ValueError, match="no recorded tick"):
             stream.emit()
@@ -138,7 +146,7 @@ class TestTelemetryStream:
     def test_advance_to_and_clock(self, solr_sim):
         agent = TelemetryAgent(seed=5)
         container = _solr_container(solr_sim)
-        stream = agent.open_stream(container, solr_sim.nodes)
+        stream = open_reference_stream(agent, container, solr_sim.nodes)
         assert stream.clock == container.created_at
         last = stream.advance_to(container.created_at + 10)
         assert stream.clock == container.created_at + 10
@@ -223,13 +231,13 @@ class TestPipelineStreaming:
 
     def test_stream_requires_fit(self):
         with pytest.raises(RuntimeError, match="fit"):
-            MonitorlessPipeline().stream()
+            PipelineStream(MonitorlessPipeline())
 
     def test_stream_matches_batch(self, fitted_toy_pipeline):
         name, pipeline = fitted_toy_pipeline
         X = _toy_matrix(np.random.default_rng(7), 50)
         batch, _ = pipeline.transform(X, _toy_meta())
-        stream = pipeline.stream()
+        stream = PipelineStream(pipeline)
         streamed = np.vstack([stream.push(row) for row in X])
         assert stream.ticks == 50
         if name == "pca":  # single-row BLAS may differ in the last bits
@@ -248,55 +256,9 @@ class TestPipelineStreaming:
         _, pipeline = fitted_toy_pipeline
         X = _toy_matrix(np.random.default_rng(seed), n_rows)
         batch, _ = pipeline.transform(X, _toy_meta())
-        stream = pipeline.stream()
+        stream = PipelineStream(pipeline)
         streamed = np.vstack([stream.push(row) for row in X])
         assert np.max(np.abs(streamed - batch)) <= TOLERANCE
-
-    def test_transform_tick_convenience_and_reset(self, fitted_toy_pipeline):
-        _, pipeline = fitted_toy_pipeline
-        X = _toy_matrix(np.random.default_rng(11), 8)
-        batch, _ = pipeline.transform(X, _toy_meta())
-        first = np.vstack([pipeline.transform_tick(row) for row in X])
-        assert np.max(np.abs(first - batch)) <= TOLERANCE
-        # Without a reset the internal series continues; with one, the
-        # warm-up starts over and the same rows reproduce the same output.
-        pipeline.reset_stream()
-        again = np.vstack([pipeline.transform_tick(row) for row in X])
-        assert np.array_equal(again, first)
-        pipeline.reset_stream()
-
-
-# ----------------------------------------------------------------------
-# Model-level streaming on real telemetry
-# ----------------------------------------------------------------------
-class TestModelStream:
-    def test_stream_requires_fit(self):
-        with pytest.raises(RuntimeError, match="fitted"):
-            MonitorlessModel().stream()
-
-    def test_matches_batch_on_real_telemetry(self, tiny_model, solr_sim):
-        agent = TelemetryAgent(seed=5)
-        container = _solr_container(solr_sim)
-        matrix = agent.instance_matrix(container, solr_sim.nodes)
-        meta = agent.catalog.feature_meta()
-
-        batch_features = tiny_model.transform(matrix, meta)
-        batch_verdicts = tiny_model.predict(matrix, meta)
-        batch_proba = tiny_model.predict_proba(matrix, meta)
-
-        stream = tiny_model.stream()
-        rows = [stream.transform_tick(row) for row in matrix]
-        # tiny_model uses the filter-based paper config: bitwise equal.
-        assert np.array_equal(np.vstack(rows), batch_features)
-        assert stream.ticks == matrix.shape[0]
-
-        verdict_stream = tiny_model.stream()
-        verdicts = [verdict_stream.predict_tick(row) for row in matrix]
-        assert np.array_equal(verdicts, batch_verdicts)
-
-        proba_stream = tiny_model.stream()
-        probas = [proba_stream.predict_proba_tick(row) for row in matrix]
-        assert np.max(np.abs(np.asarray(probas) - batch_proba)) <= TOLERANCE
 
 
 # ----------------------------------------------------------------------
@@ -360,41 +322,10 @@ def _teastore_sim(seed=0):
 
 
 class TestStreamingPolicy:
-    def test_decisions_track_the_batch_path(self, tiny_model):
-        """Without autoscaler feedback both data paths see the same
-        cluster, so per-tick verdicts must mostly agree.  They are not
-        expected to be identical: the batch path redraws synthetic
-        telemetry noise for every sliding window (the RNG is keyed by
-        the window start) while the stream measures each sample exactly
-        once, so verdicts near the saturation boundary can flip."""
-        sim = _teastore_sim()
-        agent = TelemetryAgent(seed=0)
-        batch_policy = MonitorlessPolicy(tiny_model, agent, window=16)
-        stream_policy = MonitorlessPolicy(
-            tiny_model, agent, window=16, streaming=True
-        )
-        workload = linear_ramp(70, 10, 220)
-        agreements = 0
-        for t, rate in enumerate(workload):
-            sim.step({"teastore": float(rate)})
-            batch_verdict = batch_policy.saturated_services(sim, "teastore", t)
-            stream_verdict = stream_policy.saturated_services(
-                sim, "teastore", t
-            )
-            agreements += batch_verdict == stream_verdict
-        assert agreements >= 0.7 * len(workload)
-        # One fleet row per live container.
-        live = {
-            instance.container.name
-            for replicas in sim.deployments["teastore"].instances.values()
-            for instance in replicas
-        }
-        assert stream_policy.fleet.index.pods_in("teastore") == live
-
     def test_streaming_closed_loop_with_scaling(self, tiny_model):
         sim = _teastore_sim()
         agent = TelemetryAgent(seed=0)
-        policy = MonitorlessPolicy(tiny_model, agent, window=16, streaming=True)
+        policy = MonitorlessPolicy(tiny_model, agent)
         rules = ScalingRules(
             placements={
                 "auth": Placement(node="M2", cpu_limit=2.0),
@@ -426,9 +357,7 @@ class TestStreamingPolicy:
 
     def test_streaming_policy_serves_one_cell(self, tiny_model):
         sim = _teastore_sim()
-        policy = MonitorlessPolicy(
-            tiny_model, TelemetryAgent(seed=0), window=16, streaming=True
-        )
+        policy = MonitorlessPolicy(tiny_model, TelemetryAgent(seed=0))
         sim.step({"teastore": 10.0})
         policy.saturated_services(sim, "teastore", 0)
         other = _teastore_sim()
@@ -437,12 +366,21 @@ class TestStreamingPolicy:
             policy.saturated_services(other, "teastore", 1)
 
     def test_edge_deployment_streaming_kwarg(self, tiny_model):
+        """Edge inference runs the one streaming data path; the old
+        ``window``/``streaming`` switches are gone."""
         from repro.orchestrator.edge import EdgeDeployment
 
         agent = TelemetryAgent(seed=0)
-        edge = EdgeDeployment(tiny_model, agent, streaming=True)
-        assert edge.policy.streaming is True
-        assert EdgeDeployment(tiny_model, agent).policy.streaming is False
+        assert EdgeDeployment(tiny_model, agent).policy.fleet.model is tiny_model
+        for removed in ({"streaming": True}, {"window": 16}):
+            with pytest.raises(TypeError):
+                EdgeDeployment(tiny_model, agent, **removed)
+
+    def test_batch_window_mode_is_gone(self, tiny_model):
+        with pytest.raises(ValueError, match="streaming=False"):
+            MonitorlessPolicy(
+                tiny_model, TelemetryAgent(seed=0), streaming=False
+            )
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +394,6 @@ class TestStreamCli:
         assert args.command == "stream"
         assert args.model == "m.pkl"
         assert args.duration == 600
-        assert args.batch is False
         assert args.seed == 0
 
     def test_stream_requires_model(self, capsys):
@@ -464,6 +401,14 @@ class TestStreamCli:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["stream"])
+        capsys.readouterr()
+
+    def test_batch_flag_is_gone(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["stream", "--model", "m.pkl", "--batch"])
+        assert info.value.code == 2
         capsys.readouterr()
 
 
