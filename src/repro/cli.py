@@ -66,7 +66,7 @@ def _add_tree_method_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tree-method", choices=("exact", "hist"), default="exact",
         help="tree training mode: 'exact' (default, bitwise-stable) or "
-             "'hist' (quantile-binned, ~an order of magnitude faster)",
+             "'hist' (quantile-binned, ~4x faster)",
     )
 
 

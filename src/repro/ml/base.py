@@ -19,6 +19,7 @@ __all__ = [
     "check_X_y",
     "check_array",
     "check_is_fitted",
+    "check_sample_weight",
     "clone",
 ]
 
@@ -56,6 +57,32 @@ def check_X_y(X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
     if X.shape[0] == 0:
         raise ValueError("Cannot fit with 0 samples.")
     return X, y
+
+
+def check_sample_weight(sample_weight: Any, n_samples: int) -> np.ndarray:
+    """Validate per-sample weights; ``None`` means unit weights.
+
+    Returns a float64 vector of length ``n_samples``.  Anything else --
+    another length, another dimensionality, a NaN, an infinity or a
+    negative weight -- raises a ``ValueError`` naming the problem.
+    """
+    if sample_weight is None:
+        return np.ones(n_samples)
+    weight = np.asarray(sample_weight, dtype=np.float64)
+    if weight.ndim != 1:
+        raise ValueError(
+            f"sample_weight must be 1D; got a {weight.ndim}D array."
+        )
+    if weight.shape[0] != n_samples:
+        raise ValueError(
+            f"sample_weight has {weight.shape[0]} entries but there are "
+            f"{n_samples} samples."
+        )
+    if not np.all(np.isfinite(weight)):
+        raise ValueError("sample_weight contains NaN or infinity.")
+    if np.any(weight < 0.0):
+        raise ValueError("sample_weight contains negative weights.")
+    return weight
 
 
 def check_is_fitted(estimator: Any, attribute: str) -> None:

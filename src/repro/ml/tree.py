@@ -2,15 +2,26 @@
 
 Two training modes, selected by ``tree_method``:
 
-- ``"exact"`` (default): per node and per candidate feature the samples
-  are sorted and every split boundary is evaluated with prefix sums of
-  the weighted class histograms.  When the node examines *all* features
-  with uniform sample weights, the sort is hoisted to the root -- each
-  feature is argsorted once per tree and the per-node sorted index
-  lists are maintained by stable partition propagation, which is
-  bitwise identical to the historical per-node argsort (uniform weights
-  make the boundary prefix sums invariant to tie ordering) but skips
-  the ``O(n log n)`` re-sort at every node.
+- ``"exact"`` (default): a node scores all of its candidate features
+  in one pass.  The candidate columns are gathered as one contiguous
+  ``(features, n)`` block, every row is argsorted with the quicksort a
+  1-D column gets (so tie orders are those of a per-feature sort), one
+  class-major prefix sum gives the weighted class histogram of every
+  prefix, and only the valid boundaries -- value changes that keep
+  ``min_samples_leaf`` samples on both sides -- are scored.  Each
+  feature's first best boundary then goes through scikit-learn's
+  candidate rule (skip constant features, stop once ``max_features``
+  non-constant ones are examined and one split helps, first strict
+  maximum wins); blocks past the first are scored only when that rule
+  reads further.  When the node examines *all* features with uniform
+  sample weights, the sort is hoisted to the root -- each feature is
+  argsorted once per tree and the per-node sorted row lists are
+  maintained by stable partition propagation, which is bitwise
+  identical to a per-node argsort (uniform weights make the boundary
+  prefix sums invariant to tie ordering) but skips the
+  ``O(n log n)`` re-sort at every node.  A tree grows on row ids, so a
+  forest shares one training matrix among its trees and hands each
+  tree its bootstrap rows instead of a copy of them.
 - ``"hist"``: the feature matrix is quantile-binned once into a
   ``uint8`` code matrix (:class:`repro.ml.binning.Binner`, <= 255 bins)
   and split finding runs over per-node class-weighted bin histograms
@@ -39,6 +50,7 @@ from repro.ml.base import (
     ClassifierMixin,
     check_is_fitted,
     check_random_state,
+    check_sample_weight,
     check_X_y,
     check_array,
     compute_sample_weight,
@@ -63,32 +75,47 @@ def _node_impurity(counts: np.ndarray, criterion: str) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a class-major ``(n_classes, m)`` array over its classes.
+
+    Bitwise equal to ``sum(axis=1)`` over the row-major ``(m,
+    n_classes)`` layout: numpy adds fewer than eight terms in order and
+    eight or more pairwise, so only the latter pays for the transpose.
+    """
+    if a.shape[0] >= 8:
+        return np.ascontiguousarray(a.T).sum(axis=1)
+    return _row_sums(a.T)
+
+
+def _side_impurity(counts: np.ndarray, criterion: str) -> tuple[np.ndarray, np.ndarray]:
+    """(impurity, weight) of one side of every candidate partition.
+
+    ``counts`` is class-major, shape (n_classes, n_boundaries): one
+    contiguous row of weighted counts per class.
+    """
+    total = _class_sum(counts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(total > 0, counts / total, 0.0)
+    if criterion == "gini":
+        return 1.0 - _class_sum(p * p), total
+    return -_class_sum(_xlogx(p)), total
+
+
 def _split_impurities(
     left_counts: np.ndarray, right_counts: np.ndarray, criterion: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized impurity of every candidate (left, right) partition.
 
-    ``left_counts``/``right_counts`` have shape (n_boundaries, n_classes).
+    ``left_counts``/``right_counts`` are class-major, shape
+    (n_classes, n_boundaries), so each class is one contiguous row.
+    The arithmetic -- class sums in numpy's order, probabilities, then
+    ``1 - sum(p^2)`` or ``-sum(p log2 p)`` -- is that of the row-major
+    kernel the frozen exact trees were grown with, bit for bit.
     Returns (left_impurity, right_impurity, left_weight, right_weight).
     """
-    left_total = left_counts.sum(axis=1)
-    right_total = right_counts.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left_p = np.where(left_total[:, None] > 0, left_counts / left_total[:, None], 0.0)
-        right_p = np.where(
-            right_total[:, None] > 0, right_counts / right_total[:, None], 0.0
-        )
-        if criterion == "gini":
-            left_imp = 1.0 - np.sum(left_p * left_p, axis=1)
-            right_imp = 1.0 - np.sum(right_p * right_p, axis=1)
-        else:
-            left_log = np.zeros_like(left_p)
-            np.log2(left_p, out=left_log, where=left_p > 0)
-            right_log = np.zeros_like(right_p)
-            np.log2(right_p, out=right_log, where=right_p > 0)
-            left_imp = -np.sum(left_p * left_log, axis=1)
-            right_imp = -np.sum(right_p * right_log, axis=1)
-    return left_imp, right_imp, left_total, right_total
+    left_imp, left_w = _side_impurity(left_counts, criterion)
+    right_imp, right_w = _side_impurity(right_counts, criterion)
+    return left_imp, right_imp, left_w, right_w
 
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
@@ -122,12 +149,14 @@ def _weighted_child_impurity(
 ) -> np.ndarray:
     """``left_w * H(left) + right_w * H(right)`` per candidate split.
 
-    Equivalent to combining :func:`_split_impurities` outputs as
-    ``lw*li + rw*ri`` but works in count space -- gini's weighted form is
-    ``W - sum(c^2)/W`` and entropy's is ``W*log2(W) - sum(c*log2(c))``,
-    which skips the probability normalisation (one divide and several
-    masked temporaries per side) entirely.  This is the hist splitter's
-    inner loop.
+    Equal in exact arithmetic -- not bit for bit -- to combining
+    :func:`_split_impurities` outputs as ``lw*li + rw*ri``, but works in
+    count space -- gini's weighted form is ``W - sum(c^2)/W`` and
+    entropy's is ``W*log2(W) - sum(c*log2(c))``, which skips the
+    probability normalisation (one divide and several masked
+    temporaries per side) entirely.  This is the hist splitter's inner
+    loop; the exact splitter keeps :func:`_split_impurities`, whose
+    rounding its frozen trees depend on.
     """
     if criterion == "gini":
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -145,14 +174,30 @@ def _weighted_child_impurity(
     return left_part + right_part
 
 
+#: Cap on the values (candidate features x node samples) one candidate
+#: block may hold, so full-width trees stay bounded in memory at large
+#: nodes: a wider node scores its candidates in several blocks.
+_BLOCK_ELEMENTS = 1 << 19
+
+
 class _TreeBuilder:
-    """Grows one exact-mode tree depth-first; collects nodes into lists."""
+    """Grows one exact-mode tree depth-first; collects nodes into lists.
+
+    ``X``, ``y`` and ``sample_weight`` are indexed by row id, and the
+    tree grows on the sample ``root``: row ids in sample order,
+    duplicates allowed.  A forest passes its shared training matrix and
+    one bootstrap row vector instead of a per-tree copy of the rows.
+    Every node keeps its row ids in sample order, so each gather -- and
+    with it every sort's tie order and every floating-point sum -- is
+    the one a tree fitted on ``X[root]`` would see.
+    """
 
     def __init__(
         self,
         X: np.ndarray,
         y: np.ndarray,
         sample_weight: np.ndarray,
+        root: np.ndarray,
         n_classes: int,
         criterion: str,
         max_depth: int | None,
@@ -166,6 +211,7 @@ class _TreeBuilder:
         self.X = X
         self.y = y
         self.w = sample_weight
+        self.root = root
         self.n_classes = n_classes
         self.criterion = criterion
         self.max_depth = np.inf if max_depth is None else max_depth
@@ -175,7 +221,7 @@ class _TreeBuilder:
         self.rng = rng
         self.min_impurity_decrease = min_impurity_decrease
         self.splitter = splitter
-        self.total_weight = float(sample_weight.sum())
+        self.total_weight = float(sample_weight[root].sum())
 
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -185,9 +231,10 @@ class _TreeBuilder:
         self.importances = np.zeros(X.shape[1])
 
     def build(self) -> None:
-        indices = np.arange(self.X.shape[0])
+        root = self.root
+        weight = self.w[root]
         # Presort fast path: argsort every feature once at the root and
-        # maintain per-node sorted index lists by stable partition
+        # maintain per-node sorted row lists by stable partition
         # propagation.  Only taken when it is both profitable (every
         # feature is examined at every node, so no sort is wasted) and
         # provably bitwise-safe (uniform weights: within a tie group a
@@ -197,17 +244,16 @@ class _TreeBuilder:
         presort = (
             self.splitter == "best"
             and self.max_features >= self.X.shape[1]
-            and self.w.size > 0
-            and bool(np.all(self.w == self.w[0]))
+            and weight.size > 0
+            and bool(np.all(weight == weight[0]))
         )
+        sorted_idx = None
         if presort:
             n_features = self.X.shape[1]
-            sorted_idx = np.empty((n_features, indices.size), dtype=np.int64)
+            sorted_idx = np.empty((n_features, root.size), dtype=np.int64)
             for f in range(n_features):
-                sorted_idx[f] = np.argsort(self.X[:, f], kind="quicksort")
-            self._grow_presorted(indices, sorted_idx, depth=0)
-        else:
-            self._grow(indices, depth=0)
+                sorted_idx[f] = root[np.argsort(self.X[root, f], kind="quicksort")]
+        self._grow(root, depth=0, sorted_idx=sorted_idx)
 
     def _class_counts(self, indices: np.ndarray) -> np.ndarray:
         return np.bincount(
@@ -231,199 +277,187 @@ class _TreeBuilder:
             or impurity <= 1e-12
         )
 
-    def _record_split(
-        self, feature_idx: int, threshold: float, gain: float,
-        counts: np.ndarray, indices: np.ndarray,
+    def _grow(
+        self, indices: np.ndarray, depth: int, sorted_idx: np.ndarray | None
     ) -> int:
+        counts = self._class_counts(indices)
+        impurity = _node_impurity(counts, self.criterion)
+
+        split = None
+        if not self._node_is_terminal(indices.shape[0], depth, impurity):
+            if self.splitter == "random":
+                split = self._random_split(indices, impurity)
+            else:
+                split = self._best_split(indices, impurity, sorted_idx)
+        if split is None:
+            return self._new_leaf(counts)
+
+        feature_idx, threshold, gain, left_mask = split
         node_id = len(self.feature)
         self.feature.append(feature_idx)
         self.threshold.append(threshold)
-        self.children_left.append(-2)  # placeholder, patched by the caller
+        self.children_left.append(-2)  # placeholder, patched below
         self.children_right.append(-2)
         self.value.append(counts)
         self.importances[feature_idx] += (
             self.w[indices].sum() / self.total_weight
         ) * gain
-        return node_id
 
-    def _grow(self, indices: np.ndarray, depth: int) -> int:
-        counts = self._class_counts(indices)
-        impurity = _node_impurity(counts, self.criterion)
-        n = indices.shape[0]
-
-        is_terminal = self._node_is_terminal(n, depth, impurity)
-        if not is_terminal:
-            if self.splitter == "random":
-                split = self._random_split(indices, impurity)
-            else:
-                split = self._best_split(indices, impurity)
-            is_terminal = split is None
-        if is_terminal:
-            return self._new_leaf(counts)
-
-        feature_idx, threshold, gain, left_mask = split
-        node_id = self._record_split(feature_idx, threshold, gain, counts, indices)
-        left_id = self._grow(indices[left_mask], depth + 1)
-        right_id = self._grow(indices[~left_mask], depth + 1)
-        self.children_left[node_id] = left_id
-        self.children_right[node_id] = right_id
-        return node_id
-
-    def _best_split(self, indices: np.ndarray, parent_impurity: float):
-        """Return (feature, threshold, gain, left_mask) or None."""
-        n_features = self.X.shape[1]
-        candidates = self.rng.permutation(n_features)
-        w = self.w[indices]
-        y = self.y[indices]
-        node_weight = w.sum()
-
-        best = None
-        best_gain = self.min_impurity_decrease
-        examined = 0
-        for feature_idx in candidates:
-            # scikit-learn semantics: examine at least max_features features,
-            # but keep looking past constant ones.
-            if examined >= self.max_features and best is not None:
-                break
-            column = self.X[indices, feature_idx]
-            order = np.argsort(column, kind="quicksort")
-            sorted_values = column[order]
-            if sorted_values[0] == sorted_values[-1]:
-                continue  # constant within the node
-            examined += 1
-
-            sorted_y = y[order]
-            sorted_w = w[order]
-            # One-hot weighted class matrix -> prefix sums give the class
-            # histogram of every prefix in a single pass.
-            onehot = np.zeros((len(order), self.n_classes))
-            onehot[np.arange(len(order)), sorted_y] = sorted_w
-            prefix = np.cumsum(onehot, axis=0)
-
-            # Valid boundaries: between i and i+1 where the value changes
-            # and both sides satisfy min_samples_leaf.
-            boundary = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
-            if self.min_samples_leaf > 1:
-                boundary = boundary[
-                    (boundary + 1 >= self.min_samples_leaf)
-                    & (len(order) - boundary - 1 >= self.min_samples_leaf)
-                ]
-            if boundary.size == 0:
-                continue
-
-            left_counts = prefix[boundary]
-            right_counts = prefix[-1] - left_counts
-            left_imp, right_imp, left_w, right_w = _split_impurities(
-                left_counts, right_counts, self.criterion
-            )
-            child_impurity = (left_w * left_imp + right_w * right_imp) / node_weight
-            gains = parent_impurity - child_impurity
-            best_local = int(np.argmax(gains))
-            if gains[best_local] > best_gain:
-                best_gain = float(gains[best_local])
-                cut = boundary[best_local]
-                threshold = float(
-                    (sorted_values[cut] + sorted_values[cut + 1]) / 2.0
-                )
-                left_mask = column <= threshold
-                best = (int(feature_idx), threshold, best_gain, left_mask)
-        return best
-
-    # ------------------------------------------------------------------
-    # Presorted fast path (bitwise identical to _grow/_best_split under
-    # the gate checked in build()).
-    # ------------------------------------------------------------------
-    def _grow_presorted(
-        self, indices: np.ndarray, sorted_idx: np.ndarray, depth: int
-    ) -> int:
-        counts = self._class_counts(indices)
-        impurity = _node_impurity(counts, self.criterion)
-        n = indices.shape[0]
-
-        is_terminal = self._node_is_terminal(n, depth, impurity)
-        if not is_terminal:
-            split = self._best_split_presorted(indices, sorted_idx, impurity)
-            is_terminal = split is None
-        if is_terminal:
-            return self._new_leaf(counts)
-
-        feature_idx, threshold, gain, left_mask = split
-        node_id = self._record_split(feature_idx, threshold, gain, counts, indices)
-
-        # Stable partition of every feature's sorted list: rows keep
-        # their relative order, so each child's lists stay sorted.
-        # Every row contains exactly the node's samples, so each keeps
-        # the same number of left entries and the mask select reshapes
-        # back into a matrix.
         left_indices = indices[left_mask]
         right_indices = indices[~left_mask]
-        in_left = np.zeros(self.X.shape[0], dtype=bool)
-        in_left[left_indices] = True
-        left_of = in_left[sorted_idx]
-        left_sorted = sorted_idx[left_of].reshape(sorted_idx.shape[0], -1)
-        right_sorted = sorted_idx[~left_of].reshape(sorted_idx.shape[0], -1)
-        del sorted_idx, left_of  # bound live memory to O(depth) matrices
+        left_sorted = right_sorted = None
+        if sorted_idx is not None:
+            # Stable partition of every feature's sorted list: rows keep
+            # their relative order, so each child's lists stay sorted.
+            # Every list holds exactly the node's samples (a duplicated
+            # row goes to one side with all its copies), so each keeps
+            # the same number of left entries and the mask select
+            # reshapes back into a matrix.
+            in_left = np.zeros(self.X.shape[0], dtype=bool)
+            in_left[left_indices] = True
+            left_of = in_left[sorted_idx]
+            left_sorted = sorted_idx[left_of].reshape(sorted_idx.shape[0], -1)
+            right_sorted = sorted_idx[~left_of].reshape(sorted_idx.shape[0], -1)
+            del sorted_idx, left_of  # bound live memory to O(depth) matrices
 
-        left_id = self._grow_presorted(left_indices, left_sorted, depth + 1)
-        right_id = self._grow_presorted(right_indices, right_sorted, depth + 1)
+        left_id = self._grow(left_indices, depth + 1, left_sorted)
+        right_id = self._grow(right_indices, depth + 1, right_sorted)
         self.children_left[node_id] = left_id
         self.children_right[node_id] = right_id
         return node_id
 
-    def _best_split_presorted(
-        self, indices: np.ndarray, sorted_idx: np.ndarray, parent_impurity: float
+    def _best_split(
+        self,
+        indices: np.ndarray,
+        parent_impurity: float,
+        sorted_idx: np.ndarray | None = None,
     ):
-        """`_best_split` with the per-node argsort replaced by lookups."""
-        n_features = self.X.shape[1]
-        candidates = self.rng.permutation(n_features)
-        w = self.w[indices]
-        node_weight = w.sum()
-        n = indices.shape[0]
+        """Return (feature, threshold, gain, left_mask) or None.
+
+        Candidates are visited in one random permutation with
+        scikit-learn's rule: skip features constant within the node,
+        stop once ``max_features`` non-constant features have been
+        examined and one split beats ``min_impurity_decrease``; the
+        first strict maximum wins.  The scores come from
+        :meth:`_scored_candidates`, which scores the candidates a block
+        at a time and only as far as this rule reads.
+        """
+        candidates = self.rng.permutation(self.X.shape[1])
+        node_weight = self.w[indices].sum()
 
         best = None
         best_gain = self.min_impurity_decrease
         examined = 0
-        for feature_idx in candidates:
+        for feature, nonconstant, gain, cut, values in self._scored_candidates(
+            indices, candidates, sorted_idx, node_weight, parent_impurity
+        ):
+            if nonconstant:
+                examined += 1
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (feature, cut, values)
+            # Checked before the next candidate is read, so a block is
+            # never scored only to be stopped at its first candidate.
             if examined >= self.max_features and best is not None:
                 break
-            order = sorted_idx[feature_idx]  # global sample ids, sorted
-            sorted_values = self.X[order, feature_idx]
-            if sorted_values[0] == sorted_values[-1]:
-                continue
-            examined += 1
+        if best is None:
+            return None
+        feature, cut, values = best
+        threshold = float((values[cut] + values[cut + 1]) / 2.0)
+        left_mask = self.X[indices, feature] <= threshold
+        return feature, threshold, best_gain, left_mask
 
-            sorted_y = self.y[order]
-            sorted_w = self.w[order]
-            onehot = np.zeros((n, self.n_classes))
-            onehot[np.arange(n), sorted_y] = sorted_w
-            prefix = np.cumsum(onehot, axis=0)
+    def _scored_candidates(
+        self,
+        indices: np.ndarray,
+        candidates: np.ndarray,
+        sorted_idx: np.ndarray | None,
+        node_weight: float,
+        parent_impurity: float,
+    ):
+        """Yield (feature, nonconstant, gain, cut, sorted values) per candidate.
 
-            boundary = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
-            if self.min_samples_leaf > 1:
-                boundary = boundary[
-                    (boundary + 1 >= self.min_samples_leaf)
-                    & (n - boundary - 1 >= self.min_samples_leaf)
+        Candidates are scored in blocks, the next block only when the
+        consumer reads past the last: the first is ``max_features``
+        wide, each later one twice as wide as the one before, and none
+        holds more than ``_BLOCK_ELEMENTS`` values.  A block gathers its
+        candidate columns as one contiguous ``(features, n)`` matrix and
+        sorts every row with the quicksort a 1-D column gets, so tie
+        orders are those of a per-feature sort; under the presort gate
+        the rows are read from the node's sorted lists instead.
+        """
+        n = indices.shape[0]
+        widest = max(1, _BLOCK_ELEMENTS // n)
+        if sorted_idx is None:
+            y_node, w_node = self.y[indices], self.w[indices]
+        start, width = 0, self.max_features
+        while start < candidates.size:
+            block = candidates[start:start + min(width, widest)]
+            start += block.size
+            width *= 2
+            if sorted_idx is None:
+                values = self.X[indices[None, :], block[:, None]]
+                order = np.argsort(values, axis=1, kind="quicksort")
+                sorted_values = values.ravel()[
+                    order + np.arange(0, values.size, n)[:, None]
                 ]
-            if boundary.size == 0:
-                continue
+                sorted_y, sorted_w = y_node[order], w_node[order]
+            else:
+                order = sorted_idx[block]
+                sorted_values = self.X[order, block[:, None]]
+                sorted_y, sorted_w = self.y[order], self.w[order]
+            nonconstant, gains, cuts = self._score_block(
+                sorted_values, sorted_y, sorted_w, node_weight, parent_impurity
+            )
+            yield from zip(
+                block.tolist(), nonconstant.tolist(), gains.tolist(),
+                cuts.tolist(), sorted_values,
+            )
 
-            left_counts = prefix[boundary]
-            right_counts = prefix[-1] - left_counts
+    def _score_block(
+        self,
+        sorted_values: np.ndarray,
+        sorted_y: np.ndarray,
+        sorted_w: np.ndarray,
+        node_weight: float,
+        parent_impurity: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Best boundary of every row of a sorted ``(features, n)`` block.
+
+        A boundary sits between sorted positions ``i`` and ``i + 1``
+        where the value changes and both sides keep
+        ``min_samples_leaf`` samples; only those are scored.  Returns
+        per row whether the feature varies within the node, the gain of
+        its first best boundary (``-inf`` when it has none) and that
+        boundary's position.
+        """
+        n_rows, n = sorted_values.shape
+        nonconstant = sorted_values[:, 0] != sorted_values[:, -1]
+        change = sorted_values[:, 1:] != sorted_values[:, :-1]
+        change[:, : self.min_samples_leaf - 1] = False
+        change[:, n - self.min_samples_leaf:] = False
+        # Flat positions in the (rows, n - 1) boundary grid.
+        boundary = np.flatnonzero(change)
+        gains = np.full(change.shape, -np.inf)
+        if boundary.size:
+            row = boundary // (n - 1)
+            # The class-major weighted one-hot matrix: its running sums
+            # along each row are the class weights of every prefix.
+            size = sorted_y.size
+            onehot = np.zeros(self.n_classes * size)
+            onehot[sorted_y.ravel() * size + np.arange(size)] = sorted_w.ravel()
+            prefix = np.cumsum(
+                onehot.reshape(self.n_classes, n_rows, n), axis=2
+            ).reshape(self.n_classes, size)
+            left_counts = np.take(prefix, boundary + row, axis=1)
+            totals = np.take(prefix, (row + 1) * n - 1, axis=1)
             left_imp, right_imp, left_w, right_w = _split_impurities(
-                left_counts, right_counts, self.criterion
+                left_counts, totals - left_counts, self.criterion
             )
             child_impurity = (left_w * left_imp + right_w * right_imp) / node_weight
-            gains = parent_impurity - child_impurity
-            best_local = int(np.argmax(gains))
-            if gains[best_local] > best_gain:
-                best_gain = float(gains[best_local])
-                cut = boundary[best_local]
-                threshold = float(
-                    (sorted_values[cut] + sorted_values[cut + 1]) / 2.0
-                )
-                left_mask = self.X[indices, feature_idx] <= threshold
-                best = (int(feature_idx), threshold, best_gain, left_mask)
-        return best
+            gains.ravel()[boundary] = parent_impurity - child_impurity
+        best = gains.argmax(axis=1)
+        return nonconstant, gains.ravel()[np.arange(n_rows) * (n - 1) + best], best
 
     # ------------------------------------------------------------------
     # Randomized-threshold splitter (splitter="random")
@@ -481,7 +515,7 @@ class _TreeBuilder:
                 y[~left_mask], weights=w[~left_mask], minlength=self.n_classes
             )
             left_imp, right_imp, left_w, right_w = _split_impurities(
-                left_counts[None, :], right_counts[None, :], self.criterion
+                left_counts[:, None], right_counts[:, None], self.criterion
             )
             gain = parent_impurity - float(
                 (left_w[0] * left_imp[0] + right_w[0] * right_imp[0]) / node_weight
@@ -499,10 +533,10 @@ class _HistTreeBuilder:
     bins are built with one fused ``np.bincount`` (bin and class fold
     into a single flat key), and every candidate boundary of every
     candidate feature is scored in one vectorized pass over the
-    (features x bins) histogram tensor via the same impurity kernel the
-    exact splitter uses.  Split thresholds are reconstructed from the
-    binner's recorded edges so the finished tree predicts on raw
-    feature matrices.
+    (features x bins) histogram tensor via the count-space kernel
+    :func:`_weighted_child_impurity`.  Split thresholds are
+    reconstructed from the binner's recorded edges so the finished tree
+    predicts on raw feature matrices.
     """
 
     def __init__(
@@ -765,9 +799,9 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     lets the paper's hyper-parameter grids (Table 2) apply verbatim.
     ``tree_method`` selects exact split finding (default; bitwise
     stable across releases) or histogram-binned training (``"hist"``,
-    roughly an order of magnitude faster on wide matrices at a
-    statistically negligible accuracy cost); ``max_bins`` caps the
-    bins per feature in hist mode.
+    about 4x faster on the wide Table-1 matrix at a statistically
+    negligible accuracy cost, see ``BENCH_hist.json``); ``max_bins``
+    caps the bins per feature in hist mode.
     """
 
     def __init__(
@@ -812,40 +846,58 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     def fit(self, X, y, sample_weight=None) -> "DecisionTreeClassifier":
         self._validate_params()
         X, y = check_X_y(X, y)
+        sample_weight = check_sample_weight(sample_weight, X.shape[0])
         if self.tree_method == "hist":
             binner = Binner(self.max_bins).fit(X)
             return self.fit_binned(
                 binner.transform(X), binner.bin_edges_, y, sample_weight
             )
+        return self._fit_rows(X, y, sample_weight, np.arange(X.shape[0]))
+
+    def _fit_rows(
+        self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
+        rows: np.ndarray,
+    ) -> "DecisionTreeClassifier":
+        """Exact-mode fit on the sample ``X[rows]`` without building it.
+
+        ``rows`` holds row ids of ``X`` in sample order, duplicates
+        allowed: a forest passes each tree's bootstrap rows and shares
+        one training matrix among all trees.  The inputs are trusted to
+        be validated and row-aligned; ``X`` may be in either memory
+        order (column-major makes the per-node column gathers local).
+        The fitted tree is bitwise equal to ``fit(X[rows], y[rows],
+        sample_weight=sample_weight[rows])``.
+        """
         # Unlike the other classifiers, a tree tolerates single-class input
         # (it becomes one leaf); random-forest bootstraps rely on this.
-        self.classes_, encoded = np.unique(y, return_inverse=True)
-        y_encoded = encoded.astype(np.int64)
-        n, n_features = X.shape
-
-        weight = np.ones(n) if sample_weight is None else np.asarray(
-            sample_weight, dtype=np.float64
+        self.classes_, encoded = np.unique(y[rows], return_inverse=True)
+        # Labels and weights stay indexed by row id; rows outside the
+        # sample are never read.
+        y_encoded = np.zeros(X.shape[0], dtype=np.int64)
+        y_encoded[rows] = encoded
+        weight = np.zeros(X.shape[0])
+        weight[rows] = sample_weight[rows] * compute_sample_weight(
+            self.class_weight, encoded
         )
-        weight = weight * compute_sample_weight(self.class_weight, y_encoded)
 
         rng = check_random_state(self.random_state)
-        resolved = _resolve_max_features(self.max_features, n_features)
         builder = _TreeBuilder(
             X,
             y_encoded,
             weight,
+            rows,
             n_classes=len(self.classes_),
             criterion=self.criterion,
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
-            max_features=resolved,
+            max_features=_resolve_max_features(self.max_features, X.shape[1]),
             rng=rng,
             min_impurity_decrease=self.min_impurity_decrease,
             splitter=self.splitter,
         )
         builder.build()
-        self._store_tree(builder, n_features)
+        self._store_tree(builder, X.shape[1])
         return self
 
     def fit_binned(
@@ -874,9 +926,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         y_encoded = encoded.astype(np.int64)
         n, n_features = codes.shape
 
-        weight = np.ones(n) if sample_weight is None else np.asarray(
-            sample_weight, dtype=np.float64
-        )
+        weight = check_sample_weight(sample_weight, n)
         weight = weight * compute_sample_weight(self.class_weight, y_encoded)
 
         rng = check_random_state(self.random_state)

@@ -9,10 +9,14 @@ from repro.ml.base import (
     check_array,
     check_is_fitted,
     check_random_state,
+    check_sample_weight,
     check_X_y,
     clone,
     compute_sample_weight,
 )
+from repro.ml.binning import Binner
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.tree import DecisionTreeClassifier
 
 
 class _Toy(BaseEstimator):
@@ -112,3 +116,63 @@ class TestSampleWeight:
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError):
             compute_sample_weight("bogus", np.array([0, 1]))
+
+
+def _fit_tree(X, y, sample_weight):
+    DecisionTreeClassifier(random_state=0).fit(X, y, sample_weight=sample_weight)
+
+
+def _fit_hist_tree(X, y, sample_weight):
+    binner = Binner().fit(X)
+    DecisionTreeClassifier(tree_method="hist", random_state=0).fit_binned(
+        binner.transform(X), binner.bin_edges_, y, sample_weight=sample_weight
+    )
+
+
+def _fit_forest(X, y, sample_weight):
+    RandomForestClassifier(n_estimators=3, random_state=0).fit(
+        X, y, sample_weight=sample_weight
+    )
+
+
+def _fit_hist_forest(X, y, sample_weight):
+    RandomForestClassifier(n_estimators=3, tree_method="hist", random_state=0).fit(
+        X, y, sample_weight=sample_weight
+    )
+
+
+class TestCheckSampleWeight:
+    """Bad weights fail loudly on every estimator entry point; before
+    the check, too many weights fitted silently, too few raised a bare
+    ``IndexError`` in the forest, one weight was broadcast by the tree,
+    and NaN or negative weights fitted silently."""
+
+    BAD_WEIGHTS = {
+        "too many": (np.ones(60), "60 entries but there are 50"),
+        "too few": (np.ones(40), "40 entries but there are 50"),
+        "one": (np.ones(1), "1 entries but there are 50"),
+        "2-D": (np.ones((50, 1)), "1D"),
+        "NaN": (np.where(np.arange(50) == 7, np.nan, 1.0), "NaN"),
+        "inf": (np.where(np.arange(50) == 7, np.inf, 1.0), "infinity"),
+        "negative": (np.where(np.arange(50) == 7, -0.5, 1.0), "negative"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+    @pytest.mark.parametrize(
+        "fit", [_fit_tree, _fit_hist_tree, _fit_forest, _fit_hist_forest]
+    )
+    def test_estimators_reject_bad_weights(self, fit, case):
+        generator = np.random.default_rng(0)
+        X = generator.normal(size=(50, 3))
+        y = (X[:, 0] > 0).astype(int)
+        weight, message = self.BAD_WEIGHTS[case]
+        with pytest.raises(ValueError, match=message):
+            fit(X, y, weight)
+
+    def test_none_is_unit_weights(self):
+        np.testing.assert_array_equal(check_sample_weight(None, 4), np.ones(4))
+
+    def test_valid_weights_pass_through(self):
+        weight = np.array([0.0, 1.5, 2.0])
+        assert check_sample_weight(weight, 3) is weight
+        assert check_sample_weight([1, 0, 2], 3).dtype == np.float64

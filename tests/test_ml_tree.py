@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.gbm import GradientBoostingClassifier
 from repro.ml.metrics import accuracy_score
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -220,3 +222,73 @@ class TestTreeShapeProperties:
             DecisionTreeClassifier().n_leaves_
         with pytest.raises(Exception, match="not fitted"):
             DecisionTreeClassifier().depth_
+
+
+# Two values one ulp apart whose midpoint (lo + hi) / 2.0 rounds up to hi.
+_LO = 1.0 + 2.0**-52
+_HI = float(np.nextafter(_LO, 2.0))
+_MIDPOINT_DEFECT = pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, RecursionError),
+    reason=(
+        "midpoint threshold rounds up to the upper value when the two "
+        "values are 1 ulp apart, so the applied partition differs from "
+        "the scored one; fix recorded under ROADMAP item 5"
+    ),
+)
+
+
+def _one_ulp_data(copies):
+    X = np.array([[_LO]] * copies + [[_HI]] * copies)
+    y = np.array([0] * copies + [1] * copies)
+    return X, y
+
+
+class TestMidpointThresholdDefect:
+    """Separable data whose only boundary is one ulp wide.
+
+    The fix must cover both exact tree entry points, the GBM's exact
+    splitter and the Binner's midpoint edges.
+    """
+
+    def test_midpoint_rounds_up_on_this_data(self):
+        assert (_LO + _HI) / 2.0 == _HI
+
+    @_MIDPOINT_DEFECT
+    @pytest.mark.parametrize("sample_weight", [None, [1.0, 2.0]],
+                             ids=["presorted", "weighted"])
+    def test_tree_separates_two_samples(self, sample_weight):
+        X, y = _one_ulp_data(1)
+        tree = DecisionTreeClassifier().fit(X, y, sample_weight=sample_weight)
+        assert tree.score(X, y) == 1.0
+
+    @_MIDPOINT_DEFECT
+    def test_forest_separates_copies(self):
+        X, y = _one_ulp_data(10)
+        forest = RandomForestClassifier(random_state=0).fit(X, y)
+        assert forest.score(X, y) == 1.0
+
+    @_MIDPOINT_DEFECT
+    def test_depth_limited_tree_separates_copies(self):
+        X, y = _one_ulp_data(20)
+        tree = DecisionTreeClassifier(max_depth=3).fit(X, y)
+        assert tree.score(X, y) == 1.0
+
+    @_MIDPOINT_DEFECT
+    def test_gbm_separates_copies(self):
+        X, y = _one_ulp_data(20)
+        gbm = GradientBoostingClassifier(n_estimators=5).fit(X, y)
+        assert gbm.score(X, y) == 1.0
+
+    @_MIDPOINT_DEFECT
+    def test_hist_tree_separates_copies(self):
+        X, y = _one_ulp_data(20)
+        tree = DecisionTreeClassifier(tree_method="hist").fit(X, y)
+        assert tree.score(X, y) == 1.0
+
+    @_MIDPOINT_DEFECT
+    def test_stump_applies_the_scored_partition(self):
+        X = np.array([[_LO], [_HI], [2.0]] * 2)
+        y = np.array([0, 1, 1] * 2)
+        stump = DecisionTreeClassifier(max_depth=1).fit(X, y)
+        assert stump.score(X, y) == 1.0
