@@ -4,8 +4,10 @@ A *fleet* is a set of independent application cells -- each one a full
 :class:`~repro.cluster.simulation.ClusterSimulation` with its deployed
 application, telemetry agent, scaling rules and workload column.  A
 *shard* is a contiguous block of cells driven by one
-:class:`FleetShardRunner`: per tick it steps every cell's simulation,
-asks its shard-wide :class:`~repro.fleet.policy.FleetPolicy` for
+:class:`FleetShardRunner`: per tick it advances all of its cells'
+simulations in one vectorized pass
+(:class:`~repro.cluster.simulation.Lockstep`, bitwise equal to stepping
+each cell), asks its shard-wide :class:`~repro.fleet.policy.FleetPolicy` for
 saturated ``(namespace, deployment)`` keys (one matrix walk, one
 ``predict_proba``), and lets each cell's autoscaler act.
 
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cluster.simulation import Lockstep
 from repro.datasets.experiments import (
     evaluation_nodes,
     teastore_placements,
@@ -256,6 +259,7 @@ class FleetShardRunner:
                 cell.namespace, cell.simulation, cell.application,
                 cell.agent, secondary=cell.secondary,
             )
+        self.lockstep = Lockstep([cell.simulation for cell in self.cells])
         self.slo = slo or SloPolicy()
         self.checkpoints_saved = 0
         self.resumed_from_tick: int | None = None
@@ -271,9 +275,18 @@ class FleetShardRunner:
 
     def tick(self, rates) -> None:
         """One fleet second: step all cells, decide once, scale each."""
+        if len(rates) != len(self.cells):
+            raise ValueError(
+                f"Expected one rate per cell ({len(self.cells)}), "
+                f"got {len(rates)}."
+            )
         started = time.perf_counter()
-        for cell, rate in zip(self.cells, rates):
-            cell.simulation.step({cell.application: float(rate)})
+        self.lockstep.step(
+            [
+                {cell.application: float(rate)}
+                for cell, rate in zip(self.cells, rates)
+            ]
+        )
         self.policy.phase_seconds["simulate"] += (
             time.perf_counter() - started
         )
@@ -459,6 +472,8 @@ class FleetOrchestrator:
                 "workloads must be a (n_cells, duration) matrix aligned "
                 "with the cell specs."
             )
+        if not (np.isfinite(workloads).all() and (workloads >= 0).all()):
+            raise ValueError("workloads must be finite and non-negative.")
         ticks = workloads.shape[1]
         if self.checkpoint_dir is not None:
             os.makedirs(str(self.checkpoint_dir), exist_ok=True)
