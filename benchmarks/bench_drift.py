@@ -31,6 +31,7 @@ from repro.core.model import MonitorlessModel
 from repro.datasets.configs import run_by_id
 from repro.datasets.generate import build_training_corpus
 from repro.lifecycle import DriftScenarioConfig, DriftScenarioRunner
+from repro.orchestrator.slo import violated_last_tick
 from repro.parallel.jobs import available_cores
 
 from conftest import SEED
@@ -61,10 +62,12 @@ def small_model():
 
 def _run_collecting(runner):
     """Advance a runner to the end, keeping each tick's SLO outcome."""
+    orchestrator = runner.orchestrator
+    kpis = orchestrator.simulation._kpis["teastore"]
     outcomes = []
     while runner.t < runner.config.duration:
         runner.run_until(runner.t + 1)
-        outcomes.append(runner._violated())
+        outcomes.append(violated_last_tick(kpis, orchestrator.slo))
     return outcomes, runner.finish()
 
 

@@ -17,7 +17,9 @@ n_features)`` matrix per tick from telemetry synthesis through one
   ``bench_parallel.py``): >= 5 000 containers advance at >= 2 fleet
   ticks per second end to end.  The record also carries the per-phase
   loop breakdown (simulate / telemetry / features / predict / policy
-  seconds summed over shards) so regressions are attributable.
+  seconds) so regressions are attributable.  It comes from the
+  ``repro.obs`` span tree of a second, in-process pass over the same
+  fleet with obs enabled: pool workers drop their obs state.
 
 Environment knobs (defaults target the scale floor):
 
@@ -135,6 +137,32 @@ def _worker_kill(model, checkpoint_dir) -> dict:
     }
 
 
+def _phase_seconds(model, specs, workloads) -> dict:
+    """Seconds per serving phase of one in-process shard pass, read
+    from its ``orchestrator.tick`` span tree."""
+    runner = FleetShardRunner(0, specs, model)
+    runner.start()
+    obs.reset()
+    obs.enable()
+    try:
+        for t in range(workloads.shape[1]):
+            runner.tick(workloads[:, t])
+        (tick,) = obs.aggregate_spans(obs.span_roots())
+    finally:
+        obs.disable()
+        obs.reset()
+    spans = {child["name"]: child for child in tick["children"]}
+    fleet = spans["policy.fleet"]
+    inner = {child["name"]: child["total_seconds"] for child in fleet["children"]}
+    return {
+        "simulate": spans["simulation.step"]["total_seconds"],
+        "telemetry": inner.get("fleet.synthesize", 0.0),
+        "features": inner.get("fleet.push_rows", 0.0),
+        "predict": inner.get("policy.classify", 0.0),
+        "policy": fleet["self_seconds"] + spans["autoscaler.act"]["total_seconds"],
+    }
+
+
 def test_fleet_scale(benchmark, small_model, table_printer, tmp_path):
     obs.disable()
     obs.reset()
@@ -165,13 +193,10 @@ def test_fleet_scale(benchmark, small_model, table_printer, tmp_path):
     elapsed = time.perf_counter() - started
     ticks_per_second = SCALE_TICKS / elapsed
 
-    # Where the serving loop spends its time, summed over shards
-    # (telemetry synthesis / feature engineering / inference / policy
-    # bookkeeping / simulation advance).
-    phase_seconds: dict[str, float] = {}
-    for shard in result.shard_results:
-        for phase, seconds in shard.phase_seconds.items():
-            phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
+    # Where the serving loop spends its time (simulation advance /
+    # telemetry synthesis / feature engineering / inference / policy
+    # bookkeeping and autoscaling), from an in-process traced pass.
+    phase_seconds = _phase_seconds(small_model, specs, workloads)
 
     rows = [
         {

@@ -502,14 +502,11 @@ def _cmd_stream(args, out) -> int:
     import time
 
     from repro.apps.sockshop import sockshop_application
-    from repro.apps.teastore import teastore_application
-    from repro.cluster.simulation import ClusterSimulation
     from repro.core.model import MonitorlessModel
     from repro.datasets.experiments import (
-        evaluation_nodes,
         sockshop_placements,
-        teastore_placements,
         teastore_scaling_rules,
+        teastore_simulation,
     )
     from repro.orchestrator.loop import Orchestrator
     from repro.orchestrator.policies import MonitorlessPolicy
@@ -518,8 +515,7 @@ def _cmd_stream(args, out) -> int:
     from repro.workloads.traces import teastore_trace
 
     model = MonitorlessModel.load(args.model)
-    simulation = ClusterSimulation(evaluation_nodes(), seed=args.seed)
-    simulation.deploy(teastore_application(), teastore_placements())
+    simulation = teastore_simulation(args.seed)
     simulation.deploy(sockshop_application(), sockshop_placements())
     agent = TelemetryAgent(seed=args.seed)
     policy = MonitorlessPolicy(model, agent)
@@ -560,21 +556,17 @@ def _cmd_stream(args, out) -> int:
 
 def _cmd_obs(args, out) -> int:
     from repro import obs
-    from repro.apps.teastore import teastore_application
-    from repro.cluster.simulation import ClusterSimulation
     from repro.core.thresholds import ThresholdBaseline
     from repro.datasets.experiments import (
-        evaluation_nodes,
-        teastore_placements,
         teastore_scaling_rules,
+        teastore_simulation,
     )
     from repro.orchestrator.loop import Orchestrator
     from repro.orchestrator.policies import MonitorlessPolicy, ThresholdPolicy
     from repro.telemetry.agent import TelemetryAgent
     from repro.workloads.patterns import linear_ramp
 
-    simulation = ClusterSimulation(evaluation_nodes(), seed=args.seed)
-    simulation.deploy(teastore_application(), teastore_placements())
+    simulation = teastore_simulation(args.seed)
     agent = TelemetryAgent(seed=args.seed)
     if args.model:
         from repro.core.model import MonitorlessModel

@@ -134,6 +134,13 @@ def evaluation_nodes() -> dict[str, NodeSpec]:
     return {name: MACHINES[name] for name in ("M1", "M2", "M3")}
 
 
+def teastore_simulation(seed: int) -> ClusterSimulation:
+    """A TeaStore cell: the evaluation cluster with TeaStore deployed."""
+    simulation = ClusterSimulation(evaluation_nodes(), seed=seed)
+    simulation.deploy(teastore_application(), teastore_placements())
+    return simulation
+
+
 # ----------------------------------------------------------------------
 # Threshold calibration for whole applications
 # ----------------------------------------------------------------------

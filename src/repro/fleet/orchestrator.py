@@ -9,7 +9,12 @@ simulations in one vectorized pass
 (:class:`~repro.cluster.simulation.Lockstep`, bitwise equal to stepping
 each cell), asks its shard-wide :class:`~repro.fleet.policy.FleetPolicy` for
 saturated ``(namespace, deployment)`` keys (one matrix walk, one
-``predict_proba``), and lets each cell's autoscaler act.
+``predict_proba``), and lets each cell's autoscaler act.  The rest is
+the per-application :class:`~repro.orchestrator.loop.Orchestrator`'s:
+an attached lifecycle manager gets the tick's SLO outcome (violated if
+any cell violated) and a step, and the tick's phase timing is its
+``repro.obs`` spans (``orchestrator.tick`` over ``simulation.step``,
+``policy.fleet`` and ``autoscaler.act``).
 
 :class:`FleetOrchestrator` fans the shards out over
 :func:`~repro.parallel.pool.parallel_map` workers.  Cells are
@@ -25,20 +30,17 @@ still complete and bitwise deterministic.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.cluster.simulation import Lockstep
-from repro.datasets.experiments import (
-    evaluation_nodes,
-    teastore_placements,
-    teastore_scaling_rules,
-)
+from repro.datasets.experiments import teastore_scaling_rules, teastore_simulation
 from repro.fleet.policy import FleetPolicy
+from repro.orchestrator.autoscaler import Autoscaler
 from repro.orchestrator.loop import OrchestratorResult
-from repro.orchestrator.slo import SloPolicy, slo_violations
+from repro.orchestrator.slo import SloPolicy, violated_last_tick
 from repro.parallel.jobs import in_worker, resolve_n_jobs
 from repro.parallel.pool import parallel_map
 from repro.telemetry.agent import TelemetryAgent, _stream_seed
@@ -78,64 +80,30 @@ class FleetCell:
     secondary: object = None
 
 
-def _teastore_simulation(spec: FleetCellSpec):
-    from repro.apps.teastore import teastore_application
-    from repro.cluster.simulation import ClusterSimulation
-
-    simulation = ClusterSimulation(evaluation_nodes(), seed=spec.seed)
-    simulation.deploy(teastore_application(), teastore_placements())
-    return simulation
-
-
-def _build_teastore_cell(spec: FleetCellSpec) -> FleetCell:
+def _plain_agent(spec: FleetCellSpec):
     """Plain cell: exact-type agent, grouped fast-path telemetry."""
-    from repro.orchestrator.autoscaler import Autoscaler
-
-    simulation = _teastore_simulation(spec)
-    return FleetCell(
-        namespace=spec.namespace,
-        simulation=simulation,
-        application="teastore",
-        agent=TelemetryAgent(seed=spec.seed),
-        autoscaler=Autoscaler(
-            simulation=simulation, application="teastore",
-            rules=teastore_scaling_rules(),
-        ),
-    )
+    return TelemetryAgent(seed=spec.seed), None
 
 
-def _build_dropout_cell(spec: FleetCellSpec) -> FleetCell:
+def _dropout_agent(spec: FleetCellSpec):
     """Lossy-scrape cell: ``MetricDropout`` over the plain agent."""
     from repro.cluster.faults import MetricDropout
-    from repro.orchestrator.autoscaler import Autoscaler
 
-    simulation = _teastore_simulation(spec)
     agent = MetricDropout(
         TelemetryAgent(seed=spec.seed), probability=0.1, seed=spec.seed + 1
     )
-    return FleetCell(
-        namespace=spec.namespace,
-        simulation=simulation,
-        application="teastore",
-        agent=agent,
-        autoscaler=Autoscaler(
-            simulation=simulation, application="teastore",
-            rules=teastore_scaling_rules(),
-        ),
-    )
+    return agent, None
 
 
-def _build_chaos_cell(spec: FleetCellSpec) -> FleetCell:
+def _chaos_agent(spec: FleetCellSpec):
     """Full chaos stack with a threshold secondary, mirroring the
     reliability tests' fallback configuration."""
     from repro.cluster.faults import MetricDropout
     from repro.core.thresholds import ThresholdBaseline
-    from repro.orchestrator.autoscaler import Autoscaler
     from repro.orchestrator.policies import ThresholdPolicy
     from repro.reliability.chaos import ChaosAgent, ChaosConfig, TelemetryBlackout
     from repro.reliability.telemetry import ResilientTelemetry
 
-    simulation = _teastore_simulation(spec)
     config = ChaosConfig(
         dropout_probability=0.1,
         hard_failure_probability=0.02,
@@ -153,34 +121,26 @@ def _build_chaos_cell(spec: FleetCellSpec) -> FleetCell:
         ),
         config,
     )
-    resilient = ResilientTelemetry(chaotic, staleness_budget=3)
     secondary = ThresholdPolicy(
         ThresholdBaseline(
             kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0
         ),
         chaotic,
     )
-    return FleetCell(
-        namespace=spec.namespace,
-        simulation=simulation,
-        application="teastore",
-        agent=resilient,
-        autoscaler=Autoscaler(
-            simulation=simulation, application="teastore",
-            rules=teastore_scaling_rules(),
-        ),
-        secondary=secondary,
-    )
+    return ResilientTelemetry(chaotic, staleness_budget=3), secondary
 
 
+#: Cell kind -> ``spec -> (agent, secondary)``: the kind's telemetry
+#: stack and its fallback secondary (``None`` for none).
 CELL_BUILDERS = {
-    "teastore": _build_teastore_cell,
-    "teastore-dropout": _build_dropout_cell,
-    "teastore-chaos": _build_chaos_cell,
+    "teastore": _plain_agent,
+    "teastore-dropout": _dropout_agent,
+    "teastore-chaos": _chaos_agent,
 }
 
 
 def build_cell(spec: FleetCellSpec) -> FleetCell:
+    """A TeaStore cell with the telemetry stack of ``spec.kind``."""
     try:
         builder = CELL_BUILDERS[spec.kind]
     except KeyError:
@@ -188,7 +148,19 @@ def build_cell(spec: FleetCellSpec) -> FleetCell:
             f"Unknown cell kind {spec.kind!r}; "
             f"known: {sorted(CELL_BUILDERS)}."
         ) from None
-    return builder(spec)
+    simulation = teastore_simulation(spec.seed)
+    agent, secondary = builder(spec)
+    return FleetCell(
+        namespace=spec.namespace,
+        simulation=simulation,
+        application="teastore",
+        agent=agent,
+        autoscaler=Autoscaler(
+            simulation=simulation, application="teastore",
+            rules=teastore_scaling_rules(),
+        ),
+        secondary=secondary,
+    )
 
 
 def make_fleet_specs(
@@ -233,9 +205,6 @@ class FleetShardResult:
     #: Tick the shard was resumed from after a worker loss (None when
     #: the shard ran start-to-finish in one process).
     resumed_from_tick: int | None = None
-    #: Cumulative wall-clock seconds per serving phase (simulate /
-    #: telemetry / features / predict / policy) for this shard.
-    phase_seconds: dict = field(default_factory=dict)
 
 
 class FleetShardRunner:
@@ -275,71 +244,63 @@ class FleetShardRunner:
 
     def tick(self, rates) -> None:
         """One fleet second: step all cells, decide once, scale each."""
+        if not hasattr(self, "_t"):
+            raise RuntimeError("Call start() before tick().")
         if len(rates) != len(self.cells):
             raise ValueError(
                 f"Expected one rate per cell ({len(self.cells)}), "
                 f"got {len(rates)}."
             )
-        started = time.perf_counter()
-        self.lockstep.step(
-            [
-                {cell.application: float(rate)}
-                for cell, rate in zip(self.cells, rates)
-            ]
-        )
-        self.policy.phase_seconds["simulate"] += (
-            time.perf_counter() - started
-        )
-        saturated = self.policy.saturated_services(self._t)
-        by_namespace: dict[str, set] = {}
-        for namespace, service in saturated:
-            by_namespace.setdefault(namespace, set()).add(service)
-        empty: set = set()
-        for index, cell in enumerate(self.cells):
-            cell_saturated = by_namespace.get(cell.namespace, empty)
-            cell.autoscaler.act(cell_saturated, self._t)
-            self._extra[index].append(cell.autoscaler.extra_replicas)
-        self.decisions.append(tuple(sorted(saturated)))
-        lifecycle = self.policy.lifecycle
-        if lifecycle is not None:
-            violated = False
-            for cell in self.cells:
-                kpis = cell.simulation._kpis[cell.application]
-                if kpis["response_time"] and slo_violations(
-                    np.asarray(kpis["response_time"][-1:]),
-                    np.asarray(kpis["dropped"][-1:]),
-                    np.asarray(kpis["offered"][-1:]),
-                    self.slo,
-                ).any():
-                    violated = True
-                    break
-            lifecycle.outcome(self._t, violated)
-            lifecycle.step(self._t)
-        self._t += 1
+        with obs.trace("orchestrator.tick"):
+            with obs.trace("simulation.step"):
+                self.lockstep.step(
+                    [
+                        {cell.application: float(rate)}
+                        for cell, rate in zip(self.cells, rates)
+                    ]
+                )
+            saturated = self.policy.saturated_services(self._t)
+            with obs.trace("autoscaler.act"):
+                by_namespace: dict[str, set] = {}
+                for namespace, service in saturated:
+                    by_namespace.setdefault(namespace, set()).add(service)
+                empty: set = set()
+                for index, cell in enumerate(self.cells):
+                    cell_saturated = by_namespace.get(cell.namespace, empty)
+                    cell.autoscaler.act(cell_saturated, self._t)
+                    self._extra[index].append(cell.autoscaler.extra_replicas)
+            self.decisions.append(tuple(sorted(saturated)))
+            lifecycle = self.policy.lifecycle
+            if lifecycle is not None:
+                lifecycle.outcome(
+                    self._t,
+                    any(
+                        violated_last_tick(
+                            cell.simulation._kpis[cell.application], self.slo
+                        )
+                        for cell in self.cells
+                    ),
+                )
+                lifecycle.step(self._t)
+            self._t += 1
 
     def finish(self) -> FleetShardResult:
-        duration = self._t
-        cells: dict[str, OrchestratorResult] = {}
-        for index, cell in enumerate(self.cells):
-            kpis = cell.simulation._kpis[cell.application]
-            response_time = np.asarray(kpis["response_time"][-duration:])
-            offered = np.asarray(kpis["offered"][-duration:])
-            dropped = np.asarray(kpis["dropped"][-duration:])
-            throughput = np.asarray(kpis["throughput"][-duration:])
-            cells[cell.namespace] = OrchestratorResult(
-                policy_name=self.policy.name,
-                duration=duration,
-                baseline_containers=self._baselines[index],
-                extra_replicas=np.asarray(self._extra[index], dtype=np.float64),
-                violations=slo_violations(
-                    response_time, dropped, offered, self.slo
-                ),
-                response_time=response_time,
-                throughput=throughput,
-                offered=offered,
-                dropped=dropped,
-                total_scale_outs=cell.autoscaler.total_scale_outs,
+        if not hasattr(self, "_t"):
+            raise RuntimeError("Call start() before finish().")
+        cells = {
+            cell.namespace: OrchestratorResult.from_kpis(
+                self.policy.name,
+                cell.simulation._kpis[cell.application],
+                self._t,
+                baseline,
+                extra,
+                cell.autoscaler.total_scale_outs,
+                self.slo,
             )
+            for cell, baseline, extra in zip(
+                self.cells, self._baselines, self._extra
+            )
+        }
         return FleetShardResult(
             shard_index=self.shard_index,
             decisions=list(self.decisions),
@@ -353,7 +314,6 @@ class FleetShardRunner:
                 "classifier_errors": self.policy.classifier_errors,
             },
             resumed_from_tick=self.resumed_from_tick,
-            phase_seconds=dict(self.policy.phase_seconds),
         )
 
 

@@ -33,7 +33,6 @@ window and the retrain stream depend on the order rows arrive in.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,21 +130,6 @@ class FleetPolicy:
         self.failsafe_ticks = 0
         self.classifier_errors = 0
         self.last_classifier_error: str | None = None
-        #: Cumulative wall-clock seconds per serving phase (simulation
-        #: stepping -- filled by the shard runner -- telemetry
-        #: synthesis, feature-pipeline pushes, classifier prediction,
-        #: and the remaining policy bookkeeping).  A ``shadow`` phase
-        #: appears only when a lifecycle manager is attached, so
-        #: lifecycle-free runs keep the exact historical shape.
-        self.phase_seconds = {
-            "simulate": 0.0,
-            "telemetry": 0.0,
-            "features": 0.0,
-            "predict": 0.0,
-            "policy": 0.0,
-        }
-        if lifecycle is not None:
-            self.phase_seconds["shadow"] = 0.0
 
     @property
     def model(self):
@@ -311,8 +295,6 @@ class FleetPolicy:
     def saturated_services(self, t: int) -> set[tuple[str, str]]:
         """Saturated ``(namespace, deployment)`` keys at tick ``t``."""
         with obs.trace("policy.fleet"):
-            tick_started = time.perf_counter()
-            telemetry_s = features_s = predict_s = shadow_s = 0.0
             if (
                 self.lifecycle is not None
                 and self.lifecycle.champion is not self.model
@@ -325,12 +307,9 @@ class FleetPolicy:
             telemetry = self.telemetry
             telemetry.begin_tick()
             while True:
-                started = time.perf_counter()
                 emitted = telemetry.advance_round()
-                telemetry_s += time.perf_counter() - started
                 if emitted.size == 0:
                     break
-                started = time.perf_counter()
                 # ``emitted`` is sorted; when it is also dense (the
                 # steady state: every live row emits each round) a slice
                 # view of the fleet matrix replaces the fancy-index copy.
@@ -342,7 +321,6 @@ class FleetPolicy:
                     raw_block = telemetry.raw[emitted]
                     completeness_block = telemetry.completeness[emitted]
                 self.features.push_rows(emitted, raw_block, completeness_block)
-                features_s += time.perf_counter() - started
 
             # The fallback checks as row masks, in membership order:
             # rows without samples are skipped, faulted rows demoted,
@@ -361,7 +339,6 @@ class FleetPolicy:
             saturated: set[tuple[str, str]] = set()
             flags = None
             if primary_rows.size:
-                started = time.perf_counter()
                 try:
                     flags = self._classify(primary_rows)
                 except Exception as error:
@@ -377,16 +354,13 @@ class FleetPolicy:
                     demoted.extend(int(row) for row in primary_rows)
                 else:
                     self._record_primary(primary_rows)
-                predict_s += time.perf_counter() - started
                 if flags is not None and self.lifecycle is not None:
-                    started = time.perf_counter()
                     self.lifecycle.observe(
                         t,
                         self.features.features[primary_rows],
                         flags,
                         telemetry.completeness[primary_rows],
                     )
-                    shadow_s += time.perf_counter() - started
             if flags is not None:
                 member_at = self.index.member_at
                 for row, flag in zip(primary_rows, flags):
@@ -419,16 +393,6 @@ class FleetPolicy:
             self._record_secondary(np.asarray(secondary_rows, dtype=np.intp))
             self._record_failsafe(np.asarray(failsafe_rows, dtype=np.intp))
             self._export_gauges()
-            phase = self.phase_seconds
-            phase["telemetry"] += telemetry_s
-            phase["features"] += features_s
-            phase["predict"] += predict_s
-            if self.lifecycle is not None:
-                phase["shadow"] += shadow_s
-            phase["policy"] += (
-                time.perf_counter() - tick_started
-                - telemetry_s - features_s - predict_s - shadow_s
-            )
         return saturated
 
     def _classify(self, rows: np.ndarray) -> np.ndarray:

@@ -29,6 +29,10 @@ interference corpora), shadow-evaluate it walk-forward, and promote it
 (:class:`DriftScenarioRunner.resume` over an orchestrator checkpoint,
 which snapshots the manager, registry and detector state wholesale).
 
+The runner owns the scenario's arrivals and checkpoint cadence only:
+the orchestrator's tick reports each second's SLO outcome to the
+manager and steps it, as it does for any policy with a lifecycle.
+
 Every quantity is keyed by tick; nothing reads the wall clock.
 """
 
@@ -45,7 +49,6 @@ from repro.lifecycle.registry import ModelRegistry
 from repro.lifecycle.retrain import RetrainConfig, Retrainer
 from repro.lifecycle.shadow import ShadowEvaluator
 from repro.lifecycle.tracker import ModelPerformanceTracker
-from repro.orchestrator.slo import slo_violations
 
 __all__ = [
     "DriftScenarioConfig",
@@ -247,20 +250,19 @@ class DriftScenarioRunner:
     scale-outs landing on the antagonist's node, a streaming
     :class:`~repro.orchestrator.policies.MonitorlessPolicy` with the
     lifecycle manager attached) and calls ``start()``;
-    :meth:`run_until` then advances it, reporting each tick's SLO
-    outcome to the manager and stepping the lifecycle clock.
+    :meth:`run_until` then feeds it the scenario's arrivals (the
+    orchestrator's tick reports each SLO outcome to the manager and
+    steps the lifecycle clock).
     :meth:`resume` rebuilds a runner from an orchestrator checkpoint --
     the pickled policy carries the manager, so the lifecycle replays
     from exactly the saved tick.
     """
 
     def __init__(self, model, registry_dir, config=None):
-        from repro.apps.teastore import teastore_application
-        from repro.cluster.simulation import ClusterSimulation, Placement
+        from repro.cluster.simulation import Placement
         from repro.datasets.experiments import (
-            evaluation_nodes,
-            teastore_placements,
             teastore_scaling_rules,
+            teastore_simulation,
         )
         from repro.orchestrator.loop import Orchestrator
         from repro.orchestrator.policies import MonitorlessPolicy
@@ -273,8 +275,7 @@ class DriftScenarioRunner:
             if config.lifecycle_enabled
             else None
         )
-        simulation = ClusterSimulation(evaluation_nodes(), seed=config.seed)
-        simulation.deploy(teastore_application(), teastore_placements())
+        simulation = teastore_simulation(config.seed)
         node = config.antagonist_node
         rules = teastore_scaling_rules(node=node)
         policy = MonitorlessPolicy(
@@ -341,19 +342,6 @@ class DriftScenarioRunner:
     def t(self) -> int:
         return self.orchestrator._t
 
-    def _violated(self) -> bool:
-        kpis = self.orchestrator.simulation._kpis["teastore"]
-        if not kpis["response_time"]:
-            return False
-        return bool(
-            slo_violations(
-                np.asarray(kpis["response_time"][-1:]),
-                np.asarray(kpis["dropped"][-1:]),
-                np.asarray(kpis["offered"][-1:]),
-                self.orchestrator.slo,
-            ).any()
-        )
-
     def run_until(
         self,
         end: int | None = None,
@@ -378,9 +366,6 @@ class DriftScenarioRunner:
             ):
                 arrivals[self.antagonist_name] = config.antagonist_rate
             self.orchestrator.tick(arrivals)
-            if self.manager is not None:
-                self.manager.outcome(t, self._violated())
-                self.manager.step(t)
             if (
                 checkpoint_path is not None
                 and checkpoint_interval > 0

@@ -32,7 +32,7 @@ from repro.orchestrator.policies import (
     ResponseTimePolicy,
     ThresholdPolicy,
 )
-from repro.orchestrator.slo import SloPolicy, slo_violations
+from repro.orchestrator.slo import SloPolicy, slo_violations, violated_last_tick
 
 __all__ = [
     "MonitorlessPolicy",
@@ -41,6 +41,7 @@ __all__ = [
     "NoScalingPolicy",
     "SloPolicy",
     "slo_violations",
+    "violated_last_tick",
     "Autoscaler",
     "ScalingRules",
     "Orchestrator",

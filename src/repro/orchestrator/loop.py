@@ -5,6 +5,11 @@ policy watches for saturation and an autoscaler acts on it; reports
 the paper's Table-7 quantities -- average extra provisioning relative
 to the baseline deployment and the number of SLO violations -- plus
 the full KPI timeline.
+
+When the policy carries a model lifecycle manager (``policy.lifecycle``),
+each tick ends by reporting that second's SLO outcome to it and
+stepping it, so a plain :class:`Orchestrator` drives drift detection,
+retraining and promotion.  The fleet shard runner ends its ticks alike.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.simulation import ClusterSimulation
 from repro.orchestrator.autoscaler import Autoscaler, ScalingRules
-from repro.orchestrator.slo import SloPolicy, slo_violations
+from repro.orchestrator.slo import SloPolicy, slo_violations, violated_last_tick
 
 __all__ = ["Orchestrator", "OrchestratorResult"]
 
@@ -59,6 +64,41 @@ class OrchestratorResult:
     def slo_violation_count(self) -> int:
         return int(np.sum(self.violations))
 
+    @classmethod
+    def from_kpis(
+        cls,
+        policy_name: str,
+        kpis: dict,
+        duration: int,
+        baseline: int,
+        extra,
+        scale_outs: int,
+        slo: SloPolicy | None = None,
+    ) -> "OrchestratorResult":
+        """The result of a run over the last ``duration`` recorded seconds.
+
+        ``kpis`` is the application's KPI record
+        (``simulation._kpis[application]``), ``extra`` the per-tick
+        extra-replica counts and ``baseline`` the replica count at the
+        start of the run.  A zero-tick run reports empty series.
+        """
+        series = {
+            name: np.asarray(kpis[name][len(kpis[name]) - duration:])
+            for name in ("response_time", "throughput", "offered", "dropped")
+        }
+        return cls(
+            policy_name=policy_name,
+            duration=duration,
+            baseline_containers=baseline,
+            extra_replicas=np.asarray(extra, dtype=np.float64),
+            violations=slo_violations(
+                series["response_time"], series["dropped"], series["offered"],
+                slo,
+            ),
+            total_scale_outs=scale_outs,
+            **series,
+        )
+
     def as_row(self) -> dict:
         """Row in the shape of the paper's Table 7."""
         return {
@@ -86,8 +126,6 @@ class Orchestrator:
         baseline).
     slo:
         SLO thresholds (defaults to the paper's).
-    decision_interval:
-        Seconds between policy evaluations (1 = every tick).
     """
 
     def __init__(
@@ -97,18 +135,14 @@ class Orchestrator:
         policy,
         rules: ScalingRules | None = None,
         slo: SloPolicy | None = None,
-        decision_interval: int = 1,
     ):
         if application not in simulation.deployments:
             raise ValueError(f"Application {application} is not deployed.")
-        if decision_interval < 1:
-            raise ValueError("decision_interval must be >= 1.")
         self.simulation = simulation
         self.application = application
         self.policy = policy
         self.rules = rules
         self.slo = slo or SloPolicy()
-        self.decision_interval = decision_interval
         self.autoscaler = (
             Autoscaler(simulation=simulation, application=application, rules=rules)
             if rules is not None
@@ -133,7 +167,12 @@ class Orchestrator:
         self._t = 0
 
     def tick(self, arrivals: dict[str, float]) -> None:
-        """Advance the loop one second: step, predict, scale, account."""
+        """Advance the loop one second: step, predict, scale, account.
+
+        With a lifecycle manager on the policy, the tick ends by
+        reporting its SLO outcome (``outcome(t, violated)``) and then
+        stepping the manager (``step(t)``).
+        """
         if not hasattr(self, "_extra"):
             raise RuntimeError("Call start() before tick().")
         timed = obs.enabled()
@@ -143,10 +182,7 @@ class Orchestrator:
                 self.simulation.step(
                     {app: float(rate) for app, rate in arrivals.items()}
                 )
-            if (
-                self.autoscaler is not None
-                and self._t % self.decision_interval == 0
-            ):
+            if self.autoscaler is not None:
                 with obs.trace("policy.saturated_services"):
                     saturated = self.policy.saturated_services(
                         self.simulation, self.application, self._t
@@ -156,6 +192,15 @@ class Orchestrator:
             self._extra.append(
                 self.autoscaler.extra_replicas if self.autoscaler else 0
             )
+            lifecycle = getattr(self.policy, "lifecycle", None)
+            if lifecycle is not None:
+                lifecycle.outcome(
+                    self._t,
+                    violated_last_tick(
+                        self.simulation._kpis[self.application], self.slo
+                    ),
+                )
+                lifecycle.step(self._t)
             self._t += 1
         if timed:
             obs.inc("orchestrator.ticks")
@@ -171,26 +216,14 @@ class Orchestrator:
         """Close the run and compute provisioning / SLO accounting."""
         if not hasattr(self, "_extra"):
             raise RuntimeError("Call start() before finish().")
-        duration = self._t
-        kpis = self.simulation._kpis[self.application]
-        response_time = np.asarray(kpis["response_time"][-duration:])
-        offered = np.asarray(kpis["offered"][-duration:])
-        dropped = np.asarray(kpis["dropped"][-duration:])
-        throughput = np.asarray(kpis["throughput"][-duration:])
-        violations = slo_violations(response_time, dropped, offered, self.slo)
-        result = OrchestratorResult(
-            policy_name=getattr(self.policy, "name", type(self.policy).__name__),
-            duration=duration,
-            baseline_containers=self._baseline,
-            extra_replicas=np.asarray(self._extra, dtype=np.float64),
-            violations=violations,
-            response_time=response_time,
-            throughput=throughput,
-            offered=offered,
-            dropped=dropped,
-            total_scale_outs=(
-                self.autoscaler.total_scale_outs if self.autoscaler else 0
-            ),
+        result = OrchestratorResult.from_kpis(
+            getattr(self.policy, "name", type(self.policy).__name__),
+            self.simulation._kpis[self.application],
+            self._t,
+            self._baseline,
+            self._extra,
+            self.autoscaler.total_scale_outs if self.autoscaler else 0,
+            self.slo,
         )
         del self._extra, self._t, self._baseline
         return result

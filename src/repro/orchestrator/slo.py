@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SloPolicy", "slo_violations"]
+__all__ = ["SloPolicy", "slo_violations", "violated_last_tick"]
 
 
 @dataclass(frozen=True)
@@ -54,4 +54,23 @@ def slo_violations(
         (response_time > policy.max_average_response_time)
         | (dropped > policy.drop_tolerance)
         | (failure_fraction > policy.max_failure_fraction)
+    )
+
+
+def violated_last_tick(kpis: dict, slo: SloPolicy | None = None) -> bool:
+    """Did the last recorded second of one application violate the SLO?
+
+    ``kpis`` is the application's KPI record
+    (``simulation._kpis[application]``); before any second is recorded
+    the answer is ``False``.
+    """
+    if not kpis["response_time"]:
+        return False
+    return bool(
+        slo_violations(
+            kpis["response_time"][-1:],
+            kpis["dropped"][-1:],
+            kpis["offered"][-1:],
+            slo,
+        ).any()
     )

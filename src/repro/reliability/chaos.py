@@ -311,17 +311,13 @@ def _default_node_faults(duration: int) -> tuple:
 
 
 def _build_orchestrator(model, policy_factory, seed: int):
-    from repro.apps.teastore import teastore_application
-    from repro.cluster.simulation import ClusterSimulation
     from repro.datasets.experiments import (
-        evaluation_nodes,
-        teastore_placements,
         teastore_scaling_rules,
+        teastore_simulation,
     )
     from repro.orchestrator.loop import Orchestrator
 
-    simulation = ClusterSimulation(evaluation_nodes(), seed=seed)
-    simulation.deploy(teastore_application(), teastore_placements())
+    simulation = teastore_simulation(seed)
     policy = policy_factory(simulation)
     return (
         Orchestrator(simulation, "teastore", policy, teastore_scaling_rules()),

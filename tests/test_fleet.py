@@ -657,6 +657,34 @@ class TestOrchestratorGuards:
         assert result([2.0, 2.0], 4).average_provisioning == 0.5
 
 
+class TestShardRunnerGuards:
+    """The shard runner refuses to run unstarted, and a zero-tick run
+    reports none of the seconds recorded before it."""
+
+    def test_tick_before_start_raises_and_steps_nothing(self, tiny_model):
+        runner = FleetShardRunner(0, make_fleet_specs(2), tiny_model)
+        with pytest.raises(RuntimeError, match="start"):
+            runner.tick([50.0, 50.0])
+        assert [cell.simulation.clock for cell in runner.cells] == [0, 0]
+        with pytest.raises(RuntimeError, match="start"):
+            runner.finish()
+
+    def test_zero_tick_run_reports_empty_series(self, tiny_model):
+        runner = FleetShardRunner(0, make_fleet_specs(2), tiny_model)
+        for _ in range(5):
+            runner.lockstep.step(
+                [{cell.application: 80.0} for cell in runner.cells]
+            )
+        runner.start()
+        result = runner.finish()
+        assert len(result.cells) == 2
+        for cell in result.cells.values():
+            assert cell.duration == 0
+            assert cell.response_time.size == 0
+            assert cell.violations.size == 0
+            assert cell.extra_replicas.size == 0
+
+
 class MonitorlessPolicyStub:
     name = "stub"
 

@@ -503,14 +503,57 @@ class TestPolicyWiring:
                 lifecycle=manager,
             )
 
-    def test_fleet_phase_shape_unchanged_without_lifecycle(self, tiny_model):
-        from repro.fleet.policy import FleetPolicy
+    def test_plain_orchestrator_reports_outcome_then_step(self, tiny_model):
+        """Each tick of a plain loop ends with the manager's hooks: the
+        policy's ``observe``, then ``outcome`` with the tick's SLO
+        verdict, then ``step``."""
+        from repro.datasets.experiments import (
+            teastore_scaling_rules,
+            teastore_simulation,
+        )
+        from repro.orchestrator.loop import Orchestrator
+        from repro.orchestrator.policies import MonitorlessPolicy
+        from repro.telemetry.agent import TelemetryAgent
+        from repro.workloads.patterns import linear_ramp
 
-        assert "shadow" not in FleetPolicy(tiny_model).phase_seconds
-        registry = ModelRegistry.__new__(ModelRegistry)  # placeholder
-        manager = object.__new__(LifecycleManager)
-        with_lifecycle = FleetPolicy(tiny_model, lifecycle=manager)
-        assert with_lifecycle.phase_seconds["shadow"] == 0.0
+        spy = _HookSpy(tiny_model)
+        policy = MonitorlessPolicy(
+            tiny_model, TelemetryAgent(seed=0), lifecycle=spy
+        )
+        orchestrator = Orchestrator(
+            teastore_simulation(0), "teastore", policy,
+            teastore_scaling_rules(),
+        )
+        ticks = 40
+        result = orchestrator.run({"teastore": linear_ramp(ticks, 100, 900)})
+        assert result.slo_violation_count > 0
+        assert spy.calls == _expected_hooks(spy, result.violations)
+
+    def test_fleet_shard_reports_any_cell_violation(self, tiny_model):
+        """The shard runner ends its ticks the same way; the outcome is
+        violated when any of its cells violated."""
+        from repro.fleet.orchestrator import (
+            FleetShardRunner,
+            default_fleet_workloads,
+            make_fleet_specs,
+        )
+
+        spy = _HookSpy(tiny_model)
+        ticks = 40
+        runner = FleetShardRunner(
+            0, make_fleet_specs(2), tiny_model,
+            policy_options={"lifecycle": spy},
+        )
+        rates = default_fleet_workloads(2, ticks, low=100.0, high=900.0)
+        runner.start()
+        for t in range(ticks):
+            runner.tick(rates[:, t])
+        first, second = (
+            cell.violations for cell in runner.finish().cells.values()
+        )
+        # Some ticks have exactly one violating cell.
+        assert (first != second).any()
+        assert spy.calls == _expected_hooks(spy, first | second)
 
     def test_fallback_records_typed_classifier_error(
         self, tiny_model, monkeypatch
@@ -534,6 +577,38 @@ class TestPolicyWiring:
         assert counters["fallback.classifier_errors"] >= 1
         assert counters["fallback.classifier_error{type=ValueError}"] >= 1
         assert policy.last_classifier_error == "ValueError"
+
+
+class _HookSpy:
+    """Stands in for a ``LifecycleManager``: serves a fixed champion and
+    records the loop's calls into it."""
+
+    def __init__(self, champion):
+        self.champion = champion
+        self.calls = []
+
+    def observe(self, t, features, flags, completeness=None):
+        self.calls.append(("observe", t))
+
+    def outcome(self, t, violated):
+        self.calls.append(("outcome", t, violated))
+
+    def step(self, t):
+        self.calls.append(("step", t))
+
+
+def _expected_hooks(spy, violations) -> list:
+    """Per tick: ``observe`` if the tick classified rows, then
+    ``outcome`` with that tick's SLO verdict, then ``step``."""
+    observed = {call[1] for call in spy.calls if call[0] == "observe"}
+    assert len(observed) > len(violations) // 2
+    expected = []
+    for t, violated in enumerate(violations.tolist()):
+        if t in observed:
+            expected.append(("observe", t))
+        expected.append(("outcome", t, violated))
+        expected.append(("step", t))
+    return expected
 
 
 # ----------------------------------------------------------------------
@@ -678,6 +753,24 @@ class TestDriftScenario:
         parallel = run_drift_scenario(tiny_model, tmp_path, config)
         assert json.dumps(
             parallel.promotion_history(), sort_keys=True
+        ) == json.dumps(scenario_result.promotion_history(), sort_keys=True)
+
+    def test_plain_orchestrator_reproduces_the_promotion_history(
+        self, tiny_model, scenario_result, tmp_path
+    ):
+        """Feeding the scenario's arrivals straight to its orchestrator,
+        without ``run_until``, detects, retrains and promotes alike."""
+        config = DriftScenarioConfig()
+        runner = DriftScenarioRunner(tiny_model, tmp_path, config)
+        for t in range(config.duration):
+            arrivals = {"teastore": float(runner.workload[t])}
+            if antagonist_active(config, t):
+                arrivals[runner.antagonist_name] = config.antagonist_rate
+            runner.orchestrator.tick(arrivals)
+        result = runner.finish()
+        assert result.promoted
+        assert json.dumps(
+            result.promotion_history(), sort_keys=True
         ) == json.dumps(scenario_result.promotion_history(), sort_keys=True)
 
     def test_promotion_history_reproduces_across_kill_and_resume(

@@ -338,6 +338,47 @@ class TestRuntimeInstrumentation:
         assert np.array_equal(clean.response_time, instrumented.response_time)
         assert np.array_equal(clean.throughput, instrumented.throughput)
 
+    def _fleet_loop(self, model, ticks=8):
+        from repro.fleet.orchestrator import (
+            FleetShardRunner,
+            default_fleet_workloads,
+            make_fleet_specs,
+        )
+
+        runner = FleetShardRunner(0, make_fleet_specs(3), model)
+        rates = default_fleet_workloads(3, ticks, low=100.0, high=900.0)
+        runner.start()
+        for t in range(ticks):
+            runner.tick(rates[:, t])
+        return runner.finish()
+
+    def test_fleet_results_identical_under_observability(self, tiny_model):
+        clean = self._fleet_loop(tiny_model)
+        obs.enable()
+        instrumented = self._fleet_loop(tiny_model)
+        assert clean.decisions == instrumented.decisions
+        assert any(clean.decisions)
+        for namespace, cell in clean.cells.items():
+            other = instrumented.cells[namespace]
+            assert np.array_equal(cell.extra_replicas, other.extra_replicas)
+            assert np.array_equal(cell.response_time, other.response_time)
+            assert np.array_equal(cell.violations, other.violations)
+
+    def test_fleet_tick_span_tree(self, tiny_model):
+        """A shard tick opens the per-application loop's spans, with the
+        fleet policy's phases under ``policy.fleet``."""
+        obs.enable()
+        self._fleet_loop(tiny_model, ticks=6)
+        (tick,) = obs.aggregate_spans(obs.span_roots())
+        assert tick["name"] == "orchestrator.tick"
+        assert tick["calls"] == 6
+        children = {child["name"]: child for child in tick["children"]}
+        assert list(children) == [
+            "simulation.step", "policy.fleet", "autoscaler.act",
+        ]
+        phases = {child["name"] for child in children["policy.fleet"]["children"]}
+        assert {"fleet.synthesize", "fleet.push_rows", "policy.classify"} <= phases
+
     def test_forest_fit_predict_counters(self, binary_data):
         from repro.ml.forest import RandomForestClassifier
 

@@ -14,7 +14,7 @@ from repro.orchestrator.policies import (
     ResponseTimePolicy,
     ThresholdPolicy,
 )
-from repro.orchestrator.slo import SloPolicy, slo_violations
+from repro.orchestrator.slo import SloPolicy, slo_violations, violated_last_tick
 from repro.telemetry.agent import TelemetryAgent
 from repro.workloads.patterns import constant, step_levels
 
@@ -48,6 +48,22 @@ class TestSlo:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             slo_violations(np.zeros(2), np.zeros(3), np.zeros(2))
+
+    def test_violated_last_tick_reads_only_the_last_second(self):
+        kpis = {"response_time": [], "dropped": [], "offered": []}
+        assert violated_last_tick(kpis) is False
+        kpis = {
+            "response_time": [0.9, 0.1],
+            "dropped": [0.0, 0.0],
+            "offered": [100.0, 100.0],
+        }
+        assert violated_last_tick(kpis) is False
+        kpis["response_time"].append(0.2)
+        kpis["dropped"].append(5.0)
+        kpis["offered"].append(100.0)
+        assert violated_last_tick(kpis) is True
+        lenient = SloPolicy(max_failure_fraction=0.5, drop_tolerance=10.0)
+        assert violated_last_tick(kpis, lenient) is False
 
 
 def _teastore_sim():
@@ -190,6 +206,24 @@ class TestOrchestratorLoop:
         result = orchestrator.run({"teastore": constant(10, 50.0)})
         row = result.as_row()
         assert set(row) == {"algorithm", "provisioning", "slo_violations"}
+
+    @pytest.mark.parametrize("duration", [0, 5])
+    def test_run_reports_only_its_own_seconds(self, duration):
+        """The seconds recorded before a run started are not part of
+        it, not even when the run has no ticks."""
+        sim = _teastore_sim()
+        for _ in range(30):
+            sim.step({"teastore": 900.0})
+        orchestrator = Orchestrator(sim, "teastore", NoScalingPolicy(), _rules())
+        result = orchestrator.run({"teastore": np.full(duration, 50.0)})
+        assert result.duration == duration
+        for series in (
+            result.extra_replicas, result.violations, result.response_time,
+            result.throughput, result.offered, result.dropped,
+        ):
+            assert series.size == duration
+        response_time = sim._kpis["teastore"]["response_time"]
+        assert result.response_time.tolist() == response_time[30:]
 
     def test_unknown_application_rejected(self):
         sim = _teastore_sim()
