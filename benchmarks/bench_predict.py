@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.ml.base import check_array
-from repro.ml.forest import RandomForestClassifier, _PREDICT_CHUNK_TREES
+from repro.ml.flatforest import _CHUNK_TREES
+from repro.ml.forest import RandomForestClassifier
 from repro.parallel.jobs import available_cores
 
 from conftest import SEED
@@ -52,8 +53,8 @@ def per_tree_proba(forest, X):
     X = check_array(X)
     k = len(forest.classes_)
     partials = []
-    for start in range(0, len(forest.estimators_), _PREDICT_CHUNK_TREES):
-        chunk = forest.estimators_[start:start + _PREDICT_CHUNK_TREES]
+    for start in range(0, len(forest.estimators_), _CHUNK_TREES):
+        chunk = forest.estimators_[start:start + _CHUNK_TREES]
         votes = np.zeros((X.shape[0], k))
         for tree in chunk:
             votes[:, tree.classes_] += tree.tree_value_[tree._apply(X)]

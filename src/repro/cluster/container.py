@@ -72,13 +72,5 @@ class Container:
             raise RuntimeError(f"Container {self.name} has no recorded ticks.")
         return self.history[-1]
 
-    @property
-    def cpu_limit_cores(self) -> float | None:
-        return self.cpu_cgroup.quota_cores
-
-    @property
-    def memory_limit_bytes(self) -> float | None:
-        return self.memory_cgroup.limit_bytes
-
     def __str__(self) -> str:
         return f"{self.application}/{self.service}/{self.name}"

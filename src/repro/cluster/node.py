@@ -148,18 +148,6 @@ class Node:
         self.containers.remove(container)
         container.node = None
 
-    def cpu_shares(self, demands: np.ndarray) -> np.ndarray:
-        """Fair CPU shares (cores) for the given per-container demands."""
-        return fair_share(demands, float(self.spec.cores))
-
-    def disk_shares(self, demands: np.ndarray) -> np.ndarray:
-        """Fair disk-bandwidth shares (bytes/s)."""
-        return fair_share(demands, self.spec.disk_bandwidth)
-
-    def network_shares(self, demands: np.ndarray) -> np.ndarray:
-        """Fair NIC-bandwidth shares (bytes/s)."""
-        return fair_share(demands, self.spec.network_bandwidth)
-
     @property
     def name(self) -> str:
         return self.spec.name

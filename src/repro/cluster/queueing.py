@@ -117,10 +117,5 @@ class BacklogQueue:
         self.backlog = remaining - dropped
         return completed, dropped
 
-    @property
-    def waiting_time(self) -> float:
-        """Ticks of work currently queued (Little's law proxy)."""
-        return self.backlog
-
     def reset(self) -> None:
         self.backlog = 0.0

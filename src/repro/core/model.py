@@ -16,7 +16,6 @@ threshold of 0.4 implements the paper's FN-averse operating point.
 
 from __future__ import annotations
 
-import inspect
 import pickle
 from pathlib import Path
 from typing import Any, Sequence
@@ -31,44 +30,7 @@ from repro.ml.gbm import GradientBoostingClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
 from repro.ml.neural import MLPClassifier
 
-__all__ = [
-    "MonitorlessModel",
-    "CLASSIFIERS",
-    "make_classifier",
-    "predict_proba_trusted",
-]
-
-# Per-class cache of whether predict_proba accepts ``check_input``;
-# probed once with inspect instead of try/except per tick.
-_CHECK_INPUT_SUPPORT: dict[type, bool] = {}
-
-
-def _supports_check_input(classifier) -> bool:
-    cls = type(classifier)
-    cached = _CHECK_INPUT_SUPPORT.get(cls)
-    if cached is None:
-        try:
-            parameters = inspect.signature(cls.predict_proba).parameters
-            cached = "check_input" in parameters
-        except (AttributeError, TypeError, ValueError):
-            cached = False
-        _CHECK_INPUT_SUPPORT[cls] = cached
-    return cached
-
-
-def predict_proba_trusted(classifier, features: np.ndarray) -> np.ndarray:
-    """``predict_proba`` skipping input re-validation where supported.
-
-    The fleet serving path hands the classifier feature matrices it
-    already owns and validated (pipeline output buffers),
-    so the per-call ``check_array`` pass is pure overhead there.  Tree
-    and forest classifiers expose ``check_input=False`` for exactly
-    this; classifiers without the parameter get the ordinary call.
-    Results are identical either way -- only the validation is skipped.
-    """
-    if _supports_check_input(classifier):
-        return classifier.predict_proba(features, check_input=False)
-    return classifier.predict_proba(features)
+__all__ = ["MonitorlessModel", "CLASSIFIERS", "make_classifier"]
 
 # Factory defaults follow the paper's grid-search winners (Table 2,
 # underlined values).  Tree count / depth are scaled down from the
@@ -282,16 +244,25 @@ class MonitorlessModel:
             )
         return self.classifier_.predict_proba(features)[:, 1]
 
+    def flags(self, features: np.ndarray) -> np.ndarray:
+        """Saturation verdict per row of an *engineered* feature matrix.
+
+        The one place a probability becomes a verdict: a row is flagged
+        when the positive-class probability reaches
+        ``prediction_threshold``; classifiers without probabilities
+        flag the rows their own ``predict`` labels 1.
+        """
+        self._check_fitted()
+        if hasattr(self.classifier_, "predict_proba"):
+            positive = self.classifier_.predict_proba(features)[:, 1]
+            return positive >= self.prediction_threshold
+        return np.asarray(self.classifier_.predict(features)) == 1
+
     def predict(
         self, X: np.ndarray, meta: Sequence[FeatureMeta], groups=None
     ) -> np.ndarray:
         """Binary saturation prediction per sample (1 = saturated)."""
-        self._check_fitted()
-        features = self.transform(X, meta, groups)
-        if hasattr(self.classifier_, "predict_proba"):
-            positive = self.classifier_.predict_proba(features)[:, 1]
-            return (positive >= self.prediction_threshold).astype(np.int64)
-        return np.asarray(self.classifier_.predict(features)).astype(np.int64)
+        return self.flags(self.transform(X, meta, groups)).astype(np.int64)
 
     def feature_importances(self, top: int | None = None) -> list[tuple[str, float]]:
         """(name, importance) pairs sorted descending (Table 4 view).

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.core.model import predict_proba_trusted
 from repro.fleet.features import FleetPipelineStream
 from repro.fleet.membership import FleetIndex, FleetMember
 from repro.fleet.telemetry import FleetTelemetryStream
@@ -398,15 +397,7 @@ class FleetPolicy:
     def _classify(self, rows: np.ndarray) -> np.ndarray:
         """Per-row saturation flags from one fleet-matrix prediction."""
         with obs.trace("policy.classify"):
-            batch = self.features.features[rows]
-            classifier = self.model.classifier_
-            if hasattr(classifier, "predict_proba"):
-                # The fleet feature matrix is already validated float64;
-                # skip the per-tick check_array re-validation.
-                positive = predict_proba_trusted(classifier, batch)[:, 1]
-                flags = positive >= self.model.prediction_threshold
-            else:
-                flags = np.asarray(classifier.predict(batch)) == 1
+            flags = self.model.flags(self.features.features[rows])
         if obs.enabled():
             obs.inc("policy.classified_instances", float(rows.size))
             obs.inc("policy.saturation_verdicts", float(flags.sum()))

@@ -36,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.core.model import predict_proba_trusted
 from repro.lifecycle.drift import DriftDetector, DriftStatus
 from repro.lifecycle.registry import ModelRegistry
 from repro.lifecycle.retrain import Retrainer, StreamWindow
@@ -124,11 +123,6 @@ class LifecycleManager:
     # ------------------------------------------------------------------
     # Serving-side hooks
     # ------------------------------------------------------------------
-    @property
-    def champion_model(self):
-        """The model the policy must serve with (follows promotions)."""
-        return self.champion
-
     def observe(
         self, t: int, features: np.ndarray, flags, completeness=None
     ) -> np.ndarray | None:
@@ -149,16 +143,7 @@ class LifecycleManager:
                 self.detector.update(features, completeness)
             challenger_flags = None
             if self.challenger is not None:
-                classifier = self.challenger.classifier_
-                if hasattr(classifier, "predict_proba"):
-                    positive = predict_proba_trusted(classifier, features)[:, 1]
-                    challenger_flags = (
-                        positive >= self.challenger.prediction_threshold
-                    )
-                else:
-                    challenger_flags = (
-                        np.asarray(classifier.predict(features)) == 1
-                    )
+                challenger_flags = self.challenger.flags(features)
                 obs.inc("lifecycle.shadow_ticks")
             if self.stream is not None:
                 if completeness is None:

@@ -52,8 +52,17 @@ _TRANSITIONS = {
 }
 
 
+#: The keys of every index record (what :meth:`ModelRegistry.register`
+#: writes).
+_RECORD_KEYS = frozenset({
+    "version", "stage", "fingerprint", "corpus_fingerprint",
+    "parent_version", "reason", "tick", "file",
+})
+
+
 class RegistryError(RuntimeError):
-    """An invalid registry operation (unknown version, bad transition)."""
+    """An invalid registry operation (unknown version, bad transition)
+    or a corrupt registry index."""
 
 
 def corpus_fingerprint(X, y) -> str:
@@ -78,9 +87,7 @@ class ModelRegistry:
         self._events: list[dict] = []
         index = self.root / "registry.json"
         if index.exists():
-            state = json.loads(index.read_text())
-            self._records = list(state.get("records", []))
-            self._events = list(state.get("events", []))
+            self._records, self._events = _read_index(index)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -262,3 +269,38 @@ class ModelRegistry:
             + "\n"
         )
         os.replace(temp, index)
+
+
+def _read_index(index: Path) -> tuple[list[dict], list[dict]]:
+    """The records and events of a ``registry.json``.
+
+    Anything but an object whose ``records`` and ``events`` are lists
+    of objects, each record carrying every key ``register`` writes, a
+    known stage and its position as version, raises
+    :class:`RegistryError` naming the file.
+    """
+    try:
+        state = json.loads(index.read_bytes())
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise RegistryError(f"Corrupt registry index {index}: {error}") from error
+    if not isinstance(state, dict):
+        raise RegistryError(f"Corrupt registry index {index}: not an object.")
+    records, events = state.get("records"), state.get("events")
+    for name, entries in (("records", records), ("events", events)):
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) for entry in entries
+        ):
+            raise RegistryError(
+                f"Corrupt registry index {index}: {name!r} is not a list "
+                "of objects."
+            )
+    for version, record in enumerate(records, start=1):
+        if (
+            not _RECORD_KEYS <= record.keys()
+            or record["stage"] not in STAGES
+            or record["version"] != version
+        ):
+            raise RegistryError(
+                f"Corrupt registry index {index}: bad record {record!r}."
+            )
+    return records, events

@@ -154,26 +154,15 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
     def _flat(self) -> FlatTrees:
         """Weak learners compiled flat, leaf tables at full class width.
 
-        Each learner's value table is expanded to ``len(classes_)``
-        columns via its own ``classes_`` so the per-learner score math
-        below reads one gathered probability row per (sample, round).
+        :meth:`FlatTrees.from_classifiers` widens each learner's value
+        table to ``len(classes_)`` columns, so the per-learner score
+        math below reads one gathered probability row per (sample,
+        round).
         """
         flat = self.__dict__.get("_flat_trees_")
         if flat is None:
-            k = len(self.classes_)
-            values = []
-            for learner in self.estimators_:
-                table = learner.tree_value_
-                if table.shape[1] == k:
-                    values.append(table)
-                else:
-                    expanded = np.zeros((table.shape[0], k))
-                    expanded[:, learner.classes_] = table
-                    values.append(expanded)
-            flat = FlatTrees.from_arrays(
-                [(t.tree_feature_, t.tree_threshold_, t.tree_left_,
-                  t.tree_right_) for t in self.estimators_],
-                values,
+            flat = FlatTrees.from_classifiers(
+                self.estimators_, n_classes=len(self.classes_)
             )
             self._flat_trees_ = flat
         return flat

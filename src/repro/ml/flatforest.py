@@ -38,11 +38,10 @@ _LEAF = -1
 #: 250-tree forest at ~131 rows.
 _UNCHUNKED_CELLS = 32768
 
-#: Trees per traversal chunk above the cell cutoff.  Matches the
-#: forest's historical vote-chunk width so one traversal chunk feeds
-#: one vote chunk.
+#: Trees per traversal chunk above the cell cutoff, and trees per vote
+#: chunk in :class:`FlatForest`: the historical per-tree loop's chunk
+#: width, so one traversal chunk feeds one vote chunk.
 _CHUNK_TREES = 16
-
 
 
 def tree_apply(feature, threshold, left, right, X) -> np.ndarray:
@@ -128,6 +127,34 @@ class FlatTrees:
         value = np.concatenate([np.asarray(v, dtype=np.float64) for v in values])
         return cls(feature, threshold, left, right, offsets, value)
 
+    @classmethod
+    def from_classifiers(cls, estimators, n_classes: int) -> "FlatTrees":
+        """Compile fitted ``DecisionTreeClassifier`` ensemble members.
+
+        Each tree's ``(n_nodes, k_tree)`` value table is widened to the
+        ensemble's ``n_classes`` columns via its own ``classes_`` (a
+        bootstrap or a boosting round may have missed a class).  The
+        inserted columns are exact ``0.0`` and probabilities are never
+        ``-0.0``, so adding them is a bitwise no-op versus the per-tree
+        ``votes[:, tree.classes_] +=`` scatter.
+        """
+        values = []
+        for tree in estimators:
+            table = tree.tree_value_
+            if table.shape[1] == n_classes and np.array_equal(
+                tree.classes_, np.arange(n_classes)
+            ):
+                values.append(table)
+            else:
+                expanded = np.zeros((table.shape[0], n_classes))
+                expanded[:, np.asarray(tree.classes_, dtype=np.int64)] = table
+                values.append(expanded)
+        return cls.from_arrays(
+            [(tree.tree_feature_, tree.tree_threshold_, tree.tree_left_,
+              tree.tree_right_) for tree in estimators],
+            values,
+        )
+
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
@@ -173,48 +200,22 @@ class FlatForest:
 
     Wraps the traversal kernel with the forest's vote semantics: leaf
     probability rows gathered for all trees at once, then accumulated
-    in the historical order -- left to right within each
-    ``chunk_trees``-wide chunk (``np.add.accumulate``), then chunk
-    partials left to right -- so ``predict_proba`` output is
-    bitwise-equal to the per-tree reference loop.
+    in the historical order -- left to right within each 16-tree chunk
+    (``np.add.accumulate``), then chunk partials left to right -- so
+    ``predict_proba`` output is bitwise-equal to the per-tree reference
+    loop.
     """
 
-    def __init__(self, flat: FlatTrees, n_estimators: int,
-                 chunk_trees: int = _CHUNK_TREES):
+    def __init__(self, flat: FlatTrees, n_estimators: int):
         self.flat = flat
         self.n_estimators = n_estimators
-        self.chunk_trees = chunk_trees
 
     @classmethod
-    def from_estimators(cls, estimators, n_classes: int,
-                        chunk_trees: int = _CHUNK_TREES) -> "FlatForest":
-        """Compile fitted ``DecisionTreeClassifier`` ensemble members.
-
-        Each tree's ``(n_nodes, k_tree)`` value table is expanded to
-        the ensemble's ``n_classes`` columns via its own ``classes_``
-        (a bootstrap may have missed a class).  The inserted columns
-        are exact ``0.0`` and probabilities are never ``-0.0``, so
-        adding them is a bitwise no-op versus the reference's indexed
-        ``votes[:, tree.classes_] +=`` scatter.
-        """
-        trees = []
-        values = []
-        for tree in estimators:
-            trees.append((
-                tree.tree_feature_, tree.tree_threshold_,
-                tree.tree_left_, tree.tree_right_,
-            ))
-            table = tree.tree_value_
-            if table.shape[1] == n_classes and np.array_equal(
-                tree.classes_, np.arange(n_classes)
-            ):
-                values.append(table)
-            else:
-                expanded = np.zeros((table.shape[0], n_classes))
-                expanded[:, np.asarray(tree.classes_, dtype=np.int64)] = table
-                values.append(expanded)
-        flat = FlatTrees.from_arrays(trees, values)
-        return cls(flat, len(estimators), chunk_trees=chunk_trees)
+    def from_estimators(cls, estimators, n_classes: int) -> "FlatForest":
+        """Compile a fitted forest's ``DecisionTreeClassifier`` members
+        (see :meth:`FlatTrees.from_classifiers`)."""
+        flat = FlatTrees.from_classifiers(estimators, n_classes)
+        return cls(flat, len(estimators))
 
     def predict_proba(self, X) -> np.ndarray:
         """Soft-vote class probabilities, bitwise-equal to the
@@ -227,8 +228,8 @@ class FlatForest:
         # sequential left fold (np.sum would pairwise-sum and drift).
         votes = self.flat.value[leaves]  # (n_rows, n_trees, k)
         accumulated = None
-        for start in range(0, self.flat.n_trees, self.chunk_trees):
-            block = votes[:, start:start + self.chunk_trees]
+        for start in range(0, self.flat.n_trees, _CHUNK_TREES):
+            block = votes[:, start:start + _CHUNK_TREES]
             partial = np.add.accumulate(block, axis=1)[:, -1]
             accumulated = partial if accumulated is None \
                 else accumulated + partial

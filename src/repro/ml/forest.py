@@ -3,12 +3,12 @@
 Bootstrap-bagged CART trees with per-tree feature subsampling.  Exposes
 ``feature_importances_`` (mean decrease in impurity), which the paper
 relies on twice: to filter the metric catalog down to the top-30 union
-(section 3.3.4) and to produce the Table-4 ranking.  ``predict_saturated``
-implements the paper's asymmetric operating point (section 4, prediction
-threshold 0.4) for FN-averse saturation detection.
+(section 3.3.4) and to produce the Table-4 ranking.  The paper's
+asymmetric operating point (prediction threshold 0.4) is applied by
+``MonitorlessModel.flags``, not here.
 
-Training and ensemble prediction are embarrassingly parallel and run
-through :mod:`repro.parallel` when ``n_jobs`` asks for workers.  The
+Training is embarrassingly parallel and runs through
+:mod:`repro.parallel` when ``n_jobs`` asks for workers.  The
 historical fit loop drew each tree's bootstrap indices and split seed
 interleaved from one shared RNG *inside* the loop; that randomness is
 now pre-drawn in the parent (same RNG, same draw order, so fixed-seed
@@ -22,6 +22,11 @@ bootstrap row vectors, kept in bootstrap order, instead of on per-tree
 copies of their rows; each tree is bitwise equal to one fitted on its
 copy.  Hist-mode trees gather their bootstrap rows from the shared
 ``uint8`` code matrix.
+
+Prediction always runs in-process on the compiled ``FlatForest``
+(:mod:`repro.ml.flatforest`): one traversal of all rows x all trees,
+votes summed in 16-tree chunks in the order of the historical per-tree
+loop, which ``tests/test_flatforest.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -40,17 +45,11 @@ from repro.ml.base import (
     compute_sample_weight,
 )
 from repro.ml.binning import Binner
-from repro.ml.flatforest import FlatForest
+from repro.ml.flatforest import _CHUNK_TREES, FlatForest
 from repro.ml.tree import DecisionTreeClassifier
-from repro.parallel import parallel_map, resolve_n_jobs
+from repro.parallel import parallel_map
 
 __all__ = ["RandomForestClassifier"]
-
-#: Trees per prediction task.  Fixed (never derived from ``n_jobs``) so
-#: the vote-accumulation order -- within a chunk, then across chunks --
-#: is identical however many workers run, keeping ``predict_proba``
-#: bitwise independent of ``n_jobs``.
-_PREDICT_CHUNK_TREES = 16
 
 
 def _fit_tree_task(task, arrays) -> DecisionTreeClassifier:
@@ -98,28 +97,6 @@ def _fit_tree_task(task, arrays) -> DecisionTreeClassifier:
     return tree
 
 
-def _predict_proba_task(task, arrays) -> np.ndarray:
-    """Accumulated (unnormalized) votes of one chunk of trees.
-
-    Votes go straight from each tree's leaf-value table into one
-    preallocated accumulator -- the per-tree ``check_array``
-    re-validation is skipped because the forest validated ``X`` once.
-    """
-    trees, n_classes = task
-    X = arrays["X"]
-    votes = np.zeros((X.shape[0], n_classes))
-    with obs.trace("forest.predict_chunk"):
-        for tree in trees:
-            # Trees are fitted on encoded labels, so their class order
-            # matches the forest's as long as every bootstrap saw all
-            # classes; map via each tree's own classes_ to stay correct
-            # when one did not.
-            votes[:, tree.classes_] += tree.tree_value_[tree._apply(X)]
-    obs.inc("forest.predict_chunks")
-    obs.inc("forest.predict_chunk_trees", len(trees))
-    return votes
-
-
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     """Ensemble of bootstrapped CART trees with soft-vote prediction.
 
@@ -127,10 +104,11 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     min_samples_leaf=20, criterion='entropy'`` ("information gain"),
     ``class_weight=None``.
 
-    ``n_jobs`` controls worker processes for both ``fit`` (bootstrap +
-    tree growing) and ``predict_proba`` (per-tree voting); ``None``/1
-    is serial, ``-1`` uses every core.  Results are bitwise identical
-    across ``n_jobs`` values for a fixed ``random_state``.
+    ``n_jobs`` controls worker processes for ``fit`` only (bootstrap +
+    tree growing); ``None``/1 is serial, ``-1`` uses every core.  The
+    fitted forest is bitwise identical across ``n_jobs`` values for a
+    fixed ``random_state``.  ``predict_proba`` always runs in-process
+    on the compiled flat forest, whatever ``n_jobs`` is.
 
     ``tree_method="hist"`` quantile-bins ``X`` once (``max_bins`` bins
     per feature) and grows every tree over the shared binned matrix --
@@ -259,9 +237,7 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         flat = self.__dict__.get("_flat_forest_")
         if flat is None:
             flat = FlatForest.from_estimators(
-                self.estimators_,
-                n_classes=len(self.classes_),
-                chunk_trees=_PREDICT_CHUNK_TREES,
+                self.estimators_, n_classes=len(self.classes_)
             )
             self._flat_forest_ = flat
         return flat
@@ -274,67 +250,24 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         state.pop("_flat_forest_", None)
         return state
 
-    def predict_proba(self, X, check_input: bool = True) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "estimators_")
-        if check_input:
-            X = check_array(X)
-        else:
-            # Trusted path: the caller guarantees a validated float64
-            # 2D matrix (streaming/fleet pipelines own their buffers).
-            X = np.asarray(X, dtype=np.float64)
+        X = check_array(X)
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X has {X.shape[1]} features; forest was fitted with "
                 f"{self.n_features_in_}."
             )
-        k = len(self.classes_)
         n_trees = len(self.estimators_)
-        n_chunks = -(-n_trees // _PREDICT_CHUNK_TREES)
-        if resolve_n_jobs(self.n_jobs) == 1:
-            # Serial: one batched all-rows x all-trees traversal over
-            # the compiled flat forest -- no pool dispatch, no per-tree
-            # Python loop.  Vote accumulation keeps the 16-tree chunk
-            # grouping, so the probabilities are bitwise-equal to the
-            # per-tree chunked path below at any n_jobs.
-            with obs.trace("forest.predict_proba"):
-                proba = self._flat().predict_proba(X)
-            obs.inc("forest.predict_chunks", n_chunks)
-            obs.inc("forest.predict_chunk_trees", n_trees)
-            return proba
-        chunks = [
-            self.estimators_[start:start + _PREDICT_CHUNK_TREES]
-            for start in range(0, n_trees, _PREDICT_CHUNK_TREES)
-        ]
-        # Each task already bundles _PREDICT_CHUNK_TREES trees, so one
-        # task per dispatch is the right scheduling granularity.
         with obs.trace("forest.predict_proba"):
-            partials = parallel_map(
-                _predict_proba_task,
-                [(chunk, k) for chunk in chunks],
-                n_jobs=self.n_jobs,
-                shared={"X": X},
-                chunk_size=1,
-            )
-        accumulated = partials[0]
-        for votes in partials[1:]:
-            accumulated = accumulated + votes
-        return accumulated / n_trees
+            proba = self._flat().predict_proba(X)
+        obs.inc("forest.predict_chunks", -(-n_trees // _CHUNK_TREES))
+        obs.inc("forest.predict_chunk_trees", n_trees)
+        return proba
 
     def predict(self, X) -> np.ndarray:
         probabilities = self.predict_proba(X)
         return self.classes_[np.argmax(probabilities, axis=1)]
-
-    def predict_with_threshold(self, X, threshold: float = 0.5) -> np.ndarray:
-        """Binary prediction with an adjustable positive-class threshold.
-
-        The paper sets ``threshold=0.4`` to bias the detector against
-        false negatives (missed saturation costs more than an
-        unnecessary scale-out).
-        """
-        if len(self.classes_) != 2:
-            raise ValueError("Threshold prediction requires a binary problem.")
-        positive = self.predict_proba(X)[:, 1]
-        return np.where(positive >= threshold, self.classes_[1], self.classes_[0])
 
     def top_features(self, k: int = 30) -> np.ndarray:
         """Indices of the ``k`` most important features, descending."""

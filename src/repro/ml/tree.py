@@ -972,14 +972,9 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             self.tree_left_, self.tree_right_, X,
         )
 
-    def predict_proba(self, X, check_input: bool = True) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_feature_")
-        if check_input:
-            X = check_array(X)
-        else:
-            # Trusted path: the caller guarantees a validated float64
-            # 2D matrix (streaming/fleet pipelines own their buffers).
-            X = np.asarray(X, dtype=np.float64)
+        X = check_array(X)
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"X has {X.shape[1]} features; tree was fitted with "

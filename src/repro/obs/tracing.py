@@ -41,10 +41,6 @@ class Span:
         self.duration_ns = 0
         self.children: list[Span] = []
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.duration_ns / 1e9
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -201,16 +201,25 @@ def _parse(path: Path) -> tuple[dict, bytes]:
         header = json.loads(body[:newline].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise CheckpointError(f"{path} has a corrupt header.") from error
-    if header.get("format") != FORMAT_VERSION:
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path} has a corrupt header (not an object).")
+    # JSON booleans decode to bool, an int subclass: compare types exactly.
+    version = header.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path} has checkpoint format {header.get('format')!r}; "
+            f"{path} has checkpoint format {version!r}; "
             f"this build reads format {FORMAT_VERSION}."
         )
-    payload = body[newline + 1:]
-    if len(payload) != header.get("payload_bytes"):
+    size, digest = header.get("payload_bytes"), header.get("sha256")
+    if type(size) is not int or type(digest) is not str:
         raise CheckpointError(
-            f"{path} is truncated: header promises "
-            f"{header.get('payload_bytes')} payload bytes, found "
-            f"{len(payload)}."
+            f"{path} has a corrupt header (payload_bytes {size!r}, "
+            f"sha256 {digest!r})."
+        )
+    payload = body[newline + 1:]
+    if len(payload) != size:
+        raise CheckpointError(
+            f"{path} is truncated: header promises {size} payload bytes, "
+            f"found {len(payload)}."
         )
     return header, payload

@@ -45,7 +45,6 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.faults import MetricDropout, _dropout_seed
-from repro.core.model import predict_proba_trusted
 from repro.reliability.chaos import ChaosAgent, InjectedTelemetryError
 from repro.reliability.fallback import DEGRADED, FAILSAFE, HEALTHY, RECOVERING
 from repro.reliability.telemetry import (
@@ -698,7 +697,7 @@ class ReferenceMonitorlessPolicy:
             batch = np.vstack(current_rows)
             classifier = self.model.classifier_
             if hasattr(classifier, "predict_proba"):
-                positive = predict_proba_trusted(classifier, batch)[:, 1]
+                positive = classifier.predict_proba(batch)[:, 1]
                 flags = positive >= self.model.prediction_threshold
             else:
                 flags = np.asarray(classifier.predict(batch)) == 1

@@ -263,3 +263,50 @@ class TestMonitorlessModel:
         X, meta, _, _ = synthetic_metrics()
         with pytest.raises(RuntimeError, match="fitted"):
             MonitorlessModel().predict(X, meta)
+
+
+class _FixedProbabilities:
+    """A classifier stub whose positive-class probabilities are fixed."""
+
+    def __init__(self, positive):
+        self.positive = np.asarray(positive, dtype=np.float64)
+
+    def predict_proba(self, features):
+        return np.column_stack([1.0 - self.positive, self.positive])
+
+
+class TestFlags:
+    def test_threshold_is_inclusive(self):
+        model = MonitorlessModel(prediction_threshold=0.4)
+        model.pipeline_ = MonitorlessPipeline(PipelineConfig())
+        model.classifier_ = _FixedProbabilities([0.4, np.nextafter(0.4, 0.0)])
+        np.testing.assert_array_equal(
+            model.flags(np.zeros((2, 3))), [True, False]
+        )
+
+    def test_margin_classifier_uses_its_own_predict(self):
+        X, meta, y, groups = synthetic_metrics()
+        model = MonitorlessModel(
+            pipeline_config=PipelineConfig(temporal_windows=(1,)),
+            classifier="svc",
+        ).fit(X, meta, y, groups)
+        assert not hasattr(model.classifier_, "predict_proba")
+        features = model.transform(X, meta, groups)
+        flags = model.flags(features)
+        assert flags.dtype == bool
+        np.testing.assert_array_equal(
+            flags, model.classifier_.predict(features) == 1
+        )
+        assert flags.any() and not flags.all()
+
+    def test_predict_is_flags_of_transform(self):
+        X, meta, y, groups = synthetic_metrics()
+        model = MonitorlessModel(
+            pipeline_config=PipelineConfig(temporal_windows=(1,)),
+            classifier_params={"n_estimators": 10},
+        ).fit(X, meta, y, groups)
+        predictions = model.predict(X, meta)
+        assert predictions.dtype == np.int64
+        np.testing.assert_array_equal(
+            predictions, model.flags(model.transform(X, meta)).astype(np.int64)
+        )

@@ -14,13 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.ml.boosting import AdaBoostClassifier
 from repro.ml.flatforest import FlatTrees, tree_apply
-from repro.ml.forest import (
-    RandomForestClassifier,
-    _PREDICT_CHUNK_TREES,
-    _predict_proba_task,
-)
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.gbm import GradientBoostingClassifier
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -44,13 +41,16 @@ def reference_apply(tree, X):
 
 
 def reference_forest_proba(forest, X):
-    """The historical chunked per-tree vote loop."""
+    """The historical chunked per-tree vote loop: each 16-tree chunk's
+    votes scattered into one accumulator through every tree's own
+    ``classes_``, then the chunk partials summed left to right."""
     k = len(forest.classes_)
-    chunks = [
-        forest.estimators_[s:s + _PREDICT_CHUNK_TREES]
-        for s in range(0, len(forest.estimators_), _PREDICT_CHUNK_TREES)
-    ]
-    partials = [_predict_proba_task((chunk, k), {"X": X}) for chunk in chunks]
+    partials = []
+    for start in range(0, len(forest.estimators_), 16):
+        votes = np.zeros((X.shape[0], k))
+        for tree in forest.estimators_[start:start + 16]:
+            votes[:, tree.classes_] += tree.tree_value_[tree._apply(X)]
+        partials.append(votes)
     accumulated = partials[0]
     for votes in partials[1:]:
         accumulated = accumulated + votes
@@ -182,22 +182,6 @@ class TestForestEquivalence:
             forest.predict_proba(Xq), reference_forest_proba(forest, Xq)
         )
 
-    def test_check_input_false_identical(self, training_data):
-        X, y = training_data
-        forest = RandomForestClassifier(
-            n_estimators=9, min_samples_leaf=4, random_state=1
-        ).fit(X, y)
-        Xq = np.random.default_rng(6).normal(size=(30, X.shape[1]))
-        np.testing.assert_array_equal(
-            forest.predict_proba(Xq),
-            forest.predict_proba(Xq, check_input=False),
-        )
-        tree = forest.estimators_[0]
-        np.testing.assert_array_equal(
-            tree.predict_proba(Xq),
-            tree.predict_proba(Xq, check_input=False),
-        )
-
     def test_hist_forest_float_path_equals_reference(self, training_data):
         """Hist-mode trees store raw bin-edge thresholds, so the float
         walk serves them bitwise like exact trees."""
@@ -224,6 +208,22 @@ class TestForestEquivalence:
         finally:
             forest.n_jobs = None
         np.testing.assert_array_equal(serial, pooled)
+
+        # n_jobs governs fit only: a forest fitted with workers predicts
+        # in-process, without starting a pool per call.
+        pooled_fit = RandomForestClassifier(
+            n_estimators=20, min_samples_leaf=4, random_state=4, n_jobs=2
+        ).fit(X, y)
+        obs.reset()
+        obs.enable()
+        try:
+            proba = pooled_fit.predict_proba(Xq)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counters.get("parallel.pool_runs", 0.0) == 0.0
+        np.testing.assert_array_equal(proba, serial)
 
     def test_refit_invalidates_compile(self, training_data):
         X, y = training_data

@@ -374,6 +374,86 @@ class TestRetrainer:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
+def _small_registry(root) -> bytes:
+    """A registry with a promotion history; returns its index bytes."""
+    registry = ModelRegistry(root)
+    registry.register(
+        {"weights": [1.0, 2.0]}, reason="bootstrap", stage="champion", tick=0
+    )
+    registry.register(
+        {"weights": [1.5, 2.0]}, reason="retrain@5:drift", tick=5,
+        parent_version=1, corpus_fingerprint="ab" * 32,
+    )
+    registry.transition(2, "shadow", tick=5, reason="drift")
+    registry.transition(2, "champion", tick=9, reason="shadow-win")
+    return (root / "registry.json").read_bytes()
+
+
+class TestCorruptRegistryIndex:
+    """A damaged ``registry.json`` fails with :class:`RegistryError`
+    naming the file, never with a bare exception."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[1]",
+            b'{"records": 5}',
+            b'{"records": [1]}',
+            b'{"records": [], "events": {}}',
+            b'{"rec',
+            b"\xff",
+        ],
+        ids=["list", "records-int", "record-int", "events-dict", "truncated",
+             "not-utf8"],
+    )
+    def test_corrupt_index_raises_registry_error(self, tmp_path, content):
+        (tmp_path / "registry.json").write_bytes(content)
+        with pytest.raises(RegistryError, match="registry.json"):
+            ModelRegistry(tmp_path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tick", None), ("stage", "zombie"), ("version", 7)],
+        ids=["missing-key", "unknown-stage", "out-of-order-version"],
+    )
+    def test_bad_record_raises_registry_error(self, tmp_path, field, value):
+        state = json.loads(_small_registry(tmp_path))
+        if value is None:
+            del state["records"][1][field]
+        else:
+            state["records"][1][field] = value
+        (tmp_path / "registry.json").write_text(json.dumps(state))
+        with pytest.raises(RegistryError, match="registry.json"):
+            ModelRegistry(tmp_path)
+
+    @pytest.fixture(scope="class")
+    def index(self, tmp_path_factory):
+        return _small_registry(tmp_path_factory.mktemp("registry"))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_truncated_or_flipped_index(self, tmp_path_factory, index, data):
+        root = tmp_path_factory.getbasetemp() / "fuzz-registry"
+        root.mkdir(exist_ok=True)
+        offset = data.draw(st.integers(0, len(index) - 1), label="offset")
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = index[:offset]
+        else:
+            mask = data.draw(st.integers(1, 255), label="mask")
+            damaged = (
+                index[:offset] + bytes([index[offset] ^ mask])
+                + index[offset + 1:]
+            )
+        (root / "registry.json").write_bytes(damaged)
+        try:
+            registry = ModelRegistry(root)
+            registry.lineage()
+            registry.champion()
+            registry.record(1)
+        except RegistryError:
+            pass
+
+
 class TestModelRegistry:
     def test_register_transition_and_reload(self, tiny_model, tmp_path):
         registry = ModelRegistry(tmp_path)

@@ -41,24 +41,6 @@ class TestAccuracy:
         assert accuracy_score(y_test, forest.predict(X_test)) > 0.8
 
 
-class TestThresholdPrediction:
-    def test_lower_threshold_never_reduces_positives(self, binary_data):
-        X_train, y_train, X_test, _ = binary_data
-        forest = RandomForestClassifier(n_estimators=15, random_state=0)
-        forest.fit(X_train, y_train)
-        at_04 = forest.predict_with_threshold(X_test, 0.4).sum()
-        at_05 = forest.predict_with_threshold(X_test, 0.5).sum()
-        at_08 = forest.predict_with_threshold(X_test, 0.8).sum()
-        assert at_04 >= at_05 >= at_08
-
-    def test_threshold_requires_binary(self):
-        X = np.random.default_rng(0).normal(size=(60, 3))
-        y = np.arange(60) % 3
-        forest = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
-        with pytest.raises(ValueError, match="binary"):
-            forest.predict_with_threshold(X, 0.4)
-
-
 class TestImportances:
     def test_top_features_finds_signal(self):
         generator = np.random.default_rng(1)

@@ -3,9 +3,12 @@
 chain, checkpoint/resume equivalence and the chaos harness."""
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.apps.solr import solr_application
@@ -36,6 +39,8 @@ from repro.reliability.checkpoint import (
     CheckpointError,
     load_checkpoint,
     read_header,
+    save_checkpoint,
+    write_record,
 )
 from repro.reliability.fallback import (
     DEGRADED,
@@ -746,6 +751,70 @@ class TestCheckpointResume:
             load_checkpoint(flipped)
         with pytest.raises(CheckpointError, match="read"):
             load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def _sha256_key_renamed(header):
+    return header.replace(b'"sha256"', b'"sha257"')
+
+
+def _list_header(header):
+    return b"[1]"
+
+
+def _sha256_number(header):
+    start = header.index(b'"sha256": "') + len(b'"sha256": ')
+    end = header.index(b'"', start + 1) + 1
+    return header[:start] + b"5" + header[end:]
+
+
+def _format_bool(header):
+    return header.replace(b'"format": 1', b'"format": true')
+
+
+class TestCorruptCheckpoints:
+    """Damaged record files fail with :class:`CheckpointError`, never a
+    bare exception, and never load a wrong state."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_sha256_key_renamed, _list_header, _sha256_number, _format_bool],
+    )
+    def test_corrupt_header_raises_checkpoint_error(self, tmp_path, damage):
+        path = tmp_path / "state.ckpt"
+        write_record(path, {"a": 1}, {"tick": 3})
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + damage(header) + b"\n" + payload)
+        with pytest.raises(CheckpointError):
+            read_header(path)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_truncated_or_flipped_checkpoint(self, tmp_path_factory, data):
+        state = SimpleNamespace(
+            application="teastore",
+            policy=SimpleNamespace(name="threshold"),
+            _t=3,
+            replicas=[1, 2, 2],
+        )
+        path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+        save_checkpoint(state, path)
+        blob = path.read_bytes()
+        offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[:offset]
+        else:
+            mask = data.draw(st.integers(1, 255), label="mask")
+            damaged = (
+                blob[:offset] + bytes([blob[offset] ^ mask]) + blob[offset + 1:]
+            )
+        path.write_bytes(damaged)
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert loaded == state
 
 
 # ----------------------------------------------------------------------
