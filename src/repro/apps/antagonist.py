@@ -27,7 +27,12 @@ from __future__ import annotations
 
 from repro.apps.base import ApplicationModel, ServiceSpec
 
-__all__ = ["ANTAGONIST_KINDS", "ANTAGONIST_RATE", "antagonist_application"]
+__all__ = [
+    "ANTAGONIST_KINDS",
+    "ANTAGONIST_RATE",
+    "antagonist_application",
+    "antagonist_name",
+]
 
 #: The canonical driving rate (requests/s) for intensity calibration.
 ANTAGONIST_RATE = 100.0
@@ -83,8 +88,13 @@ def antagonist_service(kind: str, intensity: float = 1.0) -> ServiceSpec:
     )
 
 
+def antagonist_name(kind: str) -> str:
+    """The application name of the ``kind`` stressor."""
+    return f"antagonist-{kind}"
+
+
 def antagonist_application(kind: str, intensity: float = 1.0) -> ApplicationModel:
     """A single-service noisy-neighbour application."""
-    application = ApplicationModel(name=f"antagonist-{kind}")
+    application = ApplicationModel(name=antagonist_name(kind))
     application.add_service(antagonist_service(kind, intensity))
     return application

@@ -338,17 +338,22 @@ def _cmd_inventory(args, out) -> int:
     return 0
 
 
-def _cmd_dataset(args, out) -> int:
-    import numpy as np
-
+def _corpus(args, out):
+    """The training corpus of ``--runs`` (default: all of Table 1)."""
     from repro.datasets.configs import run_by_id
     from repro.datasets.generate import build_training_corpus
 
     runs = [run_by_id(i) for i in args.runs] if args.runs else None
     print(f"Generating corpus ({args.duration}s per run)...", file=out)
-    corpus = build_training_corpus(
+    return build_training_corpus(
         duration=args.duration, seed=args.seed, runs=runs, n_jobs=args.jobs
     )
+
+
+def _cmd_dataset(args, out) -> int:
+    import numpy as np
+
+    corpus = _corpus(args, out)
     print(
         f"  {corpus.X.shape[0]} samples x {corpus.X.shape[1]} metrics, "
         f"{corpus.saturated_fraction:.0%} saturated",
@@ -366,14 +371,8 @@ def _cmd_dataset(args, out) -> int:
 
 def _cmd_train(args, out) -> int:
     from repro.core.model import MonitorlessModel
-    from repro.datasets.configs import run_by_id
-    from repro.datasets.generate import build_training_corpus
 
-    runs = [run_by_id(i) for i in args.runs] if args.runs else None
-    print(f"Generating corpus ({args.duration}s per run)...", file=out)
-    corpus = build_training_corpus(
-        duration=args.duration, seed=args.seed, runs=runs, n_jobs=args.jobs
-    )
+    corpus = _corpus(args, out)
     print(
         f"  {corpus.X.shape[0]} samples x {corpus.X.shape[1]} metrics, "
         f"{corpus.saturated_fraction:.0%} saturated",
@@ -398,16 +397,10 @@ def _cmd_train(args, out) -> int:
 def _cmd_gridsearch(args, out) -> int:
     import numpy as np
 
-    from repro.datasets.configs import run_by_id
-    from repro.datasets.generate import build_training_corpus
     from repro.ml.forest import RandomForestClassifier
     from repro.ml.model_selection import GridSearchCV, GroupKFold
 
-    runs = [run_by_id(i) for i in args.runs] if args.runs else None
-    print(f"Generating corpus ({args.duration}s per run)...", file=out)
-    corpus = build_training_corpus(
-        duration=args.duration, seed=args.seed, runs=runs, n_jobs=args.jobs
-    )
+    corpus = _corpus(args, out)
     n_groups = len(np.unique(corpus.groups))
     folds = min(args.folds, n_groups)
     # The paper's Table-2 forest axes (tree count fixed by --trees).
@@ -556,13 +549,15 @@ def _cmd_stream(args, out) -> int:
 
 def _cmd_obs(args, out) -> int:
     from repro import obs
-    from repro.core.thresholds import ThresholdBaseline
     from repro.datasets.experiments import (
         teastore_scaling_rules,
         teastore_simulation,
     )
     from repro.orchestrator.loop import Orchestrator
-    from repro.orchestrator.policies import MonitorlessPolicy, ThresholdPolicy
+    from repro.orchestrator.policies import (
+        MonitorlessPolicy,
+        fallback_threshold_policy,
+    )
     from repro.telemetry.agent import TelemetryAgent
     from repro.workloads.patterns import linear_ramp
 
@@ -573,12 +568,7 @@ def _cmd_obs(args, out) -> int:
 
         policy = MonitorlessPolicy(MonitorlessModel.load(args.model), agent)
     else:
-        policy = ThresholdPolicy(
-            ThresholdBaseline(
-                kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0
-            ),
-            agent,
-        )
+        policy = fallback_threshold_policy(agent)
     orchestrator = Orchestrator(
         simulation, "teastore", policy, teastore_scaling_rules()
     )
@@ -613,12 +603,10 @@ def _cmd_obs(args, out) -> int:
     return 0
 
 
-def _small_solo_model(args, out):
-    """Load ``--model`` or train the small 6-run, 15-tree stand-in.
-
-    The stand-in is trained purely on solo-tenant Table-1 runs, which
-    is exactly what the interference transfer eval needs as a baseline.
-    """
+def _small_model(args, out, temporal_windows, random_state):
+    """Load ``--model`` or train the small stand-in: 15 trees on six
+    short solo-tenant Table-1 runs, with the given temporal windows."""
+    from repro.core.features.pipeline import PipelineConfig
     from repro.core.model import MonitorlessModel
 
     if args.model:
@@ -632,10 +620,19 @@ def _small_solo_model(args, out):
         duration=80, calibration_duration=100, seed=3, runs=runs
     )
     model = MonitorlessModel(
-        classifier_params={"n_estimators": 15}, random_state=args.seed
+        pipeline_config=PipelineConfig(temporal_windows=temporal_windows),
+        classifier_params={"n_estimators": 15},
+        random_state=random_state,
     )
     model.fit(corpus.X, corpus.meta, corpus.y, corpus.groups)
     return model
+
+
+def _small_solo_model(args, out):
+    """The stand-in with the paper's windows.  Trained purely on
+    solo-tenant runs, it is what the interference transfer eval needs
+    as a baseline."""
+    return _small_model(args, out, (1, 5, 15), args.seed)
 
 
 def _cmd_chaos(args, out) -> int:
@@ -770,31 +767,6 @@ def _cmd_interference(args, out) -> int:
     return 0
 
 
-def _lifecycle_model(args, out):
-    """Load ``--model`` or train the champion the scenario defaults
-    are tuned for (the 6-run stand-in with (1, 5) temporal windows)."""
-    from repro.core.model import MonitorlessModel
-
-    if args.model:
-        return MonitorlessModel.load(args.model)
-    print("No --model given; training a small 6-run model...", file=out)
-    from repro.core.features.pipeline import PipelineConfig
-    from repro.datasets.configs import run_by_id
-    from repro.datasets.generate import build_training_corpus
-
-    runs = [run_by_id(i) for i in (1, 2, 7, 9, 12, 24)]
-    corpus = build_training_corpus(
-        duration=80, calibration_duration=100, seed=3, runs=runs
-    )
-    model = MonitorlessModel(
-        pipeline_config=PipelineConfig(temporal_windows=(1, 5)),
-        classifier_params={"n_estimators": 15},
-        random_state=0,
-    )
-    model.fit(corpus.X, corpus.meta, corpus.y, corpus.groups)
-    return model
-
-
 def _cmd_lifecycle(args, out) -> int:
     import contextlib
     import json
@@ -823,7 +795,8 @@ def _cmd_lifecycle(args, out) -> int:
             )
             print(f"Resumed from tick {runner.t}.", file=out)
         else:
-            model = _lifecycle_model(args, out)
+            # The scenario defaults are tuned for (1, 5) windows.
+            model = _small_model(args, out, (1, 5), 0)
             registry_dir = args.registry
             if registry_dir is None:
                 registry_dir = stack.enter_context(

@@ -21,11 +21,7 @@ records so that every step can reason about *what* a column is:
 from repro.core.features.binary import BinaryLevelFeatures
 from repro.core.features.interactions import InteractionFeatures
 from repro.core.features.meta import Domain, FeatureMeta, Scope
-from repro.core.features.pipeline import (
-    FeaturePipeline,
-    MonitorlessPipeline,
-    PipelineConfig,
-)
+from repro.core.features.pipeline import MonitorlessPipeline, PipelineConfig
 from repro.core.features.scaling import LogScaler
 from repro.core.features.selection import (
     PCAReducer,
@@ -46,6 +42,5 @@ __all__ = [
     "PCAReducer",
     "VarianceFilter",
     "MonitorlessPipeline",
-    "FeaturePipeline",
     "PipelineConfig",
 ]

@@ -43,7 +43,6 @@ from repro.ml.preprocessing import StandardScaler
 __all__ = [
     "PipelineConfig",
     "MonitorlessPipeline",
-    "FeaturePipeline",
     "grid_search_pipeline",
 ]
 
@@ -231,10 +230,6 @@ class MonitorlessPipeline:
         if not hasattr(self, "output_meta_"):
             raise RuntimeError("Pipeline must be fit_transform-ed first.")
         return [feature.name for feature in self.output_meta_]
-
-
-# The streaming-era name for the pipeline; both names are public API.
-FeaturePipeline = MonitorlessPipeline
 
 
 @dataclass

@@ -14,7 +14,13 @@ import numpy as np
 
 from repro.core.features.meta import FeatureMeta
 
-__all__ = ["LogScaler"]
+__all__ = ["LogScaler", "log_scale"]
+
+
+def log_scale(values: np.ndarray) -> np.ndarray:
+    """The step's rule for byte-valued columns: ``log1p`` of the values
+    clamped at 0."""
+    return np.log1p(np.maximum(values, 0.0))
 
 
 class LogScaler:
@@ -41,7 +47,7 @@ class LogScaler:
             return X, list(meta)
         X = X.copy()
         cols = np.asarray(self.columns_)
-        X[:, cols] = np.log1p(np.maximum(X[:, cols], 0.0))
+        X[:, cols] = log_scale(X[:, cols])
         new_meta = list(meta)
         for index in self.columns_:
             new_meta[index] = new_meta[index].derived("-LOG", bytes_like=False)

@@ -132,12 +132,16 @@ class PCAReducer:
         self.n_features_in_ = len(meta)
         return self
 
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """The first ``keep_`` principal components of ``X``'s rows."""
+        if not hasattr(self, "pca_"):
+            raise RuntimeError("PCAReducer must be fitted first.")
+        return self.pca_.transform(X)[:, : self.keep_]
+
     def transform(
         self, X: np.ndarray, meta: list[FeatureMeta]
     ) -> tuple[np.ndarray, list[FeatureMeta]]:
-        if not hasattr(self, "pca_"):
-            raise RuntimeError("PCAReducer must be fitted first.")
-        projected = self.pca_.transform(X)[:, : self.keep_]
+        projected = self.project(X)
         new_meta = [FeatureMeta.latent(i) for i in range(self.keep_)]
         return projected, new_meta
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.apps.antagonist import antagonist_application
 from repro.apps.base import ApplicationModel
 from repro.apps.elgg import elgg_application
 from repro.apps.sockshop import sockshop_application
@@ -40,6 +41,7 @@ from repro.workloads.traces import teastore_trace
 
 __all__ = [
     "Scenario",
+    "deploy_antagonist",
     "elgg_scenario",
     "multitenant_scenario",
     "sockshop_windows",
@@ -139,6 +141,18 @@ def teastore_simulation(seed: int) -> ClusterSimulation:
     simulation = ClusterSimulation(evaluation_nodes(), seed=seed)
     simulation.deploy(teastore_application(), teastore_placements())
     return simulation
+
+
+def deploy_antagonist(simulation: ClusterSimulation, kind: str,
+                      intensity: float, node: str) -> str:
+    """Deploy the ``kind`` noisy neighbour with every service on
+    ``node``; return its application name."""
+    antagonist = antagonist_application(kind, intensity)
+    simulation.deploy(
+        antagonist,
+        {name: [Placement(node=node)] for name in antagonist.services},
+    )
+    return antagonist.name
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.antagonist import ANTAGONIST_RATE, antagonist_application
+from repro.apps.antagonist import ANTAGONIST_RATE
 from repro.cluster.node import MACHINES
 from repro.cluster.simulation import ClusterSimulation, Placement
 from repro.core.features.meta import FeatureMeta
 from repro.datasets.configs import RunConfig, run_by_id
+from repro.datasets.experiments import deploy_antagonist
 from repro.datasets.generate import calibrate_threshold
 from repro.parallel import parallel_map
 from repro.telemetry.agent import TelemetryAgent
@@ -197,22 +198,15 @@ def generate_interference_run(
     )
     workloads = {application.name: constant(duration, offered)}
     if scenario.antagonist is not None:
-        antagonist = antagonist_application(
-            scenario.antagonist, scenario.intensity
-        )
-        simulation.deploy(
-            antagonist,
-            {
-                name: [Placement(node=scenario.node)]
-                for name in antagonist.services
-            },
+        antagonist = deploy_antagonist(
+            simulation, scenario.antagonist, scenario.intensity, scenario.node
         )
         # Idle until onset, then a constant hammering rate.  Zero-rate
         # ticks generate no antagonist work, so the pre-onset window is
         # a true solo baseline on the very same node.
         schedule = np.zeros(duration)
         schedule[onset_tick:] = scenario.antagonist_rate
-        workloads[antagonist.name] = schedule
+        workloads[antagonist] = schedule
     result = simulation.run(workloads)
 
     rng = np.random.default_rng(seed + 7000 + scenario.scenario_id)

@@ -1,21 +1,25 @@
 """Batched feature engineering: a fitted pipeline run tick by tick
 over the whole fleet matrix.
 
-One :class:`FleetPipelineStream` serves every container.  All
-rolling/lag/rate state lives in preallocated ``(n_rows, ...)`` arrays
-updated with numpy ops; each matrix row is an independent series, so
-every per-row output is bitwise identical to a per-container pipeline
-stream (the reference in ``tests/serving_reference.py``) fed the same
-rows, and to the batch ``transform`` of that container's whole series
-(PCA-based reductions may differ in the last bits, within the 1e-9
-streaming tolerance).
+One :class:`FleetPipelineStream` serves every container.  It compiles
+the fitted pipeline into a column plan once: every output feature is
+traced back through the zero-variance and second-reduction selections,
+the interaction pairs, the temporal blocks and the first reduction to
+the raw and level columns it reads, and each tick computes only those.
+A filter reduction (or a missing one) selects columns; a PCA reduction
+projects, through the fitted
+:class:`~repro.core.features.selection.PCAReducer`, every column it was
+fitted on.  The plan runs the steps' own rules for level indicators,
+log scaling and projection; standardization, pair products and column
+copies are elementwise.
 
-Row independence is what makes this work: the stateless steps (binary
-levels, log scaling, normalization, filters, interactions) apply the
-*batch* ``transform`` of the fitted pipeline directly to the fleet
-matrix -- elementwise per row, so a fleet tick is arithmetically the
-same as N single-row transforms.  Only the temporal step is stateful;
-:class:`FleetTemporalState` computes
+Each matrix row is an independent series, so every per-row output is
+bitwise identical to a per-container pipeline stream (the reference in
+``tests/serving_reference.py``) fed the same rows, and to the batch
+``transform`` of that container's whole series.  A PCA projection is
+one matrix product over a batch of rows, so its outputs may differ in
+the last bits (within 1e-9 relative).  The temporal step is the only
+stateful one: :class:`FleetTemporalState` computes
 :meth:`~repro.core.features.temporal.TemporalFeatures.transform`'s
 AVG/LAG columns one tick at a time, over per-row tick counters and
 ``(ring, n_rows, k)`` ring buffers, with the batch path's
@@ -27,11 +31,35 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.core.features.binary import _level_column
 from repro.core.features.meta import FeatureMeta
 from repro.core.features.pipeline import MonitorlessPipeline
-from repro.ml.preprocessing import StandardScaler
+from repro.core.features.scaling import log_scale
+from repro.core.features.selection import PCAReducer
 
 __all__ = ["FleetTemporalState", "FleetPipelineStream"]
+
+#: Float64 values (32 MiB) a chunk of rows may hold across the plan's
+#: raw, plain and output matrices: a push is split into chunks of
+#: ``_CHUNK_VALUES // width`` rows, ``width`` being one row's share.
+_CHUNK_VALUES = 1 << 22
+
+
+def _reduction(reducer, n_in: int, step: str):
+    """A fitted reduction step as ``(inputs, projection)``: the input
+    columns it reads -- the ones a filter (or a missing step) keeps, or
+    all ``n_in`` for a ``PCAReducer`` -- and the reducer that projects
+    them, if any."""
+    if reducer is None:
+        return np.arange(n_in, dtype=np.intp), None
+    if isinstance(reducer, PCAReducer):
+        return np.arange(n_in, dtype=np.intp), reducer
+    if hasattr(reducer, "selected_"):
+        return np.asarray(reducer.selected_, dtype=np.intp), None
+    raise TypeError(
+        f"pipeline.{step} is a {type(reducer).__name__}, which neither "
+        "selects columns nor is a PCAReducer; the fleet cannot serve it."
+    )
 
 
 class FleetTemporalState:
@@ -125,7 +153,7 @@ class FleetPipelineStream:
     """Incremental fleet-matrix execution of a fitted pipeline.
 
     Feeds ``(m, n_raw)`` row batches (one tick per row per push)
-    through the fitted steps and stores the engineered rows in
+    through the compiled column plan and stores the engineered rows in
     :attr:`features`.  NaN inputs are masked to each row's last clean
     input (0.0 before one exists) *before* the temporal step: a NaN in
     the cumulative sums would poison every later rolling feature.
@@ -136,67 +164,21 @@ class FleetPipelineStream:
         pipeline: MonitorlessPipeline,
         input_meta: list[FeatureMeta],
         capacity: int = 64,
-        chunk_rows: int = 1024,
     ):
         if not hasattr(pipeline, "variance_"):
             raise RuntimeError("Pipeline must be fit_transform-ed first.")
         self.pipeline = pipeline
         self.n_raw = len(input_meta)
-        self.chunk_rows = int(chunk_rows)
-        # The batch step transforms take (and return) meta lists; the
-        # per-step input metas are a pure function of the catalog meta,
-        # so capture them once with a dummy row and reuse them on every
-        # push (LogScaler reads meta content, the filters index it).
-        self._meta: dict[str, list[FeatureMeta]] = {}
-        X = np.zeros((1, self.n_raw))
-        meta = list(input_meta)
-        self._meta["binary"] = meta
-        X, meta = pipeline.binary_.transform(X, meta)
-        self._meta["log"] = meta
-        X, meta = pipeline.log_.transform(X, meta)
-        if pipeline.reduction1_ is not None:
-            self._meta["reduction1"] = meta
-            X, meta = pipeline.reduction1_.transform(X, meta)
-        if pipeline.temporal_ is not None:
-            X, meta = pipeline.temporal_.transform(X, meta, None)
-        if pipeline.interactions_ is not None:
-            self._meta["interactions"] = meta
-            X, meta = pipeline.interactions_.transform(X, meta)
-        if pipeline.reduction2_ is not None:
-            self._meta["reduction2"] = meta
-            X, meta = pipeline.reduction2_.transform(X, meta)
-        self._meta["variance"] = meta
-        X, meta = pipeline.variance_.transform(X, meta)
-        self.n_features = X.shape[1]
-
-        # The compiled plan computes only the columns that survive the
-        # final selections (possible whenever every reduction is a pure
-        # column subset); pipelines it cannot express -- e.g. PCA
-        # reductions -- keep the full-width reference walk.
-        self._compiled = self._compile()
-        if self._compiled is not None:
-            tsub = self._compiled["tsub"]
-            self.temporal = (
-                FleetTemporalState(
-                    len(tsub), pipeline.temporal_.windows, capacity
-                )
-                if len(tsub)
-                else None
+        self.n_features = pipeline.variance_.selected_.size
+        self._compile()
+        self.temporal = (
+            FleetTemporalState(
+                self._temporal_src.size, pipeline.temporal_.windows, capacity
             )
-            self._last_clean = np.zeros(
-                (capacity, self._compiled["needed_raw"].size)
-            )
-        else:
-            self.temporal = (
-                FleetTemporalState(
-                    len(pipeline.temporal_.columns_),
-                    pipeline.temporal_.windows,
-                    capacity,
-                )
-                if pipeline.temporal_ is not None
-                else None
-            )
-            self._last_clean = np.zeros((capacity, self.n_raw))
+            if self._temporal_src.size
+            else None
+        )
+        self._last_clean = np.zeros((capacity, self._raw_cols.size))
         self._has_clean = np.zeros(capacity, dtype=bool)
         self.imputed_ticks = np.zeros(capacity, dtype=np.int64)
         self.ticks = np.zeros(capacity, dtype=np.int64)
@@ -242,192 +224,120 @@ class FleetPipelineStream:
         """One tick for ``rows``: raw metric rows -> engineered rows.
 
         ``raw`` and ``completeness`` are the emitted slices aligned
-        with ``rows``.  Batches are processed in bounded chunks so the
-        transient interaction-product matrix stays small at fleet
-        scale.
+        with ``rows``.  Rows are pushed in chunks that bound the plan's
+        transient matrices; chunking is a row partition over
+        row-independent math, so it changes no bit of a filter
+        pipeline's output.
         """
         if rows.size == 0:
             return
-        # The compiled plan's transients are O(rows x final columns), so
-        # the whole batch fits in one chunk; the reference walk bounds
-        # the full-width interaction matrix instead.  Chunking is a row
-        # partition over row-independent math, so the split never
-        # changes a single bit of the output.
-        chunk_rows = rows.size if self._compiled is not None else self.chunk_rows
         with obs.trace("fleet.push_rows"):
-            for lo in range(0, rows.size, chunk_rows):
-                chunk = slice(lo, lo + chunk_rows)
+            for lo in range(0, rows.size, self._rows_per_chunk):
+                chunk = slice(lo, lo + self._rows_per_chunk)
                 self._push_chunk(
                     rows[chunk], raw[chunk], completeness[chunk]
                 )
         obs.inc("fleet.rows_pushed", float(rows.size))
 
     # ------------------------------------------------------------------
-    # Compiled final-column plan
+    # The compiled column plan
     # ------------------------------------------------------------------
-    def _compile(self) -> dict | None:
-        """Build the final-column execution plan, or ``None``.
+    def _compile(self) -> None:
+        """Trace the output columns back to the raw columns they read.
 
-        The default pipeline's reductions are pure column selections,
-        so each of the ~1e2 surviving output columns traces back
-        through the interaction pairs, the temporal blocks and the
-        post-reduction matrix to a handful of raw/level source columns
-        -- and each tick only those are computed.  Every retained
-        operation (threshold compare, ``log1p``, standardization,
-        windowed temporal math, pair products, column copies) is
-        elementwise per column, so compiled outputs are bitwise
-        identical to the reference full-width walk.  Pipelines the plan
-        cannot express (PCA reductions, custom scalers) return ``None``
-        and keep the reference walk.
+        Coordinates, outermost first: the post-interaction matrix
+        (``w_t`` plain columns, then one product per pair); its plain
+        part, the post-reduction matrix (``k1`` columns) followed by
+        ``2 * len(windows)`` temporal blocks of ``k_t`` columns; and the
+        post-scaler matrix (``n_raw`` raw columns, then the level
+        indicators).  A selecting reduction maps each needed coordinate
+        to one input column; a projection needs all of its inputs.
         """
         p = self.pipeline
         n_raw = self.n_raw
-        if not hasattr(p.binary_, "source_columns_"):
-            return None
-        log_cols = getattr(p.log_, "columns_", None)
-        if log_cols is None or any(c >= n_raw for c in log_cols):
-            return None
-        scaler = p.scaler_
-        if scaler is not None and type(scaler) is not StandardScaler:
-            return None
-        for reducer in (p.reduction1_, p.reduction2_):
-            if reducer is not None and not hasattr(reducer, "selected_"):
-                return None
-        if not hasattr(p.variance_, "selected_"):
-            return None
-
         level_defs = [
             (index, low, high)
             for index, levels in p.binary_.source_columns_
             for (_suffix, low, high) in levels
         ]
-        w1 = n_raw + len(level_defs)
-        sel1 = (
-            np.asarray(p.reduction1_.selected_, dtype=np.intp)
-            if p.reduction1_ is not None
-            else np.arange(w1, dtype=np.intp)
+        inputs1, self._project1 = _reduction(
+            p.reduction1_, n_raw + len(level_defs), "reduction1_"
         )
-        k1 = sel1.size
+        k1 = inputs1.size if self._project1 is None else self._project1.keep_
         temporal = p.temporal_
-        t_cols = (
-            np.asarray(temporal.columns_, dtype=np.intp)
-            if temporal is not None
-            else np.zeros(0, dtype=np.intp)
+        t_cols = np.asarray(
+            temporal.columns_ if temporal is not None else [], dtype=np.intp
         )
         k_t = t_cols.size
         n_blocks = 2 * len(temporal.windows) if temporal is not None else 0
         w_t = k1 + n_blocks * k_t
-        inter = p.interactions_
-        if inter is not None and inter.pairs_:
-            left = np.asarray([i for i, _ in inter.pairs_], dtype=np.intp)
-            right = np.asarray([j for _, j in inter.pairs_], dtype=np.intp)
+        pairs = p.interactions_.pairs_ if p.interactions_ is not None else []
+        left = np.asarray([i for i, _ in pairs], dtype=np.intp)
+        right = np.asarray([j for _, j in pairs], dtype=np.intp)
+        inputs2, self._project2 = _reduction(
+            p.reduction2_, w_t + left.size, "reduction2_"
+        )
+        # The post-interaction coordinates the plan builds, in output
+        # order: the finally selected ones, or every one a projection
+        # reads (the variance selection then applies to its output).
+        self._variance = np.asarray(p.variance_.selected_, dtype=np.intp)
+        coords = (
+            inputs2 if self._project2 is not None else inputs2[self._variance]
+        )
+        is_plain = coords < w_t
+        pair = coords[~is_plain] - w_t
+        plain = np.unique(np.concatenate(
+            [coords[is_plain], left[pair], right[pair]]
+        ))
+        direct = plain[plain < k1]
+        block, column = np.divmod(plain[plain >= k1] - k1, max(k_t, 1))
+        tsub = np.unique(column)  # the temporal columns read
+
+        # Post-reduction columns -> columns of the first stage's output:
+        # the post-scaler matrix for a selection, the components for a
+        # projection.
+        if self._project1 is not None:
+            q_cols = inputs1
+            stage1 = np.arange(k1, dtype=np.intp)
         else:
-            left = right = np.zeros(0, dtype=np.intp)
-        w_inter = w_t + left.size
-        sel2 = (
-            np.asarray(p.reduction2_.selected_, dtype=np.intp)
-            if p.reduction2_ is not None
-            else np.arange(w_inter, dtype=np.intp)
+            q_cols = np.unique(inputs1[np.concatenate([direct, t_cols[tsub]])])
+            stage1 = np.searchsorted(q_cols, inputs1)
+        values = q_cols[q_cols < n_raw]
+        levels = [level_defs[q - n_raw] for q in q_cols[q_cols >= n_raw]]
+        self._raw_cols = np.union1d(
+            values, np.asarray([src for src, _, _ in levels], dtype=np.intp)
         )
-        final_cols = sel2[np.asarray(p.variance_.selected_, dtype=np.intp)]
-        if final_cols.size != self.n_features:
-            return None  # inconsistent fit state; keep the reference walk
-
-        # Output coordinates: plain copies vs pair products, and the
-        # union of plain coordinates any output depends on.
-        is_plain = final_cols < w_t
-        pair_final = final_cols[~is_plain] - w_t
-        needed_plain = sorted(
-            set(final_cols[is_plain].tolist())
-            | set(left[pair_final].tolist())
-            | set(right[pair_final].tolist())
-        )
-        plain_pos = {c: i for i, c in enumerate(needed_plain)}
-
-        # Each plain coordinate lives in the post-reduction matrix
-        # (c < k1) or in temporal block b = (c - k1) // k_t.
-        tsub = sorted({(c - k1) % k_t for c in needed_plain if c >= k1})
-        tpos = {j: i for i, j in enumerate(tsub)}
-        direct_cols = [c for c in needed_plain if c < k1]
-        needed_q = sorted(
-            {int(sel1[c]) for c in direct_cols}
-            | {int(sel1[t_cols[j]]) for j in tsub}
-        )
-        qpos = {q: i for i, q in enumerate(needed_q)}
-
-        value_pos, value_src, levels = [], [], []
-        log_set = set(log_cols)
-        for q in needed_q:
-            if q < n_raw:
-                value_pos.append(qpos[q])
-                value_src.append(q)
-            else:
-                src, low, high = level_defs[q - n_raw]
-                levels.append((qpos[q], src, low, high))
-        needed_raw = np.asarray(
-            sorted(set(value_src) | {src for _, src, _, _ in levels}),
-            dtype=np.intp,
-        )
-        raw_pos = {int(q): i for i, q in enumerate(needed_raw)}
-        block_maps = [
-            (
-                np.asarray(
-                    [plain_pos[c] for c in needed_plain
-                     if c >= k1 and (c - k1) // k_t == b],
-                    dtype=np.intp,
-                ),
-                np.asarray(
-                    [tpos[(c - k1) % k_t] for c in needed_plain
-                     if c >= k1 and (c - k1) // k_t == b],
-                    dtype=np.intp,
-                ),
-            )
+        self._value_raw = np.searchsorted(self._raw_cols, values)
+        self._log_pos = np.flatnonzero(np.isin(values, p.log_.columns_))
+        self._levels = [
+            (values.size + i, int(np.searchsorted(self._raw_cols, src)),
+             low, high)
+            for i, (src, low, high) in enumerate(levels)
+        ]
+        scaler = p.scaler_
+        self._mean = scaler.mean_[q_cols] if scaler is not None else None
+        self._std = scaler.std_[q_cols] if scaler is not None else None
+        self._n_q = q_cols.size
+        self._direct_dst = np.searchsorted(plain, direct)
+        self._direct_src = stage1[direct]
+        self._temporal_src = stage1[t_cols[tsub]]
+        self._n_plain = plain.size
+        self._blocks = [
+            (np.searchsorted(plain, k1 + b * k_t + column[block == b]),
+             np.searchsorted(tsub, column[block == b]))
             for b in range(n_blocks)
         ]
-        return {
-            "needed_raw": needed_raw,
-            "n_q": len(needed_q),
-            "value_pos": np.asarray(value_pos, dtype=np.intp),
-            "value_raw": np.asarray(
-                [raw_pos[q] for q in value_src], dtype=np.intp
-            ),
-            "log_pos": np.asarray(
-                [qpos[q] for q in value_src if q in log_set], dtype=np.intp
-            ),
-            "levels": [
-                (pos, raw_pos[src], low, high)
-                for pos, src, low, high in levels
-            ],
-            "mean_q": scaler.mean_[needed_q] if scaler is not None else None,
-            "std_q": scaler.std_[needed_q] if scaler is not None else None,
-            "tsub": tsub,
-            "tsrc_pos": np.asarray(
-                [qpos[int(sel1[t_cols[j]])] for j in tsub], dtype=np.intp
-            ),
-            "n_plain": len(needed_plain),
-            "direct_P": np.asarray(
-                [plain_pos[c] for c in direct_cols], dtype=np.intp
-            ),
-            "direct_X": np.asarray(
-                [qpos[int(sel1[c])] for c in direct_cols], dtype=np.intp
-            ),
-            "block_maps": block_maps,
-            "plain_out": np.flatnonzero(is_plain),
-            "plain_src": np.asarray(
-                [plain_pos[c] for c in final_cols[is_plain]], dtype=np.intp
-            ),
-            "pair_out": np.flatnonzero(~is_plain),
-            "pair_L": np.asarray(
-                [plain_pos[int(c)] for c in left[pair_final]], dtype=np.intp
-            ),
-            "pair_R": np.asarray(
-                [plain_pos[int(c)] for c in right[pair_final]], dtype=np.intp
-            ),
-        }
+        self._n_coords = coords.size
+        self._plain_dst = np.flatnonzero(is_plain)
+        self._plain_src = np.searchsorted(plain, coords[is_plain])
+        self._pair_dst = np.flatnonzero(~is_plain)
+        self._pair_left = np.searchsorted(plain, left[pair])
+        self._pair_right = np.searchsorted(plain, right[pair])
+        width = self._raw_cols.size + plain.size + coords.size
+        self._rows_per_chunk = max(1, _CHUNK_VALUES // width)
 
-    def _push_chunk_compiled(self, rows, raw, completeness) -> None:
-        plan = self._compiled
-        sub = raw[:, plan["needed_raw"]].astype(np.float64, copy=True)
+    def _push_chunk(self, rows, raw, completeness) -> None:
+        sub = raw[:, self._raw_cols].astype(np.float64, copy=True)
         # One reduction instead of a full-width isnan: a non-finite row
         # sum flags every row that *might* contain NaN (NaN propagates;
         # inf/overflow rows are also flagged), then the exact per-row
@@ -449,72 +359,32 @@ class FleetPipelineStream:
         self.ticks[rows] += 1
 
         m = sub.shape[0]
-        Xq = np.empty((m, plan["n_q"]))
-        Xq[:, plan["value_pos"]] = sub[:, plan["value_raw"]]
-        log_pos = plan["log_pos"]
-        if log_pos.size:
-            Xq[:, log_pos] = np.log1p(np.maximum(Xq[:, log_pos], 0.0))
-        for pos, src, low, high in plan["levels"]:
-            values = sub[:, src]
-            mask = np.ones(m, dtype=bool)
-            if low is not None:
-                mask &= values > low
-            if high is not None:
-                mask &= values <= high
-            Xq[:, pos] = mask.astype(np.float64)
-        if plan["mean_q"] is not None:
-            Xq = (Xq - plan["mean_q"]) / plan["std_q"]
-        P = np.empty((m, plan["n_plain"]))
-        P[:, plan["direct_P"]] = Xq[:, plan["direct_X"]]
+        Xq = np.empty((m, self._n_q))
+        Xq[:, : self._value_raw.size] = sub[:, self._value_raw]
+        if self._log_pos.size:
+            Xq[:, self._log_pos] = log_scale(Xq[:, self._log_pos])
+        for pos, src, low, high in self._levels:
+            Xq[:, pos] = _level_column(sub[:, src], low, high)
+        if self._mean is not None:
+            Xq = (Xq - self._mean) / self._std
+        if self._project1 is not None:
+            Xq = self._project1.project(Xq)
+        P = np.empty((m, self._n_plain))
+        P[:, self._direct_dst] = Xq[:, self._direct_src]
         if self.temporal is not None:
-            blocks = self.temporal.push_blocks(rows, Xq[:, plan["tsrc_pos"]])
-            for b, (p_pos, b_cols) in enumerate(plan["block_maps"]):
-                if p_pos.size:
-                    P[:, p_pos] = blocks[b][:, b_cols]
-        out = np.empty((m, self.n_features))
-        out[:, plan["plain_out"]] = P[:, plan["plain_src"]]
-        if plan["pair_out"].size:
-            out[:, plan["pair_out"]] = (
-                P[:, plan["pair_L"]] * P[:, plan["pair_R"]]
+            blocks = self.temporal.push_blocks(
+                rows, Xq[:, self._temporal_src]
             )
+            for block, (dst, cols) in zip(blocks, self._blocks):
+                if dst.size:
+                    P[:, dst] = block[:, cols]
+        out = np.empty((m, self._n_coords))
+        out[:, self._plain_dst] = P[:, self._plain_src]
+        if self._pair_dst.size:
+            out[:, self._pair_dst] = (
+                P[:, self._pair_left] * P[:, self._pair_right]
+            )
+        if self._project2 is not None:
+            out = self._project2.project(out)[:, self._variance]
         self.features[rows] = out
-        self.has_features[rows] = True
-
-    def _push_chunk(self, rows, raw, completeness) -> None:
-        if self._compiled is not None:
-            self._push_chunk_compiled(rows, raw, completeness)
-            return
-        pipeline = self.pipeline
-        X = np.array(raw, dtype=np.float64, copy=True)
-        nan_mask = np.isnan(X)
-        nan_rows = nan_mask.any(axis=1)
-        if nan_rows.any():
-            fill = np.where(
-                self._has_clean[rows][:, None], self._last_clean[rows], 0.0
-            )
-            X[nan_mask] = fill[nan_mask]
-        self._last_clean[rows] = X
-        self._has_clean[rows] = True
-        imputed = (np.asarray(completeness) < 1.0) | nan_rows
-        self.imputed_ticks[rows] += imputed
-        self.ticks[rows] += 1
-
-        X, _ = pipeline.binary_.transform(X, self._meta["binary"])
-        X, _ = pipeline.log_.transform(X, self._meta["log"])
-        if pipeline.scaler_ is not None:
-            X = pipeline.scaler_.transform(X)
-        if pipeline.reduction1_ is not None:
-            X, _ = pipeline.reduction1_.transform(X, self._meta["reduction1"])
-        if pipeline.temporal_ is not None:
-            source = X[:, pipeline.temporal_.columns_]
-            blocks = self.temporal.push_blocks(rows, source)
-            X = np.hstack([X, *blocks])
-        if pipeline.interactions_ is not None:
-            X, _ = pipeline.interactions_.transform(
-                X, self._meta["interactions"]
-            )
-        if pipeline.reduction2_ is not None:
-            X, _ = pipeline.reduction2_.transform(X, self._meta["reduction2"])
-        X, _ = pipeline.variance_.transform(X, self._meta["variance"])
-        self.features[rows] = X
         self.has_features[rows] = True

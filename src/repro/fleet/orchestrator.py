@@ -98,11 +98,8 @@ def _dropout_agent(spec: FleetCellSpec):
 def _chaos_agent(spec: FleetCellSpec):
     """Full chaos stack with a threshold secondary, mirroring the
     reliability tests' fallback configuration."""
-    from repro.cluster.faults import MetricDropout
-    from repro.core.thresholds import ThresholdBaseline
-    from repro.orchestrator.policies import ThresholdPolicy
-    from repro.reliability.chaos import ChaosAgent, ChaosConfig, TelemetryBlackout
-    from repro.reliability.telemetry import ResilientTelemetry
+    from repro.orchestrator.policies import fallback_threshold_policy
+    from repro.reliability.chaos import ChaosConfig, TelemetryBlackout, chaos_stack
 
     config = ChaosConfig(
         dropout_probability=0.1,
@@ -111,23 +108,10 @@ def _chaos_agent(spec: FleetCellSpec):
         nan_probability=0.02,
         state_failure_probability=0.0,
         blackouts=(TelemetryBlackout(20, 28, scope="stream"),),
-        node_faults=(),
         staleness_budget=3,
     )
-    chaotic = ChaosAgent(
-        MetricDropout(
-            TelemetryAgent(seed=spec.seed), probability=0.1,
-            seed=spec.seed + 1,
-        ),
-        config,
-    )
-    secondary = ThresholdPolicy(
-        ThresholdBaseline(
-            kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0
-        ),
-        chaotic,
-    )
-    return ResilientTelemetry(chaotic, staleness_budget=3), secondary
+    agent = chaos_stack(TelemetryAgent(seed=spec.seed), config, spec.seed + 1)
+    return agent, fallback_threshold_policy(agent.agent)
 
 
 #: Cell kind -> ``spec -> (agent, secondary)``: the kind's telemetry

@@ -89,16 +89,12 @@ class FleetPolicy:
         recovery_ticks: int = 3,
         lifecycle=None,
     ):
-        if failsafe not in ("hold", "scale-up"):
-            raise ValueError('failsafe must be "hold" or "scale-up".')
-        if recovery_ticks < 1:
-            raise ValueError("recovery_ticks must be >= 1.")
-        if staleness_budget is not None and staleness_budget < 0:
-            raise ValueError("staleness_budget must be >= 0.")
+        self.configure_fallback(
+            staleness_budget=staleness_budget,
+            failsafe=failsafe,
+            recovery_ticks=recovery_ticks,
+        )
         self._model = model
-        self.staleness_budget = staleness_budget
-        self.failsafe = failsafe
-        self.recovery_ticks = recovery_ticks
         #: Optional :class:`~repro.lifecycle.manager.LifecycleManager`;
         #: when attached the fleet follows its champion and reports
         #: every classified batch (the challenger shadow-scores the
@@ -129,6 +125,20 @@ class FleetPolicy:
         self.failsafe_ticks = 0
         self.classifier_errors = 0
         self.last_classifier_error: str | None = None
+
+    def configure_fallback(self, *, staleness_budget: int | None,
+                           failsafe: str, recovery_ticks: int) -> None:
+        """Validate and set the fallback state machine's settings (see
+        :class:`~repro.reliability.fallback.FallbackPolicy`)."""
+        if failsafe not in ("hold", "scale-up"):
+            raise ValueError('failsafe must be "hold" or "scale-up".')
+        if recovery_ticks < 1:
+            raise ValueError("recovery_ticks must be >= 1.")
+        if staleness_budget is not None and staleness_budget < 0:
+            raise ValueError("staleness_budget must be >= 0.")
+        self.staleness_budget = staleness_budget
+        self.failsafe = failsafe
+        self.recovery_ticks = recovery_ticks
 
     @property
     def model(self):

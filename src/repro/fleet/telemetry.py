@@ -458,10 +458,6 @@ class FleetTelemetryStream:
         if mode == "ok" or mode == "nan":
             return mode
         resilient = self._resilient.get(row)
-        if resilient is not None and not issubclass(
-            InjectedTelemetryError, resilient.retry_on
-        ):
-            resilient = None  # injected faults propagate unretried
         retries = resilient.max_retries if resilient is not None else 0
         if mode == "hard":
             # Every attempt of the tick fails.

@@ -259,8 +259,8 @@ class DriftScenarioRunner:
     """
 
     def __init__(self, model, registry_dir, config=None):
-        from repro.cluster.simulation import Placement
         from repro.datasets.experiments import (
+            deploy_antagonist,
             teastore_scaling_rules,
             teastore_simulation,
         )
@@ -283,19 +283,10 @@ class DriftScenarioRunner:
         )
         self.antagonist_name: str | None = None
         if config.antagonist is not None:
-            from repro.apps.antagonist import antagonist_application
-
-            antagonist = antagonist_application(
-                config.antagonist, config.antagonist_intensity
+            self.antagonist_name = deploy_antagonist(
+                simulation, config.antagonist, config.antagonist_intensity,
+                node,
             )
-            simulation.deploy(
-                antagonist,
-                {
-                    name: [Placement(node=node)]
-                    for name in antagonist.services
-                },
-            )
-            self.antagonist_name = antagonist.name
         self.orchestrator = Orchestrator(
             simulation, "teastore", policy, rules
         )
@@ -330,11 +321,9 @@ class DriftScenarioRunner:
             )
         runner.antagonist_name = None
         if config.antagonist is not None:
-            from repro.apps.antagonist import antagonist_application
+            from repro.apps.antagonist import antagonist_name
 
-            runner.antagonist_name = antagonist_application(
-                config.antagonist, config.antagonist_intensity
-            ).name
+            runner.antagonist_name = antagonist_name(config.antagonist)
         runner.resumed_from_tick = runner.t
         return runner
 

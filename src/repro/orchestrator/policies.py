@@ -28,6 +28,7 @@ from repro.telemetry.catalog import CONTAINER_CHANNELS
 __all__ = [
     "MonitorlessPolicy",
     "ThresholdPolicy",
+    "fallback_threshold_policy",
     "ResponseTimePolicy",
     "NoScalingPolicy",
 ]
@@ -180,6 +181,18 @@ class ThresholdPolicy:
                     saturated.add(service)
                     break
         return saturated
+
+
+def fallback_threshold_policy(agent) -> ThresholdPolicy:
+    """The fixed 80% CPU-or-memory threshold detector over ``agent``:
+    the secondary of the chaos fallback chains and the ``obs`` command's
+    policy when it has no model."""
+    return ThresholdPolicy(
+        ThresholdBaseline(
+            kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0
+        ),
+        agent,
+    )
 
 
 class ResponseTimePolicy:

@@ -53,6 +53,7 @@ __all__ = [
     "TelemetryBlackout",
     "ChaosConfig",
     "ChaosAgent",
+    "chaos_stack",
     "ChaosReport",
     "run_chaos",
 ]
@@ -214,6 +215,26 @@ class ChaosAgent:
         return rng.choice(size, size=count, replace=False)
 
 
+def chaos_stack(agent, config: ChaosConfig,
+                dropout_seed: int) -> ResilientTelemetry:
+    """The injection stack over ``agent``, innermost first: a
+    ``MetricDropout`` (``config.dropout_probability``, seeded with
+    ``dropout_seed``), a :class:`ChaosAgent` and a
+    ``ResilientTelemetry`` (``config.staleness_budget`` and
+    ``config.max_retries``).  The chaos layer, which a threshold
+    fallback reads, is the returned stack's ``agent``."""
+    from repro.cluster.faults import MetricDropout
+
+    lossy = MetricDropout(
+        agent, probability=config.dropout_probability, seed=dropout_seed
+    )
+    return ResilientTelemetry(
+        ChaosAgent(lossy, config),
+        staleness_budget=config.staleness_budget,
+        max_retries=config.max_retries,
+    )
+
+
 # ----------------------------------------------------------------------
 # The harness
 # ----------------------------------------------------------------------
@@ -345,10 +366,12 @@ def run_chaos(
     schedule's node faults degrade the cluster itself.  Both runs see
     the same workload ramp and simulation seed.
     """
-    from repro.cluster.faults import FaultSchedule, MetricDropout
-    from repro.cluster.simulation import Placement
-    from repro.core.thresholds import ThresholdBaseline
-    from repro.orchestrator.policies import MonitorlessPolicy, ThresholdPolicy
+    from repro.cluster.faults import FaultSchedule
+    from repro.datasets.experiments import deploy_antagonist
+    from repro.orchestrator.policies import (
+        MonitorlessPolicy,
+        fallback_threshold_policy,
+    )
     from repro.telemetry.agent import TelemetryAgent
     from repro.telemetry.store import MetricFrame
     from repro.workloads.patterns import linear_ramp
@@ -379,26 +402,10 @@ def run_chaos(
     fallback_holder: dict = {}
 
     def chaotic_policy(simulation):
-        base = TelemetryAgent(seed=seed)
-        lossy = MetricDropout(
-            base, probability=config.dropout_probability, seed=config.seed
-        )
-        chaotic = ChaosAgent(lossy, effective)
-        resilient = ResilientTelemetry(
-            chaotic,
-            staleness_budget=config.staleness_budget,
-            max_retries=config.max_retries,
-        )
-        primary = MonitorlessPolicy(model, resilient)
-        secondary = ThresholdPolicy(
-            ThresholdBaseline(
-                kind="cpu-or-mem", cpu_threshold=80.0, mem_threshold=80.0
-            ),
-            chaotic,
-        )
+        resilient = chaos_stack(TelemetryAgent(seed=seed), effective, config.seed)
         policy = FallbackPolicy(
-            primary,
-            secondary,
+            MonitorlessPolicy(model, resilient),
+            fallback_threshold_policy(resilient.agent),
             failsafe=config.failsafe,
             recovery_ticks=config.recovery_ticks,
         )
@@ -406,20 +413,12 @@ def run_chaos(
         return policy
 
     orchestrator, simulation = _build_orchestrator(model, chaotic_policy, seed)
-    antagonist_app = None
+    antagonist = None
     antagonist_onset = duration
     if config.antagonist is not None:
-        from repro.apps.antagonist import antagonist_application
-
-        antagonist_app = antagonist_application(
-            config.antagonist, config.antagonist_intensity
-        )
-        simulation.deploy(
-            antagonist_app,
-            {
-                name: [Placement(node=config.antagonist_node)]
-                for name in antagonist_app.services
-            },
+        antagonist = deploy_antagonist(
+            simulation, config.antagonist, config.antagonist_intensity,
+            config.antagonist_node,
         )
         antagonist_onset = int(round(config.antagonist_start_fraction * duration))
     antagonist_ticks = 0
@@ -440,8 +439,8 @@ def run_chaos(
                 if schedule is not None:
                     schedule.apply_tick(simulation, pristine, t)
                 arrivals = {"teastore": float(workload[t])}
-                if antagonist_app is not None and t >= antagonist_onset:
-                    arrivals[antagonist_app.name] = config.antagonist_rate
+                if antagonist is not None and t >= antagonist_onset:
+                    arrivals[antagonist] = config.antagonist_rate
                     antagonist_ticks += 1
                 orchestrator.tick(arrivals)
         finally:

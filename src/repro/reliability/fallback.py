@@ -97,18 +97,14 @@ class FallbackPolicy:
         failsafe: str = "hold",
         recovery_ticks: int = 3,
     ):
-        if failsafe not in ("hold", "scale-up"):
-            raise ValueError('failsafe must be "hold" or "scale-up".')
-        if recovery_ticks < 1:
-            raise ValueError("recovery_ticks must be >= 1.")
-        if staleness_budget is not None and staleness_budget < 0:
-            raise ValueError("staleness_budget must be >= 0.")
         self.primary = primary
         self.secondary = secondary
         self.fleet = primary.fleet
-        self.fleet.staleness_budget = staleness_budget
-        self.fleet.failsafe = failsafe
-        self.fleet.recovery_ticks = recovery_ticks
+        self.fleet.configure_fallback(
+            staleness_budget=staleness_budget,
+            failsafe=failsafe,
+            recovery_ticks=recovery_ticks,
+        )
 
     staleness_budget = _forward("staleness_budget")
     failsafe = _forward("failsafe")

@@ -8,12 +8,11 @@ degradation tolerant; the fleet's telemetry
 contract to every row whose agent it wraps:
 
 - **Retry with deterministic backoff**: an agent read that raises a
-  :class:`TelemetryFault` (or any configured exception type) is
-  retried up to ``max_retries`` times; the backoff for attempt ``k``
-  is the deterministic ``backoff_base * 2**k`` -- recorded via
-  :mod:`repro.obs` and handed to an optional ``sleep`` hook, never
-  slept implicitly, because simulated time must not depend on wall
-  clocks.
+  :class:`TelemetryFault` is retried up to ``max_retries`` times; the
+  backoff for attempt ``k`` is the deterministic ``backoff_base *
+  2**k`` -- recorded via :mod:`repro.obs` and handed to an optional
+  ``sleep`` hook, never slept implicitly, because simulated time must
+  not depend on wall clocks.
 - **Gap detection + LOCF imputation**: when every retry fails the
   tick is *lost*: the row's clock moves past it unsynthesized
   (tracking real time, exactly like a missed scrape) and the last
@@ -68,10 +67,6 @@ class ResilientTelemetry:
     backoff_base:
         Seconds of (virtual) backoff before the first retry; attempt
         ``k`` backs off ``backoff_base * 2**k``.
-    retry_on:
-        Exception types that trigger the retry/imputation machinery.
-        Anything else propagates unchanged (a programming error should
-        crash, not be imputed over).
     sleep:
         Optional callable receiving each backoff delay, for real
         deployments that want actual waiting.  Default: record only.
@@ -84,7 +79,6 @@ class ResilientTelemetry:
         staleness_budget: int = 5,
         max_retries: int = 2,
         backoff_base: float = 0.05,
-        retry_on: tuple = (TelemetryFault,),
         sleep=None,
     ):
         if staleness_budget < 0:
@@ -98,7 +92,6 @@ class ResilientTelemetry:
         self.staleness_budget = staleness_budget
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.retry_on = tuple(retry_on)
         self.sleep = sleep
 
     # Batch reads are not imputed: a missing whole-run matrix is a

@@ -70,17 +70,8 @@ _H = HOST_CHANNELS
 _C = CONTAINER_CHANNELS
 
 
-def tick_fields(container, t: int):
-    """The raw field tuple for one recorded tick, or ``None``.
-
-    Equivalent to reading the attributes off ``container.tick_at(t)``
-    but without constructing intermediate objects.
-    """
-    index = t - container.created_at
-    history = container.history
-    if index < 0 or index >= len(history):
-        return None
-    tick = history[index]
+def _tick_row(tick) -> tuple:
+    """One recorded tick's raw field tuple, in the ``F_*`` order."""
     cpu = tick.cpu
     memory = tick.memory
     return (
@@ -102,6 +93,19 @@ def tick_fields(container, t: int):
     )
 
 
+def tick_fields(container, t: int):
+    """The raw field tuple for one recorded tick, or ``None``.
+
+    Equivalent to reading the attributes off ``container.tick_at(t)``
+    but without constructing intermediate objects.
+    """
+    index = t - container.created_at
+    history = container.history
+    if index < 0 or index >= len(history):
+        return None
+    return _tick_row(history[index])
+
+
 def gather_container_fields(container, start: int, end: int) -> np.ndarray:
     """Stack ticks ``start..end-1`` into a ``(T, N_FIELDS)`` matrix.
 
@@ -116,26 +120,7 @@ def gather_container_fields(container, start: int, end: int) -> np.ndarray:
     lo = max(start, created)
     hi = min(end, created + len(history))
     for t in range(lo, hi):
-        tick = history[t - created]
-        cpu = tick.cpu
-        memory = tick.memory
-        rows[t - start] = (
-            cpu.used_cores,
-            memory.usage_bytes,
-            memory.page_in_bytes,
-            memory.limit_utilization,
-            cpu.nr_throttled,
-            tick.disk_read_bytes,
-            tick.disk_write_bytes,
-            tick.network_rx_bytes,
-            tick.network_tx_bytes,
-            tick.tcp_connections,
-            tick.processes,
-            tick.throughput,
-            tick.cpu_steal_cores,
-            tick.membw_bytes,
-            tick.disk_shortfall_bytes,
-        )
+        rows[t - start] = _tick_row(history[t - created])
     return np.array(rows, dtype=np.float64)
 
 

@@ -397,12 +397,11 @@ class ResilientInstanceStream(_Wrapper):
 
     def __init__(self, inner, *, staleness_budget: int = 5,
                  max_retries: int = 2, backoff_base: float = 0.05,
-                 retry_on: tuple = (TelemetryFault,), sleep=None):
+                 sleep=None):
         self.inner = inner
         self.staleness_budget = staleness_budget
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.retry_on = tuple(retry_on)
         self.sleep = sleep
         self.staleness = 0
         self.imputed_ticks = 0
@@ -420,7 +419,7 @@ class ResilientInstanceStream(_Wrapper):
             try:
                 row = self.inner.emit()
                 break
-            except self.retry_on as error:
+            except TelemetryFault as error:
                 if attempt >= self.max_retries:
                     return self._lost_tick(error)
                 delay = self.backoff_base * (2.0 ** attempt)
@@ -497,7 +496,6 @@ def open_reference_stream(agent, container, nodes, history: int = 16):
                 staleness_budget=layer.staleness_budget,
                 max_retries=layer.max_retries,
                 backoff_base=layer.backoff_base,
-                retry_on=layer.retry_on,
                 sleep=layer.sleep,
             )
         else:

@@ -5,6 +5,7 @@ chain of ``tests/serving_reference.py`` under clean, dropout and
 full-chaos stacks, lifecycle observation order, serving-model swaps,
 and per-shard checkpointed crash rescue of clean and chaos cells."""
 
+import copy
 import pickle
 
 import numpy as np
@@ -33,6 +34,12 @@ from tests.serving_reference import (
     ReferenceFallbackPolicy,
     ReferenceMonitorlessPolicy,
     open_reference_stream,
+)
+from tests.test_streaming import (
+    TOY_CONFIGS,
+    _toy_meta,
+    fit_toy_pipeline,
+    uses_pca,
 )
 
 
@@ -70,16 +77,24 @@ class TestFleetIndex:
         assert index.member_at(index.row_of("b", "p")).namespace == "b"
 
 
+@pytest.fixture(scope="module", params=["tiny", *sorted(TOY_CONFIGS)])
+def served_pipeline(request, tiny_model):
+    """A fitted pipeline and its input meta: the default serving model
+    on the metric catalog, or one toy pipeline shape."""
+    if request.param == "tiny":
+        return tiny_model.pipeline_, default_catalog().feature_meta()
+    return fit_toy_pipeline(TOY_CONFIGS[request.param]), _toy_meta()
+
+
 class TestFleetPipelineBitwise:
-    def test_matches_per_container_streams_row_for_row(self, tiny_model):
+    def test_matches_per_container_streams_row_for_row(self, served_pipeline):
         """Staggered rows with NaNs and sub-1.0 completeness produce
-        bitwise the same engineered rows as dedicated PipelineStreams."""
-        meta = default_catalog().feature_meta()
+        the same engineered rows as dedicated PipelineStreams: bitwise,
+        or within 1e-9 relative where a PCA projection runs."""
+        pipeline, meta = served_pipeline
         n_raw = len(meta)
-        fleet = FleetPipelineStream(
-            tiny_model.pipeline_, meta, capacity=4, chunk_rows=2
-        )
-        references = [PipelineStream(tiny_model.pipeline_) for _ in range(3)]
+        fleet = FleetPipelineStream(pipeline, meta, capacity=4)
+        references = [PipelineStream(pipeline) for _ in range(3)]
         rng = np.random.default_rng(42)
         starts = [0, 0, 5]  # row 2 joins later, mid-run
         for t in range(14):
@@ -101,12 +116,59 @@ class TestFleetPipelineBitwise:
             )
             for row, raw, complete in zip(rows, raws, completeness):
                 expected = references[row].push(raw, imputed=complete < 1.0)
-                assert np.array_equal(fleet.features[row], expected), (
-                    f"row {row} diverged at tick {t}"
-                )
+                got = fleet.features[row]
+                if uses_pca(pipeline):
+                    scale = np.abs(expected).max()
+                    assert np.abs(got - expected).max() <= 1e-9 * scale, (
+                        f"row {row} diverged at tick {t}"
+                    )
+                else:
+                    assert np.array_equal(got, expected), (
+                        f"row {row} diverged at tick {t}"
+                    )
         for row in range(3):
             assert fleet.imputed_ticks[row] == references[row].imputed_ticks
             assert fleet.ticks[row] == references[row].ticks
+
+    def test_a_push_split_into_chunks_is_bitwise_one_push(
+        self, tiny_model, monkeypatch
+    ):
+        """Row chunking is a partition over row-independent math: a
+        push served one row per chunk equals the single-chunk push."""
+        meta = default_catalog().feature_meta()
+        whole = FleetPipelineStream(tiny_model.pipeline_, meta, capacity=5)
+        monkeypatch.setattr("repro.fleet.features._CHUNK_VALUES", 1)
+        chunked = FleetPipelineStream(tiny_model.pipeline_, meta, capacity=5)
+        chunk_sizes = []
+        push_chunk = chunked._push_chunk
+
+        def counting_push_chunk(rows, raw, completeness):
+            chunk_sizes.append(rows.size)
+            push_chunk(rows, raw, completeness)
+
+        chunked._push_chunk = counting_push_chunk
+        rng = np.random.default_rng(3)
+        rows = np.arange(5, dtype=np.intp)
+        for t in range(8):
+            raw = rng.uniform(0.0, 50.0, (5, len(meta)))
+            if t % 3 == 1:
+                raw[rng.integers(0, 5, 4), rng.integers(0, len(meta), 4)] = (
+                    np.nan
+                )
+            completeness = np.where(rows == t % 5, 0.5, 1.0)
+            whole.push_rows(rows, raw, completeness)
+            chunked.push_rows(rows, raw, completeness)
+            assert np.array_equal(chunked.features, whole.features)
+        assert chunk_sizes == [1] * 5 * 8
+        assert np.array_equal(chunked.imputed_ticks, whole.imputed_ticks)
+
+    def test_unservable_reduction_is_refused_when_built(self, tiny_model):
+        pipeline = copy.copy(tiny_model.pipeline_)
+        pipeline.reduction2_ = object()
+        with pytest.raises(TypeError, match="reduction2_"):
+            FleetPipelineStream(
+                pipeline, default_catalog().feature_meta(), capacity=1
+            )
 
     def test_reset_rows_restarts_a_series(self, tiny_model):
         meta = default_catalog().feature_meta()

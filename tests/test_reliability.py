@@ -514,6 +514,21 @@ class TestFallbackPolicy:
                 policy.primary, policy.secondary, failsafe="panic"
             )
 
+    @pytest.mark.parametrize(
+        "setting", [{"recovery_ticks": 0}, {"staleness_budget": -1}]
+    )
+    def test_invalid_settings_leave_the_fleet_unchanged(
+        self, tiny_model, setting
+    ):
+        simulation, policy = _fallback_setup(tiny_model, [])
+        fleet = policy.fleet
+        before = (fleet.staleness_budget, fleet.failsafe, fleet.recovery_ticks)
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            FallbackPolicy(policy.primary, policy.secondary, **setting)
+        assert (
+            fleet.staleness_budget, fleet.failsafe, fleet.recovery_ticks
+        ) == before
+
     def test_healthy_on_clean_telemetry(self, tiny_model):
         simulation, policy = _fallback_setup(tiny_model, [])
         _drive(simulation, policy, 5)
