@@ -2,10 +2,11 @@
 
 Isolates the fleet's metric-synthesis layer: the struct-of-arrays
 kernel in ``FleetTelemetryStream`` (one ``(rows x 1040)`` pass per
-tick, host drivers computed once per ``(namespace, node)`` group and
-broadcast to member rows) against the per-container reference streams
-of ``tests/serving_reference.py`` (the loop it replaced), and records
-the contract to ``BENCH_telemetry.json`` at the repository root:
+tick when every column is delivered, host drivers computed once per
+``(namespace, node)`` group and scattered to member rows) against the
+per-container reference streams of ``tests/serving_reference.py`` (the
+loop it replaced), and records the contract to ``BENCH_telemetry.json``
+at the repository root:
 
 - **correctness** (always asserted): every batched row of every tick
   is *bitwise identical* to the corresponding reference stream's
@@ -14,6 +15,12 @@ the contract to ``BENCH_telemetry.json`` at the repository root:
 - **throughput** (enforced only on >= 4-core hosts, the
   ``BENCH_parallel``/``BENCH_fleet`` gating convention): the batched
   kernel synthesizes rows >= 3x faster than the per-stream loop.
+
+It also times the kernel delivering a fixed 81-column subset (every
+13th host and every 10th container column: 72 + 9, the split of the
+serving model's column plan) and asserts that subset equals the
+full-width rows at those columns; its rows/s are recorded next to the
+full width's.
 
 Both sides are timed end to end including stream registration, so the
 comparison covers what the fleet loop actually pays: the reference
@@ -73,13 +80,21 @@ def _build_registry():
     return registry
 
 
-def _run_batched(registry):
+def _subset_columns(catalog):
+    """The fixed 81-column subset: 72 host and 9 container columns."""
+    return np.concatenate([
+        np.arange(0, catalog.n_host, 13)[:72],
+        catalog.n_host + np.arange(0, catalog.n_container, 10)[:9],
+    ])
+
+
+def _run_batched(registry, columns):
     catalog = registry[0][1].catalog
     n_rows = len(registry)
-    fleet = FleetTelemetryStream(catalog, capacity=n_rows)
+    fleet = FleetTelemetryStream(catalog, columns, capacity=n_rows)
     for row, (namespace, agent, container, nodes) in enumerate(registry):
         fleet.add_row(row, namespace, agent, container, nodes)
-    out = np.empty((TICKS, n_rows, catalog.n_metrics))
+    out = np.empty((TICKS, n_rows, columns.size))
     for t in range(TICKS):
         fleet.begin_tick()
         emitted = fleet.advance_round()  # one recorded tick per round
@@ -109,12 +124,21 @@ def test_telemetry_synthesis(table_printer):
     n_rows = len(registry)
     total_rows = n_rows * TICKS
 
+    catalog = registry[0][1].catalog
+    every = np.arange(catalog.n_metrics)
+    subset = _subset_columns(catalog)
+
     # Warm-up (first-touch caches, spec-array construction), then one
-    # timed pass each; the parity assert runs on the timed outputs.
-    _run_batched(registry)
+    # timed pass each; the parity asserts run on the timed outputs.
+    _run_batched(registry, every)
     started = time.perf_counter()
-    batched = _run_batched(registry)
+    batched = _run_batched(registry, every)
     batched_s = time.perf_counter() - started
+
+    _run_batched(registry, subset)
+    started = time.perf_counter()
+    narrow = _run_batched(registry, subset)
+    subset_s = time.perf_counter() - started
 
     _run_reference(registry)
     started = time.perf_counter()
@@ -124,8 +148,12 @@ def test_telemetry_synthesis(table_printer):
     assert np.array_equal(batched, reference), (
         "batched synthesis diverged from the per-stream reference"
     )
+    assert np.array_equal(narrow, batched[:, :, subset]), (
+        "the 81-column subset diverged from the full-width rows"
+    )
 
     batched_rows_per_s = total_rows / batched_s
+    subset_rows_per_s = total_rows / subset_s
     reference_rows_per_s = total_rows / reference_s
     speedup = reference_s / batched_s
 
@@ -136,6 +164,8 @@ def test_telemetry_synthesis(table_printer):
         {"quantity": "batched_s", "value": round(batched_s, 3)},
         {"quantity": "reference_s", "value": round(reference_s, 3)},
         {"quantity": "batched_rows_per_s", "value": round(batched_rows_per_s)},
+        {"quantity": "subset_s", "value": round(subset_s, 3)},
+        {"quantity": "subset_rows_per_s", "value": round(subset_rows_per_s)},
         {
             "quantity": "reference_rows_per_s",
             "value": round(reference_rows_per_s),
@@ -153,10 +183,13 @@ def test_telemetry_synthesis(table_printer):
         "cells": N_CELLS,
         "ticks": TICKS,
         "metric_rows": total_rows,
-        "metrics_per_row": registry[0][1].catalog.n_metrics,
+        "metrics_per_row": catalog.n_metrics,
         "batched_seconds": round(batched_s, 4),
         "reference_seconds": round(reference_s, 4),
         "batched_rows_per_second": round(batched_rows_per_s, 1),
+        "subset_metrics_per_row": int(subset.size),
+        "subset_seconds": round(subset_s, 4),
+        "subset_rows_per_second": round(subset_rows_per_s, 1),
         "reference_rows_per_second": round(reference_rows_per_s, 1),
         "speedup": round(speedup, 3),
         "bitwise_equal": True,

@@ -15,8 +15,9 @@ PCA.
 - :mod:`repro.fleet.membership` -- namespace/pod/container ->
   deployment rollup keys mapped onto matrix rows;
 - :mod:`repro.fleet.telemetry` -- :class:`FleetTelemetryStream`, the
-  whole fleet's raw metric rows in one array per tick, with dropout,
-  chaos and resilient imputation applied as row masks;
+  whole fleet's raw metric rows, restricted to the columns the feature
+  plan reads, in one array per tick, with dropout, chaos and resilient
+  imputation applied as row masks;
 - :mod:`repro.fleet.features` -- :class:`FleetPipelineStream` /
   :class:`FleetTemporalState`, batched feature engineering with
   preallocated per-row rolling state;

@@ -152,11 +152,13 @@ class FleetTemporalState:
 class FleetPipelineStream:
     """Incremental fleet-matrix execution of a fitted pipeline.
 
-    Feeds ``(m, n_raw)`` row batches (one tick per row per push)
-    through the compiled column plan and stores the engineered rows in
-    :attr:`features`.  NaN inputs are masked to each row's last clean
-    input (0.0 before one exists) *before* the temporal step: a NaN in
-    the cumulative sums would poison every later rolling feature.
+    Feeds ``(m, raw_columns.size)`` row batches (one tick per row per
+    push) -- the :attr:`raw_columns` of each raw metric row, the only
+    ones the plan reads -- through the compiled column plan and stores
+    the engineered rows in :attr:`features`.  NaN inputs are masked to
+    each row's last clean input (0.0 before one exists) *before* the
+    temporal step: a NaN in the cumulative sums would poison every
+    later rolling feature.
     """
 
     def __init__(
@@ -178,10 +180,8 @@ class FleetPipelineStream:
             if self._temporal_src.size
             else None
         )
-        self._last_clean = np.zeros((capacity, self._raw_cols.size))
+        self._last_clean = np.zeros((capacity, self.raw_columns.size))
         self._has_clean = np.zeros(capacity, dtype=bool)
-        self.imputed_ticks = np.zeros(capacity, dtype=np.int64)
-        self.ticks = np.zeros(capacity, dtype=np.int64)
         self.features = np.zeros((capacity, self.n_features))
         self.has_features = np.zeros(capacity, dtype=bool)
 
@@ -198,9 +198,8 @@ class FleetPipelineStream:
             fresh = np.zeros((capacity, width))
             fresh[:old] = getattr(self, name)
             setattr(self, name, fresh)
-        for name, dtype in (("_has_clean", bool), ("has_features", bool),
-                            ("imputed_ticks", np.int64), ("ticks", np.int64)):
-            fresh = np.zeros(capacity, dtype=dtype)
+        for name in ("_has_clean", "has_features"):
+            fresh = np.zeros(capacity, dtype=bool)
             fresh[:old] = getattr(self, name)
             setattr(self, name, fresh)
         if self.temporal is not None:
@@ -212,31 +211,31 @@ class FleetPipelineStream:
             return
         self._last_clean[rows] = 0.0
         self._has_clean[rows] = False
-        self.imputed_ticks[rows] = 0
-        self.ticks[rows] = 0
         self.features[rows] = 0.0
         self.has_features[rows] = False
         if self.temporal is not None:
             self.temporal.reset_rows(rows)
 
-    def push_rows(self, rows: np.ndarray, raw: np.ndarray,
-                  completeness: np.ndarray) -> None:
+    def push_rows(self, rows: np.ndarray, raw: np.ndarray) -> None:
         """One tick for ``rows``: raw metric rows -> engineered rows.
 
-        ``raw`` and ``completeness`` are the emitted slices aligned
-        with ``rows``.  Rows are pushed in chunks that bound the plan's
-        transient matrices; chunking is a row partition over
+        ``raw`` holds the :attr:`raw_columns` of the rows' metric rows,
+        aligned with ``rows``.  Rows are pushed in chunks that bound
+        the plan's transient matrices; chunking is a row partition over
         row-independent math, so it changes no bit of a filter
         pipeline's output.
         """
         if rows.size == 0:
             return
+        if raw.shape != (rows.size, self.raw_columns.size):
+            raise ValueError(
+                f"push_rows takes the {self.raw_columns.size} raw_columns "
+                f"of {rows.size} rows, got an array of shape {raw.shape}."
+            )
         with obs.trace("fleet.push_rows"):
             for lo in range(0, rows.size, self._rows_per_chunk):
                 chunk = slice(lo, lo + self._rows_per_chunk)
-                self._push_chunk(
-                    rows[chunk], raw[chunk], completeness[chunk]
-                )
+                self._push_chunk(rows[chunk], raw[chunk])
         obs.inc("fleet.rows_pushed", float(rows.size))
 
     # ------------------------------------------------------------------
@@ -304,13 +303,14 @@ class FleetPipelineStream:
             stage1 = np.searchsorted(q_cols, inputs1)
         values = q_cols[q_cols < n_raw]
         levels = [level_defs[q - n_raw] for q in q_cols[q_cols >= n_raw]]
-        self._raw_cols = np.union1d(
+        #: The sorted raw columns the plan reads: the width of a push.
+        self.raw_columns = np.union1d(
             values, np.asarray([src for src, _, _ in levels], dtype=np.intp)
         )
-        self._value_raw = np.searchsorted(self._raw_cols, values)
+        self._value_raw = np.searchsorted(self.raw_columns, values)
         self._log_pos = np.flatnonzero(np.isin(values, p.log_.columns_))
         self._levels = [
-            (values.size + i, int(np.searchsorted(self._raw_cols, src)),
+            (values.size + i, int(np.searchsorted(self.raw_columns, src)),
              low, high)
             for i, (src, low, high) in enumerate(levels)
         ]
@@ -333,30 +333,19 @@ class FleetPipelineStream:
         self._pair_dst = np.flatnonzero(~is_plain)
         self._pair_left = np.searchsorted(plain, left[pair])
         self._pair_right = np.searchsorted(plain, right[pair])
-        width = self._raw_cols.size + plain.size + coords.size
+        width = self.raw_columns.size + plain.size + coords.size
         self._rows_per_chunk = max(1, _CHUNK_VALUES // width)
 
-    def _push_chunk(self, rows, raw, completeness) -> None:
-        sub = raw[:, self._raw_cols].astype(np.float64, copy=True)
-        # One reduction instead of a full-width isnan: a non-finite row
-        # sum flags every row that *might* contain NaN (NaN propagates;
-        # inf/overflow rows are also flagged), then the exact per-row
-        # isnan runs only on the flagged rows.
-        suspect = ~np.isfinite(raw.sum(axis=1))
-        nan_rows = np.zeros(raw.shape[0], dtype=bool)
-        if suspect.any():
-            nan_rows[suspect] = np.isnan(raw[suspect]).any(axis=1)
-        if nan_rows.any():
-            sub_nan = np.isnan(sub)
+    def _push_chunk(self, rows, raw) -> None:
+        sub = np.array(raw, dtype=np.float64)
+        nan = np.isnan(sub)
+        if nan.any():
             fill = np.where(
                 self._has_clean[rows][:, None], self._last_clean[rows], 0.0
             )
-            sub[sub_nan] = fill[sub_nan]
+            sub[nan] = fill[nan]
         self._last_clean[rows] = sub
         self._has_clean[rows] = True
-        imputed = (np.asarray(completeness) < 1.0) | nan_rows
-        self.imputed_ticks[rows] += imputed
-        self.ticks[rows] += 1
 
         m = sub.shape[0]
         Xq = np.empty((m, self._n_q))

@@ -109,9 +109,13 @@ class FleetPolicy:
             from repro.telemetry.catalog import default_catalog
 
             catalog = default_catalog()
-        self.telemetry = FleetTelemetryStream(catalog, capacity=capacity)
         self.features = FleetPipelineStream(
             model.pipeline_, catalog.feature_meta(), capacity=capacity
+        )
+        # The model setter keeps the pipeline, so the columns its plan
+        # reads are the only ones telemetry ever has to deliver.
+        self.telemetry = FleetTelemetryStream(
+            catalog, self.features.raw_columns, capacity=capacity
         )
         self._capacity = self.features.capacity
         self._state = np.full(self._capacity, _HEALTHY, dtype=np.int8)
@@ -325,11 +329,9 @@ class FleetPolicy:
                 lo, hi = int(emitted[0]), int(emitted[-1]) + 1
                 if hi - lo == emitted.size:
                     raw_block = telemetry.raw[lo:hi]
-                    completeness_block = telemetry.completeness[lo:hi]
                 else:
                     raw_block = telemetry.raw[emitted]
-                    completeness_block = telemetry.completeness[emitted]
-                self.features.push_rows(emitted, raw_block, completeness_block)
+                self.features.push_rows(emitted, raw_block)
 
             # The fallback checks as row masks, in membership order:
             # rows without samples are skipped, faulted rows demoted,

@@ -1,8 +1,39 @@
 """Struct-of-arrays telemetry for a whole fleet.
 
 :class:`FleetTelemetryStream` emits every container's instance row
-``M_{I,t}`` tick by tick into one ``(n_rows, n_metrics)`` float64
+``M_{I,t}`` tick by tick into one ``(n_rows, len(columns))`` float64
 matrix written in place, plus a per-row completeness vector.
+
+**Delivered columns.**  A stream delivers a fixed, sorted set of
+catalog ``columns``, given when it is built: the fleet policy passes
+the raw columns its feature plan reads
+(:attr:`~repro.fleet.features.FleetPipelineStream.raw_columns`, 81 of
+the 1 040 for the benchmark's serving model), and every column for a
+PCA-reduced model.  The delivered cells are bitwise the full row's at
+those columns: synthesis computes the driver, complement, noise
+scaling, non-negative clamp and counter/rate recurrences of delivered
+columns only, and each of them is elementwise per column.  Everything
+that moves a generator or a full-row quantity still runs at full
+width, so a stream is indistinguishable from a full-width one except
+for the columns it leaves out:
+
+- every host and container stream draws its full normal vector per
+  tick (936 per host group, 83 per container) and scales only the
+  delivered entries;
+- dropout draws one uniform per catalog metric, and a dropped row's
+  completeness is the fraction of all its metrics held;
+- a ``nan`` read draws its full ``ChaosAgent.nan_columns`` set, NaNs
+  the delivered members, and a resilient row's completeness and the
+  ``resilience.nan_masked_values`` counter count the whole set.
+
+The last count is exact without the full row because synthesized
+values are finite -- node capacities, CPU quotas and memory limits are
+validated positive, so no driver divides by zero, and arrival rates
+are validated finite -- and the held row dropout restores from is
+clean, so the only NaNs in a full row are the ``nan_columns`` just
+set.  Completeness, staleness, faults and the ``faults.*``,
+``chaos.*`` and ``resilience.*`` counters are therefore those of the
+full row.
 
 **Synthesis.**  Synthesis state lives in struct-of-arrays buffers --
 per-row RNG streams, counter accumulators and previous-cumulative rows
@@ -93,14 +124,55 @@ def _describe(agent) -> str:
     return " -> ".join(names)
 
 
-class FleetTelemetryStream:
-    """One raw-metric matrix per tick for the whole fleet."""
+def _checked_columns(columns, n_metrics: int) -> np.ndarray:
+    """``columns`` as a sorted, duplicate-free ``intp`` array of catalog
+    columns, or :class:`ValueError`."""
+    columns = np.asarray(columns)
+    if columns.ndim != 1:
+        raise ValueError(
+            f"columns must be 1-D, got an array of shape {columns.shape}."
+        )
+    if columns.size == 0:
+        raise ValueError("columns must name at least one catalog column.")
+    if not np.issubdtype(columns.dtype, np.integer):
+        raise ValueError(
+            f"columns must be integers, got dtype {columns.dtype}."
+        )
+    if columns.min() < 0 or columns.max() >= n_metrics:
+        raise ValueError(f"columns must lie in [0, {n_metrics}).")
+    columns = columns.astype(np.intp)
+    if np.any(np.diff(columns) <= 0):
+        raise ValueError("columns must be sorted and free of duplicates.")
+    return columns
 
-    def __init__(self, catalog: MetricCatalog, capacity: int = 64):
+
+class FleetTelemetryStream:
+    """One raw-metric matrix per tick for the whole fleet.
+
+    ``columns`` are the sorted catalog columns (host columns first,
+    then ``n_host +`` container columns) the stream delivers:
+    :attr:`raw` holds them in that order.
+    """
+
+    def __init__(self, catalog: MetricCatalog, columns,
+                 capacity: int = 64):
+        self.columns = _checked_columns(columns, catalog.n_metrics)
         self.catalog = catalog
-        self.n_host = catalog.n_host
         self.n_metrics = catalog.n_metrics
-        self.raw = np.zeros((capacity, self.n_metrics))
+        in_host = self.columns < catalog.n_host
+        # Delivered host columns, which lead every row.
+        self._n_host = int(in_host.sum())
+        self._host_arrays = catalog.spec_arrays(catalog.host).restrict(
+            self.columns[in_host]
+        )
+        self._container_arrays = catalog.spec_arrays(
+            catalog.container
+        ).restrict(self.columns[~in_host] - catalog.n_host)
+        # Each catalog column's position in a delivered row, -1 if it
+        # is not delivered.
+        self._position = np.full(self.n_metrics, -1, dtype=np.intp)
+        self._position[self.columns] = np.arange(self.columns.size)
+        self.raw = np.zeros((capacity, self.columns.size))
         self.completeness = np.ones(capacity)
         self._containers: dict[int, object] = {}
         #: Rows whose emission faulted during the current tick, mapped
@@ -116,8 +188,7 @@ class FleetTelemetryStream:
         self.staleness = np.zeros(capacity, dtype=np.int64)
 
         # --- row axis (aligned with ``raw``) ---------------------------
-        n_ctr_c = catalog.spec_arrays(catalog.container).counter_idx.size
-        self._n_ctr_container = n_ctr_c
+        n_ctr_c = self._container_arrays.counter_idx.size
         self._row_group = np.full(capacity, -1, dtype=np.int64)
         self._row_rng: dict[int, np.random.Generator] = {}
         self._row_accum = np.zeros((capacity, n_ctr_c))
@@ -138,14 +209,13 @@ class FleetTelemetryStream:
         self._resilient: dict[int, ResilientTelemetry] = {}
         self._is_resilient = np.zeros(capacity, dtype=bool)
         self._has_last_real = np.zeros(capacity, dtype=bool)
-        # ``(capacity, n_metrics)`` rows, allocated with the first
+        # Delivered rows, shaped like ``raw``, allocated with the first
         # wrapped row so clean fleets pay nothing for them.
         self._held: np.ndarray | None = None
         self._last_real: np.ndarray | None = None
 
         # --- host-group axis (slot-indexed) ----------------------------
-        n_ctr_h = catalog.spec_arrays(catalog.host).counter_idx.size
-        self._n_ctr_host = n_ctr_h
+        self._n_ctr_host = self._host_arrays.counter_idx.size
         self._group_slots: dict[tuple, int] = {}
         self._grp_key: list[tuple | None] = []
         self._grp_node: list[object | None] = []
@@ -156,8 +226,8 @@ class FleetTelemetryStream:
         self._grp_convert: list[bool] = []
         #: The wrapped row owning a singleton group, -1 for shared ones.
         self._grp_row: list[int] = []
-        self._grp_accum = np.zeros((0, n_ctr_h))
-        self._grp_prev = np.zeros((0, n_ctr_h))
+        self._grp_accum = np.zeros((0, self._n_ctr_host))
+        self._grp_prev = np.zeros((0, self._n_ctr_host))
         self._grp_has_prev = np.zeros(0, dtype=bool)
         self._grp_free: list[int] = []
         # Sorted (key, slot) scan order, rebuilt lazily after group
@@ -493,19 +563,25 @@ class FleetTelemetryStream:
         dropping = rows[self._drop_p[rows] > 0.0]
         if dropping.size:
             self._dropout(dropping)
+        # Full-row NaN count of each corrupted row: the size of its
+        # whole nan_columns draw (synthesized values are finite).
+        nan_counts: dict[int, int] = {}
         for row, t in corrupt:
             # Corrupt the delivered row only: the held row and the
             # synthesis state stay clean.
             name = self._containers[row].name
             columns = self._chaos[row].nan_columns(name, t, self.n_metrics)
-            self.raw[row, columns] = np.nan
+            positions = self._position[columns]
+            self.raw[row, positions[positions >= 0]] = np.nan
+            nan_counts[row] = columns.size
             obs.inc("chaos.nan_rows")
         resilient = rows[self._is_resilient[rows]]
         if resilient.size:
-            self._mask_nans(resilient)
+            self._mask_nans(resilient, nan_counts)
 
     def _dropout(self, rows: np.ndarray) -> None:
-        """Sample-and-hold: each row draws one uniform per metric."""
+        """Sample-and-hold: each row draws one uniform per catalog
+        metric, delivered or not, and loses the fraction it drops."""
         uniforms = self._tick_scratch("dropout", rows.size, self.n_metrics)
         for i, row in enumerate(rows.tolist()):
             self._drop_rng[row].random(out=uniforms[i])
@@ -514,7 +590,7 @@ class FleetTelemetryStream:
         block = self.raw[rows]
         hit = dropped.any(axis=1)
         if hit.any():
-            np.copyto(block, self._held[rows], where=dropped)
+            np.copyto(block, self._held[rows], where=dropped[:, self.columns])
             self.raw[rows] = block
             self.completeness[rows[hit]] = 1.0 - dropped[hit].mean(axis=1)
             if obs.enabled():
@@ -522,17 +598,22 @@ class FleetTelemetryStream:
         self._held[rows] = block
         self._has_held[rows] = True
 
-    def _mask_nans(self, rows: np.ndarray) -> None:
-        """NaNs take the row's last real value; the row becomes real."""
+    def _mask_nans(self, rows: np.ndarray, nan_counts: dict[int, int]) -> None:
+        """NaNs take the row's last real value; the row becomes real.
+
+        A corrupted row's completeness and masked-value count are those
+        of its full row, ``nan_counts[row]`` NaNs of ``n_metrics``.
+        """
         block = self.raw[rows]
-        nan = np.isnan(block)
-        for i in np.flatnonzero(nan.any(axis=1)).tolist():
-            row = int(rows[i])
-            mask = nan[i]
+        for i, row in enumerate(rows.tolist()):
+            count = nan_counts.get(row)
+            if count is None:
+                continue
+            mask = np.isnan(block[i])
             block[i, mask] = self._last_real[row, mask]
             self.raw[row] = block[i]
-            self.completeness[row] = 1.0 - float(mask.mean())
-            obs.inc("resilience.nan_masked_values", float(mask.sum()))
+            self.completeness[row] = 1.0 - count / self.n_metrics
+            obs.inc("resilience.nan_masked_values", float(count))
         self._last_real[rows] = block
         self._has_last_real[rows] = True
         self.staleness[rows] = 0
@@ -674,20 +755,19 @@ class FleetTelemetryStream:
         # --- host metric rows: one per active group --------------------
         entry_of_group_arr = np.asarray(entry_of_group, dtype=np.intp)
         host_rngs = [self._grp_rng[slot] for slot in active]
+        host = self._host_arrays
         host_values = catalog.synthesize_rows(
-            catalog.host,
+            host,
             host_states[entry_of_group_arr],
             host_rngs,
-            self._tick_scratch("host_noise", len(active),
-                               catalog.spec_arrays(catalog.host).noisy_idx.size),
+            self._tick_scratch("host_noise", len(active), host.n_draws),
         )
         slots_arr = np.asarray(active, dtype=np.intp)
         conv_groups = np.array(
             [self._grp_convert[slot] for slot in active], dtype=bool
         )
         self._counters_and_rates(
-            host_values, catalog.spec_arrays(catalog.host).counter_idx,
-            slots_arr, conv_groups,
+            host_values, host.counter_idx, slots_arr, conv_groups,
             self._grp_accum, self._grp_prev, self._grp_has_prev,
         )
 
@@ -701,31 +781,24 @@ class FleetTelemetryStream:
             cores_e[entry_of_group_arr[row_group_arr]],
         )
         row_rngs = [self._row_rng[row] for row in row_list]
+        container = self._container_arrays
         container_values = catalog.synthesize_rows(
-            catalog.container,
+            container,
             container_states,
             row_rngs,
             self._tick_scratch(
-                "container_noise", len(row_list),
-                catalog.spec_arrays(catalog.container).noisy_idx.size,
+                "container_noise", len(row_list), container.n_draws
             ),
         )
         self._counters_and_rates(
-            container_values,
-            catalog.spec_arrays(catalog.container).counter_idx,
+            container_values, container.counter_idx,
             rows_arr, self._row_convert[rows_arr],
             self._row_accum, self._row_prev, self._row_has_prev,
         )
 
         # --- scatter into the fleet matrix -----------------------------
-        # Host rows broadcast per group: each group's single host vector
-        # lands in all of its member rows without first materializing
-        # the (n_rows, n_host) expansion the flat scatter would need.
-        raw_host = self.raw[:, : self.n_host]
-        grp_members = self._grp_members
-        for gi, slot in enumerate(active):
-            raw_host[grp_members[slot]] = host_values[gi]
-        self.raw[rows_arr, self.n_host:] = container_values
+        self.raw[rows_arr, : self._n_host] = host_values[row_group_arr]
+        self.raw[rows_arr, self._n_host:] = container_values
         self.completeness[rows_arr] = 1.0
         self.sampled_mask[rows_arr[row_pair_arr >= 0]] = True
         return row_list

@@ -350,6 +350,27 @@ def _counter(snapshot: dict, name: str) -> float:
     return float(snapshot.get("counters", {}).get(name, 0.0))
 
 
+def _telemetry_summary(telemetry, row: int) -> dict:
+    """Safe-subset summary of one fleet row's last delivered reading:
+    its container, completeness and the headline utilization metrics
+    among the delivered columns; the rest, and unknown names, are
+    skipped."""
+    from repro.telemetry.store import MetricFrame
+
+    names = telemetry.catalog.names()
+    frame = MetricFrame(
+        telemetry.raw[row : row + 1],
+        [names[column] for column in telemetry.columns],
+    ).select_available(
+        ["kernel.all.cpu.util", "mem.util.used_pct", "not.a.metric"]
+    )
+    return {
+        "container": telemetry.container_at(row).name,
+        "completeness": float(telemetry.completeness[row]),
+        **{name: float(frame.column(name)[0]) for name in frame.columns},
+    }
+
+
 def run_chaos(
     model,
     *,
@@ -373,7 +394,6 @@ def run_chaos(
         fallback_threshold_policy,
     )
     from repro.telemetry.agent import TelemetryAgent
-    from repro.telemetry.store import MetricFrame
     from repro.workloads.patterns import linear_ramp
 
     if config is None:
@@ -457,24 +477,10 @@ def run_chaos(
         return int(_counter(after, name) - _counter(before, name))
 
     policy = fallback_holder["policy"]
-    # Safe-subset summary of the first live container's last delivered
-    # reading: the headline utilization metrics that exist, unknown
-    # names skipped.
-    telemetry_summary: dict = {}
     live = policy.fleet.index.live_rows()
-    if live:
-        telemetry = policy.fleet.telemetry
-        row = live[0]
-        frame = MetricFrame(
-            telemetry.raw[row : row + 1], telemetry.catalog.names()
-        ).select_available(
-            ["kernel.all.cpu.util", "mem.util.used_pct", "not.a.metric"]
-        )
-        telemetry_summary = {
-            "container": telemetry.container_at(row).name,
-            "completeness": float(telemetry.completeness[row]),
-            **{name: float(frame.column(name)[0]) for name in frame.columns},
-        }
+    telemetry_summary = (
+        _telemetry_summary(policy.fleet.telemetry, live[0]) if live else {}
+    )
 
     delta = chaos_result.slo_violation_count - clean_result.slo_violation_count
     bound = config.max_violation_delta_fraction * duration

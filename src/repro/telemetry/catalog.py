@@ -120,8 +120,14 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class SpecArrays:
-    """Vectorized view of a spec list, shared by batch and streaming
-    synthesis so both paths run the exact same arithmetic."""
+    """Vectorized driver arrays of a spec list, or of a column subset
+    of one (:meth:`restrict`), read by
+    :meth:`MetricCatalog.synthesize_rows`.
+
+    A subset keeps the full list's draw: every row still draws
+    ``n_draws`` normals per tick, and ``draw_idx`` picks the subset's
+    noisy columns out of that draw, so a generator advances exactly as
+    it would for the full list."""
 
     channels: np.ndarray
     gains: np.ndarray
@@ -138,18 +144,53 @@ class SpecArrays:
     sigma: np.ndarray  # noises[noisy]
     nonneg: np.ndarray  # bool: gauge clamped at 0 after noise
     nonneg_idx: np.ndarray
+    n_draws: int  # normals one row draws per tick (the full list's)
+    draw_idx: np.ndarray  # noisy_idx's positions within that draw
 
     @staticmethod
     def from_specs(specs: list[MetricSpec]) -> "SpecArrays":
         noises = np.array([s.noise for s in specs])
-        complement = np.array([s.transform == "complement100" for s in specs])
         noisy = noises > 0
-        counters = np.array([s.counter for s in specs])
-        nonneg = np.array([s.nonnegative for s in specs])
-        return SpecArrays(
+        return SpecArrays._build(
             channels=np.array([s.channel for s in specs]),
             gains=np.array([s.gain for s in specs]),
             bases=np.array([s.base for s in specs]),
+            noises=noises,
+            complement=np.array(
+                [s.transform == "complement100" for s in specs]
+            ),
+            counters=np.array([s.counter for s in specs]),
+            nonneg=np.array([s.nonnegative for s in specs]),
+            n_draws=int(noisy.sum()),
+            draw_of=np.cumsum(noisy) - 1,
+        )
+
+    def restrict(self, columns: np.ndarray) -> "SpecArrays":
+        """The view of ``columns`` (sorted positions in this view),
+        drawing what this view draws."""
+        draw_of = np.full(self.noises.size, -1, dtype=np.intp)
+        draw_of[self.noisy_idx] = self.draw_idx
+        return SpecArrays._build(
+            channels=self.channels[columns],
+            gains=self.gains[columns],
+            bases=self.bases[columns],
+            noises=self.noises[columns],
+            complement=self.complement[columns],
+            counters=self.counters[columns],
+            nonneg=self.nonneg[columns],
+            n_draws=self.n_draws,
+            draw_of=draw_of[columns],
+        )
+
+    @staticmethod
+    def _build(*, channels, gains, bases, noises, complement, counters,
+               nonneg, n_draws, draw_of) -> "SpecArrays":
+        """``draw_of[j]`` is column *j*'s position in the row's draw."""
+        noisy = noises > 0
+        return SpecArrays(
+            channels=channels,
+            gains=gains,
+            bases=bases,
             noises=noises,
             complement=complement,
             noisy=noisy,
@@ -160,6 +201,8 @@ class SpecArrays:
             sigma=noises[noisy],
             nonneg=nonneg,
             nonneg_idx=np.flatnonzero(nonneg),
+            n_draws=n_draws,
+            draw_idx=draw_of[noisy],
         )
 
 
@@ -235,7 +278,7 @@ class MetricCatalog:
 
     def synthesize_rows(
         self,
-        specs: list[MetricSpec],
+        specs: list[MetricSpec] | SpecArrays,
         states: np.ndarray,
         rngs,
         noise_scratch: np.ndarray | None = None,
@@ -243,18 +286,25 @@ class MetricCatalog:
         """Driver, complement, noise and non-negative clamp for N rows.
 
         The one synthesis kernel: :meth:`synthesize` and
-        :class:`repro.fleet.telemetry.FleetTelemetryStream` both call it.  ``states`` has shape ``(N, n_channels)``; ``rngs[i]`` is
-        row *i*'s generator, and rows may share one (``[rng] * N``
-        draws the rows one after another).  The driver math is
-        elementwise, and each row's Gaussian draw is one k-vector
-        ``standard_normal`` into a scratch row scaled by the per-metric
-        sigmas -- the same bit-generator consumption and the same
-        floating-point product as ``rng.normal(0.0, sigma)``.
+        :class:`repro.fleet.telemetry.FleetTelemetryStream` both call
+        it.  ``specs`` is one of this catalog's spec lists or a
+        :class:`SpecArrays` view of a column subset of one; the result
+        has one column per spec of it.  ``states`` has shape
+        ``(N, n_channels)``; ``rngs[i]`` is row *i*'s generator, and
+        rows may share one (``[rng] * N`` draws the rows one after
+        another).  The driver math is elementwise, and each row's
+        Gaussian draw is one ``n_draws``-vector ``standard_normal``
+        into a scratch row, whose ``draw_idx`` entries are scaled by
+        the per-metric sigmas -- the same bit-generator consumption and
+        the same floating-point product as ``rng.normal(0.0, sigma)``
+        over the full list, whatever subset is delivered.
 
         Counter accumulation and rate conversion are left to the caller:
         they carry state along the tick axis.
         """
-        arrays = self.spec_arrays(specs)
+        arrays = (
+            specs if isinstance(specs, SpecArrays) else self.spec_arrays(specs)
+        )
         n = states.shape[0]
         values = states[:, arrays.channels]
         np.multiply(values, arrays.gains, out=values)
@@ -267,14 +317,18 @@ class MetricCatalog:
             values[:, arrays.complement_idx] = (
                 100.0 - raw + arrays.bases[arrays.complement]
             )
-        k = arrays.noisy_idx.size
+        k = arrays.n_draws
         if k:
             if noise_scratch is None or noise_scratch.shape != (n, k):
                 noise_scratch = np.empty((n, k))
             for rng, scratch_row in zip(rngs, noise_scratch):
                 rng.standard_normal(out=scratch_row)
-            np.multiply(noise_scratch, arrays.sigma, out=noise_scratch)
-            values[:, arrays.noisy_idx] += noise_scratch
+            noise = (
+                noise_scratch if arrays.draw_idx.size == k
+                else noise_scratch[:, arrays.draw_idx]
+            )
+            np.multiply(noise, arrays.sigma, out=noise)
+            values[:, arrays.noisy_idx] += noise
         if arrays.nonneg_idx.size:
             # Domain-non-negative gauges: measurement noise must not
             # drive e.g. cpu.steal below zero.

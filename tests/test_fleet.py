@@ -88,9 +88,9 @@ def served_pipeline(request, tiny_model):
 
 class TestFleetPipelineBitwise:
     def test_matches_per_container_streams_row_for_row(self, served_pipeline):
-        """Staggered rows with NaNs and sub-1.0 completeness produce
-        the same engineered rows as dedicated PipelineStreams: bitwise,
-        or within 1e-9 relative where a PCA projection runs."""
+        """Staggered rows with NaNs produce the same engineered rows as
+        dedicated PipelineStreams fed the full rows: bitwise, or within
+        1e-9 relative where a PCA projection runs."""
         pipeline, meta = served_pipeline
         n_raw = len(meta)
         fleet = FleetPipelineStream(pipeline, meta, capacity=4)
@@ -98,24 +98,21 @@ class TestFleetPipelineBitwise:
         rng = np.random.default_rng(42)
         starts = [0, 0, 5]  # row 2 joins later, mid-run
         for t in range(14):
-            rows, raws, completeness = [], [], []
+            rows, raws = [], []
             for row, start in enumerate(starts):
                 if t < start:
                     continue
                 raw = rng.uniform(0.0, 50.0, n_raw)
                 if t % 4 == 1:
                     raw[rng.integers(0, n_raw, 7)] = np.nan
-                complete = 0.8 if t % 5 == 2 else 1.0
                 rows.append(row)
                 raws.append(raw)
-                completeness.append(complete)
             fleet.push_rows(
                 np.asarray(rows, dtype=np.intp),
-                np.asarray(raws),
-                np.asarray(completeness),
+                np.asarray(raws)[:, fleet.raw_columns],
             )
-            for row, raw, complete in zip(rows, raws, completeness):
-                expected = references[row].push(raw, imputed=complete < 1.0)
+            for row, raw in zip(rows, raws):
+                expected = references[row].push(raw)
                 got = fleet.features[row]
                 if uses_pca(pipeline):
                     scale = np.abs(expected).max()
@@ -126,9 +123,6 @@ class TestFleetPipelineBitwise:
                     assert np.array_equal(got, expected), (
                         f"row {row} diverged at tick {t}"
                     )
-        for row in range(3):
-            assert fleet.imputed_ticks[row] == references[row].imputed_ticks
-            assert fleet.ticks[row] == references[row].ticks
 
     def test_a_push_split_into_chunks_is_bitwise_one_push(
         self, tiny_model, monkeypatch
@@ -142,9 +136,9 @@ class TestFleetPipelineBitwise:
         chunk_sizes = []
         push_chunk = chunked._push_chunk
 
-        def counting_push_chunk(rows, raw, completeness):
+        def counting_push_chunk(rows, raw):
             chunk_sizes.append(rows.size)
-            push_chunk(rows, raw, completeness)
+            push_chunk(rows, raw)
 
         chunked._push_chunk = counting_push_chunk
         rng = np.random.default_rng(3)
@@ -155,12 +149,10 @@ class TestFleetPipelineBitwise:
                 raw[rng.integers(0, 5, 4), rng.integers(0, len(meta), 4)] = (
                     np.nan
                 )
-            completeness = np.where(rows == t % 5, 0.5, 1.0)
-            whole.push_rows(rows, raw, completeness)
-            chunked.push_rows(rows, raw, completeness)
+            whole.push_rows(rows, raw[:, whole.raw_columns])
+            chunked.push_rows(rows, raw[:, chunked.raw_columns])
             assert np.array_equal(chunked.features, whole.features)
         assert chunk_sizes == [1] * 5 * 8
-        assert np.array_equal(chunked.imputed_ticks, whole.imputed_ticks)
 
     def test_unservable_reduction_is_refused_when_built(self, tiny_model):
         pipeline = copy.copy(tiny_model.pipeline_)
@@ -174,16 +166,24 @@ class TestFleetPipelineBitwise:
         meta = default_catalog().feature_meta()
         fleet = FleetPipelineStream(tiny_model.pipeline_, meta, capacity=2)
         rng = np.random.default_rng(7)
-        raw = rng.uniform(0.0, 50.0, (1, len(meta)))
+        width = fleet.raw_columns.size
+        raw = rng.uniform(0.0, 50.0, (1, width))
         rows = np.asarray([0], dtype=np.intp)
-        ones = np.ones(1)
-        fleet.push_rows(rows, raw, ones)
+        fleet.push_rows(rows, raw)
         first = fleet.features[0].copy()
-        fleet.push_rows(rows, rng.uniform(0.0, 50.0, (1, len(meta))), ones)
+        fleet.push_rows(rows, rng.uniform(0.0, 50.0, (1, width)))
         fleet.reset_rows(rows)
         assert not fleet.has_features[0]
-        fleet.push_rows(rows, raw, ones)
+        fleet.push_rows(rows, raw)
         assert np.array_equal(fleet.features[0], first)
+
+    def test_a_push_of_another_width_is_refused(self, tiny_model):
+        meta = default_catalog().feature_meta()
+        fleet = FleetPipelineStream(tiny_model.pipeline_, meta, capacity=1)
+        rows = np.asarray([0], dtype=np.intp)
+        with pytest.raises(ValueError, match="raw_columns"):
+            fleet.push_rows(rows, np.zeros((1, len(meta))))
+        assert not fleet.has_features[0]
 
 
 class TestFleetTelemetryBitwise:
@@ -199,7 +199,10 @@ class TestFleetTelemetryBitwise:
             for replicas in deployment.instances.values()
             for instance in replicas
         ]
-        fleet = FleetTelemetryStream(agent.catalog, capacity=len(containers))
+        fleet = FleetTelemetryStream(
+            agent.catalog, np.arange(agent.catalog.n_metrics),
+            capacity=len(containers),
+        )
         for row, container in enumerate(containers):
             fleet.add_row(
                 row, spec.namespace, agent, container, cell.simulation.nodes

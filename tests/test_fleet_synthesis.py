@@ -14,6 +14,11 @@ is checked against the per-container wrapper stack
 ``ResilientInstanceStream(ChaosInstanceStream(DropoutInstanceStream(
 InstanceTelemetryStream)))`` of ``tests/serving_reference.py`` row by
 row and tick by tick.
+
+A stream that delivers a column subset is checked against the
+full-width stream and the reference stack at once: the same cells at
+those columns, the full row's completeness, faults and counters, and
+every generator left in the same state.
 """
 
 import copy
@@ -25,11 +30,15 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cluster.faults import MetricDropout
+from repro.core.features.pipeline import PipelineConfig
+from repro.core.model import MonitorlessModel
 from repro.fleet.orchestrator import build_cell, make_fleet_specs
+from repro.fleet.policy import FleetPolicy
 from repro.fleet.telemetry import FleetTelemetryStream
 from repro.reliability.chaos import ChaosAgent, ChaosConfig, TelemetryBlackout
 from repro.reliability.telemetry import ResilientTelemetry, TelemetryFault
 from repro.telemetry.agent import TelemetryAgent
+from repro.telemetry.catalog import default_catalog
 from tests.serving_reference import open_reference_stream
 
 
@@ -83,7 +92,10 @@ class TestBatchedSynthesisProperties:
         """Full-fleet emission crossing the 16-tick history window."""
         spec, cell, containers = _build(seed)
         agent = cell.agent
-        fleet = FleetTelemetryStream(agent.catalog, capacity=len(containers))
+        fleet = FleetTelemetryStream(
+            agent.catalog, np.arange(agent.catalog.n_metrics),
+            capacity=len(containers),
+        )
         for row, container in enumerate(containers):
             fleet.add_row(
                 row, spec.namespace, agent, container, cell.simulation.nodes
@@ -110,7 +122,10 @@ class TestBatchedSynthesisProperties:
         spec, cell, containers = _build(seed)
         agent = cell.agent
         nodes = cell.simulation.nodes
-        fleet = FleetTelemetryStream(agent.catalog, capacity=16)
+        fleet = FleetTelemetryStream(
+            agent.catalog, np.arange(agent.catalog.n_metrics),
+            capacity=16,
+        )
         for row, container in enumerate(containers):
             fleet.add_row(row, spec.namespace, agent, container, nodes)
         live = list(range(len(containers)))
@@ -147,7 +162,10 @@ class TestBatchedSynthesisProperties:
         spec, cell, containers = _build(seed)
         agent = cell.agent
         nodes = cell.simulation.nodes
-        fleet = FleetTelemetryStream(agent.catalog, capacity=16)
+        fleet = FleetTelemetryStream(
+            agent.catalog, np.arange(agent.catalog.n_metrics),
+            capacity=16,
+        )
         for row, container in enumerate(containers):
             fleet.add_row(row, spec.namespace, agent, container, nodes)
         live = list(range(len(containers)))
@@ -189,7 +207,10 @@ class TestBatchedSynthesisProperties:
         agent = cell.agent
         nodes = cell.simulation.nodes
         wrapped = ResilientTelemetry(agent, staleness_budget=2)
-        fleet = FleetTelemetryStream(agent.catalog, capacity=len(containers))
+        fleet = FleetTelemetryStream(
+            agent.catalog, np.arange(agent.catalog.n_metrics),
+            capacity=len(containers),
+        )
         for row, container in enumerate(containers):
             row_agent = wrapped if row % 2 else agent
             fleet.add_row(row, spec.namespace, row_agent, container, nodes)
@@ -234,8 +255,9 @@ def _add_totals(totals, delta):
         totals[name] = totals.get(name, 0.0) + value
 
 
-def _reference_tick(streams, containers, outcome):
-    """The reference chain's catch-up loop over every stream."""
+def _reference_tick(streams, containers, outcome, columns=slice(None)):
+    """The reference chain's catch-up loop over every stream; each
+    delivered row is recorded at ``columns``."""
     for row, stream in streams.items():
         container = containers[row]
         end = container.created_at + len(container.history)
@@ -247,14 +269,16 @@ def _reference_tick(streams, containers, outcome):
                 fault = type(error).__name__
                 break
             delivered.append(
-                (values.tobytes(), stream.tail.last_completeness())
+                (values[columns].tobytes(), stream.tail.last_completeness())
             )
         outcome[row] = (
             delivered, fault, getattr(stream, "staleness", 0), stream.clock
         )
 
 
-def _fleet_tick(fleet, rows, outcome):
+def _fleet_tick(fleet, rows, outcome, columns=slice(None)):
+    """One policy tick of ``fleet``'s rounds; each delivered row is
+    recorded at ``columns`` of its ``raw`` row."""
     fleet.begin_tick()
     delivered = {row: [] for row in rows}
     while True:
@@ -263,7 +287,10 @@ def _fleet_tick(fleet, rows, outcome):
             break
         for row in emitted.tolist():
             delivered[row].append(
-                (fleet.raw[row].tobytes(), float(fleet.completeness[row]))
+                (
+                    fleet.raw[row, columns].tobytes(),
+                    float(fleet.completeness[row]),
+                )
             )
     assert set(np.flatnonzero(fleet.faulted_mask).tolist()) == set(
         fleet.faulted
@@ -329,7 +356,10 @@ class TestFaultMaskParity:
         agent = _fault_stack(
             cell.agent, layers, probability, budget, retries, blackout, seed
         )
-        fleet = FleetTelemetryStream(agent.catalog, capacity=16)
+        fleet = FleetTelemetryStream(
+            agent.catalog, np.arange(agent.catalog.n_metrics),
+            capacity=16,
+        )
         streams = {}
 
         def add(row, container):
@@ -375,7 +405,10 @@ class TestFaultMaskParity:
 class TestUnsupportedStacks:
     def _fleet_and_container(self):
         _, cell, containers = _build(0)
-        fleet = FleetTelemetryStream(cell.agent.catalog, capacity=4)
+        fleet = FleetTelemetryStream(
+            cell.agent.catalog, np.arange(cell.agent.catalog.n_metrics),
+            capacity=4,
+        )
         return cell, fleet, containers[0]
 
     @pytest.mark.parametrize("make", [
@@ -405,3 +438,234 @@ class TestUnsupportedStacks:
             fleet.add_row(
                 0, "ns", Recorder(cell.agent), container, cell.simulation.nodes
             )
+
+
+# ----------------------------------------------------------------------
+# Delivered columns: a narrow stream against the full width
+# ----------------------------------------------------------------------
+def _column_kinds(catalog):
+    """Per scope, the catalog columns of each kind a subset must hold."""
+    host = catalog.spec_arrays(catalog.host)
+    container = catalog.spec_arrays(catalog.container)
+    n_host = catalog.n_host
+    return {
+        "host": (
+            host.counter_idx,
+            host.complement_idx,
+            host.nonneg_idx,
+            np.flatnonzero(~host.noisy),
+        ),
+        "container": (
+            n_host + container.counter_idx,
+            n_host + np.flatnonzero(~container.noisy),
+        ),
+    }
+
+
+_CATALOG = default_catalog()
+_KINDS = _column_kinds(_CATALOG)
+_SCOPE_RANGE = {
+    "host": (0, _CATALOG.n_host),
+    "container": (_CATALOG.n_host, _CATALOG.n_metrics),
+}
+
+
+@st.composite
+def _column_subsets(draw):
+    """A sorted subset of the host columns, the container columns or
+    both, holding a counter, complement, clamped and noise-free column
+    of each scope it covers (the noise-free host columns 8, 15 and 20
+    always) plus up to 24 more."""
+    scopes = draw(st.sampled_from(
+        [("host",), ("container",), ("host", "container")]
+    ))
+    columns = set()
+    for scope in scopes:
+        for pool in _KINDS[scope]:
+            columns.add(draw(st.sampled_from(pool.tolist())))
+        lo, hi = _SCOPE_RANGE[scope]
+        columns.update(draw(st.lists(st.integers(lo, hi - 1), max_size=24)))
+    if "host" in scopes:
+        columns.update((8, 15, 20))
+    return np.asarray(sorted(columns), dtype=np.intp)
+
+
+def _generator_states(fleet):
+    """Every synthesis and dropout generator's state, keyed by row or
+    host-group key."""
+    return (
+        {row: rng.bit_generator.state for row, rng in fleet._row_rng.items()},
+        {
+            key: fleet._grp_rng[slot].bit_generator.state
+            for key, slot in fleet._group_slots.items()
+        },
+        {row: rng.bit_generator.state for row, rng in fleet._drop_rng.items()},
+    )
+
+
+class TestDeliveredColumns:
+    @given(
+        seed=st.integers(0, 2**16),
+        columns=_column_subsets(),
+        layers=st.sampled_from([
+            (),
+            ("dropout",),
+            ("chaos", "dropout"),
+            ("resilient", "chaos", "dropout"),
+            ("resilient", "chaos"),
+        ]),
+        probability=st.sampled_from([0.1, 1.0]),
+        blackout_start=st.integers(2, 12),
+        scale_tick=st.integers(1, 14),
+    )
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_narrow_stream_matches_full_width_and_reference(
+        self, seed, columns, layers, probability, blackout_start, scale_tick,
+    ):
+        """A stream delivering ``columns`` emits the full-width stream's
+        and the reference stack's cells there, with the full row's
+        completeness, staleness, faults, samples and obs counters, and
+        leaves every generator where the full-width stream leaves it,
+        tick by tick, across a blackout and a mid-window scale-out."""
+        spec, cell, containers = _build(seed)
+        nodes = cell.simulation.nodes
+        blackout = TelemetryBlackout(blackout_start, blackout_start + 3)
+        agent = _fault_stack(
+            cell.agent, layers, probability, 2, 1, blackout, seed
+        )
+        catalog = agent.catalog
+        narrow = FleetTelemetryStream(catalog, columns, capacity=16)
+        full = FleetTelemetryStream(
+            catalog, np.arange(catalog.n_metrics), capacity=16
+        )
+        streams = {}
+
+        def add(row, container):
+            narrow.add_row(row, spec.namespace, agent, container, nodes)
+            full.add_row(row, spec.namespace, agent, container, nodes)
+            streams[row] = open_reference_stream(
+                agent, container, nodes, history=16
+            )
+
+        for row, container in enumerate(containers):
+            add(row, container)
+        obs.reset()
+        obs.enable()
+        try:
+            for t in range(22):
+                if t == scale_tick:
+                    service, placement = next(
+                        iter(cell.autoscaler.rules.placements.items())
+                    )
+                    containers.append(cell.simulation.add_replica(
+                        cell.application, service, placement
+                    ))
+                    add(len(containers) - 1, containers[-1])
+                cell.simulation.step({cell.application: 50.0})
+                rows = sorted(streams)
+                outcomes = {"narrow": {}, "full": {}, "reference": {}}
+                counters = {
+                    "narrow": _fault_counters(
+                        lambda: _fleet_tick(narrow, rows, outcomes["narrow"])
+                    ),
+                    "full": _fault_counters(lambda: _fleet_tick(
+                        full, rows, outcomes["full"], columns
+                    )),
+                    "reference": _fault_counters(lambda: _reference_tick(
+                        streams, containers, outcomes["reference"], columns
+                    )),
+                }
+                assert outcomes["narrow"] == outcomes["full"], f"tick {t}"
+                assert outcomes["narrow"] == outcomes["reference"], f"tick {t}"
+                assert counters["narrow"] == counters["full"], f"tick {t}"
+                assert counters["narrow"] == counters["reference"], f"tick {t}"
+                for name in (
+                    "completeness", "staleness", "faulted_mask", "sampled_mask"
+                ):
+                    assert np.array_equal(
+                        getattr(narrow, name), getattr(full, name)
+                    ), f"{name} at tick {t}"
+                assert _generator_states(narrow) == _generator_states(full)
+        finally:
+            obs.disable()
+            obs.reset()
+
+    @pytest.mark.parametrize("columns", [
+        np.array([], dtype=np.intp),
+        np.array([[0, 1]]),
+        np.array([0.0, 1.0]),
+        np.array([True, False]),
+        np.array([5, 3]),
+        np.array([3, 3]),
+        np.array([-1, 3]),
+        np.array([0, _CATALOG.n_metrics]),
+    ], ids=[
+        "empty", "2-d", "float", "bool", "unsorted", "duplicated",
+        "negative", "past-the-end",
+    ])
+    def test_bad_columns_raise_value_error(self, columns):
+        with pytest.raises(ValueError, match="columns"):
+            FleetTelemetryStream(_CATALOG, columns)
+
+
+class _Champion:
+    """A lifecycle stand-in: the fleet serves whatever ``champion`` is."""
+
+    def __init__(self, champion):
+        self.champion = champion
+
+    def observe(self, t, features, flags, completeness=None):
+        pass
+
+
+def _serve(policy, cell, ticks, start=0):
+    for t in range(start, start + ticks):
+        cell.simulation.step({cell.application: 40.0 + 8.0 * t})
+        policy.saturated_services(t)
+
+
+class TestPolicyColumns:
+    def test_filter_model_delivers_its_plan_through_a_promotion(
+        self, tiny_model
+    ):
+        spec = make_fleet_specs(1)[0]
+        cell = build_cell(spec)
+        manager = _Champion(tiny_model)
+        policy = FleetPolicy(tiny_model, lifecycle=manager)
+        policy.add_cell(
+            spec.namespace, cell.simulation, cell.application, cell.agent
+        )
+        columns = policy.telemetry.columns
+        assert np.array_equal(columns, policy.features.raw_columns)
+        assert 0 < columns.size < _CATALOG.n_metrics
+        _serve(policy, cell, 4)
+        rng = np.random.default_rng(0)
+        manager.champion = tiny_model.refit_classifier(
+            rng.normal(size=(40, tiny_model.n_engineered_features_)),
+            np.arange(40) % 2,
+        )
+        _serve(policy, cell, 4, start=4)
+        assert policy.model is manager.champion
+        assert policy.telemetry.columns is columns
+        assert np.array_equal(columns, policy.features.raw_columns)
+        assert policy.telemetry.raw.shape[1] == columns.size
+
+    def test_pca_model_delivers_every_column(self, tiny_corpus):
+        model = MonitorlessModel(
+            pipeline_config=PipelineConfig(
+                reduction1="pca", interactions=False, reduction2=None,
+                temporal_windows=(1,),
+            ),
+            classifier_params={"n_estimators": 3},
+            random_state=0,
+        )
+        model.fit(
+            tiny_corpus.X, tiny_corpus.meta, tiny_corpus.y, tiny_corpus.groups
+        )
+        policy = FleetPolicy(model)
+        assert np.array_equal(
+            policy.telemetry.columns, np.arange(_CATALOG.n_metrics)
+        )
+        assert np.array_equal(
+            policy.telemetry.columns, policy.features.raw_columns
+        )

@@ -173,7 +173,10 @@ class TestNonnegativeGauges:
             .instances.values()
             for instance in replicas
         )
-        fleet = FleetTelemetryStream(agent.catalog, capacity=4)
+        fleet = FleetTelemetryStream(
+            agent.catalog, np.arange(agent.catalog.n_metrics),
+            capacity=4,
+        )
         fleet.add_row(0, "ns", agent, container, simulation.nodes)
         columns = self._nonneg_columns(agent.catalog)
         for _ in range(12):
@@ -327,7 +330,10 @@ class TestFleetParityWithAntagonist:
             for replicas in deployment.instances.values()
             for instance in replicas
         ]
-        fleet = FleetTelemetryStream(agent.catalog, capacity=len(containers))
+        fleet = FleetTelemetryStream(
+            agent.catalog, np.arange(agent.catalog.n_metrics),
+            capacity=len(containers),
+        )
         for row, container in enumerate(containers):
             fleet.add_row(row, "ns", agent, container, simulation.nodes)
         ticks = 20

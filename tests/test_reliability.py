@@ -27,12 +27,15 @@ from repro.datasets.experiments import (
     teastore_placements,
     teastore_scaling_rules,
 )
+from repro.fleet.orchestrator import build_cell, make_fleet_specs
+from repro.fleet.telemetry import FleetTelemetryStream
 from repro.orchestrator.loop import Orchestrator
 from repro.orchestrator.policies import MonitorlessPolicy, ThresholdPolicy
 from repro.reliability.chaos import (
     ChaosAgent,
     ChaosConfig,
     TelemetryBlackout,
+    _telemetry_summary,
     run_chaos,
 )
 from repro.reliability.checkpoint import (
@@ -863,6 +866,35 @@ class TestChaosHarness:
         assert set(report.health_final.values()) == {HEALTHY}
         # The safe-subset summary only contains metrics that exist.
         assert "not.a.metric" not in report.telemetry_summary
+
+    def test_summary_holds_delivered_cells_only(self):
+        """Every summarized metric is one the row delivers, with its
+        delivered value; undelivered and unknown names are skipped."""
+        spec = make_fleet_specs(1)[0]
+        cell = build_cell(spec)
+        catalog = cell.agent.catalog
+        names = catalog.names()
+        # kernel.all.cpu.util is delivered, mem.util.used_pct is not.
+        columns = np.array([names.index("kernel.all.cpu.util"), 5, 1000])
+        fleet = FleetTelemetryStream(catalog, columns, capacity=1)
+        container = next(iter(
+            cell.simulation.deployments[cell.application].instances.values()
+        ))[0].container
+        fleet.add_row(
+            0, spec.namespace, cell.agent, container, cell.simulation.nodes
+        )
+        for _ in range(3):
+            cell.simulation.step({cell.application: 60.0})
+            fleet.begin_tick()
+            fleet.advance_round()
+        summary = _telemetry_summary(fleet, 0)
+        assert summary["container"] == container.name
+        assert summary["completeness"] == fleet.completeness[0]
+        metrics = set(summary) - {"container", "completeness"}
+        assert metrics == {"kernel.all.cpu.util"}
+        delivered = [names[column] for column in fleet.columns]
+        for name in metrics:
+            assert summary[name] == fleet.raw[0, delivered.index(name)]
 
     def test_chaos_is_deterministic(self, tiny_model):
         first = run_chaos(tiny_model, duration=60, seed=7)
