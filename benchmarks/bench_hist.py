@@ -3,9 +3,9 @@
 Times the serial Table-1 forest fit under both tree-growth modes and
 records the results to ``BENCH_hist.json`` at the repository root:
 
-- ``exact``  -- the default mode (node-batched split search, with the
-  root presort under its gate; still bitwise identical to the
-  historical trees, see ``tests/test_hist.py::TestExactFingerprint``);
+- ``exact``  -- the default mode (node-batched split search, one
+  block sort per node; still bitwise identical to the historical
+  trees, see ``tests/test_hist.py::TestExactFingerprint``);
 - ``hist``   -- quantile-binned growth (``tree_method="hist"``),
   including the once-per-forest binning cost.
 

@@ -8,7 +8,8 @@ at the repository root:
 
 - **correctness** (always asserted, both modes, every batch size): the
   flat kernel's probabilities are *bitwise identical* to the historical
-  per-tree chunked vote loop, reproduced verbatim in this module;
+  per-tree chunked vote loop, reproduced verbatim in this module over
+  the per-tree walk kept in ``tests/tree_reference.py``;
 - **throughput** (enforced only on >= 4-core hosts, the
   ``BENCH_parallel``/``BENCH_fleet`` gating convention): the flat path
   is >= 10x faster than the per-tree path at the serving batch shape.
@@ -37,6 +38,7 @@ from repro.ml.base import check_array
 from repro.ml.flatforest import _CHUNK_TREES
 from repro.ml.forest import RandomForestClassifier
 from repro.parallel.jobs import available_cores
+from tests.tree_reference import tree_apply
 
 from conftest import SEED
 
@@ -49,7 +51,7 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_predict.json"
 
 def per_tree_proba(forest, X):
     """The historical public ``predict_proba``: one ``check_array``
-    pass, then the chunked per-tree ``_apply`` + vote-scatter loop."""
+    pass, then the chunked per-tree walk + vote-scatter loop."""
     X = check_array(X)
     k = len(forest.classes_)
     partials = []
@@ -57,7 +59,11 @@ def per_tree_proba(forest, X):
         chunk = forest.estimators_[start:start + _CHUNK_TREES]
         votes = np.zeros((X.shape[0], k))
         for tree in chunk:
-            votes[:, tree.classes_] += tree.tree_value_[tree._apply(X)]
+            leaves = tree_apply(
+                tree.tree_feature_, tree.tree_threshold_,
+                tree.tree_left_, tree.tree_right_, X,
+            )
+            votes[:, tree.classes_] += tree.tree_value_[leaves]
         partials.append(votes)
     accumulated = partials[0]
     for votes in partials[1:]:

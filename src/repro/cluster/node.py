@@ -7,17 +7,17 @@
 - ``M1``/``M2``/``M3``: the DL360 Gen9 evaluation trio (10/12/8 cores,
   32 GiB, 1 Gb LAN, mixed Debian/Ubuntu -- section 4.2.1).
 
-A node arbitrates shared resources among its containers with
+A node's shared resources are split among its containers with
 proportional fair sharing: when the sum of demands exceeds capacity,
 every container receives capacity scaled by its demand share (CFS-like
-behaviour without per-task detail).
+behaviour without per-task detail).  The simulation engine does the
+arbitration, one node at a time, in
+:func:`repro.cluster.simulation._arbitrate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.cluster.container import Container
 from repro.cluster.resources import GBIT, GIB
@@ -26,7 +26,6 @@ __all__ = [
     "NodeSpec",
     "Node",
     "MACHINES",
-    "fair_share",
     "NEGATIVE_DEMAND_TOLERANCE",
 ]
 
@@ -106,27 +105,6 @@ MACHINES: dict[str, NodeSpec] = {
 #: (demand sums and ratio rescaling accumulate ~1 ulp per member) and
 #: is clamped to exactly 0.0 instead of aborting the run.
 NEGATIVE_DEMAND_TOLERANCE = 1e-6
-
-
-def fair_share(demands: np.ndarray, capacity: float) -> np.ndarray:
-    """Proportional fair allocation of ``capacity`` to ``demands``.
-
-    Under-subscribed resources grant every demand in full; otherwise
-    each consumer receives ``capacity * demand / total_demand``.
-
-    Microscopically negative demands (float rounding in the
-    work-conserving paths) are clamped to 0; demands more negative
-    than :data:`NEGATIVE_DEMAND_TOLERANCE` still raise.
-    """
-    demands = np.asarray(demands, dtype=np.float64)
-    if np.any(demands < 0):
-        if np.any(demands < -NEGATIVE_DEMAND_TOLERANCE):
-            raise ValueError("Demands must be non-negative.")
-        demands = np.maximum(demands, 0.0)
-    total = demands.sum()
-    if total <= capacity or total == 0.0:
-        return demands.copy()
-    return demands * (capacity / total)
 
 
 @dataclass

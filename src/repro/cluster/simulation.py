@@ -21,11 +21,16 @@ between ticks (section 4.2's autoscaling experiment).
 Two paths advance a tick.  :meth:`ClusterSimulation.step` walks one
 simulation's instances in Python; it steps the corpus build, the
 calibration runs and the per-container orchestrator, and it is the
-reference.  :class:`Lockstep` advances a fixed list of simulations
-(a fleet shard's cells) by one tick each in one vectorized pass over
-all their instances and leaves every simulation bitwise in the state
-``step`` would leave.  Its fixed cost per call is several times that
-of one scalar step, so it pays only across many cells.
+reference.  It arbitrates every node through one routine,
+:func:`_arbitrate`, whose sums follow one rule: a node of fewer than
+``_PAIRWISE_MEMBERS`` members adds left to right from 0.0, a larger
+one goes through numpy's pairwise ``np.add.reduce``.
+:class:`Lockstep` advances a fixed list of simulations (a fleet
+shard's cells) by one tick each in one vectorized pass over all their
+instances, sums its node groups by the same rule, and leaves every
+simulation bitwise in the state ``step`` would leave.  Its fixed cost
+per call is several times that of one scalar step, so it pays only
+across many cells.
 """
 
 from __future__ import annotations
@@ -46,12 +51,7 @@ from repro.cluster.cgroup import (
     MemoryCgroup,
 )
 from repro.cluster.container import Container, ContainerTick
-from repro.cluster.node import (
-    NEGATIVE_DEMAND_TOLERANCE,
-    Node,
-    NodeSpec,
-    fair_share,
-)
+from repro.cluster.node import NEGATIVE_DEMAND_TOLERANCE, Node, NodeSpec
 from repro.cluster.resources import Resource
 
 __all__ = [
@@ -246,83 +246,50 @@ class ClusterSimulation:
                         instance
                     )
 
-        # Pass 2: arbitrate shared resources per node.  Each container's
-        # usable capacity is its fair-share grant plus the node's idle
-        # headroom (work-conserving scheduling): on an idle node a
-        # container can burst to the full resource, under contention it
-        # is squeezed to its proportional share.
+        # Pass 2: arbitrate shared resources per node (:func:`_arbitrate`),
+        # CPU demands and grants clamped to each container's quota.
         shares: dict[str, tuple] = {}
         for node in self.nodes.values():
             members = by_node.get(node.name)
             if not members:
                 continue
+            spec = node.spec
             member_demands = [demands[inst.container.name] for inst in members]
             quotas = [
                 inst.container.cpu_cgroup.quota_cores
                 if inst.container.cpu_cgroup.quota_cores is not None
-                else float(node.spec.cores)
+                else float(spec.cores)
                 for inst in members
             ]
-            if len(members) < 8:
-                # Scalar arbitration: bitwise-identical to the array path
-                # below (numpy sums small arrays with the same sequential
-                # accumulation), without per-node array construction.
-                cpu_capacity = _work_conserving_scalar(
-                    [
-                        d.cpu_cores if d.cpu_cores < q else q
-                        for d, q in zip(member_demands, quotas)
-                    ],
-                    float(node.spec.cores),
-                )
-                cpu_capacity = [
-                    c if c < q else q for c, q in zip(cpu_capacity, quotas)
-                ]
-                disk_capacity = _work_conserving_scalar(
-                    [d.disk_bytes for d in member_demands],
-                    node.spec.disk_bandwidth,
-                )
-                random_capacity = _work_conserving_scalar(
+            cpu_capacity = _arbitrate(
+                [
+                    d.cpu_cores if d.cpu_cores < q else q
+                    for d, q in zip(member_demands, quotas)
+                ],
+                float(spec.cores),
+            )
+            for inst, q, cpu, disk, random_disk, net, membw in zip(
+                members,
+                quotas,
+                cpu_capacity,
+                _arbitrate(
+                    [d.disk_bytes for d in member_demands], spec.disk_bandwidth
+                ),
+                _arbitrate(
                     [d.random_disk_bytes for d in member_demands],
-                    node.spec.disk_random_bandwidth,
-                )
-                net_capacity = _work_conserving_scalar(
+                    spec.disk_random_bandwidth,
+                ),
+                _arbitrate(
                     [d.network_bytes for d in member_demands],
-                    node.spec.network_bandwidth,
-                )
-                membw_capacity = _work_conserving_scalar(
+                    spec.network_bandwidth,
+                ),
+                _arbitrate(
                     [d.memory_bandwidth_bytes for d in member_demands],
-                    node.spec.memory_bandwidth,
-                )
-            else:
-                quota_arr = np.array(quotas)
-                raw_cpu = np.array([d.cpu_cores for d in member_demands])
-                cpu_capacity = _work_conserving_capacity(
-                    np.minimum(raw_cpu, quota_arr), float(node.spec.cores)
-                )
-                cpu_capacity = np.minimum(cpu_capacity, quota_arr)
-                disk_capacity = _work_conserving_capacity(
-                    np.array([d.disk_bytes for d in member_demands]),
-                    node.spec.disk_bandwidth,
-                )
-                random_capacity = _work_conserving_capacity(
-                    np.array([d.random_disk_bytes for d in member_demands]),
-                    node.spec.disk_random_bandwidth,
-                )
-                net_capacity = _work_conserving_capacity(
-                    np.array([d.network_bytes for d in member_demands]),
-                    node.spec.network_bandwidth,
-                )
-                membw_capacity = _work_conserving_capacity(
-                    np.array([d.memory_bandwidth_bytes for d in member_demands]),
-                    node.spec.memory_bandwidth,
-                )
-            for i, inst in enumerate(members):
+                    spec.memory_bandwidth,
+                ),
+            ):
                 shares[inst.container.name] = (
-                    cpu_capacity[i],
-                    disk_capacity[i],
-                    random_capacity[i],
-                    net_capacity[i],
-                    membw_capacity[i],
+                    cpu if cpu < q else q, disk, random_disk, net, membw
                 )
 
         # Pass 3: resolve performance and record container ticks.
@@ -457,61 +424,55 @@ def _check_arrivals(simulation: ClusterSimulation, arrivals: dict) -> None:
             )
 
 
-def _work_conserving_capacity(demands: np.ndarray, total: float) -> np.ndarray:
-    """Usable capacity per consumer: fair-share grant + idle headroom.
+#: Node groups with this many members or more are summed by numpy's
+#: pairwise ``np.add.reduce``; smaller groups are summed left to right
+#: from 0.0.  :func:`_node_total` and :meth:`Lockstep._node_sums` both
+#: follow this rule, which is what keeps the two stepping paths bitwise
+#: equal on crowded nodes.
+_PAIRWISE_MEMBERS = 8
 
-    With total demand below ``total``, every consumer could addit-
-    ionally claim the idle remainder, so its utilization stays below 1;
-    once the resource is oversubscribed the idle term vanishes and
-    every consumer sees its proportional squeeze (utilization > 1).
+
+def _node_total(values: list) -> float:
+    """Sum of one node's member values in the order the rule above sets."""
+    if len(values) < _PAIRWISE_MEMBERS:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    return float(np.add.reduce(np.array(values, dtype=np.float64)))
+
+
+def _arbitrate(demands: list, capacity: float) -> list:
+    """Usable capacity per member of one node: fair-share grant + idle headroom.
+
+    Proportional fair sharing grants every demand in full while their
+    sum fits ``capacity`` and ``demand * (capacity / sum)`` once it does
+    not.  The scheduling is work-conserving: the idle remainder
+    ``capacity - sum(grants)`` is added to every grant, so on an idle
+    node a container can burst to the whole resource, and under
+    contention the idle term vanishes and each container sees its
+    proportional squeeze.  Demands in ``(-NEGATIVE_DEMAND_TOLERANCE,
+    0)`` are float-rounding debris and count as 0.0; a more negative
+    demand raises ``ValueError``.
     """
-    granted = fair_share(demands, total)
-    idle = max(0.0, total - float(granted.sum()))
-    return granted + idle
-
-
-def _work_conserving_scalar(demands: list, total: float) -> list:
-    """Scalar twin of :func:`_work_conserving_capacity` for short groups.
-
-    Accumulates sums left to right starting from zero, exactly as numpy
-    does for arrays shorter than eight elements, so every result is
-    bitwise-equal to the array path.
-    """
-    clamped: list | None = None
-    for i, demand in enumerate(demands):
-        if demand < 0:
-            if demand < -NEGATIVE_DEMAND_TOLERANCE:
-                raise ValueError("Demands must be non-negative.")
-            if clamped is None:
-                clamped = list(demands)
-            clamped[i] = 0.0
-    if clamped is not None:
-        demands = clamped
-    subscribed = 0.0
-    for demand in demands:
-        subscribed += demand
-    if subscribed <= total or subscribed == 0.0:
-        granted = demands
-        granted_sum = subscribed
+    if any(demand < 0.0 for demand in demands):
+        if any(demand < -NEGATIVE_DEMAND_TOLERANCE for demand in demands):
+            raise ValueError("Demands must be non-negative.")
+        demands = [0.0 if demand < 0.0 else demand for demand in demands]
+    subscribed = _node_total(demands)
+    if subscribed <= capacity or subscribed == 0.0:
+        granted, granted_total = demands, subscribed
     else:
-        ratio = total / subscribed
+        ratio = capacity / subscribed
         granted = [demand * ratio for demand in demands]
-        granted_sum = 0.0
-        for grant in granted:
-            granted_sum += grant
-    idle = max(0.0, total - granted_sum)
+        granted_total = _node_total(granted)
+    idle = max(0.0, capacity - granted_total)
     return [grant + idle for grant in granted]
 
 
 # ----------------------------------------------------------------------
 # Lockstep: one vectorized tick for many simulations
 # ----------------------------------------------------------------------
-#: Node groups with this many members or more are summed by numpy's
-#: pairwise ``.sum()``, as the array branch of
-#: :meth:`ClusterSimulation.step` sums them; smaller groups are summed
-#: left to right from 0.0, as its scalar branch does.
-_PAIRWISE_MEMBERS = 8
-
 #: Per-instance constants a :class:`_SimulationLayout` row holds.
 _CONSTANTS = 23
 

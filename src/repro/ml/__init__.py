@@ -10,10 +10,10 @@ estimators on top of numpy:
   built by :class:`repro.ml.binning.Binner`).
 - :class:`repro.ml.forest.RandomForestClassifier` -- bagged CART trees
   with feature importances, class weights and probability predictions.
-- :mod:`repro.ml.flatforest` -- ensembles compiled to one contiguous
+- :mod:`repro.ml.flatforest` -- trees compiled to one contiguous
   struct-of-arrays and traversed all-rows x all-trees in one batched
-  kernel; the default serial inference engine behind every tree
-  ensemble above.
+  kernel; the only traversal behind every tree model here (a single
+  tree or boosting round walks a one-tree compile).
 - :class:`repro.ml.boosting.AdaBoostClassifier` -- SAMME / SAMME.R.
 - :class:`repro.ml.gbm.GradientBoostingClassifier` -- second-order
   (XGBoost-style) boosted trees with ``min_child_weight`` and ``gamma``.
@@ -33,7 +33,7 @@ from repro.ml.base import BaseEstimator, ClassifierMixin, clone
 from repro.ml.binning import Binner
 from repro.ml.boosting import AdaBoostClassifier
 from repro.ml.decomposition import PCA
-from repro.ml.flatforest import FlatForest, FlatTrees, tree_apply
+from repro.ml.flatforest import FlatForest, FlatTrees
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.gbm import GradientBoostingClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
@@ -48,7 +48,6 @@ __all__ = [
     "Binner",
     "FlatForest",
     "FlatTrees",
-    "tree_apply",
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "AdaBoostClassifier",

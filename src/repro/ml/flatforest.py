@@ -1,19 +1,24 @@
-"""Compiled flat-forest representation and batched traversal kernel.
+"""Compiled flat-forest representation and the one tree traversal.
 
-The historical ensemble predict path loops over trees in Python, each
-tree running its own vectorized level walk (``DecisionTreeClassifier.
-_apply``): 250 trees means 250 separate walks plus 250 Python-level
-vote gathers per call, which dominates the fleet serving tick.  This
-module compiles an ensemble once into one contiguous struct-of-arrays
--- every tree's ``feature``/``threshold``/``left``/``right`` arrays
-concatenated with per-tree node offsets and child indices rebased to
-global node ids -- and traverses **all rows x all trees** in a single
-level-synchronous walk over a flat ``(n_rows * n_trees)`` node-index
-vector, compacting finished lanes out of the active set each level.
-Rows are gathered from the raw float64 matrix and compared against the
-stored float64 thresholds, reproducing every comparison of the
-per-tree walk bit for bit (hist-mode trees store their thresholds as
-raw bin edges, so they take the same walk).
+The historical ensemble predict path looped over trees in Python, each
+tree running its own vectorized level walk: 250 trees meant 250
+separate walks plus 250 Python-level vote gathers per call, which
+dominated the fleet serving tick.  This module compiles an ensemble
+once into one contiguous struct-of-arrays -- every tree's
+``feature``/``threshold``/``left``/``right`` arrays concatenated with
+per-tree node offsets and child indices rebased to global node ids --
+and traverses **all rows x all trees** in a single level-synchronous
+walk over a flat ``(n_rows * n_trees)`` node-index vector, compacting
+finished lanes out of the active set each level.  Rows are gathered
+from the raw float64 matrix and compared against the stored float64
+thresholds, reproducing every comparison of the per-tree walk bit for
+bit (hist-mode trees store their thresholds as raw bin edges, so they
+take the same walk; the per-tree walk is the reference in
+``tests/tree_reference.py``).
+
+:meth:`FlatTrees._walk` is the only tree traversal in the package: a
+single ``DecisionTreeClassifier`` and each GBM round compile
+themselves into a one-tree :class:`FlatTrees` and walk that.
 
 :class:`FlatForest` layers classification voting on top: leaf values
 are expanded to the ensemble's full class count at compile time and
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FlatTrees", "FlatForest", "tree_apply"]
+__all__ = ["FlatTrees", "FlatForest"]
 
 _LEAF = -1
 
@@ -42,26 +47,6 @@ _UNCHUNKED_CELLS = 32768
 #: chunk in :class:`FlatForest`: the historical per-tree loop's chunk
 #: width, so one traversal chunk feeds one vote chunk.
 _CHUNK_TREES = 16
-
-
-def tree_apply(feature, threshold, left, right, X) -> np.ndarray:
-    """Leaf index per row of ``X`` for one tree (vectorized level walk).
-
-    The shared single-tree kernel behind ``DecisionTreeClassifier.
-    _apply`` and ``_BoostTree.predict``: identical comparisons in
-    identical order to the historical per-class copies (NaN compares
-    False and goes right), so leaf assignments are unchanged.
-    """
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    active = feature[node] != _LEAF
-    while np.any(active):
-        idx = np.flatnonzero(active)
-        nodes = node[idx]
-        features = feature[nodes]
-        go_left = X[idx, features] <= threshold[nodes]
-        node[idx] = np.where(go_left, left[nodes], right[nodes])
-        active[idx] = feature[node[idx]] != _LEAF
-    return node
 
 
 class FlatTrees:

@@ -23,7 +23,7 @@ from repro.ml.base import (
     check_X_y,
 )
 from repro.ml.binning import Binner
-from repro.ml.flatforest import FlatTrees, tree_apply
+from repro.ml.flatforest import FlatTrees
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -289,12 +289,12 @@ class _BoostTree:
         return feature_idx, threshold, left_mask
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        feature = np.asarray(self.feature, dtype=np.int64)
-        threshold = np.asarray(self.threshold, dtype=np.float64)
-        left = np.asarray(self.left, dtype=np.int64)
-        right = np.asarray(self.right, dtype=np.int64)
-        value = np.asarray(self.leaf_value, dtype=np.float64)
-        return value[tree_apply(feature, threshold, left, right, X)]
+        """Leaf value per row of ``X``: a one-tree flat walk."""
+        flat = FlatTrees.from_arrays(
+            [(self.feature, self.threshold, self.left, self.right)],
+            [self.leaf_value],
+        )
+        return flat.value[flat.apply(X)[:, 0]]
 
 
 class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):

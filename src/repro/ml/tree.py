@@ -13,15 +13,9 @@ Two training modes, selected by ``tree_method``:
   candidate rule (skip constant features, stop once ``max_features``
   non-constant ones are examined and one split helps, first strict
   maximum wins); blocks past the first are scored only when that rule
-  reads further.  When the node examines *all* features with uniform
-  sample weights, the sort is hoisted to the root -- each feature is
-  argsorted once per tree and the per-node sorted row lists are
-  maintained by stable partition propagation, which is bitwise
-  identical to a per-node argsort (uniform weights make the boundary
-  prefix sums invariant to tie ordering) but skips the
-  ``O(n log n)`` re-sort at every node.  A tree grows on row ids, so a
-  forest shares one training matrix among its trees and hands each
-  tree its bootstrap rows instead of a copy of them.
+  reads further.  A tree grows on row ids, so a forest shares one
+  training matrix among its trees and hands each tree its bootstrap
+  rows instead of a copy of them.
 - ``"hist"``: the feature matrix is quantile-binned once into a
   ``uint8`` code matrix (:class:`repro.ml.binning.Binner`, <= 255 bins)
   and split finding runs over per-node class-weighted bin histograms
@@ -37,8 +31,9 @@ Two training modes, selected by ``tree_method``:
   out to all trees via :meth:`DecisionTreeClassifier.fit_binned`.
 
 The tree is stored in flat arrays (``children_left``/``children_right``/
-``feature``/``threshold``/``value``) which keeps prediction a tight
-vectorized loop and makes the structure serialisable.
+``feature``/``threshold``/``value``), which makes the structure
+serialisable; prediction compiles them into a one-tree
+:class:`repro.ml.flatforest.FlatTrees` and walks that.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from repro.ml.base import (
     compute_sample_weight,
 )
 from repro.ml.binning import Binner
-from repro.ml.flatforest import tree_apply
+from repro.ml.flatforest import FlatTrees
 
 __all__ = ["DecisionTreeClassifier"]
 
@@ -231,29 +226,7 @@ class _TreeBuilder:
         self.importances = np.zeros(X.shape[1])
 
     def build(self) -> None:
-        root = self.root
-        weight = self.w[root]
-        # Presort fast path: argsort every feature once at the root and
-        # maintain per-node sorted row lists by stable partition
-        # propagation.  Only taken when it is both profitable (every
-        # feature is examined at every node, so no sort is wasted) and
-        # provably bitwise-safe (uniform weights: within a tie group a
-        # prefix sum adds the same constant the same number of times, so
-        # the boundary sums -- and hence every split decision -- do not
-        # depend on how quicksort happened to order the ties).
-        presort = (
-            self.splitter == "best"
-            and self.max_features >= self.X.shape[1]
-            and weight.size > 0
-            and bool(np.all(weight == weight[0]))
-        )
-        sorted_idx = None
-        if presort:
-            n_features = self.X.shape[1]
-            sorted_idx = np.empty((n_features, root.size), dtype=np.int64)
-            for f in range(n_features):
-                sorted_idx[f] = root[np.argsort(self.X[root, f], kind="quicksort")]
-        self._grow(root, depth=0, sorted_idx=sorted_idx)
+        self._grow(self.root, depth=0)
 
     def _class_counts(self, indices: np.ndarray) -> np.ndarray:
         return np.bincount(
@@ -277,9 +250,7 @@ class _TreeBuilder:
             or impurity <= 1e-12
         )
 
-    def _grow(
-        self, indices: np.ndarray, depth: int, sorted_idx: np.ndarray | None
-    ) -> int:
+    def _grow(self, indices: np.ndarray, depth: int) -> int:
         counts = self._class_counts(indices)
         impurity = _node_impurity(counts, self.criterion)
 
@@ -288,7 +259,7 @@ class _TreeBuilder:
             if self.splitter == "random":
                 split = self._random_split(indices, impurity)
             else:
-                split = self._best_split(indices, impurity, sorted_idx)
+                split = self._best_split(indices, impurity)
         if split is None:
             return self._new_leaf(counts)
 
@@ -303,35 +274,13 @@ class _TreeBuilder:
             self.w[indices].sum() / self.total_weight
         ) * gain
 
-        left_indices = indices[left_mask]
-        right_indices = indices[~left_mask]
-        left_sorted = right_sorted = None
-        if sorted_idx is not None:
-            # Stable partition of every feature's sorted list: rows keep
-            # their relative order, so each child's lists stay sorted.
-            # Every list holds exactly the node's samples (a duplicated
-            # row goes to one side with all its copies), so each keeps
-            # the same number of left entries and the mask select
-            # reshapes back into a matrix.
-            in_left = np.zeros(self.X.shape[0], dtype=bool)
-            in_left[left_indices] = True
-            left_of = in_left[sorted_idx]
-            left_sorted = sorted_idx[left_of].reshape(sorted_idx.shape[0], -1)
-            right_sorted = sorted_idx[~left_of].reshape(sorted_idx.shape[0], -1)
-            del sorted_idx, left_of  # bound live memory to O(depth) matrices
-
-        left_id = self._grow(left_indices, depth + 1, left_sorted)
-        right_id = self._grow(right_indices, depth + 1, right_sorted)
+        left_id = self._grow(indices[left_mask], depth + 1)
+        right_id = self._grow(indices[~left_mask], depth + 1)
         self.children_left[node_id] = left_id
         self.children_right[node_id] = right_id
         return node_id
 
-    def _best_split(
-        self,
-        indices: np.ndarray,
-        parent_impurity: float,
-        sorted_idx: np.ndarray | None = None,
-    ):
+    def _best_split(self, indices: np.ndarray, parent_impurity: float):
         """Return (feature, threshold, gain, left_mask) or None.
 
         Candidates are visited in one random permutation with
@@ -349,7 +298,7 @@ class _TreeBuilder:
         best_gain = self.min_impurity_decrease
         examined = 0
         for feature, nonconstant, gain, cut, values in self._scored_candidates(
-            indices, candidates, sorted_idx, node_weight, parent_impurity
+            indices, candidates, node_weight, parent_impurity
         ):
             if nonconstant:
                 examined += 1
@@ -371,7 +320,6 @@ class _TreeBuilder:
         self,
         indices: np.ndarray,
         candidates: np.ndarray,
-        sorted_idx: np.ndarray | None,
         node_weight: float,
         parent_impurity: float,
     ):
@@ -383,31 +331,24 @@ class _TreeBuilder:
         holds more than ``_BLOCK_ELEMENTS`` values.  A block gathers its
         candidate columns as one contiguous ``(features, n)`` matrix and
         sorts every row with the quicksort a 1-D column gets, so tie
-        orders are those of a per-feature sort; under the presort gate
-        the rows are read from the node's sorted lists instead.
+        orders are those of a per-feature sort.
         """
         n = indices.shape[0]
         widest = max(1, _BLOCK_ELEMENTS // n)
-        if sorted_idx is None:
-            y_node, w_node = self.y[indices], self.w[indices]
+        y_node, w_node = self.y[indices], self.w[indices]
         start, width = 0, self.max_features
         while start < candidates.size:
             block = candidates[start:start + min(width, widest)]
             start += block.size
             width *= 2
-            if sorted_idx is None:
-                values = self.X[indices[None, :], block[:, None]]
-                order = np.argsort(values, axis=1, kind="quicksort")
-                sorted_values = values.ravel()[
-                    order + np.arange(0, values.size, n)[:, None]
-                ]
-                sorted_y, sorted_w = y_node[order], w_node[order]
-            else:
-                order = sorted_idx[block]
-                sorted_values = self.X[order, block[:, None]]
-                sorted_y, sorted_w = self.y[order], self.w[order]
+            values = self.X[indices[None, :], block[:, None]]
+            order = np.argsort(values, axis=1, kind="quicksort")
+            sorted_values = values.ravel()[
+                order + np.arange(0, values.size, n)[:, None]
+            ]
             nonconstant, gains, cuts = self._score_block(
-                sorted_values, sorted_y, sorted_w, node_weight, parent_impurity
+                sorted_values, y_node[order], w_node[order], node_weight,
+                parent_impurity,
             )
             yield from zip(
                 block.tolist(), nonconstant.tolist(), gains.tolist(),
@@ -966,11 +907,13 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self.n_nodes_ = len(builder.feature)
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index for every row of ``X`` (shared vectorized walk)."""
-        return tree_apply(
-            self.tree_feature_, self.tree_threshold_,
-            self.tree_left_, self.tree_right_, X,
+        """Leaf index for every row of ``X``: a one-tree flat walk."""
+        flat = FlatTrees.from_arrays(
+            [(self.tree_feature_, self.tree_threshold_,
+              self.tree_left_, self.tree_right_)],
+            [self.tree_value_],
         )
+        return flat.apply(X)[:, 0]
 
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_feature_")

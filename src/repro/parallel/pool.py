@@ -54,21 +54,17 @@ def _worker_init(specs: list[ArraySpec], untrack: bool) -> None:
     _worker_blocks.extend(blocks)
 
 
-def _run_chunk(func: Callable[[Any, dict], Any], chunk: Sequence[Any]) -> list:
-    return [func(item, _worker_arrays) for item in chunk]
-
-
 def _run_chunk_timed(
     func: Callable[[Any, dict], Any], chunk: Sequence[Any], submitted: float
 ) -> tuple[list, float, float]:
-    """Observability variant of :func:`_run_chunk`.
+    """Run one chunk in a worker; return its results and two timings.
 
-    Returns the results plus the chunk's queue wait (submit in the
-    parent until a worker picks it up; ``perf_counter`` is the
-    system-wide CLOCK_MONOTONIC under the fork start method, so the
-    parent/worker timestamps are comparable) and its execute time.
-    The parent records both -- worker-side registries are process-local
-    and die with the pool.
+    The timings are the chunk's queue wait (submit in the parent until
+    a worker picks it up; ``perf_counter`` is the system-wide
+    CLOCK_MONOTONIC under the fork start method, so the parent/worker
+    timestamps are comparable) and its execute time.  The parent
+    records both when observability is on -- worker-side registries are
+    process-local and die with the pool.
     """
     started = time.perf_counter()
     results = [func(item, _worker_arrays) for item in chunk]
@@ -116,10 +112,11 @@ def parallel_map(
         them to ``func`` as-is; parallel execution copies each once
         into shared memory and maps it zero-copy in every worker.
     chunk_size:
-        Items per dispatched task.  Defaults to roughly four chunks per
-        worker, which amortizes IPC while keeping heterogeneous task
-        durations balanced.  Chunking never affects results, only
-        scheduling.
+        Items per dispatched task, ``None`` or an int >= 1 (anything
+        else raises ``ValueError`` at every ``n_jobs``).  Defaults to
+        roughly four chunks per worker, which amortizes IPC while
+        keeping heterogeneous task durations balanced.  Chunking never
+        affects results, only scheduling.
     on_crash:
         What to do when a *worker dies* (it did not raise -- it was
         killed, segfaulted, or exited).  ``"raise"`` (the default,
@@ -132,12 +129,18 @@ def parallel_map(
     """
     if on_crash not in ("raise", "serial"):
         raise ValueError('on_crash must be "raise" or "serial".')
+    if chunk_size is not None and (
+        not isinstance(chunk_size, int)
+        or isinstance(chunk_size, bool)
+        or chunk_size < 1
+    ):
+        raise ValueError(
+            f"chunk_size must be None or an int >= 1, got {chunk_size!r}."
+        )
     items = list(items)
     shared = dict(shared or {})
     jobs = min(resolve_n_jobs(n_jobs), len(items)) if items else 1
     if jobs <= 1 or in_worker():
-        if not obs.enabled():
-            return [func(item, shared) for item in items]
         with obs.trace("parallel.serial"):
             started = time.perf_counter()
             results = [func(item, shared) for item in items]
@@ -153,14 +156,9 @@ def parallel_map(
     ]
 
     context = _pool_context()
-    # Timed dispatch only swaps the chunk wrapper; items, chunking and
-    # result order are identical, so outputs never depend on whether
-    # observability is on.
-    timed = obs.enabled()
-    if timed:
-        obs.set_gauge("parallel.workers", jobs)
-        obs.inc("parallel.pool_runs")
-        obs.inc("parallel.items", len(items))
+    obs.set_gauge("parallel.workers", jobs)
+    obs.inc("parallel.pool_runs")
+    obs.inc("parallel.items", len(items))
     with SharedArrays(shared) as segments:
         executor = ProcessPoolExecutor(
             max_workers=jobs,
@@ -169,30 +167,18 @@ def parallel_map(
             initargs=(segments.specs, context.get_start_method() != "fork"),
         )
         try:
-            if timed:
-                futures = [
-                    executor.submit(
-                        _run_chunk_timed, func, chunk, time.perf_counter()
-                    )
-                    for chunk in chunks
-                ]
-            else:
-                futures = [
-                    executor.submit(_run_chunk, func, chunk) for chunk in chunks
-                ]
+            futures = [
+                executor.submit(_run_chunk_timed, func, chunk, time.perf_counter())
+                for chunk in chunks
+            ]
             results: list = []
             try:
                 for index, future in enumerate(futures):
                     try:
-                        if timed:
-                            chunk_results, queue_wait, execute = future.result()
-                            obs.inc("parallel.chunks")
-                            obs.observe(
-                                "parallel.queue_wait_seconds", queue_wait
-                            )
-                            obs.observe("parallel.execute_seconds", execute)
-                        else:
-                            chunk_results = future.result()
+                        chunk_results, queue_wait, execute = future.result()
+                        obs.inc("parallel.chunks")
+                        obs.observe("parallel.queue_wait_seconds", queue_wait)
+                        obs.observe("parallel.execute_seconds", execute)
                     except BrokenProcessPool as error:
                         if on_crash != "serial":
                             raise WorkerCrashError(

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.solr import solr_application
 from repro.cluster.cgroup import CFS_PERIODS_PER_SECOND, CpuCgroup, MemoryCgroup
 from repro.cluster.container import Container, ContainerTick
-from repro.cluster.node import MACHINES, Node, NodeSpec, fair_share
+from repro.cluster.node import MACHINES, Node, NodeSpec
 from repro.cluster.queueing import (
     BacklogQueue,
     erlang_c,
@@ -15,7 +15,7 @@ from repro.cluster.queueing import (
     utilization,
 )
 from repro.cluster.resources import GIB, Resource
-from repro.cluster.simulation import ClusterSimulation, Placement
+from repro.cluster.simulation import ClusterSimulation, Placement, _arbitrate
 from repro.workloads.patterns import constant, linear_ramp
 
 
@@ -127,16 +127,15 @@ class TestMemoryCgroup:
 
 class TestNode:
     def test_fair_share_undersubscribed_grants_full(self):
-        demands = np.array([1.0, 2.0])
-        assert np.allclose(fair_share(demands, 10.0), demands)
+        # Each demand in full, plus the 7.0 the node leaves idle.
+        assert _arbitrate([1.0, 2.0], 10.0) == [8.0, 9.0]
 
     def test_fair_share_oversubscribed_proportional(self):
-        shares = fair_share(np.array([6.0, 2.0]), 4.0)
-        assert np.allclose(shares, [3.0, 1.0])
+        assert _arbitrate([6.0, 2.0], 4.0) == [3.0, 1.0]
 
     def test_fair_share_rejects_negative(self):
         with pytest.raises(ValueError):
-            fair_share(np.array([-1.0]), 4.0)
+            _arbitrate([-1.0], 4.0)
 
     def test_machine_inventory(self):
         assert MACHINES["training"].cores == 48

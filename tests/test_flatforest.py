@@ -3,10 +3,13 @@ reference walk and the historical vote order.
 
 The compiled kernel (:mod:`repro.ml.flatforest`) must be *bitwise*
 indistinguishable from the code it replaced: same leaves from the
-traversal (property-tested against a verbatim copy of the historical
-``_apply`` loop, non-finite cells included), same probabilities from
-the vote accumulation (reference = the 16-tree chunk loop), for exact
-and hist-fitted forests alike.
+traversal (property-tested against the historical per-tree level walk,
+:func:`tests.tree_reference.tree_apply`, non-finite cells included),
+same probabilities from the vote accumulation (reference = the 16-tree
+chunk loop), for exact and hist-fitted forests alike.  A single tree's
+``_apply`` and a boosting round's ``predict`` are themselves one-tree
+flat walks, so the forest and GBM references walk their trees with
+``tree_apply`` instead.
 """
 
 import numpy as np
@@ -16,28 +19,19 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.ml.boosting import AdaBoostClassifier
-from repro.ml.flatforest import FlatTrees, tree_apply
+from repro.ml.flatforest import FlatTrees
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.gbm import GradientBoostingClassifier
 from repro.ml.tree import DecisionTreeClassifier
-
-_LEAF = -1
+from tests.tree_reference import tree_apply
 
 
 def reference_apply(tree, X):
-    """Verbatim copy of the historical per-tree ``_apply`` level walk."""
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    active = tree.tree_feature_[node] != _LEAF
-    while np.any(active):
-        idx = np.flatnonzero(active)
-        nodes = node[idx]
-        features = tree.tree_feature_[nodes]
-        go_left = X[idx, features] <= tree.tree_threshold_[nodes]
-        node[idx] = np.where(
-            go_left, tree.tree_left_[nodes], tree.tree_right_[nodes]
-        )
-        active[idx] = tree.tree_feature_[node[idx]] != _LEAF
-    return node
+    """The historical per-tree level walk over one fitted tree."""
+    return tree_apply(
+        tree.tree_feature_, tree.tree_threshold_,
+        tree.tree_left_, tree.tree_right_, X,
+    )
 
 
 def reference_forest_proba(forest, X):
@@ -49,7 +43,7 @@ def reference_forest_proba(forest, X):
     for start in range(0, len(forest.estimators_), 16):
         votes = np.zeros((X.shape[0], k))
         for tree in forest.estimators_[start:start + 16]:
-            votes[:, tree.classes_] += tree.tree_value_[tree._apply(X)]
+            votes[:, tree.classes_] += tree.tree_value_[reference_apply(tree, X)]
         partials.append(votes)
     accumulated = partials[0]
     for votes in partials[1:]:
@@ -89,11 +83,7 @@ class TestTraversalProperty:
         Xq = make_query(rng, n_query, d, with_nonfinite=nonfinite)
 
         expected = reference_apply(tree, Xq)
-        got = tree_apply(
-            tree.tree_feature_, tree.tree_threshold_,
-            tree.tree_left_, tree.tree_right_, Xq,
-        )
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(tree._apply(Xq), expected)
 
         flat = FlatTrees.from_arrays(
             [(tree.tree_feature_, tree.tree_threshold_,
@@ -248,7 +238,11 @@ class TestBoostingEquivalence:
         Xq = np.random.default_rng(12).normal(size=(80, X.shape[1]))
         raw = np.full(Xq.shape[0], gbm.base_score_)
         for tree in gbm.trees_:
-            raw += gbm.learning_rate * tree.predict(Xq)
+            leaves = tree_apply(
+                np.asarray(tree.feature), np.asarray(tree.threshold),
+                np.asarray(tree.left), np.asarray(tree.right), Xq,
+            )
+            raw += gbm.learning_rate * np.asarray(tree.leaf_value)[leaves]
         np.testing.assert_array_equal(gbm.decision_function(Xq), raw)
 
     @pytest.mark.parametrize("algorithm", ["SAMME", "SAMME.R"])

@@ -273,8 +273,8 @@ class TestHistDeterminism:
 
 class TestExactFingerprint:
     """Pin default exact-mode output bitwise against the stored digests
-    captured from pre-histogram ``main`` (the presort fast path and any
-    future refactor must not change a single bit)."""
+    captured from pre-histogram ``main`` (no refactor of the splitter
+    or the walk may change a single bit)."""
 
     @pytest.fixture(scope="class")
     def fingerprint_data(self):

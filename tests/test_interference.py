@@ -7,9 +7,10 @@ Covers the acceptance contract of the interference-aware simulation:
   solo-tenant runs (even self-saturated ones);
 - domain-non-negative gauges never emit negative values on any of the
   three synthesis paths (batch / streaming / fleet-batched);
-- ``fair_share`` and its scalar work-conserving twin absorb
-  microscopically negative demands from float rounding instead of
-  raising mid-run, and stay bitwise-equal to each other;
+- the one node arbitration routine absorbs microscopically negative
+  demands from float rounding instead of raising mid-run, and stays
+  bitwise-equal to a numpy reference (fair share plus pairwise sums)
+  on nodes of 1 to 20 members;
 - the interference corpus is bitwise identical at every ``n_jobs`` and
   its cause labels are coherent;
 - the fleet telemetry path stays bitwise-equal to the per-instance
@@ -27,17 +28,8 @@ from repro.apps.antagonist import (
     antagonist_service,
 )
 from repro.apps.solr import solr_application
-from repro.cluster.node import (
-    MACHINES,
-    NEGATIVE_DEMAND_TOLERANCE,
-    fair_share,
-)
-from repro.cluster.simulation import (
-    ClusterSimulation,
-    Placement,
-    _work_conserving_capacity,
-    _work_conserving_scalar,
-)
+from repro.cluster.node import MACHINES, NEGATIVE_DEMAND_TOLERANCE
+from repro.cluster.simulation import ClusterSimulation, Placement, _arbitrate
 from repro.datasets.interference import (
     CAUSE_NEIGHBOR,
     CAUSE_NONE,
@@ -187,6 +179,22 @@ class TestNonnegativeGauges:
                 assert float(fleet.raw[0, column]) >= 0.0, column
 
 
+def reference_arbitrate(demands, capacity):
+    """The array arbitration the routine replaced: numpy fair share,
+    then the idle remainder on every grant, both sums numpy's own."""
+    demands = np.asarray(demands, dtype=np.float64)
+    if np.any(demands < 0):
+        if np.any(demands < -NEGATIVE_DEMAND_TOLERANCE):
+            raise ValueError("Demands must be non-negative.")
+        demands = np.maximum(demands, 0.0)
+    total = demands.sum()
+    if total <= capacity or total == 0.0:
+        granted = demands.copy()
+    else:
+        granted = demands * (capacity / total)
+    return granted + max(0.0, capacity - float(granted.sum()))
+
+
 class TestFairShareTinyNegative:
     """Regression: microscopic negative demands (float rounding) are
     clamped, not fatal; genuinely negative demands still raise."""
@@ -198,34 +206,40 @@ class TestFairShareTinyNegative:
     )
     @settings(max_examples=50, deadline=None)
     def test_tiny_negative_is_clamped_to_zero(self, eps, other, capacity):
-        shares = fair_share(np.array([-eps, other]), capacity)
-        assert np.all(shares >= 0.0)
-        assert shares[0] == 0.0 or eps == 0.0
+        usable = _arbitrate([-eps, other], capacity)
+        assert all(value >= 0.0 for value in usable)
+        assert usable == _arbitrate([0.0, other], capacity)
 
     @given(
         eps=st.floats(min_value=0.0, max_value=NEGATIVE_DEMAND_TOLERANCE),
         others=st.lists(
-            st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=5
+            st.floats(min_value=0.0, max_value=50.0).map(
+                lambda value: value ** 3  # magnitudes from 0 to 1.25e5
+            ),
+            min_size=0,
+            max_size=19,
         ),
-        capacity=st.floats(min_value=0.5, max_value=50.0),
+        capacity=st.floats(min_value=0.5, max_value=5e5),
+        position=st.integers(0, 19),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_scalar_work_conserving_matches_array_twin(
-        self, eps, others, capacity
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_routine_matches_numpy_reference(
+        self, eps, others, capacity, position
     ):
-        demands = [-eps] + others
-        scalar = _work_conserving_scalar(demands, capacity)
-        array = _work_conserving_capacity(
-            np.array(demands, dtype=np.float64), capacity
-        )
-        assert all(value >= 0.0 for value in scalar)
-        assert scalar == list(array), "scalar/array paths diverged"
+        """1 to 20 members: left-to-right sums below eight members,
+        numpy's pairwise reduce from eight on, bit for bit."""
+        demands = list(others)
+        demands.insert(position % (len(others) + 1), -eps)
+        usable = _arbitrate(demands, capacity)
+        assert all(value >= 0.0 for value in usable)
+        expected = reference_arbitrate(demands, capacity)
+        assert np.array(usable).tobytes() == expected.tobytes()
 
     def test_genuinely_negative_still_raises(self):
         with pytest.raises(ValueError):
-            fair_share(np.array([-1e-3]), 4.0)
+            _arbitrate([-1e-3], 4.0)
         with pytest.raises(ValueError):
-            _work_conserving_scalar([-1e-3, 1.0], 4.0)
+            _arbitrate([-1e-3, 1.0], 4.0)
 
 
 class TestAntagonistSpecs:

@@ -247,8 +247,8 @@ def _one_ulp_data(copies):
 class TestMidpointThresholdDefect:
     """Separable data whose only boundary is one ulp wide.
 
-    The fix must cover both exact tree entry points, the GBM's exact
-    splitter and the Binner's midpoint edges.
+    The fix must cover the exact tree splitter (weighted or not), the
+    GBM's exact splitter and the Binner's midpoint edges.
     """
 
     def test_midpoint_rounds_up_on_this_data(self):
@@ -256,7 +256,7 @@ class TestMidpointThresholdDefect:
 
     @_MIDPOINT_DEFECT
     @pytest.mark.parametrize("sample_weight", [None, [1.0, 2.0]],
-                             ids=["presorted", "weighted"])
+                             ids=["unweighted", "weighted"])
     def test_tree_separates_two_samples(self, sample_weight):
         X, y = _one_ulp_data(1)
         tree = DecisionTreeClassifier().fit(X, y, sample_weight=sample_weight)

@@ -142,6 +142,20 @@ class TestParallelMap:
                 chunk_size=chunk_size,
             ) == baseline
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [-1, 0, 2.0, True, "2"])
+    def test_bad_chunk_size_rejected_before_any_work(self, n_jobs, chunk_size):
+        # A negative size used to drop every item at n_jobs > 1 and
+        # 0 raised range()'s bare error; both now fail up front.
+        read = []
+        items = (read.append(item) or item for item in range(5))
+        with pytest.raises(ValueError, match="chunk_size"):
+            parallel_map(
+                _scaled_sum_task, items, n_jobs=n_jobs,
+                shared={"X": np.ones((2, 2))}, chunk_size=chunk_size,
+            )
+        assert read == []
+
     def test_empty_items(self):
         assert parallel_map(_scaled_sum_task, [], n_jobs=JOBS) == []
 

@@ -78,8 +78,9 @@ tree_params = st.fixed_dictionaries(
 def _weights(weighting, n, gen):
     """(sample_weight, class_weight) for one weighting scheme.
 
-    ``none`` and ``uniform`` keep the presort gate open whenever every
-    feature is a candidate; the other schemes close it.
+    ``none`` and ``uniform`` give every sample the same weight, so tie
+    order inside a node's sort cannot move a prefix sum; the other
+    schemes make it matter, and the splitter must still match the loop.
     """
     if weighting == "none":
         return None, None

@@ -1,17 +1,20 @@
-"""The per-feature exact splitter, kept as the slow reference.
+"""Slow references for the exact splitter and the single-tree walk.
 
 The exact splitter in :mod:`repro.ml.tree` scores all candidate
 features of a node in one pass over a sorted ``(features, n)`` block,
 with a class-major impurity kernel.  This module keeps the loop it
 replaced: per candidate feature, argsort the node's column, build the
 weighted one-hot prefix sums, and score the valid boundaries with the
-row-major ``(boundaries, classes)`` impurity kernel.  It never uses the
-presorted row lists, so under the presort gate it also checks that the
-hoisted root sort matches a per-node sort.
+row-major ``(boundaries, classes)`` impurity kernel.
 
 :func:`loop_splitter` swaps :class:`LoopTreeBuilder` in for the exact
 builder while a tree is fitted, so a test can fit the same estimator
 both ways and compare the trees bit for bit.
+
+:func:`tree_apply` is the per-tree level walk that predicted before
+every tree was walked through :class:`repro.ml.flatforest.FlatTrees`;
+the flat-forest tests and ``benchmarks/bench_predict.py`` compare the
+flat walk against it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,27 @@ from contextlib import contextmanager
 import numpy as np
 
 import repro.ml.tree as tree_module
+
+_LEAF = -1
+
+
+def tree_apply(feature, threshold, left, right, X) -> np.ndarray:
+    """Leaf index per row of ``X`` for one tree (vectorized level walk).
+
+    Identical comparisons in identical order to the historical per-class
+    copies (NaN compares False and goes right), so its leaves are the
+    ones every fitted tree was validated against.
+    """
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = feature[node] != _LEAF
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        nodes = node[idx]
+        features = feature[nodes]
+        go_left = X[idx, features] <= threshold[nodes]
+        node[idx] = np.where(go_left, left[nodes], right[nodes])
+        active[idx] = feature[node[idx]] != _LEAF
+    return node
 
 
 def loop_split_impurities(left_counts, right_counts, criterion):
@@ -55,7 +79,7 @@ def loop_split_impurities(left_counts, right_counts, criterion):
 class LoopTreeBuilder(tree_module._TreeBuilder):
     """The exact builder with the per-feature split loop."""
 
-    def _best_split(self, indices, parent_impurity, sorted_idx=None):
+    def _best_split(self, indices, parent_impurity):
         """Return (feature, threshold, gain, left_mask) or None."""
         n_features = self.X.shape[1]
         candidates = self.rng.permutation(n_features)
