@@ -16,7 +16,6 @@ threshold of 0.4 implements the paper's FN-averse operating point.
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -29,6 +28,11 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.gbm import GradientBoostingClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
 from repro.ml.neural import MLPClassifier
+from repro.reliability.checkpoint import (
+    model_fingerprint,
+    read_model,
+    write_record,
+)
 
 __all__ = ["MonitorlessModel", "CLASSIFIERS", "make_classifier"]
 
@@ -285,18 +289,30 @@ class MonitorlessModel:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Serialise the fitted model (pipeline + classifier) to disk."""
+        """Write the fitted model (pipeline + classifier) to ``path``.
+
+        The file is a checksummed ``kind="model"`` record whose header
+        carries the model fingerprint, the format the model registry
+        stores (see :mod:`repro.reliability.checkpoint`).
+        """
         self._check_fitted()
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as handle:
-            pickle.dump(self, handle)
+        write_record(
+            path, self, {"fingerprint": model_fingerprint(self)}, kind="model"
+        )
 
     @staticmethod
     def load(path: str | Path) -> "MonitorlessModel":
-        """Load a model previously written by :meth:`save`."""
-        with Path(path).open("rb") as handle:
-            model = pickle.load(handle)
+        """Load a model previously written by :meth:`save`.
+
+        A file that is not an intact model record -- truncated, bit
+        flipped, another record kind, or a bare pickle -- raises
+        :class:`~repro.reliability.checkpoint.CheckpointError` naming
+        ``path``; a record holding anything but a
+        :class:`MonitorlessModel` raises :class:`TypeError`.
+        """
+        model = read_model(path)
         if not isinstance(model, MonitorlessModel):
             raise TypeError(f"{path} does not contain a MonitorlessModel.")
         return model

@@ -28,14 +28,12 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 from pathlib import Path
 
 from repro import obs
 from repro.reliability.checkpoint import (
-    CheckpointError,
     model_fingerprint,
-    read_record,
+    read_model,
     write_record,
 )
 
@@ -231,23 +229,10 @@ class ModelRegistry:
     # Persistence
     # ------------------------------------------------------------------
     def load(self, version: int):
-        """Unpickle a stored model, verifying checksum and fingerprint."""
+        """Unpickle a stored model, verifying checksum and fingerprint
+        (:func:`repro.reliability.checkpoint.read_model`)."""
         record = self.record(version)
-        header, payload = read_record(
-            self.root / record["file"], kind="model"
-        )
-        if header.get("fingerprint") != record["fingerprint"]:
-            raise CheckpointError(
-                f"Registry index and record file disagree on v{version}'s "
-                "fingerprint."
-            )
-        model = pickle.loads(payload)
-        if model_fingerprint(model) != record["fingerprint"]:
-            raise CheckpointError(
-                f"v{version} unpickled to a model with a different "
-                "fingerprint than registered."
-            )
-        return model
+        return read_model(self.root / record["file"], record["fingerprint"])
 
     def _record_ref(self, version: int) -> dict:
         if not 1 <= version <= len(self._records):

@@ -22,13 +22,29 @@ Non-finite handling: ``-inf`` lands in bin 0, ``+inf`` in the top bin,
 and ``NaN`` is mapped to the top bin as well (missing treated as
 "high", the FN-averse choice for saturation metrics).  Edges themselves
 are always finite and strictly increasing.
+
+:func:`midpoint` is the one split-threshold rule of ``repro.ml``: the
+exact tree splitter (:mod:`repro.ml.tree`), the exact GBM splitter
+(:mod:`repro.ml.gbm`) and the midpoint edges here all call it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Binner"]
+__all__ = ["Binner", "midpoint"]
+
+
+def midpoint(lo, hi):
+    """The threshold between two adjacent distinct sorted values.
+
+    ``x <= midpoint(lo, hi)`` is meant to send ``lo`` left and ``hi``
+    right; works elementwise on arrays.  Known defect: when ``lo`` and
+    ``hi`` are 1 ulp apart the midpoint can round up to ``hi``, so the
+    partition applied differs from the one scored
+    (``tests/test_ml_tree.py::TestMidpointThresholdDefect``).
+    """
+    return (lo + hi) / 2.0
 
 
 class Binner:
@@ -80,7 +96,7 @@ class Binner:
         if distinct.size <= self.max_bins:
             # One bin per distinct value; midpoint edges reproduce the
             # exact splitter's candidate thresholds bit for bit.
-            return (distinct[:-1] + distinct[1:]) / 2.0
+            return midpoint(distinct[:-1], distinct[1:])
         # Interior quantiles by linear interpolation on the sorted
         # values (numpy's default method), same result as np.quantile.
         positions = (

@@ -9,6 +9,15 @@ regularised gain
 and respect ``min_child_weight`` (minimum hessian mass per child) --
 the exact semantics of the XGBoost parameters in the paper's Table-2
 grid (``min_child_weight``, ``max_depth``, ``gamma``).
+
+Every round grows through one recursion, ``_BoostTree._grow``, in
+either training mode.  ``"exact"`` sorts each feature within the node
+and puts the threshold at :func:`repro.ml.binning.midpoint` of the two
+values around the best boundary; ``"hist"`` scores full-width
+gradient/hessian bin histograms of a matrix binned once per fit, with
+sibling subtraction, and takes the threshold from the bin edges.  A
+fitted round keeps only its node arrays: the fit-time matrices and
+histograms are dropped when it finishes growing.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from repro.ml.base import (
     check_is_fitted,
     check_X_y,
 )
-from repro.ml.binning import Binner
+from repro.ml.binning import Binner, midpoint
 from repro.ml.flatforest import FlatTrees
 
 __all__ = ["GradientBoostingClassifier"]
@@ -31,7 +40,11 @@ _LEAF = -1
 
 
 class _BoostTree:
-    """One regression tree fitted to (gradient, hessian) statistics."""
+    """One regression tree fitted to (gradient, hessian) statistics.
+
+    Exact and hist rounds grow through one recursion, :meth:`_grow`;
+    they differ only in how a node finds its split.
+    """
 
     def __init__(
         self,
@@ -53,8 +66,25 @@ class _BoostTree:
         self.leaf_value: list[float] = []
         self._n_leaves = 0
 
-    def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> None:
-        self._grow(X, grad, hess, np.arange(X.shape[0]), depth=0)
+    def fit(
+        self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray, bins=None
+    ) -> None:
+        """Grow on ``X``: raw values, or with ``bins`` the ``uint8`` codes.
+
+        ``bins`` is ``(bin_edges, keys, starts)`` for a hist round:
+        ``keys`` is the per-(sample, feature) flat bin key matrix
+        ``starts[f] + codes[i, f]``, which the boosting loop computes
+        once and reuses for every round.  Unlike the classification
+        hist builder (which histograms only each node's candidate
+        features), the GBM scores *every* feature at every node, so
+        full-width G/H/count histograms pay off and enable the
+        sibling-subtraction trick: only the smaller child of a split is
+        re-scanned, the larger child's histogram is the parent's minus
+        the sibling's.  The fit-time arrays are dropped after growth.
+        """
+        self._X, self._grad, self._hess, self._bins = X, grad, hess, bins
+        self._grow(np.arange(X.shape[0]), depth=0, hists=None)
+        del self._X, self._grad, self._hess, self._bins
 
     def _leaf(self, grad_sum: float, hess_sum: float) -> int:
         node = len(self.feature)
@@ -66,16 +96,11 @@ class _BoostTree:
         self._n_leaves += 1
         return node
 
-    def _grow(
-        self,
-        X: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        indices: np.ndarray,
-        depth: int,
-    ) -> int:
-        g_total = float(grad[indices].sum())
-        h_total = float(hess[indices].sum())
+    def _grow(self, indices: np.ndarray, depth: int, hists) -> int:
+        """Grow the node ``indices``; ``hists`` is its G/H/count
+        histograms when its parent derived them (hist rounds only)."""
+        g_total = float(self._grad[indices].sum())
+        h_total = float(self._hess[indices].sum())
         if (
             depth >= self.max_depth
             or indices.size < 2
@@ -83,7 +108,12 @@ class _BoostTree:
         ):
             return self._leaf(g_total, h_total)
 
-        split = self._best_split(X, grad, hess, indices, g_total, h_total)
+        if self._bins is None:
+            split = self._best_split(indices, g_total, h_total)
+        else:
+            if hists is None:
+                hists = self._node_hists(indices)
+            split = self._best_split_hist(indices, hists, g_total, h_total)
         if split is None:
             return self._leaf(g_total, h_total)
         feature_idx, threshold, left_mask = split
@@ -95,24 +125,31 @@ class _BoostTree:
         self.right.append(-2)
         self.leaf_value.append(0.0)
 
-        left_id = self._grow(X, grad, hess, indices[left_mask], depth + 1)
-        right_id = self._grow(X, grad, hess, indices[~left_mask], depth + 1)
+        left_indices = indices[left_mask]
+        right_indices = indices[~left_mask]
+        left_hists, right_hists = self._child_hists(
+            hists, left_indices, right_indices
+        )
+        del hists
+        left_id = self._grow(left_indices, depth + 1, left_hists)
+        left_hists = None
+        right_id = self._grow(right_indices, depth + 1, right_hists)
         self.left[node] = left_id
         self.right[node] = right_id
         return node
 
-    def _best_split(self, X, grad, hess, indices, g_total, h_total):
+    def _best_split(self, indices, g_total, h_total):
         parent_score = g_total * g_total / (h_total + self.reg_lambda)
         best_gain = 0.0
         best = None
-        for feature_idx in range(X.shape[1]):
-            column = X[indices, feature_idx]
+        for feature_idx in range(self._X.shape[1]):
+            column = self._X[indices, feature_idx]
             order = np.argsort(column, kind="quicksort")
             sorted_values = column[order]
             if sorted_values[0] == sorted_values[-1]:
                 continue
-            g_prefix = np.cumsum(grad[indices][order])
-            h_prefix = np.cumsum(hess[indices][order])
+            g_prefix = np.cumsum(self._grad[indices][order])
+            h_prefix = np.cumsum(self._hess[indices][order])
             boundary = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
             if boundary.size == 0:
                 continue
@@ -135,128 +172,75 @@ class _BoostTree:
             if gains[local] > best_gain:
                 best_gain = float(gains[local])
                 cut = boundary[local]
-                threshold = float((sorted_values[cut] + sorted_values[cut + 1]) / 2)
+                threshold = float(
+                    midpoint(sorted_values[cut], sorted_values[cut + 1])
+                )
                 best = (feature_idx, threshold, column <= threshold)
         return best
 
     # ------------------------------------------------------------------
-    # Histogram-binned growth (tree_method="hist")
+    # Histogram-binned splits (tree_method="hist")
     # ------------------------------------------------------------------
-    def fit_hist(
-        self,
-        codes: np.ndarray,
-        bin_edges: list[np.ndarray],
-        keys: np.ndarray,
-        starts: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-    ) -> None:
-        """Grow over a pre-binned matrix with G/H/count histograms.
-
-        ``keys`` is the per-(sample, feature) flat bin key matrix
-        ``starts[f] + codes[i, f]`` -- the boosting loop computes it once
-        and reuses it for every round.  Unlike the classification hist
-        builder (which histograms only each node's candidate features),
-        the GBM scores *every* feature at every node, so full-width
-        histograms pay off and enable the sibling-subtraction trick:
-        only the smaller child of a split is re-scanned, the larger
-        child's histogram is the parent's minus the sibling's.
-        """
-        self._codes = codes
-        self._edges = bin_edges
-        self._keys = keys
-        self._starts = starts
-        self._total_bins = int(starts[-1])
-        self._grad = grad
-        self._hess = hess
-        self._grow_hist(np.arange(codes.shape[0]), depth=0, hists=None)
-        del self._codes, self._edges, self._keys, self._grad, self._hess
-
     def _node_hists(self, indices: np.ndarray):
-        flat = self._keys[indices].ravel()
-        n_features = self._keys.shape[1]
+        _, keys, starts = self._bins
+        flat = keys[indices].ravel()
+        n_features = keys.shape[1]
+        total_bins = int(starts[-1])
         g_hist = np.bincount(
             flat,
             weights=np.repeat(self._grad[indices], n_features),
-            minlength=self._total_bins,
+            minlength=total_bins,
         )
         h_hist = np.bincount(
             flat,
             weights=np.repeat(self._hess[indices], n_features),
-            minlength=self._total_bins,
+            minlength=total_bins,
         )
-        n_hist = np.bincount(flat, minlength=self._total_bins)
+        n_hist = np.bincount(flat, minlength=total_bins)
         return g_hist, h_hist, n_hist
 
-    def _grow_hist(self, indices: np.ndarray, depth: int, hists) -> int:
-        g_total = float(self._grad[indices].sum())
-        h_total = float(self._hess[indices].sum())
-        if (
-            depth >= self.max_depth
-            or indices.size < 2
-            or self._n_leaves >= self.max_leaves - 1
-        ):
-            return self._leaf(g_total, h_total)
+    def _child_hists(self, hists, left_indices, right_indices):
+        """Both children's histograms by sibling subtraction, or Nones.
 
+        Subtraction runs only when re-scanning the smaller child would
+        cost more than the subtraction itself (n_small x n_features vs
+        total_bins array ops); below that cutoff each child cheaply
+        rebuilds its own histogram on demand, which also keeps live
+        histogram memory bounded: an ancestor only holds histograms for
+        splits whose *smaller* side exceeded total_bins / n_features
+        samples, and node size shrinks by at least that much at every
+        such level.  Exact rounds (no ``hists``) always get Nones.
+        """
         if hists is None:
-            hists = self._node_hists(indices)
-        split = self._best_split_hist(indices, hists, g_total, h_total)
-        if split is None:
-            return self._leaf(g_total, h_total)
-        feature_idx, threshold, left_mask = split
-
-        node = len(self.feature)
-        self.feature.append(feature_idx)
-        self.threshold.append(threshold)
-        self.left.append(-2)
-        self.right.append(-2)
-        self.leaf_value.append(0.0)
-
-        left_indices = indices[left_mask]
-        right_indices = indices[~left_mask]
-        # Sibling subtraction, but only when re-scanning the smaller
-        # child would cost more than the subtraction itself
-        # (n_small x n_features vs total_bins array ops); below that
-        # cutoff each child cheaply rebuilds its own histogram on
-        # demand, which also keeps live histogram memory bounded: an
-        # ancestor only holds histograms for splits whose *smaller*
-        # side exceeded total_bins / n_features samples, and node size
-        # shrinks by at least that much at every such level.
-        left_hists = right_hists = None
-        smaller_n = min(left_indices.size, right_indices.size)
-        if smaller_n * self._keys.shape[1] > self._total_bins:
-            if left_indices.size <= right_indices.size:
-                left_hists = self._node_hists(left_indices)
-                right_hists = tuple(p - c for p, c in zip(hists, left_hists))
-            else:
-                right_hists = self._node_hists(right_indices)
-                left_hists = tuple(p - c for p, c in zip(hists, right_hists))
-        del hists
-
-        left_id = self._grow_hist(left_indices, depth + 1, left_hists)
-        left_hists = None
-        right_id = self._grow_hist(right_indices, depth + 1, right_hists)
-        self.left[node] = left_id
-        self.right[node] = right_id
-        return node
+            return None, None
+        _, keys, starts = self._bins
+        if min(left_indices.size, right_indices.size) * keys.shape[1] <= int(
+            starts[-1]
+        ):
+            return None, None
+        if left_indices.size <= right_indices.size:
+            left_hists = self._node_hists(left_indices)
+            return left_hists, tuple(p - c for p, c in zip(hists, left_hists))
+        right_hists = self._node_hists(right_indices)
+        return tuple(p - c for p, c in zip(hists, right_hists)), right_hists
 
     def _best_split_hist(self, indices, hists, g_total, h_total):
         g_hist, h_hist, n_hist = hists
+        edges, keys, starts = self._bins
         parent_score = g_total * g_total / (h_total + self.reg_lambda)
 
         # Only occupied bins can host a boundary (an empty bin's split
         # duplicates its predecessor's); each feature's last occupied
         # bin is excluded because nothing would go right.
         occupied = np.flatnonzero(n_hist > 0)
-        occ_feat = np.searchsorted(self._starts, occupied, side="right") - 1
+        occ_feat = np.searchsorted(starts, occupied, side="right") - 1
         boundary_pos = np.flatnonzero(occ_feat[:-1] == occ_feat[1:])
         if boundary_pos.size == 0:
             return None
 
         cum_g = np.cumsum(g_hist[occupied])
         cum_h = np.cumsum(h_hist[occupied])
-        n_features = self._keys.shape[1]
-        first_occ = np.searchsorted(occ_feat, np.arange(n_features))
+        first_occ = np.searchsorted(occ_feat, np.arange(keys.shape[1]))
         base_g = np.concatenate(([0.0], cum_g))
         base_h = np.concatenate(([0.0], cum_h))
         boundary_base = first_occ[occ_feat[boundary_pos]]
@@ -283,9 +267,9 @@ class _BoostTree:
             return None
         best_flat = int(occupied[boundary_pos[valid[local]]])
         feature_idx = int(occ_feat[boundary_pos[valid[local]]])
-        split_bin = best_flat - int(self._starts[feature_idx])
-        threshold = float(self._edges[feature_idx][split_bin])
-        left_mask = self._codes[indices, feature_idx] <= split_bin
+        split_bin = best_flat - int(starts[feature_idx])
+        threshold = float(edges[feature_idx][split_bin])
+        left_mask = self._X[indices, feature_idx] <= split_bin
         return feature_idx, threshold, left_mask
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -374,13 +358,9 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
             else:
                 chosen = slice(None)
             if hist:
-                tree.fit_hist(
-                    codes[chosen],
-                    binner.bin_edges_,
-                    keys[chosen],
-                    starts,
-                    grad[chosen],
-                    hess[chosen],
+                tree.fit(
+                    codes[chosen], grad[chosen], hess[chosen],
+                    bins=(binner.bin_edges_, keys[chosen], starts),
                 )
             else:
                 tree.fit(X[chosen], grad[chosen], hess[chosen])

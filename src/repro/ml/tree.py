@@ -1,6 +1,10 @@
 """CART decision trees (Breiman et al., 1984) for classification.
 
-Two training modes, selected by ``tree_method``:
+Every tree grows through one depth-first recursion, ``_Grower._grow``,
+which owns the node lists, the stopping rule (``max_depth``,
+``min_samples_split``, ``2 * min_samples_leaf``, a pure node), the
+leaf and internal-node bookkeeping and the importances.  The training
+mode, ``tree_method``, only decides how a node finds its split:
 
 - ``"exact"`` (default): a node scores all of its candidate features
   in one pass.  The candidate columns are gathered as one contiguous
@@ -13,9 +17,10 @@ Two training modes, selected by ``tree_method``:
   candidate rule (skip constant features, stop once ``max_features``
   non-constant ones are examined and one split helps, first strict
   maximum wins); blocks past the first are scored only when that rule
-  reads further.  A tree grows on row ids, so a forest shares one
-  training matrix among its trees and hands each tree its bootstrap
-  rows instead of a copy of them.
+  reads further.  The threshold is :func:`repro.ml.binning.midpoint` of
+  the two values around the boundary.  A tree grows on row ids, so a
+  forest shares one training matrix among its trees and hands each
+  tree its bootstrap rows instead of a copy of them.
 - ``"hist"``: the feature matrix is quantile-binned once into a
   ``uint8`` code matrix (:class:`repro.ml.binning.Binner`, <= 255 bins)
   and split finding runs over per-node class-weighted bin histograms
@@ -29,6 +34,10 @@ Two training modes, selected by ``tree_method``:
   scores every feature at every node, uses that trick instead; see
   :mod:`repro.ml.gbm`).  Ensembles bin once and fan the code matrix
   out to all trees via :meth:`DecisionTreeClassifier.fit_binned`.
+
+``splitter="random"`` (exact mode only) replaces the exact search with
+one uniform threshold per examined candidate feature, extra-trees
+style.
 
 The tree is stored in flat arrays (``children_left``/``children_right``/
 ``feature``/``threshold``/``value``), which makes the structure
@@ -50,7 +59,7 @@ from repro.ml.base import (
     check_array,
     compute_sample_weight,
 )
-from repro.ml.binning import Binner
+from repro.ml.binning import Binner, midpoint
 from repro.ml.flatforest import FlatTrees
 
 __all__ = ["DecisionTreeClassifier"]
@@ -175,47 +184,40 @@ def _weighted_child_impurity(
 _BLOCK_ELEMENTS = 1 << 19
 
 
-class _TreeBuilder:
-    """Grows one exact-mode tree depth-first; collects nodes into lists.
+class _Grower:
+    """Grows one classification tree depth-first into flat node lists.
 
-    ``X``, ``y`` and ``sample_weight`` are indexed by row id, and the
-    tree grows on the sample ``root``: row ids in sample order,
-    duplicates allowed.  A forest passes its shared training matrix and
-    one bootstrap row vector instead of a per-tree copy of the rows.
-    Every node keeps its row ids in sample order, so each gather -- and
-    with it every sort's tie order and every floating-point sum -- is
-    the one a tree fitted on ``X[root]`` would see.
+    The one recursion behind every tree: it owns the node lists, the
+    stopping rule, the leaf and internal-node bookkeeping and the
+    weighted-gain importances.  A subclass supplies only a node's split,
+    ``_split(indices, counts, impurity, node_weight)``, which returns
+    ``(feature, threshold, gain, left_mask)`` or ``None`` for a leaf.
+
+    The hyper-parameters come from ``tree``, the estimator being
+    fitted (its ``classes_`` already set).  ``X``, ``y`` and
+    ``sample_weight`` are indexed by row id, and the tree grows on the
+    sample ``root``: row ids in sample order, duplicates allowed.  A
+    forest passes its shared training matrix and one bootstrap row
+    vector instead of a per-tree copy of the rows.  Every node keeps
+    its row ids in sample order, so each gather -- and with it every
+    sort's tie order and every floating-point sum -- is the one a tree
+    fitted on ``X[root]`` would see.
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        sample_weight: np.ndarray,
-        root: np.ndarray,
-        n_classes: int,
-        criterion: str,
-        max_depth: int | None,
-        min_samples_split: int,
-        min_samples_leaf: int,
-        max_features: int,
-        rng: np.random.Generator,
-        min_impurity_decrease: float,
-        splitter: str = "best",
-    ):
+    def __init__(self, tree, X, y, sample_weight, root):
         self.X = X
         self.y = y
         self.w = sample_weight
         self.root = root
-        self.n_classes = n_classes
-        self.criterion = criterion
-        self.max_depth = np.inf if max_depth is None else max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.rng = rng
-        self.min_impurity_decrease = min_impurity_decrease
-        self.splitter = splitter
+        self.n_classes = len(tree.classes_)
+        self.criterion = tree.criterion
+        self.max_depth = np.inf if tree.max_depth is None else tree.max_depth
+        self.min_samples_split = tree.min_samples_split
+        self.min_samples_leaf = tree.min_samples_leaf
+        self.max_features = _resolve_max_features(tree.max_features, X.shape[1])
+        self.rng = check_random_state(tree.random_state)
+        self.min_impurity_decrease = tree.min_impurity_decrease
+        self.splitter = tree.splitter
         self.total_weight = float(sample_weight[root].sum())
 
         self.feature: list[int] = []
@@ -233,54 +235,51 @@ class _TreeBuilder:
             self.y[indices], weights=self.w[indices], minlength=self.n_classes
         )
 
-    def _new_leaf(self, counts: np.ndarray) -> int:
-        node_id = len(self.feature)
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.children_left.append(_LEAF)
-        self.children_right.append(_LEAF)
-        self.value.append(counts)
-        return node_id
-
-    def _node_is_terminal(self, n: int, depth: int, impurity: float) -> bool:
-        return (
-            depth >= self.max_depth
-            or n < self.min_samples_split
-            or n < 2 * self.min_samples_leaf
-            or impurity <= 1e-12
-        )
+    def _node_weight(self, indices: np.ndarray) -> float:
+        return self.w[indices].sum()
 
     def _grow(self, indices: np.ndarray, depth: int) -> int:
         counts = self._class_counts(indices)
         impurity = _node_impurity(counts, self.criterion)
-
+        n = indices.shape[0]
         split = None
-        if not self._node_is_terminal(indices.shape[0], depth, impurity):
-            if self.splitter == "random":
-                split = self._random_split(indices, impurity)
-            else:
-                split = self._best_split(indices, impurity)
-        if split is None:
-            return self._new_leaf(counts)
-
-        feature_idx, threshold, gain, left_mask = split
+        if not (
+            depth >= self.max_depth
+            or n < self.min_samples_split
+            or n < 2 * self.min_samples_leaf
+            or impurity <= 1e-12
+        ):
+            node_weight = self._node_weight(indices)
+            split = self._split(indices, counts, impurity, node_weight)
         node_id = len(self.feature)
-        self.feature.append(feature_idx)
-        self.threshold.append(threshold)
-        self.children_left.append(-2)  # placeholder, patched below
-        self.children_right.append(-2)
         self.value.append(counts)
-        self.importances[feature_idx] += (
-            self.w[indices].sum() / self.total_weight
-        ) * gain
+        self.children_left.append(_LEAF)  # a split patches both below
+        self.children_right.append(_LEAF)
+        if split is None:
+            self.feature.append(_LEAF)
+            self.threshold.append(0.0)
+            return node_id
 
-        left_id = self._grow(indices[left_mask], depth + 1)
-        right_id = self._grow(indices[~left_mask], depth + 1)
-        self.children_left[node_id] = left_id
-        self.children_right[node_id] = right_id
+        feature, threshold, gain, left_mask = split
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.importances[feature] += (node_weight / self.total_weight) * gain
+        self.children_left[node_id] = self._grow(indices[left_mask], depth + 1)
+        self.children_right[node_id] = self._grow(indices[~left_mask], depth + 1)
         return node_id
 
-    def _best_split(self, indices: np.ndarray, parent_impurity: float):
+
+class _TreeBuilder(_Grower):
+    """Exact-mode splits: best boundary (default) or ``splitter="random"``."""
+
+    def _split(self, indices, counts, impurity, node_weight):
+        if self.splitter == "random":
+            return self._random_split(indices, impurity, node_weight)
+        return self._best_split(indices, impurity, node_weight)
+
+    def _best_split(
+        self, indices: np.ndarray, parent_impurity: float, node_weight: float
+    ):
         """Return (feature, threshold, gain, left_mask) or None.
 
         Candidates are visited in one random permutation with
@@ -292,8 +291,6 @@ class _TreeBuilder:
         at a time and only as far as this rule reads.
         """
         candidates = self.rng.permutation(self.X.shape[1])
-        node_weight = self.w[indices].sum()
-
         best = None
         best_gain = self.min_impurity_decrease
         examined = 0
@@ -312,7 +309,7 @@ class _TreeBuilder:
         if best is None:
             return None
         feature, cut, values = best
-        threshold = float((values[cut] + values[cut + 1]) / 2.0)
+        threshold = float(midpoint(values[cut], values[cut + 1]))
         left_mask = self.X[indices, feature] <= threshold
         return feature, threshold, best_gain, left_mask
 
@@ -403,7 +400,9 @@ class _TreeBuilder:
     # ------------------------------------------------------------------
     # Randomized-threshold splitter (splitter="random")
     # ------------------------------------------------------------------
-    def _random_split(self, indices: np.ndarray, parent_impurity: float):
+    def _random_split(
+        self, indices: np.ndarray, parent_impurity: float, node_weight: float
+    ):
         """Extra-trees style split: a random threshold per candidate.
 
         Examines up to ``max_features`` non-constant candidate features
@@ -418,7 +417,6 @@ class _TreeBuilder:
         candidates = self.rng.permutation(self.X.shape[1])
         w = self.w[indices]
         y = self.y[indices]
-        node_weight = w.sum()
         n = indices.shape[0]
 
         best = None
@@ -467,47 +465,22 @@ class _TreeBuilder:
         return best
 
 
-class _HistTreeBuilder:
-    """Grows one tree over a quantile-binned ``uint8`` code matrix.
+class _HistTreeBuilder(_Grower):
+    """Hist-mode splits over a quantile-binned ``uint8`` code matrix.
 
-    Per node, class-weighted histograms over the candidate features'
-    bins are built with one fused ``np.bincount`` (bin and class fold
-    into a single flat key), and every candidate boundary of every
-    candidate feature is scored in one vectorized pass over the
-    (features x bins) histogram tensor via the count-space kernel
-    :func:`_weighted_child_impurity`.  Split thresholds are
-    reconstructed from the binner's recorded edges so the finished tree
-    predicts on raw feature matrices.
+    ``X`` is the code matrix.  Per node, class-weighted histograms over
+    the candidate features' bins are built with one fused
+    ``np.bincount`` (bin and class fold into a single flat key), and
+    every candidate boundary of every candidate feature is scored in
+    one vectorized pass over the (features x bins) histogram tensor via
+    the count-space kernel :func:`_weighted_child_impurity`.  Split
+    thresholds are reconstructed from the binner's recorded edges so
+    the finished tree predicts on raw feature matrices.
     """
 
-    def __init__(
-        self,
-        codes: np.ndarray,
-        bin_edges: list[np.ndarray],
-        y: np.ndarray,
-        sample_weight: np.ndarray,
-        n_classes: int,
-        criterion: str,
-        max_depth: int | None,
-        min_samples_split: int,
-        min_samples_leaf: int,
-        max_features: int,
-        rng: np.random.Generator,
-        min_impurity_decrease: float,
-    ):
-        self.codes = codes
+    def __init__(self, tree, codes, bin_edges, y, sample_weight):
+        super().__init__(tree, codes, y, sample_weight, np.arange(codes.shape[0]))
         self.edges = bin_edges
-        self.y = y
-        self.w = sample_weight
-        self.n_classes = n_classes
-        self.criterion = criterion
-        self.max_depth = np.inf if max_depth is None else max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.rng = rng
-        self.min_impurity_decrease = min_impurity_decrease
-        self.total_weight = float(sample_weight.sum())
         self.n_bins = np.array(
             [edges.size + 1 for edges in bin_edges], dtype=np.int64
         )
@@ -517,16 +490,6 @@ class _HistTreeBuilder:
             np.all(sample_weight == sample_weight[0])
         )
 
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.children_left: list[int] = []
-        self.children_right: list[int] = []
-        self.value: list[np.ndarray] = []
-        self.importances = np.zeros(codes.shape[1])
-
-    def build(self) -> None:
-        self._grow(np.arange(self.codes.shape[0]), depth=0)
-
     def _class_counts(self, indices: np.ndarray) -> np.ndarray:
         if self.uniform_weight:
             # Integer bincount scaled by the shared weight: skips the
@@ -534,67 +497,20 @@ class _HistTreeBuilder:
             return np.bincount(
                 self.y[indices], minlength=self.n_classes
             ) * float(self.w[0])
-        return np.bincount(
-            self.y[indices], weights=self.w[indices], minlength=self.n_classes
-        )
+        return super()._class_counts(indices)
 
-    def _new_leaf(self, counts: np.ndarray) -> int:
-        node_id = len(self.feature)
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.children_left.append(_LEAF)
-        self.children_right.append(_LEAF)
-        self.value.append(counts)
-        return node_id
+    def _node_weight(self, indices: np.ndarray) -> float:
+        if self.uniform_weight:
+            return self.w[0] * indices.shape[0]
+        return super()._node_weight(indices)
 
-    def _grow(self, indices: np.ndarray, depth: int) -> int:
-        counts = self._class_counts(indices)
-        impurity = _node_impurity(counts, self.criterion)
-        n = indices.shape[0]
-
-        is_terminal = (
-            depth >= self.max_depth
-            or n < self.min_samples_split
-            or n < 2 * self.min_samples_leaf
-            or impurity <= 1e-12
-        )
-        if not is_terminal:
-            split = self._best_split(indices, counts, impurity)
-            is_terminal = split is None
-        if is_terminal:
-            return self._new_leaf(counts)
-
-        feature_idx, threshold, gain, left_mask = split
-        node_id = len(self.feature)
-        self.feature.append(feature_idx)
-        self.threshold.append(threshold)
-        self.children_left.append(-2)  # placeholder, patched below
-        self.children_right.append(-2)
-        self.value.append(counts)
-        node_weight = (
-            self.w[0] * n if self.uniform_weight else self.w[indices].sum()
-        )
-        self.importances[feature_idx] += (node_weight / self.total_weight) * gain
-
-        left_id = self._grow(indices[left_mask], depth + 1)
-        right_id = self._grow(indices[~left_mask], depth + 1)
-        self.children_left[node_id] = left_id
-        self.children_right[node_id] = right_id
-        return node_id
-
-    def _best_split(
-        self, indices: np.ndarray, counts: np.ndarray, parent_impurity: float
-    ):
+    def _split(self, indices, counts, parent_impurity, node_weight):
         """Return (feature, threshold, gain, left_mask) or None."""
-        n_features = self.codes.shape[1]
+        n_features = self.X.shape[1]
         permutation = self.rng.permutation(n_features)
         y_node = self.y[indices]
-        if self.uniform_weight:
-            w_node = None  # only needed for the weighted bincount path
-            node_weight = float(self.w[0]) * indices.shape[0]
-        else:
-            w_node = self.w[indices]
-            node_weight = float(w_node.sum())
+        # Per-sample weights feed only the weighted bincount path.
+        w_node = None if self.uniform_weight else self.w[indices]
 
         # Phase 1: the first max_features candidates.  Phase 2 (rare):
         # if none of them yields a split -- all constant in the node, or
@@ -615,7 +531,7 @@ class _HistTreeBuilder:
 
         feature_idx, split_bin, gain = found
         threshold = float(self.edges[feature_idx][split_bin])
-        left_mask = self.codes[indices, feature_idx] <= split_bin
+        left_mask = self.X[indices, feature_idx] <= split_bin
         return feature_idx, threshold, gain, left_mask
 
     def _score_candidates(
@@ -641,7 +557,7 @@ class _HistTreeBuilder:
         # of sample i at candidate j is (start_j + code_ij) * k + y_i.
         # Built in place on the int64 gather to avoid three (n x c)
         # temporaries per node.
-        sub = self.codes[indices][:, candidates].astype(np.int64)
+        sub = self.X[indices][:, candidates].astype(np.int64)
         sub += cand_starts[:-1]
         sub *= k
         sub += y_node[:, None]
@@ -821,25 +737,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             self.class_weight, encoded
         )
 
-        rng = check_random_state(self.random_state)
-        builder = _TreeBuilder(
-            X,
-            y_encoded,
-            weight,
-            rows,
-            n_classes=len(self.classes_),
-            criterion=self.criterion,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=_resolve_max_features(self.max_features, X.shape[1]),
-            rng=rng,
-            min_impurity_decrease=self.min_impurity_decrease,
-            splitter=self.splitter,
-        )
-        builder.build()
-        self._store_tree(builder, X.shape[1])
-        return self
+        return self._fit_builder(_TreeBuilder(self, X, y_encoded, weight, rows))
 
     def fit_binned(
         self, codes, bin_edges, y, sample_weight=None
@@ -865,33 +763,16 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             raise ValueError("bin_edges must describe every feature column.")
         self.classes_, encoded = np.unique(y, return_inverse=True)
         y_encoded = encoded.astype(np.int64)
-        n, n_features = codes.shape
-
-        weight = check_sample_weight(sample_weight, n)
+        weight = check_sample_weight(sample_weight, codes.shape[0])
         weight = weight * compute_sample_weight(self.class_weight, y_encoded)
-
-        rng = check_random_state(self.random_state)
-        resolved = _resolve_max_features(self.max_features, n_features)
-        builder = _HistTreeBuilder(
-            codes,
-            list(bin_edges),
-            y_encoded,
-            weight,
-            n_classes=len(self.classes_),
-            criterion=self.criterion,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=resolved,
-            rng=rng,
-            min_impurity_decrease=self.min_impurity_decrease,
+        return self._fit_builder(
+            _HistTreeBuilder(self, codes, list(bin_edges), y_encoded, weight)
         )
-        builder.build()
-        self._store_tree(builder, n_features)
-        return self
 
-    def _store_tree(self, builder, n_features: int) -> None:
-        self.n_features_in_ = n_features
+    def _fit_builder(self, builder: _Grower) -> "DecisionTreeClassifier":
+        """Grow ``builder``'s tree and store it as the fitted arrays."""
+        builder.build()
+        self.n_features_in_ = builder.X.shape[1]
         self.tree_feature_ = np.asarray(builder.feature, dtype=np.int64)
         self.tree_threshold_ = np.asarray(builder.threshold, dtype=np.float64)
         self.tree_left_ = np.asarray(builder.children_left, dtype=np.int64)
@@ -905,6 +786,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             raw / raw.sum() if raw.sum() > 0 else raw
         )
         self.n_nodes_ = len(builder.feature)
+        return self
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for every row of ``X``: a one-tree flat walk."""

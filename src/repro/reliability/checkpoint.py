@@ -7,11 +7,18 @@ A checkpoint is a single self-validating record file::
     <pickle payload>
 
 The same container format (magic + JSON header + sha256-checksummed
-pickle, atomic tmp+replace writes) is shared with the model registry
-(:mod:`repro.lifecycle.registry`) through :func:`write_record` /
-:func:`read_record`; the header's ``kind`` field tells record types
-apart (``"checkpoint"`` for orchestrators, ``"model"`` for registry
-entries).
+pickle, atomic tmp+replace writes) holds models too, through
+:func:`write_record` / :func:`read_record`; the header's ``kind`` field
+tells record types apart (``"checkpoint"`` for orchestrators,
+``"model"`` for models).  A model record's header also carries the
+model's :func:`model_fingerprint`: ``MonitorlessModel.save`` writes one
+and the model registry (:mod:`repro.lifecycle.registry`) writes one per
+version, and :func:`read_model` is the one reader of both.  It checks
+the checksum, the kind and, after unpickling, the fingerprint, so a
+truncated or bit-flipped model file raises :class:`CheckpointError`
+instead of unpickling into garbage or into a different model.  A bare
+pickle (what ``MonitorlessModel.save`` wrote before model files were
+records) has no magic and is refused the same way.
 
 For checkpoints the payload is one :mod:`pickle` of the whole
 :class:`~repro.orchestrator.loop.Orchestrator` object graph.  One
@@ -57,6 +64,7 @@ __all__ = [
     "model_fingerprint",
     "write_record",
     "read_record",
+    "read_model",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -69,37 +77,25 @@ class CheckpointError(RuntimeError):
     """A checkpoint file is missing, corrupt, or incompatible."""
 
 
-class _CanonicalPickler(pickle._Pickler):
-    """A pickler whose byte stream depends only on *values*, not on
-    object identity.
+def model_fingerprint(model) -> str:
+    """sha256 over the model's canonical (identity-free) pickled bytes.
 
     Raw ``pickle.dumps`` memoizes by ``id()``: when two attributes
     alias one interned string (or one cached numpy dtype) the second
     occurrence is a short memo reference, but after an unpickle those
-    occurrences are distinct objects and get re-emitted in full.  The
-    bytes then differ between a freshly-trained model and the same
-    model rebuilt from a checkpoint, even though they are value-equal.
-    Disabling the memo serializes every occurrence by value, so
-    value-equal object graphs hash identically regardless of process
-    history.  Only safe for acyclic graphs -- a cycle would recurse
-    forever -- which holds for our model objects (plain attribute trees
-    of arrays, tuples and scalars).
-    """
-
-    def memoize(self, obj):  # noqa: ARG002 - deliberate no-op
-        pass
-
-
-def model_fingerprint(model) -> str:
-    """sha256 over the model's canonical (identity-free) pickled bytes.
-
-    Two fingerprints agree iff the models are value-equal -- including
-    a model that went through a checkpoint/resume or registry
-    save/load cycle, where raw pickle bytes would differ because
-    string/dtype sharing does not survive the round trip.
+    occurrences are distinct objects and get re-emitted in full, so
+    the bytes of a value-equal model would depend on its history.  The
+    C pickler in ``fast`` mode keeps no memo and serializes every
+    occurrence by value, so two fingerprints agree iff the models are
+    value-equal -- including a model that went through a
+    checkpoint/resume or a save/load cycle.  Only safe for acyclic
+    graphs (``fast`` mode refuses a cycle), which holds for model
+    objects: plain attribute trees of arrays, tuples and scalars.
     """
     buffer = io.BytesIO()
-    _CanonicalPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(model)
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(model)
     return hashlib.sha256(buffer.getvalue()).hexdigest()
 
 
@@ -147,6 +143,31 @@ def read_record(path, *, kind: str | None = None) -> tuple[dict, bytes]:
             f"expected {kind!r}."
         )
     return header, payload
+
+
+def read_model(path, fingerprint: str | None = None):
+    """Unpickle the ``kind="model"`` record at ``path``.
+
+    Verifies the payload checksum and the kind, then that the
+    unpickled model has the fingerprint its header records (and
+    ``fingerprint``, when given); anything else raises
+    :class:`CheckpointError` naming ``path``.  Only load files you
+    wrote yourself: the payload is a pickle.
+    """
+    header, payload = read_record(path, kind="model")
+    stored = header.get("fingerprint")
+    if type(stored) is not str or fingerprint not in (None, stored):
+        raise CheckpointError(
+            f"{path} records model fingerprint {stored!r}; expected "
+            f"{fingerprint or 'a sha256 hex digest'}."
+        )
+    model = pickle.loads(payload)
+    if model_fingerprint(model) != stored:
+        raise CheckpointError(
+            f"{path} unpickled to a model whose fingerprint differs from "
+            "the one its header records."
+        )
+    return model
 
 
 def save_checkpoint(orchestrator, path) -> dict:

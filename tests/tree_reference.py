@@ -79,8 +79,11 @@ def loop_split_impurities(left_counts, right_counts, criterion):
 class LoopTreeBuilder(tree_module._TreeBuilder):
     """The exact builder with the per-feature split loop."""
 
-    def _best_split(self, indices, parent_impurity):
-        """Return (feature, threshold, gain, left_mask) or None."""
+    def _best_split(self, indices, parent_impurity, _node_weight):
+        """Return (feature, threshold, gain, left_mask) or None.
+
+        Sums the node's weight itself rather than trust the grower's.
+        """
         n_features = self.X.shape[1]
         candidates = self.rng.permutation(n_features)
         w = self.w[indices]
