@@ -22,10 +22,16 @@ serving model's column plan) and asserts that subset equals the
 full-width rows at those columns; its rows/s are recorded next to the
 full width's.
 
-Both sides are timed end to end including stream registration, so the
-comparison covers what the fleet loop actually pays: the reference
-opens one stream object per container; the batched path seeds one RNG
-per stream but shares all driver math per group.
+The batched side reads the *frame source*, as a fleet shard does: the
+cells are stepped through one ``Lockstep``, and after each step one
+``advance_round(lockstep.frame)`` emits every row from the tick's field
+matrix.  Only telemetry is timed -- stream registration, the rounds
+and copying their rows out, not the steps.  The reference streams then
+replay the recorded histories of the same cells, timed end to end
+including their registration: the reference opens one stream object
+per container; the batched path seeds one RNG per stream but shares
+all driver math per group.  ``BENCH_telemetry.json`` records the timed
+source as ``batched_source``.
 
 Environment knobs:
 
@@ -41,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.cluster.simulation import Lockstep
 from repro.fleet.orchestrator import (
     build_cell,
     default_fleet_workloads,
@@ -48,6 +55,7 @@ from repro.fleet.orchestrator import (
 )
 from repro.fleet.telemetry import FleetTelemetryStream
 from repro.parallel.jobs import available_cores
+from repro.telemetry.catalog import default_catalog
 from tests.serving_reference import open_reference_stream
 
 from conftest import SEED
@@ -58,26 +66,23 @@ MIN_SPEEDUP = 3.0
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_telemetry.json"
 
 
-def _build_registry():
-    """Cells with ``TICKS`` of recorded simulation history, flattened
-    to one ``(namespace, agent, container, nodes)`` entry per row."""
+def _build_cells():
+    """``N_CELLS`` fresh cells and their ``(N_CELLS, TICKS)`` rates."""
     specs = make_fleet_specs(N_CELLS, base_seed=SEED)
     workloads = default_fleet_workloads(N_CELLS, TICKS, seed=SEED)
-    registry = []
-    for row, spec in enumerate(specs):
-        cell = build_cell(spec)
-        for t in range(TICKS):
-            cell.simulation.step({cell.application: float(workloads[row, t])})
-        deployment = cell.simulation.deployments[cell.application]
-        for replicas in deployment.instances.values():
-            for instance in replicas:
-                registry.append((
-                    spec.namespace,
-                    cell.agent,
-                    instance.container,
-                    cell.simulation.nodes,
-                ))
-    return registry
+    return [build_cell(spec) for spec in specs], workloads
+
+
+def _registry(cells):
+    """One ``(namespace, agent, container, nodes)`` entry per row."""
+    return [
+        (cell.namespace, cell.agent, instance.container, cell.simulation.nodes)
+        for cell in cells
+        for replicas in cell.simulation.deployments[
+            cell.application
+        ].instances.values()
+        for instance in replicas
+    ]
 
 
 def _subset_columns(catalog):
@@ -88,19 +93,32 @@ def _subset_columns(catalog):
     ])
 
 
-def _run_batched(registry, columns):
+def _run_batched(columns):
+    """The frame source over fresh cells: ``(rows, telemetry seconds,
+    registry)``, the cells stepped to ``TICKS``."""
+    cells, workloads = _build_cells()
+    lockstep = Lockstep([cell.simulation for cell in cells])
+    registry = _registry(cells)
     catalog = registry[0][1].catalog
     n_rows = len(registry)
+    started = time.perf_counter()
     fleet = FleetTelemetryStream(catalog, columns, capacity=n_rows)
     for row, (namespace, agent, container, nodes) in enumerate(registry):
         fleet.add_row(row, namespace, agent, container, nodes)
+    seconds = time.perf_counter() - started
     out = np.empty((TICKS, n_rows, columns.size))
     for t in range(TICKS):
+        lockstep.step([
+            {cell.application: float(rate)}
+            for cell, rate in zip(cells, workloads[:, t])
+        ])
+        started = time.perf_counter()
         fleet.begin_tick()
-        emitted = fleet.advance_round()  # one recorded tick per round
-        assert emitted.size == n_rows
+        emitted = fleet.advance_round(lockstep.frame)  # one tick per round
         out[t] = fleet.raw[:n_rows]
-    return out
+        seconds += time.perf_counter() - started
+        assert emitted.size == n_rows
+    return out, seconds, registry
 
 
 def _run_reference(registry):
@@ -120,25 +138,18 @@ def _run_reference(registry):
 def test_telemetry_synthesis(table_printer):
     cores = available_cores()
     enforce = cores >= 4
-    registry = _build_registry()
-    n_rows = len(registry)
-    total_rows = n_rows * TICKS
-
-    catalog = registry[0][1].catalog
+    catalog = default_catalog()
     every = np.arange(catalog.n_metrics)
     subset = _subset_columns(catalog)
 
     # Warm-up (first-touch caches, spec-array construction), then one
     # timed pass each; the parity asserts run on the timed outputs.
-    _run_batched(registry, every)
-    started = time.perf_counter()
-    batched = _run_batched(registry, every)
-    batched_s = time.perf_counter() - started
-
-    _run_batched(registry, subset)
-    started = time.perf_counter()
-    narrow = _run_batched(registry, subset)
-    subset_s = time.perf_counter() - started
+    _run_batched(every)
+    batched, batched_s, registry = _run_batched(every)
+    _run_batched(subset)
+    narrow, subset_s, _ = _run_batched(subset)
+    n_rows = len(registry)
+    total_rows = n_rows * TICKS
 
     _run_reference(registry)
     started = time.perf_counter()
@@ -158,6 +169,7 @@ def test_telemetry_synthesis(table_printer):
     speedup = reference_s / batched_s
 
     rows = [
+        {"quantity": "batched_source", "value": "frame"},
         {"quantity": "containers", "value": n_rows},
         {"quantity": "ticks", "value": TICKS},
         {"quantity": "metric_rows", "value": total_rows},
@@ -184,6 +196,7 @@ def test_telemetry_synthesis(table_printer):
         "ticks": TICKS,
         "metric_rows": total_rows,
         "metrics_per_row": catalog.n_metrics,
+        "batched_source": "frame",
         "batched_seconds": round(batched_s, 4),
         "reference_seconds": round(reference_s, 4),
         "batched_rows_per_second": round(batched_rows_per_s, 1),

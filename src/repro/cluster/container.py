@@ -3,6 +3,12 @@
 A container pairs a service instance with its cgroups and carries the
 per-tick accounting snapshots the telemetry agent turns into the 88
 container-level metrics.
+
+Telemetry reads a recorded tick as one row of ``N_FIELDS`` floats in
+the ``F_*`` order below: :meth:`ContainerTick.fields` gives a record's
+row, and :class:`~repro.cluster.simulation.Lockstep` writes the same
+rows for a whole tick into its
+:class:`~repro.cluster.simulation.TickFrame`.
 """
 
 from __future__ import annotations
@@ -11,7 +17,30 @@ from dataclasses import dataclass, field
 
 from repro.cluster.cgroup import CpuAccounting, CpuCgroup, MemoryAccounting, MemoryCgroup
 
-__all__ = ["Container", "ContainerTick"]
+__all__ = ["Container", "ContainerTick", "N_FIELDS", "ZERO_FIELDS"]
+
+# ----------------------------------------------------------------------
+# Raw per-tick field layout (one row per container-tick)
+# ----------------------------------------------------------------------
+F_USED_CORES = 0
+F_USAGE_BYTES = 1
+F_PAGE_IN_BYTES = 2
+F_LIMIT_UTIL = 3
+F_NR_THROTTLED = 4
+F_DISK_READ = 5
+F_DISK_WRITE = 6
+F_NET_RX = 7
+F_NET_TX = 8
+F_TCP = 9
+F_PROCESSES = 10
+F_THROUGHPUT = 11
+F_CPU_STEAL = 12
+F_MEMBW = 13
+F_DISK_SHORTFALL = 14
+N_FIELDS = 15
+
+#: The fields of a tick a container did not record.
+ZERO_FIELDS: tuple = (0.0,) * N_FIELDS
 
 
 @dataclass(slots=True)
@@ -36,6 +65,28 @@ class ContainerTick:
     # Simulator ground truth (never exposed as platform metrics):
     bottleneck: str = ""  # resource with the highest utilization
     max_utilization: float = 0.0
+
+    def fields(self) -> tuple:
+        """This tick's raw fields, in the ``F_*`` order."""
+        cpu = self.cpu
+        memory = self.memory
+        return (
+            cpu.used_cores,
+            memory.usage_bytes,
+            memory.page_in_bytes,
+            memory.limit_utilization,
+            cpu.nr_throttled,
+            self.disk_read_bytes,
+            self.disk_write_bytes,
+            self.network_rx_bytes,
+            self.network_tx_bytes,
+            self.tcp_connections,
+            self.processes,
+            self.throughput,
+            self.cpu_steal_cores,
+            self.membw_bytes,
+            self.disk_shortfall_bytes,
+        )
 
 
 @dataclass

@@ -30,14 +30,16 @@ shard's cells) by one tick each in one vectorized pass over all their
 instances, sums its node groups by the same rule, and leaves every
 simulation bitwise in the state ``step`` would leave.  Its fixed cost
 per call is several times that of one scalar step, so it pays only
-across many cells.
+across many cells.  Besides the records, each :meth:`Lockstep.step`
+publishes the tick it wrote as one field matrix, a :class:`TickFrame`,
+which fleet telemetry reads instead of walking the records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import count, repeat
 from operator import is_not
 
 import numpy as np
@@ -50,7 +52,26 @@ from repro.cluster.cgroup import (
     MemoryAccounting,
     MemoryCgroup,
 )
-from repro.cluster.container import Container, ContainerTick
+from repro.cluster.container import (
+    F_CPU_STEAL,
+    F_DISK_READ,
+    F_DISK_SHORTFALL,
+    F_DISK_WRITE,
+    F_LIMIT_UTIL,
+    F_MEMBW,
+    F_NET_RX,
+    F_NET_TX,
+    F_NR_THROTTLED,
+    F_PAGE_IN_BYTES,
+    F_PROCESSES,
+    F_TCP,
+    F_THROUGHPUT,
+    F_USAGE_BYTES,
+    F_USED_CORES,
+    N_FIELDS,
+    Container,
+    ContainerTick,
+)
 from repro.cluster.node import NEGATIVE_DEMAND_TOLERANCE, Node, NodeSpec
 from repro.cluster.resources import Resource
 
@@ -60,6 +81,7 @@ __all__ = [
     "ClusterSimulation",
     "SimulationResult",
     "Lockstep",
+    "TickFrame",
 ]
 
 
@@ -645,6 +667,35 @@ def _joined(locals_: list[np.ndarray], sizes: list[int]) -> np.ndarray:
     )
 
 
+#: Numbers every :class:`Lockstep` layout of this process uniquely.
+_LAYOUTS = count()
+
+
+@dataclass(frozen=True, eq=False)
+class TickFrame:
+    """The fields every instance of a :class:`Lockstep` recorded at ``tick``.
+
+    ``fields`` is ``(n_instances + 1, N_FIELDS)`` float64: row
+    ``row(container)`` equals ``container.tick_at(tick).fields()`` (the
+    ``F_*`` order of :mod:`repro.cluster.container`) bit for bit, and
+    the last row is all zeros, the fields of an unrecorded tick.
+    ``rows`` maps ``id(container)`` to its row; it and ``layout``, a
+    number no other layout of the process shares, are rebuilt only
+    when a stepped simulation's membership changes, so a reader can
+    cache what it derived from one layout until ``layout`` changes.  A
+    frame describes the membership at the step that wrote it.
+    """
+
+    tick: int
+    fields: np.ndarray
+    rows: dict
+    layout: int
+
+    def row(self, container) -> int | None:
+        """``container``'s row of :attr:`fields`, or ``None``."""
+        return self.rows.get(id(container))
+
+
 class Lockstep:
     """Advance a fixed list of simulations one tick at a time, together.
 
@@ -661,6 +712,11 @@ class Lockstep:
     are re-read whenever a node's ``spec`` object is swapped (as
     :class:`~repro.cluster.faults.FaultSchedule` does).  The cache is
     not pickled.
+
+    After each step :attr:`frame` is the :class:`TickFrame` of the tick
+    just recorded, built from the same arrays as the records; it is
+    ``None`` before the first step, after unpickling, and when the
+    simulations' clocks differ (they then recorded different ticks).
     """
 
     def __init__(self, simulations):
@@ -674,6 +730,7 @@ class Lockstep:
         self._parts: list[_SimulationLayout | None] = [None] * len(self.simulations)
         self._specs: list[NodeSpec] = []
         self._capacity = np.zeros((5, 0))
+        self.frame: TickFrame | None = None
 
     def __getstate__(self) -> dict:
         return {"simulations": self.simulations}
@@ -697,6 +754,8 @@ class Lockstep:
     def _assemble(self) -> None:
         parts = self._parts
         instances = [i for part in parts for i in part.instances]
+        self._rows = {id(i.container): row for row, i in enumerate(instances)}
+        self._layout = next(_LAYOUTS)
         self._histories = [i.container.history for i in instances]
         self._runtimes = [i.runtime for i in instances]
         self._queues = [runtime.queue for runtime in self._runtimes]
@@ -933,7 +992,34 @@ class Lockstep:
             app_response = app_response + per_visit_response[column]
             app_dropped = _max(app_dropped, per_visit_dropped[column])
 
-        # Write back, in the field order of each record class.
+        # Write back: the tick frame, then each record class in its
+        # field order, from the same arrays.
+        disk_read_bytes = completed * disk_read + page_in * thrash
+        disk_write_bytes = completed * disk_write
+        rx_bytes = completed * net_in
+        tx_bytes = completed * net_out
+        connections = _max(concurrency, 0.0) + 2.0
+        processes = 4.0 + 0.05 * concurrency
+        fields = np.empty((len(used) + 1, N_FIELDS))
+        fields[-1] = 0.0
+        for column, values in (
+            (F_USED_CORES, used),
+            (F_USAGE_BYTES, usage),
+            (F_PAGE_IN_BYTES, page_in),
+            (F_LIMIT_UTIL, memory_utilization),
+            (F_NR_THROTTLED, throttled),
+            (F_DISK_READ, disk_read_bytes),
+            (F_DISK_WRITE, disk_write_bytes),
+            (F_NET_RX, rx_bytes),
+            (F_NET_TX, tx_bytes),
+            (F_TCP, connections),
+            (F_PROCESSES, processes),
+            (F_THROUGHPUT, completed),
+            (F_CPU_STEAL, steal),
+            (F_MEMBW, membw_moved),
+            (F_DISK_SHORTFALL, shortfall),
+        ):
+            fields[:-1, column] = values
         throttled = throttled.tolist()
         ticks = map(
             ContainerTick,
@@ -952,12 +1038,12 @@ class Lockstep:
                 resident.tolist(),
                 page_in.tolist(),
             ),
-            (completed * disk_read + page_in * thrash).tolist(),
-            (completed * disk_write).tolist(),
-            (completed * net_in).tolist(),
-            (completed * net_out).tolist(),
-            (_max(concurrency, 0.0) + 2.0).tolist(),
-            (4.0 + 0.05 * concurrency).tolist(),
+            disk_read_bytes.tolist(),
+            disk_write_bytes.tolist(),
+            rx_bytes.tolist(),
+            tx_bytes.tolist(),
+            connections.tolist(),
+            processes.tolist(),
             completed.tolist(),
             response.tolist(),
             dropped.tolist(),
@@ -993,5 +1079,10 @@ class Lockstep:
             kpis["throughput"].append(throughput)
             kpis["response_time"].append(response_time)
             kpis["dropped"].append(lost)
+        clocks = {simulation.clock for simulation in self.simulations}
+        self.frame = (
+            TickFrame(clocks.pop(), fields, self._rows, self._layout)
+            if len(clocks) == 1 else None
+        )
         for simulation in self.simulations:
             simulation.clock += 1

@@ -243,7 +243,9 @@ class FleetShardRunner:
                         for cell, rate in zip(self.cells, rates)
                     ]
                 )
-            saturated = self.policy.saturated_services(self._t)
+            saturated = self.policy.saturated_services(
+                self._t, self.lockstep.frame
+            )
             with obs.trace("autoscaler.act"):
                 by_namespace: dict[str, set] = {}
                 for namespace, service in saturated:

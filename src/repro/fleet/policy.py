@@ -305,8 +305,16 @@ class FleetPolicy:
     # ------------------------------------------------------------------
     # The per-tick verdict
     # ------------------------------------------------------------------
-    def saturated_services(self, t: int) -> set[tuple[str, str]]:
-        """Saturated ``(namespace, deployment)`` keys at tick ``t``."""
+    def saturated_services(self, t: int, frame=None) -> set[tuple[str, str]]:
+        """Saturated ``(namespace, deployment)`` keys at tick ``t``.
+
+        ``frame`` is the :class:`~repro.cluster.simulation.TickFrame`
+        of the :class:`~repro.cluster.simulation.Lockstep` step that
+        recorded tick ``t`` for the cells, if they were stepped that way;
+        telemetry then reads the tick's fields from it (see
+        :meth:`FleetTelemetryStream.advance_round
+        <repro.fleet.telemetry.FleetTelemetryStream.advance_round>`).
+        """
         with obs.trace("policy.fleet"):
             if (
                 self.lifecycle is not None
@@ -320,7 +328,7 @@ class FleetPolicy:
             telemetry = self.telemetry
             telemetry.begin_tick()
             while True:
-                emitted = telemetry.advance_round()
+                emitted = telemetry.advance_round(frame)
                 if emitted.size == 0:
                     break
                 # ``emitted`` is sorted; when it is also dense (the

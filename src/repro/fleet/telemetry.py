@@ -38,12 +38,31 @@ full row.
 **Synthesis.**  Synthesis state lives in struct-of-arrays buffers --
 per-row RNG streams, counter accumulators and previous-cumulative rows
 aligned with the matrix row axis, and per *host group* (rows sharing
-``(namespace, node, start)``) the shared host stream state.  Every tick
-a single batched kernel gathers each group's container tick fields
-once, computes all host states with segment-ordered vector
-accumulation, synthesizes every stream's metrics through
+``(namespace, node, start)``) the shared host stream state.  Each round
+runs one kernel over ``(fields, plan)``.  ``fields`` is a float64
+matrix of container tick fields (rows in the ``F_*`` order of
+:mod:`repro.cluster.container`, the last row all zeros for an
+unrecorded tick); the plan is a set of index arrays: the round's
+groups, their host *entries* (one per unique ``(namespace, node,
+tick)``), each entry's members in ``node.containers`` order, and each
+emitted row's field row, generator, counter flag, CPU allocation and
+node cores.  The kernel accumulates every host state one member
+position at a time over all the entries that have that position,
+synthesizes every stream's metrics through
 :meth:`~repro.telemetry.catalog.MetricCatalog.synthesize_rows`, and
-converts counters to rates across the whole row axis.  This is
+converts counters to rates across the whole row axis.
+
+The fields come from one of two sources.  A fleet shard passes the
+:class:`~repro.cluster.simulation.TickFrame` its ``Lockstep`` step
+published: groups due to emit the frame's tick read their rows of it,
+through a plan compiled only when the active groups, the row
+membership or the frame's layout change (a swapped node ``spec`` only
+re-reads the capacities) and never pickled.  Everything else reads the
+containers' recorded histories (:func:`~repro.telemetry.synthesis.tick_fields`)
+with a plan built for the round: cells stepped by
+``ClusterSimulation.step`` (the one-cell policy views) and groups
+catching up behind the frame's tick after a fault.  Both sources hold
+the same numbers, so the rows are the same.  The result is
 bitwise-exact against the per-container reference streams of
 ``tests/serving_reference.py``: the state math replicates the scalar
 arithmetic op for op
@@ -65,7 +84,8 @@ node, tick)``.  Each round then runs in five steps:
    hard, transient, nan, ok) from the keyed blake2b hash, with the
    retry budget applied; a lost tick skips synthesis and advances the
    row's clock, like a missed scrape;
-2. synthesize every remaining row in one kernel pass;
+2. synthesize every remaining row through the kernel, once per field
+   source the round reads;
 3. apply dropout sample-and-hold and NaN corruption to the emitted
    rows;
 4. mask NaNs with each resilient row's last real reading and set its
@@ -94,6 +114,7 @@ each row's tick order, which is all the reference semantics require.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import is_not
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -195,9 +216,6 @@ class FleetTelemetryStream:
         self._row_prev = np.zeros((capacity, n_ctr_c))
         self._row_has_prev = np.zeros(capacity, dtype=bool)
         self._row_convert = np.zeros(capacity, dtype=bool)
-        # Effective cpu allocation (quota or node cores); quotas are
-        # immutable after construction, so caching is exact.
-        self._row_alloc = np.zeros(capacity)
 
         # --- per-row fault state (rows with a wrapped agent) -----------
         self._wrapped = np.zeros(capacity, dtype=bool)
@@ -238,6 +256,16 @@ class FleetTelemetryStream:
         # Reused per-tick scratch buffers (reallocated only when the
         # active batch size changes).
         self._scratch: dict[str, np.ndarray] = {}
+        #: Bumped by every add_row/retire_row; a round plan compiled
+        #: for another membership is stale.
+        self._membership = 0
+        # The frame source's compiled round plan (never pickled).
+        self._plan: _RoundPlan | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_plan"] = None
+        return state
 
     @property
     def capacity(self) -> int:
@@ -255,7 +283,6 @@ class FleetTelemetryStream:
             ("_row_group", -1),
             ("_row_has_prev", False),
             ("_row_convert", False),
-            ("_row_alloc", 0.0),
             ("_wrapped", False),
             ("_drop_p", 0.0),
             ("_has_held", False),
@@ -317,10 +344,7 @@ class FleetTelemetryStream:
         self._row_prev[row] = 0.0
         self._row_has_prev[row] = False
         self._row_convert[row] = base.convert_counters
-        quota = container.cpu_cgroup.quota_cores
-        self._row_alloc[row] = (
-            quota if quota is not None else float(node.spec.cores)
-        )
+        self._membership += 1
         self.completeness[row] = 1.0
         self.faulted_mask[row] = False
         self.sampled_mask[row] = False
@@ -419,6 +443,7 @@ class FleetTelemetryStream:
 
     def retire_row(self, row: int) -> None:
         self._containers.pop(row)
+        self._membership += 1
         slot = int(self._row_group[row])
         self._row_group[row] = -1
         self._row_rng.pop(row, None)
@@ -457,24 +482,29 @@ class FleetTelemetryStream:
         self.faulted.clear()
         self.faulted_mask[:] = False
 
-    def advance_round(self) -> np.ndarray:
+    def advance_round(self, frame=None) -> np.ndarray:
         """Advance every behind, unfaulted row by exactly one tick.
 
         Writes the emitted rows -- synthesized or imputed -- into
         :attr:`raw` / :attr:`completeness` and returns their indices
         (ascending).  An empty result means the whole fleet is caught
         up for this tick.
+
+        ``frame`` is the :class:`~repro.cluster.simulation.TickFrame`
+        of the tick just stepped, or ``None``.  Groups due to emit the
+        frame's tick read their fields from it through a cached round
+        plan; groups behind it (catching up after a fault) and, without
+        a frame, every group read them from the containers' histories.
+        The values are the same.  A group due past the frame's tick, or
+        a container that recorded the frame's tick but has no row in
+        it, raises :class:`ValueError`.
         """
         scan = self._scan
         if scan is None:
             scan = self._scan = sorted(self._group_slots.items())
-        active: list[int] = []
-        corrupt: list[tuple[int, int]] = []
-        lost: list[int] = []
         clocks = self._grp_clock
         grp_containers = self._grp_containers
-        grp_row = self._grp_row
-        faulted = self.faulted_mask
+        due: list[int] = []
         for _key, slot in scan:
             anchor = grp_containers[slot][0]
             t = clocks[slot]
@@ -485,11 +515,54 @@ class FleetTelemetryStream:
                     f"Container {anchor.name} has no recorded tick {t}; "
                     "advance the simulation before emitting."
                 )
+            if frame is not None and t > frame.tick:
+                raise ValueError(
+                    f"The tick frame holds tick {frame.tick}, but container "
+                    f"{anchor.name} is due to emit tick {t}; pass the frame "
+                    "of the tick just stepped."
+                )
+            due.append(slot)
+        if self._held is None:  # no row has a wrapped agent
+            active, corrupt, lost = due, [], []
+        else:
+            active, corrupt, lost = self._read_due(due)
+        emitted: list[int] = []
+        if active:
+            with obs.trace("fleet.synthesize"):
+                current: list[int] = []
+                behind = active
+                if frame is not None:
+                    current = [s for s in active if clocks[s] == frame.tick]
+                    behind = [s for s in active if clocks[s] < frame.tick]
+                if current:
+                    emitted += self._synthesize(*self._frame_source(current, frame))
+                if behind:
+                    emitted += self._synthesize(*self._history_source(behind))
+                for slot in active:
+                    clocks[slot] += 1
+            obs.inc("telemetry.rows_emitted", float(len(emitted)))
+            if self._held is not None:  # some row has a wrapped agent
+                self._apply_faults(emitted, corrupt)
+        if lost:
+            emitted += self._impute(sorted(lost))
+        emitted.sort()
+        return np.asarray(emitted, dtype=np.intp)
+
+    def _read_due(self, due: list[int]):
+        """Step 1 over the due groups: ``(active, corrupt, lost)``."""
+        active: list[int] = []
+        corrupt: list[tuple[int, int]] = []
+        lost: list[int] = []
+        clocks = self._grp_clock
+        grp_row = self._grp_row
+        faulted = self.faulted_mask
+        for slot in due:
             row = grp_row[slot]
             if row >= 0:
                 if faulted[row]:
                     continue
-                read = self._read(row, anchor.name, t)
+                t = clocks[slot]
+                read = self._read(row, self._grp_containers[slot][0].name, t)
                 if read == "lost":
                     clocks[slot] = t + 1
                     lost.append(row)
@@ -499,17 +572,7 @@ class FleetTelemetryStream:
                 if read == "nan":
                     corrupt.append((row, t))
             active.append(slot)
-        emitted: list[int] = []
-        if active:
-            with obs.trace("fleet.synthesize"):
-                emitted = self._synthesize_groups(active)
-            obs.inc("telemetry.rows_emitted", float(len(emitted)))
-            if self._held is not None:  # some row has a wrapped agent
-                self._apply_faults(emitted, corrupt)
-        if lost:
-            emitted += self._impute(sorted(lost))
-        emitted.sort()
-        return np.asarray(emitted, dtype=np.intp)
+        return active, corrupt, lost
 
     # ------------------------------------------------------------------
     # Fault injection on the row matrix
@@ -658,150 +721,116 @@ class FleetTelemetryStream:
         self.sampled_mask[row] = True
 
     # ------------------------------------------------------------------
-    # The batched synthesis kernel
+    # The batched synthesis kernel and its two field sources
     # ------------------------------------------------------------------
-    def _synthesize_groups(self, active: list[int]) -> list[int]:
+    def _frame_source(self, active: list[int], frame):
+        """``(fields, plan)`` of a round that reads ``frame``.
+
+        The plan is cached: it is recompiled when the active groups, the
+        row membership or the frame's layout change, and a node whose
+        ``spec`` object was swapped only has its capacities re-read.
+        """
+        plan = self._plan
+        if (
+            plan is None
+            or plan.layout != frame.layout
+            or plan.membership != self._membership
+            or plan.active != active
+        ):
+
+            def locate(container, t):
+                row = frame.row(container)
+                if row is None and container.tick_at(t) is not None:
+                    raise ValueError(
+                        f"The tick frame of tick {frame.tick} has no row for "
+                        f"container {container.name}, which recorded that "
+                        "tick."
+                    )
+                return row
+
+            plan = self._plan = _RoundPlan(self, active, locate, frame.layout)
+        elif any(map(is_not, [node.spec for node in plan.nodes], plan.specs)):
+            plan.read_specs()
+        return frame.fields, plan
+
+    def _history_source(self, active: list[int]):
+        """``(fields, plan)`` of a round gathered from the containers'
+        recorded histories (rows of unrecorded ticks read the zero
+        sentinel, the last row)."""
+        gathered: list[tuple] = []
+        found: dict[tuple[int, int], int] = {}
+
+        def locate(container, t):
+            key = (id(container), t)
+            index = found.get(key)
+            if index is None:
+                values = synthesis.tick_fields(container, t)
+                if values is None:
+                    return None
+                index = found[key] = len(gathered)
+                gathered.append(values)
+            return index
+
+        plan = _RoundPlan(self, active, locate, None)
+        gathered.append(synthesis.ZERO_FIELDS)
+        return np.array(gathered, dtype=np.float64), plan
+
+    def _synthesize(self, fields: np.ndarray, plan: "_RoundPlan") -> list[int]:
+        """Synthesize one round's rows from ``fields`` as ``plan`` lays
+        them out; returns the emitted rows."""
         catalog = self.catalog
 
-        # --- gather: one pass over each unique (namespace, node, tick) -
-        # Rows of different groups can share a node's host *state* (not
-        # its host RNG stream) when their namespaces and clocks match;
-        # the reference path deduplicates identically.
-        entries: dict[tuple[str, str, int], int] = {}
-        entry_nodes: list[object] = []
-        entry_pairs: list[list[int]] = []
-        pair_fields: list[tuple] = []
-        pair_map: dict[tuple[int, int], int] = {}
-        entry_of_group: list[int] = []
-        for slot in active:
-            key = self._grp_key[slot]
-            t = self._grp_clock[slot]
-            state_key = (key[0], key[1], t)
-            ei = entries.get(state_key)
-            if ei is None:
-                ei = entries[state_key] = len(entry_nodes)
-                node = self._grp_node[slot]
-                entry_nodes.append(node)
-                pairs: list[int] = []
-                for container in node.containers:
-                    f = synthesis.tick_fields(container, t)
-                    if f is None:
-                        continue
-                    index = len(pair_fields)
-                    pair_fields.append(f)
-                    pair_map[(ei, id(container))] = index
-                    pairs.append(index)
-                entry_pairs.append(pairs)
-            entry_of_group.append(ei)
-
-        # --- row collection (group-member order; globally re-sorted by
-        # the caller) ---------------------------------------------------
-        row_list: list[int] = []
-        row_pair: list[int] = []
-        row_group: list[int] = []
-        rows_append = row_list.append
-        pairs_append = row_pair.append
-        groups_append = row_group.append
-        pair_get = pair_map.get
-        clocks = self._grp_clock
-        for gi, slot in enumerate(active):
-            t = clocks[slot]
-            ei = entry_of_group[gi]
-            for row, container in zip(
-                self._grp_members[slot], self._grp_containers[slot]
-            ):
-                index = pair_get((ei, id(container)))
-                if index is None:
-                    f = synthesis.tick_fields(container, t)
-                    if f is not None:
-                        index = len(pair_fields)
-                        pair_fields.append(f)
-                    else:
-                        index = -1  # unrecorded tick -> zero sentinel row
-                rows_append(row)
-                pairs_append(index)
-                groups_append(gi)
-            clocks[slot] = t + 1
-
-        pair_fields.append(synthesis.ZERO_FIELDS)  # index -1
-        fields = np.array(pair_fields, dtype=np.float64)
-
-        # --- host states: baseline + ordered segment accumulation ------
-        n_entries = len(entry_nodes)
-        cores_e = np.array([float(n.spec.cores) for n in entry_nodes])
-        memory_e = np.array([float(n.spec.memory_bytes) for n in entry_nodes])
-        diskbw_e = np.array([float(n.spec.disk_bandwidth) for n in entry_nodes])
-        netbw_e = np.array(
-            [float(n.spec.network_bandwidth) for n in entry_nodes]
+        # --- host states: baseline + ordered accumulation, one member
+        # position at a time over the entries that have it ------------
+        host_states = synthesis.host_baseline(len(plan.nodes), plan.memory)
+        contributions = synthesis.host_additive_contributions(
+            fields[plan.member_fields], *plan.member_specs
         )
-        drb_e = np.array(
-            [float(n.spec.disk_random_bandwidth) for n in entry_nodes]
+        start = 0
+        for count in plan.position_counts:
+            host_states[:count] += contributions[start:start + count]
+            start += count
+        synthesis.host_derived(
+            host_states, plan.cores, plan.memory, plan.random_disk
         )
-        membw_e = np.array(
-            [float(n.spec.memory_bandwidth) for n in entry_nodes]
-        )
-        host_states = synthesis.host_baseline(n_entries, memory_e)
-        max_members = max((len(p) for p in entry_pairs), default=0)
-        for position in range(max_members):
-            sel = [e for e in range(n_entries) if len(entry_pairs[e]) > position]
-            pairs_k = [entry_pairs[e][position] for e in sel]
-            contrib = synthesis.host_additive_contributions(
-                fields[pairs_k], cores_e[sel], memory_e[sel],
-                diskbw_e[sel], netbw_e[sel], membw_e[sel],
-            )
-            host_states[sel] += contrib
-        synthesis.host_derived(host_states, cores_e, memory_e, drb_e)
 
         # --- host metric rows: one per active group --------------------
-        entry_of_group_arr = np.asarray(entry_of_group, dtype=np.intp)
-        host_rngs = [self._grp_rng[slot] for slot in active]
         host = self._host_arrays
         host_values = catalog.synthesize_rows(
             host,
-            host_states[entry_of_group_arr],
-            host_rngs,
-            self._tick_scratch("host_noise", len(active), host.n_draws),
-        )
-        slots_arr = np.asarray(active, dtype=np.intp)
-        conv_groups = np.array(
-            [self._grp_convert[slot] for slot in active], dtype=bool
+            host_states[plan.entry_of_group],
+            plan.host_rngs,
+            self._tick_scratch("host_noise", len(plan.active), host.n_draws),
         )
         self._counters_and_rates(
-            host_values, host.counter_idx, slots_arr, conv_groups,
+            host_values, host.counter_idx, plan.slots, plan.group_convert,
             self._grp_accum, self._grp_prev, self._grp_has_prev,
         )
 
         # --- container metric rows -------------------------------------
-        rows_arr = np.asarray(row_list, dtype=np.intp)
-        row_group_arr = np.asarray(row_group, dtype=np.intp)
-        row_pair_arr = np.asarray(row_pair, dtype=np.intp)
+        rows = plan.rows
         container_states = synthesis.container_state_from_fields(
-            fields[row_pair_arr],
-            self._row_alloc[rows_arr],
-            cores_e[entry_of_group_arr[row_group_arr]],
+            fields[plan.row_fields], plan.row_alloc, plan.row_cores
         )
-        row_rngs = [self._row_rng[row] for row in row_list]
         container = self._container_arrays
         container_values = catalog.synthesize_rows(
             container,
             container_states,
-            row_rngs,
-            self._tick_scratch(
-                "container_noise", len(row_list), container.n_draws
-            ),
+            plan.row_rngs,
+            self._tick_scratch("container_noise", rows.size, container.n_draws),
         )
         self._counters_and_rates(
             container_values, container.counter_idx,
-            rows_arr, self._row_convert[rows_arr],
+            rows, plan.row_convert,
             self._row_accum, self._row_prev, self._row_has_prev,
         )
 
         # --- scatter into the fleet matrix -----------------------------
-        self.raw[rows_arr, : self._n_host] = host_values[row_group_arr]
-        self.raw[rows_arr, self._n_host:] = container_values
-        self.completeness[rows_arr] = 1.0
-        self.sampled_mask[rows_arr[row_pair_arr >= 0]] = True
-        return row_list
+        self.raw[rows, : self._n_host] = host_values[plan.row_group]
+        self.raw[rows, self._n_host:] = container_values
+        self.completeness[rows] = 1.0
+        self.sampled_mask[plan.sampled] = True
+        return list(plan.row_list)
 
     def _tick_scratch(self, name: str, n: int, k: int) -> np.ndarray:
         buffer = self._scratch.get(name)
@@ -841,3 +870,119 @@ class FleetTelemetryStream:
         values[conv_rows[:, None], counter_idx] = deltas
         prev[state_conv] = cum_conv
         has_prev[state_conv] = True
+
+
+class _RoundPlan:
+    """One synthesis round of ``stream`` as index arrays over its field
+    matrix; ``locate(container, t)`` is the field row of a recorded
+    tick, ``None`` for an unrecorded one.
+
+    Groups are the round's active host groups, *entries* its unique
+    ``(namespace, node, tick)`` host states: rows of different groups
+    share a node's host *state* (not its host RNG stream) when their
+    namespaces and clocks match, as the reference path does.  Entries
+    are ordered by member count (most first), so the entries with an
+    ``i``-th member are a prefix: :attr:`member_fields` lists the
+    members' field rows one position at a time, in ``node.containers``
+    order within each entry, and :attr:`position_counts` how many
+    entries each position has.  Rows are the matrix rows the round
+    emits, in group-member order, with their field row (-1, the zero
+    sentinel, for an unrecorded tick), group, generator, counter flag,
+    CPU allocation and node cores.  The capacities come from the entry
+    nodes' specs when the plan is built or :meth:`read_specs` runs.
+    """
+
+    def __init__(self, stream, active: list[int], locate, layout):
+        self.active = active
+        self.layout = layout
+        self.membership = stream._membership
+        clocks = stream._grp_clock
+        entries: dict[tuple, int] = {}
+        nodes: list = []
+        members: list[list[int]] = []
+        entry_of_group: list[int] = []
+        rows: list[int] = []
+        row_fields: list[int] = []
+        row_group: list[int] = []
+        self._quotas: list = []
+        for group, slot in enumerate(active):
+            key = stream._grp_key[slot]
+            t = clocks[slot]
+            entry = entries.setdefault((key[0], key[1], t), len(nodes))
+            if entry == len(nodes):
+                node = stream._grp_node[slot]
+                nodes.append(node)
+                found = (locate(container, t) for container in node.containers)
+                members.append([index for index in found if index is not None])
+            entry_of_group.append(entry)
+            for row, container in zip(
+                stream._grp_members[slot], stream._grp_containers[slot]
+            ):
+                index = locate(container, t)
+                rows.append(row)
+                row_fields.append(-1 if index is None else index)
+                row_group.append(group)
+                self._quotas.append(container.cpu_cgroup.quota_cores)
+
+        self.slots = np.asarray(active, dtype=np.intp)
+        self.host_rngs = [stream._grp_rng[slot] for slot in active]
+        self.group_convert = np.array(
+            [stream._grp_convert[slot] for slot in active], dtype=bool
+        )
+        order = sorted(range(len(nodes)), key=lambda entry: -len(members[entry]))
+        rank = np.empty(len(nodes), dtype=np.intp)
+        rank[order] = np.arange(len(nodes))
+        self.nodes = [nodes[entry] for entry in order]
+        members = [members[entry] for entry in order]
+        self.entry_of_group = rank[np.asarray(entry_of_group, dtype=np.intp)]
+        self.position_counts: list[int] = []
+        member_fields: list[int] = []
+        member_entry: list[int] = []
+        while members and len(members[0]) > len(self.position_counts):
+            position = len(self.position_counts)
+            count = sum(1 for fields in members if len(fields) > position)
+            member_fields.extend(fields[position] for fields in members[:count])
+            member_entry.extend(range(count))
+            self.position_counts.append(count)
+        self.member_fields = np.asarray(member_fields, dtype=np.intp)
+        self.member_entry = np.asarray(member_entry, dtype=np.intp)
+        self.row_list = rows
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.row_fields = np.asarray(row_fields, dtype=np.intp)
+        self.row_group = np.asarray(row_group, dtype=np.intp)
+        self.row_rngs = [stream._row_rng[row] for row in rows]
+        self.row_convert = stream._row_convert[self.rows]
+        self.sampled = self.rows[self.row_fields >= 0]
+        self.read_specs()
+
+    def read_specs(self) -> None:
+        """(Re-)read the capacities of the entry nodes' current specs."""
+        self.specs = [node.spec for node in self.nodes]
+        self.cores, self.memory, disk, network, self.random_disk, membw = (
+            np.array(
+                [
+                    (
+                        float(spec.cores),
+                        float(spec.memory_bytes),
+                        float(spec.disk_bandwidth),
+                        float(spec.network_bandwidth),
+                        float(spec.disk_random_bandwidth),
+                        float(spec.memory_bandwidth),
+                    )
+                    for spec in self.specs
+                ],
+                dtype=np.float64,
+            )
+            .reshape(-1, 6)
+            .T
+        )
+        at = self.member_entry
+        self.member_specs = (
+            self.cores[at], self.memory[at], disk[at], network[at], membw[at]
+        )
+        self.row_cores = self.cores[self.entry_of_group[self.row_group]]
+        # An unlimited container is allocated its node's cores.
+        self.row_alloc = np.array([
+            cores if quota is None else quota
+            for quota, cores in zip(self._quotas, self.row_cores.tolist())
+        ])

@@ -6,8 +6,19 @@ This is the struct-of-arrays core shared by
 :class:`repro.fleet.telemetry.FleetTelemetryStream` (many containers,
 one tick -- the serving path).  Both callers used to run a Python loop
 per (container, tick) doing ~20 scalar float operations; here the tick
-fields are gathered once into a ``(n, N_FIELDS)`` float64 matrix and
-every state channel is computed as a vector op over the whole batch.
+fields are one ``(n, N_FIELDS)`` float64 matrix, its rows in the
+``F_*`` order of :mod:`repro.cluster.container`, and every state
+channel is computed as a vector op over the whole batch.
+
+The matrix comes from one of two sources, which hold the same numbers.
+:func:`tick_fields` and :func:`gather_container_fields` read it off the
+recorded :class:`~repro.cluster.container.ContainerTick` history
+(``ContainerTick.fields``); the corpus path, cells stepped by
+``ClusterSimulation.step`` and fleet rounds catching up behind the
+current tick use them.  A fleet shard's rounds read the
+:class:`~repro.cluster.simulation.TickFrame` that
+:class:`~repro.cluster.simulation.Lockstep` writes from the same
+arrays as the records instead.
 
 The contract is bitwise equality with the original per-offset scalar
 loops.  Every vectorized expression below replicates the scalar
@@ -26,6 +37,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.container import (
+    F_CPU_STEAL,
+    F_DISK_READ,
+    F_DISK_SHORTFALL,
+    F_DISK_WRITE,
+    F_LIMIT_UTIL,
+    F_MEMBW,
+    F_NET_RX,
+    F_NET_TX,
+    F_NR_THROTTLED,
+    F_PAGE_IN_BYTES,
+    F_PROCESSES,
+    F_TCP,
+    F_THROUGHPUT,
+    F_USAGE_BYTES,
+    F_USED_CORES,
+    N_FIELDS,
+    ZERO_FIELDS,
+)
 from repro.telemetry.catalog import (
     CONTAINER_CHANNELS,
     HOST_CHANNELS,
@@ -44,53 +74,8 @@ __all__ = [
     "container_state_from_fields",
 ]
 
-# ----------------------------------------------------------------------
-# Raw per-tick field layout (one row per container-tick)
-# ----------------------------------------------------------------------
-F_USED_CORES = 0
-F_USAGE_BYTES = 1
-F_PAGE_IN_BYTES = 2
-F_LIMIT_UTIL = 3
-F_NR_THROTTLED = 4
-F_DISK_READ = 5
-F_DISK_WRITE = 6
-F_NET_RX = 7
-F_NET_TX = 8
-F_TCP = 9
-F_PROCESSES = 10
-F_THROUGHPUT = 11
-F_CPU_STEAL = 12
-F_MEMBW = 13
-F_DISK_SHORTFALL = 14
-N_FIELDS = 15
-
-ZERO_FIELDS: tuple = (0.0,) * N_FIELDS
-
 _H = HOST_CHANNELS
 _C = CONTAINER_CHANNELS
-
-
-def _tick_row(tick) -> tuple:
-    """One recorded tick's raw field tuple, in the ``F_*`` order."""
-    cpu = tick.cpu
-    memory = tick.memory
-    return (
-        cpu.used_cores,
-        memory.usage_bytes,
-        memory.page_in_bytes,
-        memory.limit_utilization,
-        cpu.nr_throttled,
-        tick.disk_read_bytes,
-        tick.disk_write_bytes,
-        tick.network_rx_bytes,
-        tick.network_tx_bytes,
-        tick.tcp_connections,
-        tick.processes,
-        tick.throughput,
-        tick.cpu_steal_cores,
-        tick.membw_bytes,
-        tick.disk_shortfall_bytes,
-    )
 
 
 def tick_fields(container, t: int):
@@ -103,7 +88,7 @@ def tick_fields(container, t: int):
     history = container.history
     if index < 0 or index >= len(history):
         return None
-    return _tick_row(history[index])
+    return history[index].fields()
 
 
 def gather_container_fields(container, start: int, end: int) -> np.ndarray:
@@ -120,7 +105,7 @@ def gather_container_fields(container, start: int, end: int) -> np.ndarray:
     lo = max(start, created)
     hi = min(end, created + len(history))
     for t in range(lo, hi):
-        rows[t - start] = _tick_row(history[t - created])
+        rows[t - start] = history[t - created].fields()
     return np.array(rows, dtype=np.float64)
 
 

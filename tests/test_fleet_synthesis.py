@@ -19,9 +19,19 @@ A stream that delivers a column subset is checked against the
 full-width stream and the reference stack at once: the same cells at
 those columns, the full row's completeness, faults and counters, and
 every generator left in the same state.
+
+Telemetry reads a tick's fields from one of two sources: the
+containers' recorded histories, when the cell is stepped by
+``ClusterSimulation.step``, or the tick frame a ``Lockstep`` step
+publishes.  The parity tests of ``TestBatchedSynthesisProperties`` and
+``TestDeliveredColumns`` run every scenario once per source
+(``STEPPERS``): the second time the cell is stepped by a
+one-simulation ``Lockstep`` whose frame every round reads.
+``TestFrameContract`` checks what a frame must hold.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,9 +40,10 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cluster.faults import MetricDropout
+from repro.cluster.simulation import Lockstep, Placement
 from repro.core.features.pipeline import PipelineConfig
 from repro.core.model import MonitorlessModel
-from repro.fleet.orchestrator import build_cell, make_fleet_specs
+from repro.fleet.orchestrator import FleetShardRunner, build_cell, make_fleet_specs
 from repro.fleet.policy import FleetPolicy
 from repro.fleet.telemetry import FleetTelemetryStream
 from repro.reliability.chaos import ChaosAgent, ChaosConfig, TelemetryBlackout
@@ -61,10 +72,37 @@ def _counter_columns(catalog):
     ])
 
 
-def _advance(fleet, expected_rows):
+def scalar_stepper(simulation):
+    """The history source: ``ClusterSimulation.step``, no tick frame."""
+
+    def step(rates):
+        simulation.step(rates)
+        return None
+
+    return step
+
+
+def lockstep_stepper(simulation):
+    """The frame source: a one-simulation ``Lockstep``; each step
+    returns the tick frame telemetry reads."""
+    lockstep = Lockstep([simulation])
+
+    def step(rates):
+        lockstep.step([rates])
+        return lockstep.frame
+
+    return step
+
+
+#: Both field sources: every parity test runs its scenario once per
+#: stepper, on a fresh cell.
+STEPPERS = (scalar_stepper, lockstep_stepper)
+
+
+def _advance(fleet, expected_rows, frame=None):
     """One synthesis round; returns ``{row: raw-row copy}``."""
     fleet.begin_tick()
-    emitted = fleet.advance_round()
+    emitted = fleet.advance_round(frame)
     assert sorted(emitted.tolist()) == sorted(expected_rows)
     return {row: fleet.raw[row].copy() for row in emitted}
 
@@ -90,145 +128,153 @@ class TestBatchedSynthesisProperties:
     @settings(max_examples=5, deadline=None)
     def test_rows_match_instance_matrix_across_windows(self, seed, ticks):
         """Full-fleet emission crossing the 16-tick history window."""
-        spec, cell, containers = _build(seed)
-        agent = cell.agent
-        fleet = FleetTelemetryStream(
-            agent.catalog, np.arange(agent.catalog.n_metrics),
-            capacity=len(containers),
-        )
-        for row, container in enumerate(containers):
-            fleet.add_row(
-                row, spec.namespace, agent, container, cell.simulation.nodes
+        for stepper in STEPPERS:
+            spec, cell, containers = _build(seed)
+            step = stepper(cell.simulation)
+            agent = cell.agent
+            fleet = FleetTelemetryStream(
+                agent.catalog, np.arange(agent.catalog.n_metrics),
+                capacity=len(containers),
             )
-        per_row = {row: [] for row in range(len(containers))}
-        for _ in range(ticks):
-            cell.simulation.step({cell.application: 40.0})
-            for row, values in _advance(
-                fleet, range(len(containers))
-            ).items():
-                per_row[row].append(values)
-        counter_cols = _counter_columns(agent.catalog)
-        for row, container in enumerate(containers):
-            _assert_rows_match_matrix(
-                agent, container, cell.simulation.nodes,
-                per_row[row], counter_cols,
-            )
+            for row, container in enumerate(containers):
+                fleet.add_row(
+                    row, spec.namespace, agent, container, cell.simulation.nodes
+                )
+            per_row = {row: [] for row in range(len(containers))}
+            for _ in range(ticks):
+                frame = step({cell.application: 40.0})
+                for row, values in _advance(
+                    fleet, range(len(containers)), frame
+                ).items():
+                    per_row[row].append(values)
+            counter_cols = _counter_columns(agent.catalog)
+            for row, container in enumerate(containers):
+                _assert_rows_match_matrix(
+                    agent, container, cell.simulation.nodes,
+                    per_row[row], counter_cols,
+                )
 
     @given(seed=st.integers(0, 2**16), scale_tick=st.integers(1, 6))
     @settings(max_examples=5, deadline=None)
     def test_scale_out_mid_window(self, seed, scale_tick):
         """A row added after tick 0 joins its own (namespace, node,
         start) host group and still matches its reference matrix."""
-        spec, cell, containers = _build(seed)
-        agent = cell.agent
-        nodes = cell.simulation.nodes
-        fleet = FleetTelemetryStream(
-            agent.catalog, np.arange(agent.catalog.n_metrics),
-            capacity=16,
-        )
-        for row, container in enumerate(containers):
-            fleet.add_row(row, spec.namespace, agent, container, nodes)
-        live = list(range(len(containers)))
-        per_row = {row: [] for row in live}
-        extra_row = None
-        for t in range(scale_tick + 6):
-            if t == scale_tick:
-                service, placement = next(
-                    iter(cell.autoscaler.rules.placements.items())
-                )
-                extra = cell.simulation.add_replica(
-                    cell.application, service, placement
-                )
-                extra_row = len(containers)
-                fleet.add_row(extra_row, spec.namespace, agent, extra, nodes)
-                containers.append(extra)
-                live.append(extra_row)
-                per_row[extra_row] = []
-            cell.simulation.step({cell.application: 55.0})
-            for row, values in _advance(fleet, live).items():
-                per_row[row].append(values)
-        assert extra_row is not None
-        counter_cols = _counter_columns(agent.catalog)
-        for row, container in zip(live, containers):
-            _assert_rows_match_matrix(
-                agent, container, nodes, per_row[row], counter_cols
+        for stepper in STEPPERS:
+            spec, cell, containers = _build(seed)
+            step = stepper(cell.simulation)
+            agent = cell.agent
+            nodes = cell.simulation.nodes
+            fleet = FleetTelemetryStream(
+                agent.catalog, np.arange(agent.catalog.n_metrics),
+                capacity=16,
             )
+            for row, container in enumerate(containers):
+                fleet.add_row(row, spec.namespace, agent, container, nodes)
+            live = list(range(len(containers)))
+            per_row = {row: [] for row in live}
+            extra_row = None
+            for t in range(scale_tick + 6):
+                if t == scale_tick:
+                    service, placement = next(
+                        iter(cell.autoscaler.rules.placements.items())
+                    )
+                    extra = cell.simulation.add_replica(
+                        cell.application, service, placement
+                    )
+                    extra_row = len(containers)
+                    fleet.add_row(extra_row, spec.namespace, agent, extra, nodes)
+                    containers.append(extra)
+                    live.append(extra_row)
+                    per_row[extra_row] = []
+                frame = step({cell.application: 55.0})
+                for row, values in _advance(fleet, live, frame).items():
+                    per_row[row].append(values)
+            assert extra_row is not None
+            counter_cols = _counter_columns(agent.catalog)
+            for row, container in zip(live, containers):
+                _assert_rows_match_matrix(
+                    agent, container, nodes, per_row[row], counter_cols
+                )
 
     @given(seed=st.integers(0, 2**16), retire_tick=st.integers(1, 4))
     @settings(max_examples=5, deadline=None)
     def test_row_retirement_and_reuse(self, seed, retire_tick):
         """Retiring a row and reusing its index for a new container
         leaves every surviving stream bitwise intact."""
-        spec, cell, containers = _build(seed)
-        agent = cell.agent
-        nodes = cell.simulation.nodes
-        fleet = FleetTelemetryStream(
-            agent.catalog, np.arange(agent.catalog.n_metrics),
-            capacity=16,
-        )
-        for row, container in enumerate(containers):
-            fleet.add_row(row, spec.namespace, agent, container, nodes)
-        live = list(range(len(containers)))
-        per_row = {row: [] for row in live}
-        reused = False
-        for t in range(retire_tick + 6):
-            if t == retire_tick:
-                victim = live.pop(0)
-                fleet.retire_row(victim)
-                per_row.pop(victim)
-                containers.pop(0)
-                service, placement = next(
-                    iter(cell.autoscaler.rules.placements.items())
-                )
-                extra = cell.simulation.add_replica(
-                    cell.application, service, placement
-                )
-                fleet.add_row(victim, spec.namespace, agent, extra, nodes)
-                containers.append(extra)
-                live.append(victim)
-                per_row[victim] = []
-                reused = True
-            cell.simulation.step({cell.application: 60.0})
-            for row, values in _advance(fleet, live).items():
-                per_row[row].append(values)
-        assert reused
-        counter_cols = _counter_columns(agent.catalog)
-        for row, container in zip(live, containers):
-            _assert_rows_match_matrix(
-                agent, container, nodes, per_row[row], counter_cols
+        for stepper in STEPPERS:
+            spec, cell, containers = _build(seed)
+            step = stepper(cell.simulation)
+            agent = cell.agent
+            nodes = cell.simulation.nodes
+            fleet = FleetTelemetryStream(
+                agent.catalog, np.arange(agent.catalog.n_metrics),
+                capacity=16,
             )
+            for row, container in enumerate(containers):
+                fleet.add_row(row, spec.namespace, agent, container, nodes)
+            live = list(range(len(containers)))
+            per_row = {row: [] for row in live}
+            reused = False
+            for t in range(retire_tick + 6):
+                if t == retire_tick:
+                    victim = live.pop(0)
+                    fleet.retire_row(victim)
+                    per_row.pop(victim)
+                    containers.pop(0)
+                    service, placement = next(
+                        iter(cell.autoscaler.rules.placements.items())
+                    )
+                    extra = cell.simulation.add_replica(
+                        cell.application, service, placement
+                    )
+                    fleet.add_row(victim, spec.namespace, agent, extra, nodes)
+                    containers.append(extra)
+                    live.append(victim)
+                    per_row[victim] = []
+                    reused = True
+                frame = step({cell.application: 60.0})
+                for row, values in _advance(fleet, live, frame).items():
+                    per_row[row].append(values)
+            assert reused
+            counter_cols = _counter_columns(agent.catalog)
+            for row, container in zip(live, containers):
+                _assert_rows_match_matrix(
+                    agent, container, nodes, per_row[row], counter_cols
+                )
 
     @given(seed=st.integers(0, 2**16), ticks=st.integers(3, 10))
     @settings(max_examples=5, deadline=None)
     def test_mixed_plain_and_wrapped_fleet(self, seed, ticks):
         """Plain and wrapped agents share one batched pass per round
         and both emit the same bits as the reference matrix."""
-        spec, cell, containers = _build(seed)
-        agent = cell.agent
-        nodes = cell.simulation.nodes
-        wrapped = ResilientTelemetry(agent, staleness_budget=2)
-        fleet = FleetTelemetryStream(
-            agent.catalog, np.arange(agent.catalog.n_metrics),
-            capacity=len(containers),
-        )
-        for row, container in enumerate(containers):
-            row_agent = wrapped if row % 2 else agent
-            fleet.add_row(row, spec.namespace, row_agent, container, nodes)
-        per_row = {row: [] for row in range(len(containers))}
-        for _ in range(ticks):
-            cell.simulation.step({cell.application: 45.0})
-            for row, values in _advance(
-                fleet, range(len(containers))
-            ).items():
-                per_row[row].append(values)
-            assert not fleet.faulted
-            assert np.all(fleet.completeness[: len(containers)] == 1.0)
-            assert np.all(fleet.staleness[: len(containers)] == 0)
-        counter_cols = _counter_columns(agent.catalog)
-        for row, container in enumerate(containers):
-            _assert_rows_match_matrix(
-                agent, container, nodes, per_row[row], counter_cols
+        for stepper in STEPPERS:
+            spec, cell, containers = _build(seed)
+            step = stepper(cell.simulation)
+            agent = cell.agent
+            nodes = cell.simulation.nodes
+            wrapped = ResilientTelemetry(agent, staleness_budget=2)
+            fleet = FleetTelemetryStream(
+                agent.catalog, np.arange(agent.catalog.n_metrics),
+                capacity=len(containers),
             )
+            for row, container in enumerate(containers):
+                row_agent = wrapped if row % 2 else agent
+                fleet.add_row(row, spec.namespace, row_agent, container, nodes)
+            per_row = {row: [] for row in range(len(containers))}
+            for _ in range(ticks):
+                frame = step({cell.application: 45.0})
+                for row, values in _advance(
+                    fleet, range(len(containers)), frame
+                ).items():
+                    per_row[row].append(values)
+                assert not fleet.faulted
+                assert np.all(fleet.completeness[: len(containers)] == 1.0)
+                assert np.all(fleet.staleness[: len(containers)] == 0)
+            counter_cols = _counter_columns(agent.catalog)
+            for row, container in enumerate(containers):
+                _assert_rows_match_matrix(
+                    agent, container, nodes, per_row[row], counter_cols
+                )
 
 
 # ----------------------------------------------------------------------
@@ -276,13 +322,13 @@ def _reference_tick(streams, containers, outcome, columns=slice(None)):
         )
 
 
-def _fleet_tick(fleet, rows, outcome, columns=slice(None)):
+def _fleet_tick(fleet, rows, outcome, columns=slice(None), frame=None):
     """One policy tick of ``fleet``'s rounds; each delivered row is
     recorded at ``columns`` of its ``raw`` row."""
     fleet.begin_tick()
     delivered = {row: [] for row in rows}
     while True:
-        emitted = fleet.advance_round()
+        emitted = fleet.advance_round(frame)
         if emitted.size == 0:
             break
         for row in emitted.tolist():
@@ -527,7 +573,18 @@ class TestDeliveredColumns:
         completeness, staleness, faults, samples and obs counters, and
         leaves every generator where the full-width stream leaves it,
         tick by tick, across a blackout and a mid-window scale-out."""
+        for stepper in STEPPERS:
+            self._check_narrow_stream(
+                stepper, seed, columns, layers, probability, blackout_start,
+                scale_tick,
+            )
+
+    @staticmethod
+    def _check_narrow_stream(
+        stepper, seed, columns, layers, probability, blackout_start, scale_tick,
+    ):
         spec, cell, containers = _build(seed)
+        step = stepper(cell.simulation)
         nodes = cell.simulation.nodes
         blackout = TelemetryBlackout(blackout_start, blackout_start + 3)
         agent = _fault_stack(
@@ -561,15 +618,15 @@ class TestDeliveredColumns:
                         cell.application, service, placement
                     ))
                     add(len(containers) - 1, containers[-1])
-                cell.simulation.step({cell.application: 50.0})
+                frame = step({cell.application: 50.0})
                 rows = sorted(streams)
                 outcomes = {"narrow": {}, "full": {}, "reference": {}}
                 counters = {
-                    "narrow": _fault_counters(
-                        lambda: _fleet_tick(narrow, rows, outcomes["narrow"])
-                    ),
+                    "narrow": _fault_counters(lambda: _fleet_tick(
+                        narrow, rows, outcomes["narrow"], frame=frame
+                    )),
                     "full": _fault_counters(lambda: _fleet_tick(
-                        full, rows, outcomes["full"], columns
+                        full, rows, outcomes["full"], columns, frame
                     )),
                     "reference": _fault_counters(lambda: _reference_tick(
                         streams, containers, outcomes["reference"], columns
@@ -606,6 +663,140 @@ class TestDeliveredColumns:
     def test_bad_columns_raise_value_error(self, columns):
         with pytest.raises(ValueError, match="columns"):
             FleetTelemetryStream(_CATALOG, columns)
+
+
+# ----------------------------------------------------------------------
+# The tick frame contract
+# ----------------------------------------------------------------------
+def _full_stream(cell, containers, capacity=16):
+    """A full-width stream over ``containers`` of ``cell``, one row each."""
+    catalog = cell.agent.catalog
+    fleet = FleetTelemetryStream(
+        catalog, np.arange(catalog.n_metrics), capacity=capacity
+    )
+    for row, container in enumerate(containers):
+        fleet.add_row(
+            row, cell.namespace, cell.agent, container, cell.simulation.nodes
+        )
+    return fleet
+
+
+def _rounds(fleet, frame):
+    """One tick's rounds: ``[{row: raw-row bytes}, ...]``."""
+    fleet.begin_tick()
+    rounds = []
+    while True:
+        emitted = fleet.advance_round(frame)
+        if emitted.size == 0:
+            return rounds
+        rounds.append({row: fleet.raw[row].tobytes() for row in emitted.tolist()})
+
+
+class TestFrameContract:
+    def test_swapped_node_specs_reach_the_rows(self, tiny_model):
+        """A node's ``spec`` swapped between the ticks of a shard, as
+        ``FaultSchedule`` does, reaches the rows read from the frame:
+        every live row equals its reference stream, an unlimited
+        container's allocation following its node's cores too."""
+        runner = FleetShardRunner(0, make_fleet_specs(2, base_seed=5), tiny_model)
+        cells = runner.cells
+        # An unlimited replica on a node whose cores change.
+        cells[0].simulation.add_replica("teastore", "webui", Placement("M1"))
+        runner.start()
+        telemetry = runner.policy.telemetry
+        swaps = {3: (0, "M1", 0.5), 4: (1, "M3", 0.25), 7: (0, "M1", 3.0)}
+        streams = {}
+        for t in range(10):
+            if t in swaps:
+                index, name, factor = swaps[t]
+                node = cells[index].simulation.nodes[name]
+                node.spec = dataclasses.replace(
+                    node.spec,
+                    cores=max(1, round(node.spec.cores * factor)),
+                    disk_bandwidth=node.spec.disk_bandwidth * factor,
+                    network_bandwidth=node.spec.network_bandwidth / factor,
+                    memory_bandwidth=node.spec.memory_bandwidth * factor,
+                )
+            runner.tick(np.full(2, 60.0 + 20.0 * t))
+            for cell in cells:
+                deployment = cell.simulation.deployments[cell.application]
+                for replicas in deployment.instances.values():
+                    for instance in replicas:
+                        container = instance.container
+                        if container.tick_at(t) is None:
+                            continue  # scaled out after the tick
+                        key = (cell.namespace, container.name)
+                        if key not in streams:
+                            streams[key] = open_reference_stream(
+                                cell.agent, container, cell.simulation.nodes
+                            )
+                        expected = streams[key].emit()[telemetry.columns]
+                        row = runner.policy.index.row_of(*key)
+                        assert telemetry.raw[row].tobytes() == expected.tobytes(), (
+                            f"{key} at tick {t}"
+                        )
+        assert telemetry._plan.layout == runner.lockstep.frame.layout
+
+    def test_a_frame_lacking_a_read_container_raises(self):
+        """Another simulation's frame has no row for the fleet's
+        containers: the round raises naming one and emits nothing."""
+        _, cell, containers = _build(0)
+        _, other, _ = _build(1)
+        fleet = _full_stream(cell, containers)
+        cell.simulation.step({cell.application: 40.0})
+        foreign = Lockstep([other.simulation])
+        foreign.step([{other.application: 40.0}])
+        fleet.begin_tick()
+        with pytest.raises(
+            ValueError, match="tick frame of tick 0 has no row for container teastore"
+        ):
+            fleet.advance_round(foreign.frame)
+        assert not fleet.raw.any() and not fleet.sampled_mask.any()
+        assert {fleet.clock(row) for row in range(len(containers))} == {0}
+        assert fleet.advance_round().size == len(containers)
+
+    def test_a_frame_of_another_tick_raises(self):
+        _, cell, containers = _build(0)
+        lockstep = Lockstep([cell.simulation])
+        fleet = _full_stream(cell, containers)
+        lockstep.step([{cell.application: 40.0}])
+        old = lockstep.frame
+        assert len(_rounds(fleet, old)) == 1
+        lockstep.step([{cell.application: 45.0}])
+        fleet.begin_tick()
+        with pytest.raises(
+            ValueError, match="holds tick 0, but container .* due to emit tick 1"
+        ):
+            fleet.advance_round(old)
+        assert {fleet.clock(row) for row in range(len(containers))} == {1}
+        assert len(_rounds(fleet, lockstep.frame)) == 1
+
+    def test_groups_behind_the_frame_catch_up_from_histories(self):
+        """Rows added three ticks late (the whole M3 group) catch up
+        through history rounds while the other groups read the frame
+        in the same first round; every row equals its reference."""
+        _, cell, containers = _build(2)
+        nodes = cell.simulation.nodes
+        lockstep = Lockstep([cell.simulation])
+        late = [c for c in containers if c.node == "M3"]
+        early = [c for c in containers if c.node != "M3"]
+        fleet = _full_stream(cell, early)
+        streams = {
+            id(c): open_reference_stream(cell.agent, c, nodes) for c in containers
+        }
+        for t in range(6):
+            lockstep.step([{cell.application: 30.0 + 25.0 * t}])
+            if t == 3:
+                for row, container in enumerate(late, start=len(early)):
+                    fleet.add_row(row, cell.namespace, cell.agent, container, nodes)
+            rounds = _rounds(fleet, lockstep.frame)
+            assert len(rounds) == (4 if t == 3 else 1)
+            for delivered in rounds:
+                for row, values in delivered.items():
+                    container = fleet.container_at(row)
+                    assert values == streams[id(container)].emit().tobytes(), (
+                        f"{container.name} at tick {t}"
+                    )
 
 
 class _Champion:

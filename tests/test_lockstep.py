@@ -5,8 +5,10 @@ Every test steps the same inputs through both paths and compares all
 the state a tick writes -- each appended ``ContainerTick`` with its CPU
 and memory accounting, queue backlogs, last concurrencies, cgroup
 period totals, application KPIs and the clock -- as bits, so that a
-last-ulp difference or a ``-0.0`` fails.  Also here: the arrival-rate
-checks both paths share, and kill-and-resume of a fleet shard.
+last-ulp difference or a ``-0.0`` fails.  The kernel's tick frame is
+checked against the records it wrote, row by row.  Also here: the
+arrival-rate checks both paths share, and kill-and-resume of a fleet
+shard.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.apps.base import ApplicationModel, ServiceSpec
 from repro.cluster.cgroup import CpuAccounting, MemoryAccounting
-from repro.cluster.container import ContainerTick
+from repro.cluster.container import N_FIELDS, ContainerTick
 from repro.cluster.node import NodeSpec
 from repro.cluster.simulation import ClusterSimulation, Lockstep, Placement
 from repro.fleet.orchestrator import (
@@ -34,6 +36,7 @@ from repro.fleet.orchestrator import (
     make_fleet_specs,
 )
 from repro.reliability.checkpoint import load_checkpoint, save_checkpoint
+from repro.telemetry.synthesis import tick_fields
 
 _TICK_FIELDS = [
     f.name for f in dataclasses.fields(ContainerTick) if f.name not in ("cpu", "memory")
@@ -109,6 +112,30 @@ def assert_plain_values(simulation) -> None:
 def _compare(reference, lockstep) -> None:
     for expected, actual in zip(reference, lockstep.simulations):
         assert snapshot(actual) == snapshot(expected)
+
+
+def assert_frame_matches_records(lockstep) -> None:
+    """Every instance's row of the tick frame is, bit for bit, the
+    ``tick_fields`` of the record the step just wrote, and the last
+    row is the +0.0 sentinel."""
+    frame = lockstep.frame
+    instances = [
+        instance
+        for simulation in lockstep.simulations
+        for instance in _instances(simulation)
+    ]
+    assert frame.tick == lockstep.simulations[0].clock - 1
+    assert frame.fields.shape == (len(instances) + 1, N_FIELDS)
+    assert frame.fields.dtype == np.float64
+    assert frame.fields[-1].tobytes() == bytes(8 * N_FIELDS)
+    assert sorted(frame.rows.values()) == list(range(len(instances)))
+    for instance in instances:
+        container = instance.container
+        record = tick_fields(container, frame.tick)
+        assert record == container.last().fields()
+        assert frame.fields[frame.row(container)].tobytes() == np.array(
+            record, dtype=np.float64
+        ).tobytes(), container.name
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +314,7 @@ class TestLockstepMatchesScalarStep:
             _compare(reference, lockstep)
             for simulation in lockstep.simulations:
                 assert_plain_values(simulation)
+            assert_frame_matches_records(lockstep)
 
     def test_crowded_nodes_sum_like_the_scalar_branches(self):
         """Nodes of 1 to more than 12 members, crossing the 8-member
@@ -327,7 +355,7 @@ class TestLockstepMatchesScalarStep:
         recipes = [recipe(), recipe()]
         reference = [_build(r) for r in recipes]
         lockstep = Lockstep([_build(r) for r in recipes])
-        seen = set()
+        seen, throttled, unlimited = set(), set(), set()
         for t in range(60):
             for simulation in (reference[0], lockstep.simulations[0]):
                 if t % 7 == 3:
@@ -339,10 +367,20 @@ class TestLockstepMatchesScalarStep:
                 simulation.step({"app-0": rate})
             lockstep.step([{"app-0": rate} for rate in rates])
             _compare(reference, lockstep)
+            assert_frame_matches_records(lockstep)
+            for instance in _instances(lockstep.simulations[0]):
+                record = instance.container.last()
+                throttled.add(record.cpu.nr_throttled)
+                if record.memory.limit_bytes is None:
+                    unlimited.add(record.memory.limit_utilization)
             seen.update(
                 len(node.containers) for node in reference[0].nodes.values()
             )
         assert min(seen) == 1 and max(seen) >= 12
+        # The frame rows held int throttled counts above 0 and unlimited
+        # containers' 0.0 limit utilization.
+        assert max(throttled) > 0 and {type(n) for n in throttled} == {int}
+        assert unlimited == {0.0}
 
     def test_layout_is_rebuilt_only_for_changed_simulations(self):
         cells = [build_cell(spec) for spec in make_fleet_specs(3)]
@@ -364,11 +402,39 @@ class TestLockstepMatchesScalarStep:
             lockstep.step([{"teastore": rate}] * 2)
         copy = pickle.loads(pickle.dumps(lockstep))
         assert copy._parts == [None, None]
+        assert copy.frame is None
         for rate in (900.0, 0.0, 150.0):
             lockstep.step([{"teastore": rate}] * 2)
             copy.step([{"teastore": rate}] * 2)
         for original, restored in zip(lockstep.simulations, copy.simulations):
             assert snapshot(restored) == snapshot(original)
+
+    def test_frame_layout_changes_only_with_membership(self):
+        cells = [build_cell(spec) for spec in make_fleet_specs(2)]
+        lockstep = Lockstep([cell.simulation for cell in cells])
+        assert lockstep.frame is None
+        lockstep.step([{"teastore": 50.0}] * 2)
+        first = lockstep.frame
+        lockstep.step([{"teastore": 60.0}] * 2)
+        assert (lockstep.frame.tick, first.tick) == (1, 0)
+        assert lockstep.frame.layout == first.layout
+        assert lockstep.frame.fields is not first.fields
+        added = cells[0].simulation.add_replica(
+            "teastore", "auth", Placement("M2", 2.0, 4e9)
+        )
+        assert first.row(added) is None
+        lockstep.step([{"teastore": 70.0}] * 2)
+        assert lockstep.frame.layout != first.layout
+        assert lockstep.frame.row(added) is not None
+        assert_frame_matches_records(lockstep)
+
+    def test_simulations_at_different_clocks_publish_no_frame(self):
+        cells = [build_cell(spec) for spec in make_fleet_specs(2)]
+        cells[1].simulation.step({"teastore": 50.0})
+        lockstep = Lockstep([cell.simulation for cell in cells])
+        lockstep.step([{"teastore": 50.0}] * 2)
+        assert lockstep.frame is None
+        assert [cell.simulation.clock for cell in cells] == [1, 2]
 
     def test_rejects_misaligned_and_duplicate_inputs(self):
         simulation = build_cell(make_fleet_specs(1)[0]).simulation
@@ -475,7 +541,8 @@ class TestFleetShard:
 
     def test_kill_and_resume_is_bitwise_identical(self, tiny_model, tmp_path):
         """A shard checkpointed mid-run resumes with a cold Lockstep
-        cache and ends bitwise where the uninterrupted shard ends."""
+        cache, no tick frame and no telemetry round plan, and ends
+        bitwise where the uninterrupted shard ends."""
         ticks, kill = 30, 13
         specs = make_fleet_specs(3, base_seed=4)
         workloads = default_fleet_workloads(3, ticks, seed=4, high=400.0)
@@ -494,6 +561,9 @@ class TestFleetShard:
         save_checkpoint(killed, tmp_path / "shard.ckpt")
         resumed = load_checkpoint(tmp_path / "shard.ckpt")
         assert resumed.lockstep._parts == [None] * len(specs)
+        assert resumed.lockstep.frame is None
+        assert killed.policy.telemetry._plan is not None
+        assert resumed.policy.telemetry._plan is None
         run(resumed, kill, ticks)
 
         assert resumed.decisions == uninterrupted.decisions
