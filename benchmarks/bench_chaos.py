@@ -11,7 +11,8 @@ records the robustness contract to ``BENCH_chaos.json``:
 - the fallback chain actually exercised demotion *and* recovery
   (read back from ``repro.obs`` counters);
 - the SLO-violation delta versus the clean run stays within the
-  documented bound (``max_violation_delta_fraction * duration``).
+  documented bound (``MAX_VIOLATION_DELTA_FRACTION``, 15% of the
+  duration; ``bound_fraction`` in the artifact).
 
 Following ``bench_parallel.py`` convention the assertions are
 enforced only on hosts with >= 4 usable cores; smaller runners still

@@ -30,7 +30,11 @@ import pytest
 from repro.core.model import MonitorlessModel
 from repro.datasets.configs import run_by_id
 from repro.datasets.generate import build_training_corpus
-from repro.lifecycle import DriftScenarioConfig, DriftScenarioRunner
+from repro.lifecycle import (
+    ANTAGONIST_PERIOD,
+    DriftScenarioConfig,
+    DriftScenarioRunner,
+)
 from repro.orchestrator.slo import violated_last_tick
 from repro.parallel.jobs import available_cores
 
@@ -87,7 +91,7 @@ def test_drift_lifecycle(benchmark, small_model, table_printer, tmp_path):
     assert (
         result.onset_tick
         <= result.detection_tick
-        <= result.onset_tick + 2 * config.antagonist_period
+        <= result.onset_tick + 2 * ANTAGONIST_PERIOD
     )
     assert result.promoted and result.promotion_tick > result.retrain_tick
     assert result.champion_version == 2

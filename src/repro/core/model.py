@@ -169,12 +169,7 @@ class MonitorlessModel:
         return self
 
     def refit_classifier(
-        self,
-        features: np.ndarray,
-        y: np.ndarray,
-        *,
-        classifier_params: dict[str, Any] | None = None,
-        random_state=None,
+        self, features: np.ndarray, y: np.ndarray
     ) -> "MonitorlessModel":
         """A new model sharing this fitted pipeline, classifier refit.
 
@@ -186,7 +181,8 @@ class MonitorlessModel:
         promotion never invalidates per-container pipeline streams.
 
         The returned model aliases ``pipeline_`` (read-only by
-        convention) and owns a freshly fitted classifier.
+        convention) and owns a freshly fitted classifier with this
+        model's classifier settings and random state.
         """
         self._check_fitted()
         features = np.asarray(features, dtype=np.float64)
@@ -201,13 +197,8 @@ class MonitorlessModel:
             pipeline_config=self.pipeline_config,
             classifier=self.classifier_name,
             prediction_threshold=self.prediction_threshold,
-            random_state=(
-                self.random_state if random_state is None else random_state
-            ),
-            classifier_params={
-                **self.classifier_params,
-                **(classifier_params or {}),
-            },
+            random_state=self.random_state,
+            classifier_params=self.classifier_params,
         )
         clone.pipeline_ = self.pipeline_
         clone.classifier_ = make_classifier(

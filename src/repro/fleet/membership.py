@@ -53,7 +53,6 @@ class FleetIndex:
     def __init__(self):
         self._members: list[FleetMember | None] = []
         self._rows: dict[tuple[str, str], int] = {}
-        self._pods_by_namespace: dict[str, set[str]] = {}
         self._free: list[int] = []  # min-heap of retired rows
 
     def __len__(self) -> int:
@@ -79,9 +78,6 @@ class FleetIndex:
             row = len(self._members)
             self._members.append(member)
         self._rows[key] = row
-        self._pods_by_namespace.setdefault(member.namespace, set()).add(
-            member.pod
-        )
         return row
 
     def retire(self, namespace: str, pod: str) -> int:
@@ -89,7 +85,6 @@ class FleetIndex:
         row = self._rows.pop((namespace, pod))
         member = self._members[row]
         self._members[row] = None
-        self._pods_by_namespace[namespace].discard(pod)
         heapq.heappush(self._free, row)
         assert member is not None
         return row
@@ -102,10 +97,6 @@ class FleetIndex:
         if member is None:
             raise KeyError(f"Row {row} is not occupied.")
         return member
-
-    def pods_in(self, namespace: str) -> set[str]:
-        """Live pods currently registered under ``namespace``."""
-        return set(self._pods_by_namespace.get(namespace, ()))
 
     def live_rows(self) -> list[int]:
         """Occupied rows in ascending order."""

@@ -19,16 +19,20 @@ any cell violated) and a step, and the tick's phase timing is its
 :class:`FleetOrchestrator` fans the shards out over
 :func:`~repro.parallel.pool.parallel_map` workers.  Cells are
 data-independent and seeded by stable cell keys, so results are
-deterministic at every ``n_jobs`` (PR 2's contract); the workload
-matrix travels once through shared memory.  Each shard checkpoints its
-whole runner (``REPRO-CKPT`` format) every ``checkpoint_interval``
-ticks; with ``on_crash="serial"`` a shard whose worker dies mid-run is
-resumed *from its checkpoint* in the parent and the fleet result is
-still complete and bitwise deterministic.
+deterministic at every ``n_jobs``; the workload matrix travels once
+through shared memory.  Each shard checkpoints its whole runner
+(``REPRO-CKPT`` format) every ``checkpoint_interval`` ticks; with
+``on_crash="serial"`` a shard whose worker dies mid-run is resumed
+*from its checkpoint* in the parent and the fleet result is still
+complete and bitwise deterministic.  A checkpoint resumes only the run
+that wrote it -- the same shard, cells, workload rows and tick count,
+served by the same model -- and any other raises
+:class:`~repro.reliability.checkpoint.CheckpointError`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 
@@ -43,6 +47,12 @@ from repro.orchestrator.loop import OrchestratorResult
 from repro.orchestrator.slo import SloPolicy, violated_last_tick
 from repro.parallel.jobs import in_worker, resolve_n_jobs
 from repro.parallel.pool import parallel_map
+from repro.reliability.checkpoint import (
+    CheckpointError,
+    check_model_swap,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.telemetry.agent import TelemetryAgent, _stream_seed
 
 __all__ = [
@@ -149,13 +159,13 @@ def build_cell(spec: FleetCellSpec) -> FleetCell:
 
 def make_fleet_specs(
     n_cells: int, base_seed: int = 0, kind: str = "teastore",
-    prefix: str = "cell",
 ) -> list[FleetCellSpec]:
-    """Specs with stable per-cell seeds derived from the cell key."""
+    """Specs ``cell-0000``, ``cell-0001``, ... with stable per-cell
+    seeds derived from the cell key."""
     return [
         FleetCellSpec(
-            namespace=f"{prefix}-{index:04d}",
-            seed=_stream_seed(base_seed, f"fleet-cell:{prefix}-{index:04d}")
+            namespace=f"cell-{index:04d}",
+            seed=_stream_seed(base_seed, f"fleet-cell:cell-{index:04d}")
             % 2**31,
             kind=kind,
         )
@@ -196,26 +206,30 @@ class FleetShardRunner:
 
     Exposes ``application`` / ``policy`` / ``_t`` so
     :func:`repro.reliability.checkpoint.save_checkpoint` can snapshot
-    it exactly like a per-container :class:`Orchestrator`.
+    it exactly like a per-container :class:`Orchestrator`.  Settings
+    of the shard's policy are set on ``policy`` itself (for example
+    ``policy.configure_fallback(...)`` or ``policy.lifecycle = ...``)
+    before the first tick.
     """
 
-    def __init__(self, shard_index: int, specs, model, *,
-                 policy_options: dict | None = None,
-                 slo: SloPolicy | None = None):
+    def __init__(self, shard_index: int, specs, model):
         self.shard_index = shard_index
         self.application = f"fleet-shard-{shard_index}"
         self.specs = list(specs)
         self.cells = [build_cell(spec) for spec in self.specs]
-        self.policy = FleetPolicy(model, **dict(policy_options or {}))
+        self.policy = FleetPolicy(model)
         for cell in self.cells:
             self.policy.add_cell(
                 cell.namespace, cell.simulation, cell.application,
                 cell.agent, secondary=cell.secondary,
             )
         self.lockstep = Lockstep([cell.simulation for cell in self.cells])
-        self.slo = slo or SloPolicy()
+        self.slo = SloPolicy()
         self.checkpoints_saved = 0
         self.resumed_from_tick: int | None = None
+        #: The fleet run this shard belongs to, as :func:`_run_shard`
+        #: records it; a checkpoint of the runner resumes only that run.
+        self.run_key: tuple | None = None
 
     def start(self) -> None:
         self._baselines = [
@@ -306,7 +320,10 @@ class FleetShardRunner:
 def _run_shard(item: dict, arrays: dict) -> FleetShardResult:
     """Worker entry point: run (or resume) one shard to the end.
 
-    Picklable by name for :func:`parallel_map`.  ``die_at_tick`` is a
+    Picklable by name for :func:`parallel_map`.  A corrupt checkpoint
+    starts the shard over; a sound one of another run (shard, cells,
+    workload rows or tick count), or of another serving model, raises
+    :class:`CheckpointError` naming the file.  ``die_at_tick`` is a
     test/bench knob: once at least one checkpoint exists, a *worker*
     process exits hard at that tick to exercise the crash-rescue path;
     the parent-side rescue (not ``in_worker``) resumes from the
@@ -318,21 +335,31 @@ def _run_shard(item: dict, arrays: dict) -> FleetShardResult:
     path = item.get("checkpoint_path")
     interval = int(item.get("checkpoint_interval") or 0)
     die_at = item.get("die_at_tick")
+    run_key = (
+        item["shard"],
+        tuple(item["specs"]),
+        hashlib.sha256(workloads[lo:hi].tobytes()).hexdigest(),
+        ticks,
+    )
 
     runner = None
     if path and os.path.exists(path):
-        from repro.reliability.checkpoint import CheckpointError, load_checkpoint
-
         try:
             runner = load_checkpoint(path)
-            runner.resumed_from_tick = runner._t
         except CheckpointError:
-            runner = None
+            pass  # a corrupt file: start the shard over
+        else:
+            if runner.run_key != run_key:
+                raise CheckpointError(
+                    f"{path} holds a checkpoint of another fleet run (its "
+                    "shard, cells, workload rows or tick count differ); "
+                    "remove it or use another checkpoint directory."
+                )
+            check_model_swap(path, item["model"], allow_swap=False)
+            runner.resumed_from_tick = runner._t
     if runner is None:
-        runner = FleetShardRunner(
-            item["shard"], item["specs"], item["model"],
-            policy_options=item.get("policy_options"),
-        )
+        runner = FleetShardRunner(item["shard"], item["specs"], item["model"])
+        runner.run_key = run_key
         runner.start()
 
     while runner._t < ticks:
@@ -345,8 +372,6 @@ def _run_shard(item: dict, arrays: dict) -> FleetShardResult:
             os._exit(23)
         runner.tick(workloads[lo:hi, runner._t])
         if path and interval and runner._t % interval == 0:
-            from repro.reliability.checkpoint import save_checkpoint
-
             runner.checkpoints_saved += 1
             save_checkpoint(runner, path)
     return runner.finish()
@@ -383,7 +408,6 @@ class FleetOrchestrator:
         n_jobs: int | None = None,
         checkpoint_dir=None,
         checkpoint_interval: int = 25,
-        policy_options: dict | None = None,
         die_at_tick: dict | None = None,
     ):
         self.specs = list(specs)
@@ -405,7 +429,6 @@ class FleetOrchestrator:
             raise ValueError("n_shards must be in [1, n_cells].")
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_interval = checkpoint_interval
-        self.policy_options = dict(policy_options or {})
         # Test/bench knob: {shard_index: tick} hard-exits that shard's
         # worker mid-run to exercise checkpointed crash rescue.
         self.die_at_tick = dict(die_at_tick or {})
@@ -441,7 +464,6 @@ class FleetOrchestrator:
                     "cell_rows": (lo, hi),
                     "ticks": ticks,
                     "model": self.model,
-                    "policy_options": self.policy_options,
                     "checkpoint_path": path,
                     "checkpoint_interval": self.checkpoint_interval,
                     "die_at_tick": self.die_at_tick.get(shard),

@@ -78,22 +78,10 @@ class FleetPolicy:
 
     name = "fleet"
 
-    def __init__(
-        self,
-        model,
-        *,
-        catalog=None,
-        capacity: int = 64,
-        staleness_budget: int | None = None,
-        failsafe: str = "hold",
-        recovery_ticks: int = 3,
-        lifecycle=None,
-    ):
-        self.configure_fallback(
-            staleness_budget=staleness_budget,
-            failsafe=failsafe,
-            recovery_ticks=recovery_ticks,
-        )
+    def __init__(self, model, *, catalog=None, lifecycle=None):
+        # The fallback settings' defaults; see configure_fallback.
+        self.failsafe = "hold"
+        self.recovery_ticks = 3
         self._model = model
         #: Optional :class:`~repro.lifecycle.manager.LifecycleManager`;
         #: when attached the fleet follows its champion and reports
@@ -110,12 +98,13 @@ class FleetPolicy:
 
             catalog = default_catalog()
         self.features = FleetPipelineStream(
-            model.pipeline_, catalog.feature_meta(), capacity=capacity
+            model.pipeline_, catalog.feature_meta()
         )
         # The model setter keeps the pipeline, so the columns its plan
         # reads are the only ones telemetry ever has to deliver.
         self.telemetry = FleetTelemetryStream(
-            catalog, self.features.raw_columns, capacity=capacity
+            catalog, self.features.raw_columns,
+            capacity=self.features.capacity,
         )
         self._capacity = self.features.capacity
         self._state = np.full(self._capacity, _HEALTHY, dtype=np.int8)
@@ -130,17 +119,13 @@ class FleetPolicy:
         self.classifier_errors = 0
         self.last_classifier_error: str | None = None
 
-    def configure_fallback(self, *, staleness_budget: int | None,
-                           failsafe: str, recovery_ticks: int) -> None:
+    def configure_fallback(self, *, failsafe: str, recovery_ticks: int) -> None:
         """Validate and set the fallback state machine's settings (see
         :class:`~repro.reliability.fallback.FallbackPolicy`)."""
         if failsafe not in ("hold", "scale-up"):
             raise ValueError('failsafe must be "hold" or "scale-up".')
         if recovery_ticks < 1:
             raise ValueError("recovery_ticks must be >= 1.")
-        if staleness_budget is not None and staleness_budget < 0:
-            raise ValueError("staleness_budget must be >= 0.")
-        self.staleness_budget = staleness_budget
         self.failsafe = failsafe
         self.recovery_ticks = recovery_ticks
 
@@ -343,18 +328,13 @@ class FleetPolicy:
 
             # The fallback checks as row masks, in membership order:
             # rows without samples are skipped, faulted rows demoted,
-            # rows with features go to the primary unless they are stale.
+            # rows with features go to the primary.
             live = self._order
             sampled = telemetry.sampled_mask[live]
             faulted = telemetry.faulted_mask[live]
             usable = self.features.has_features[live] & ~faulted
-            stale = np.zeros_like(usable)
-            if self.staleness_budget is not None:
-                stale = usable & (
-                    telemetry.staleness[live] > self.staleness_budget
-                )
-            demoted = live[sampled & (faulted | stale)].tolist()
-            primary_rows = live[sampled & usable & ~stale]
+            demoted = live[sampled & faulted].tolist()
+            primary_rows = live[sampled & usable]
             saturated: set[tuple[str, str]] = set()
             flags = None
             if primary_rows.size:

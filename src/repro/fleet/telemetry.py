@@ -75,15 +75,17 @@ ChaosAgent -> MetricDropout -> TelemetryAgent`` (or any subsequence of
 it) is unwrapped at :meth:`FleetTelemetryStream.add_row` into per-row
 fault settings and state: the dropout probability, generator and held
 row; the chaos agent (config and blackouts) and delayed-tick marker;
-the resilience settings, last real row and staleness.  Such a row gets
-its own host group, because a lost tick desynchronises its host stream
-from its group-mates; host *state* is still shared per ``(namespace,
-node, tick)``.  Each round then runs in five steps:
+the resilience settings (staleness budget and retry count), last real
+row and staleness.  Such a row gets its own host group, because a lost
+tick desynchronises its host stream from its group-mates; host *state*
+is still shared per ``(namespace, node, tick)``.  Each round then runs
+in five steps:
 
 1. decide every faultable row's chaos mode for its tick (blackout,
    hard, transient, nan, ok) from the keyed blake2b hash, with the
-   retry budget applied; a lost tick skips synthesis and advances the
-   row's clock, like a missed scrape;
+   retry budget applied (each retry's ``BACKOFF_BASE * 2**k`` backoff
+   is recorded in ``obs``, never slept); a lost tick skips synthesis
+   and advances the row's clock, like a missed scrape;
 2. synthesize every remaining row through the kernel, once per field
    source the round reads;
 3. apply dropout sample-and-hold and NaN corruption to the emitted
@@ -123,6 +125,7 @@ from repro import obs
 from repro.cluster.faults import MetricDropout, _dropout_seed
 from repro.reliability.chaos import ChaosAgent, InjectedTelemetryError
 from repro.reliability.telemetry import (
+    BACKOFF_BASE,
     ResilientTelemetry,
     TelemetryFault,
     TelemetryUnavailable,
@@ -607,11 +610,11 @@ class FleetTelemetryStream:
             self._fault(row, InjectedTelemetryError(message))
             return "fault"
         for attempt in range(retries):
-            delay = resilient.backoff_base * (2.0 ** attempt)
             obs.inc("resilience.retries")
-            obs.observe("resilience.retry_backoff_seconds", delay)
-            if resilient.sleep is not None:
-                resilient.sleep(delay)
+            obs.observe(
+                "resilience.retry_backoff_seconds",
+                BACKOFF_BASE * (2.0 ** attempt),
+            )
         if mode == "transient" and retries:
             return "ok"
         return "lost"

@@ -17,8 +17,6 @@ from repro.lifecycle.drift import (
     DriftDetector,
     DriftStatus,
     StreamingHistograms,
-    batch_ks,
-    batch_psi,
     bin_counts,
     bin_rows,
     ks_from_counts,
@@ -34,6 +32,9 @@ from repro.lifecycle.registry import (
 )
 from repro.lifecycle.retrain import RetrainConfig, Retrainer, StreamWindow
 from repro.lifecycle.scenario import (
+    ANTAGONIST_DUTY,
+    ANTAGONIST_PERIOD,
+    ANTAGONIST_RATE,
     DriftScenarioConfig,
     DriftScenarioResult,
     DriftScenarioRunner,
@@ -49,8 +50,6 @@ __all__ = [
     "DriftDetector",
     "DriftStatus",
     "StreamingHistograms",
-    "batch_ks",
-    "batch_psi",
     "bin_counts",
     "bin_rows",
     "ks_from_counts",
@@ -64,6 +63,9 @@ __all__ = [
     "RetrainConfig",
     "Retrainer",
     "StreamWindow",
+    "ANTAGONIST_DUTY",
+    "ANTAGONIST_PERIOD",
+    "ANTAGONIST_RATE",
     "DriftScenarioConfig",
     "DriftScenarioResult",
     "DriftScenarioRunner",

@@ -42,8 +42,6 @@ __all__ = [
     "bin_counts",
     "psi_from_counts",
     "ks_from_counts",
-    "batch_psi",
-    "batch_ks",
     "StreamingHistograms",
     "DriftStatus",
     "DriftDetector",
@@ -55,7 +53,7 @@ PSI_EPSILON = 1e-4
 
 
 # ----------------------------------------------------------------------
-# Histogram primitives (shared by the streaming and batch paths)
+# Histogram primitives
 # ----------------------------------------------------------------------
 def quantile_edges(reference: np.ndarray, n_bins: int) -> np.ndarray:
     """Per-feature interior bin edges from reference quantiles.
@@ -118,32 +116,6 @@ def ks_from_counts(reference: np.ndarray, live: np.ndarray) -> np.ndarray:
     ref_cdf = np.cumsum(reference, axis=1) / ref_total
     live_cdf = np.cumsum(live, axis=1) / live_total
     return np.abs(ref_cdf - live_cdf).max(axis=1)
-
-
-def batch_psi(
-    reference: np.ndarray, live: np.ndarray, n_bins: int = 10
-) -> np.ndarray:
-    """One-shot per-feature PSI between two raw sample matrices.
-
-    The reference implementation the streaming path is tested against:
-    edges from reference quantiles, both sides binned by the same rule.
-    """
-    edges = quantile_edges(reference, n_bins)
-    n_features = edges.shape[0]
-    ref_counts = bin_counts(bin_rows(reference, edges), n_features, n_bins)
-    live_counts = bin_counts(bin_rows(live, edges), n_features, n_bins)
-    return psi_from_counts(ref_counts, live_counts)
-
-
-def batch_ks(
-    reference: np.ndarray, live: np.ndarray, n_bins: int = 10
-) -> np.ndarray:
-    """One-shot per-feature binned KS between two raw sample matrices."""
-    edges = quantile_edges(reference, n_bins)
-    n_features = edges.shape[0]
-    ref_counts = bin_counts(bin_rows(reference, edges), n_features, n_bins)
-    live_counts = bin_counts(bin_rows(live, edges), n_features, n_bins)
-    return ks_from_counts(ref_counts, live_counts)
 
 
 class StreamingHistograms:
@@ -226,8 +198,9 @@ class DriftDetector:
     training corpus).
 
     ``update`` takes an optional per-row completeness vector (fraction
-    in [0, 1], as carried by the telemetry layer); rows under
-    ``completeness_threshold`` never touch reference or live windows.
+    in [0, 1], as carried by the telemetry layer); a row below 1 -- any
+    value imputed, held or masked -- never touches the reference or
+    live window.
     """
 
     def __init__(
@@ -241,7 +214,6 @@ class DriftDetector:
         ks_threshold: float = 0.35,
         min_features: int = 4,
         patience: int = 3,
-        completeness_threshold: float = 1.0,
     ):
         if min_rows < 1:
             raise ValueError("min_rows must be >= 1.")
@@ -257,7 +229,6 @@ class DriftDetector:
         self.ks_threshold = ks_threshold
         self.min_features = min_features
         self.patience = patience
-        self.completeness_threshold = completeness_threshold
         self._reference_buffer: list[np.ndarray] = []
         self._reference_counts: np.ndarray | None = None
         self.live: StreamingHistograms | None = None
@@ -306,7 +277,7 @@ class DriftDetector:
                 f"completeness has {completeness.size} entries for "
                 f"{rows.shape[0]} rows."
             )
-        clean = completeness >= self.completeness_threshold
+        clean = completeness >= 1.0
         self.rows_skipped += int((~clean).sum())
         return rows[clean]
 

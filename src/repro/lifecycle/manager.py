@@ -109,9 +109,7 @@ class LifecycleManager:
         self.challenger = None
         self.challenger_version: int | None = None
         self.stream = (
-            StreamWindow(stream_capacity)
-            if retrainer is not None and retrainer.wants_stream
-            else None
+            StreamWindow(stream_capacity) if retrainer is not None else None
         )
         self.history: list[dict] = []
         self.last_status: DriftStatus | None = None

@@ -24,7 +24,7 @@ survives a promotion untouched.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,9 +93,12 @@ class StreamWindow:
 
 @dataclass
 class RetrainConfig:
-    """Knobs of one retraining round."""
+    """Knobs of one retraining round.
 
-    use_stream: bool = True
+    The recent stream always contributes its labeled rows, and the
+    challenger keeps the champion's classifier settings.
+    """
+
     min_rows: int = 60  # refuse to retrain on less labeled evidence
     #: Interference scenarios mixed into the retrain corpus (see
     #: :data:`repro.datasets.interference.INTERFERENCE_SCENARIOS`);
@@ -105,9 +108,6 @@ class RetrainConfig:
     calibration_duration: int = 100
     seed: int = 0
     n_jobs: int | None = None
-    #: Overrides for the challenger's classifier (e.g. fewer trees for
-    #: a fast shadow candidate); merged over the champion's params.
-    classifier_params: dict = field(default_factory=dict)
 
 
 class Retrainer:
@@ -116,12 +116,8 @@ class Retrainer:
     def __init__(self, config: RetrainConfig | None = None):
         self.config = config or RetrainConfig()
 
-    @property
-    def wants_stream(self) -> bool:
-        return self.config.use_stream
-
     def retrain(
-        self, champion, stream: StreamWindow | None, outcomes: dict[int, bool]
+        self, champion, stream: StreamWindow, outcomes: dict[int, bool]
     ):
         """Fit a challenger; returns ``(model, info)`` or ``None``.
 
@@ -132,13 +128,11 @@ class Retrainer:
         with obs.trace("lifecycle.retrain"):
             parts_X: list[np.ndarray] = []
             parts_y: list[np.ndarray] = []
-            stream_rows = 0
-            if config.use_stream and stream is not None:
-                X_stream, y_stream = stream.labeled(outcomes)
-                stream_rows = int(X_stream.shape[0])
-                if stream_rows:
-                    parts_X.append(X_stream)
-                    parts_y.append(y_stream)
+            X_stream, y_stream = stream.labeled(outcomes)
+            stream_rows = int(X_stream.shape[0])
+            if stream_rows:
+                parts_X.append(X_stream)
+                parts_y.append(y_stream)
             corpus_rows = 0
             if config.interference_scenarios:
                 from repro.datasets.generate import build_training_corpus
@@ -167,9 +161,7 @@ class Retrainer:
                 # for the stream to contain both healthy and degraded
                 # ticks.
                 return None
-            challenger = champion.refit_classifier(
-                X, y, classifier_params=config.classifier_params
-            )
+            challenger = champion.refit_classifier(X, y)
         obs.inc("lifecycle.retrains")
         info = {
             "corpus_fingerprint": corpus_fingerprint(X, y),

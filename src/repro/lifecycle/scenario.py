@@ -6,14 +6,14 @@ onset tick:
 
 - a **membw antagonist** (:mod:`repro.apps.antagonist`) co-located
   with the db/persistence tier starts hammering shared memory
-  bandwidth in bursts (``antagonist_duty`` of every
-  ``antagonist_period`` ticks) -- the kind of neighbour-caused
+  bandwidth in bursts (:data:`ANTAGONIST_DUTY` of every
+  :data:`ANTAGONIST_PERIOD` ticks) -- the kind of neighbour-caused
   degradation the solo corpus never contained (PR 9's transfer eval
   measures exactly this gap).  The bursts matter: they interleave
   violated and healthy ticks, so a challenger that *recognizes* the
   squeeze can beat a champion that merely cries wolf;
-- the **workload steps up**: the plateau is multiplied by
-  ``shift_multiplier`` from the onset on.
+- the **workload steps up**: the plateau is multiplied by 1.2 from
+  the onset on.
 
 The pre-onset plateau is what makes detection meaningful -- the
 detector's frozen reference actually represents "before", so the
@@ -51,6 +51,9 @@ from repro.lifecycle.shadow import ShadowEvaluator
 from repro.lifecycle.tracker import ModelPerformanceTracker
 
 __all__ = [
+    "ANTAGONIST_DUTY",
+    "ANTAGONIST_PERIOD",
+    "ANTAGONIST_RATE",
     "DriftScenarioConfig",
     "DriftScenarioResult",
     "DriftScenarioRunner",
@@ -59,68 +62,37 @@ __all__ = [
     "scenario_workload",
 ]
 
+#: The antagonist bursts for ``ANTAGONIST_DUTY`` of every
+#: ``ANTAGONIST_PERIOD`` ticks from the onset tick on, offering
+#: ``ANTAGONIST_RATE`` requests/s while it is on.
+ANTAGONIST_PERIOD = 40
+ANTAGONIST_DUTY = 0.5
+ANTAGONIST_RATE = 100.0
+
 
 @dataclass
 class DriftScenarioConfig:
-    """Knobs of the seeded drift scenario (all ticks, never seconds)."""
+    """What varies between runs of the seeded drift scenario.
+
+    Everything else -- the onset at 45% of the run, the 1.2x workload
+    step, the antagonist's bursts, the detector, tracker, shadow and
+    retrain settings -- is fixed where it is used
+    (:func:`scenario_workload`, :func:`antagonist_active`,
+    :func:`build_manager`), with the reason for each value.  All
+    durations are in ticks, never seconds.
+    """
 
     duration: int = 360
     seed: int = 0
-    #: Antagonist squeezing the db/persistence node in bursts
-    #: (``duty`` of every ``period`` ticks) from the onset tick on.
+    #: Antagonist kind squeezing the db/persistence node in bursts
+    #: from the onset tick on (``None`` for none).
     antagonist: str | None = "membw"
-    antagonist_rate: float = 100.0
-    antagonist_node: str = "M2"
-    antagonist_intensity: float = 1.0
-    antagonist_period: int = 40
-    antagonist_duty: float = 0.5
-    onset_fraction: float = 0.45
-    #: The stationary plateau (requests/s) and its post-onset step.
+    #: The stationary plateau (requests/s) before the onset step.
     workload_rate: float = 140.0
-    shift_multiplier: float = 1.2
-    # --- drift detector ------------------------------------------------
-    # Window sizes are in *rows*, and the policy observes one row per
-    # container per tick (~7-13 for TeaStore with scale-out replicas).
-    # Null-hypothesis PSI decays like (bins-1)(1/n_live + 1/n_ref);
-    # these sizes keep it far below the 0.25 alarm threshold, and the
-    # live window spans about two antagonist periods so the on/off
-    # mixture does not wobble the post-promotion reference.
-    n_bins: int = 10
-    drift_window: int = 800
-    reference_rows: int = 800
-    drift_min_rows: int = 400
-    psi_threshold: float = 0.25
-    ks_threshold: float = 0.35
-    min_features: int = 8
-    patience: int = 3
-    # --- tracker / shadow ----------------------------------------------
-    # The solo champion chronically over-flags this plateau (its corpus
-    # never contained TeaStore at steady state), so rolling agreement
-    # is pinned low from the start and is not a usable *trigger* here:
-    # the scenario keeps the tracker observational (min_agreement 0)
-    # and exercises the drift-alarm trigger; the agreement trigger is
-    # covered by unit tests.
-    tracker_window: int = 120
-    min_agreement: float = 0.0
-    shadow_window: int = 24
-    wins_required: int = 2
-    #: Near-ties go to the champion: a late-run challenger retrained
-    #: off the oscillating post-onset mixture scores within a point of
-    #: the promoted champion, and without a margin it could flap the
-    #: deployment on luck.
-    min_margin: float = 0.05
-    # --- retraining ----------------------------------------------------
-    label_delay: int = 3
-    retrain_cooldown: int = 40
-    shadow_patience: int = 6
-    stream_capacity: int = 240
-    retrain_min_rows: int = 60
     #: Interference scenario ids (from
     #: :data:`repro.datasets.interference.INTERFERENCE_SCENARIOS`) mixed
     #: into the retrain corpus; empty keeps retraining stream-only.
     interference_scenario_ids: tuple = ()
-    interference_duration: int = 120
-    calibration_duration: int = 100
     n_jobs: int | None = None
     #: ``False`` runs the identical loop with no manager attached --
     #: the baseline for the "shadow serving never perturbs the
@@ -129,7 +101,8 @@ class DriftScenarioConfig:
 
     @property
     def onset_tick(self) -> int:
-        return int(round(self.onset_fraction * self.duration))
+        """The tick both shifts start at: 45% into the run."""
+        return int(round(0.45 * self.duration))
 
 
 @dataclass
@@ -171,9 +144,10 @@ class DriftScenarioResult:
 
 
 def scenario_workload(config: DriftScenarioConfig) -> np.ndarray:
-    """The stepped arrival plateau (requests/s per tick)."""
+    """The stepped arrival plateau (requests/s per tick): 1.2x the
+    plateau from the onset on."""
     shifted = np.full(config.duration, config.workload_rate, dtype=np.float64)
-    shifted[config.onset_tick:] *= config.shift_multiplier
+    shifted[config.onset_tick:] *= 1.2
     return shifted
 
 
@@ -181,8 +155,8 @@ def antagonist_active(config: DriftScenarioConfig, t: int) -> bool:
     """Whether the antagonist burst is on at tick ``t``."""
     if config.antagonist is None or t < config.onset_tick:
         return False
-    phase = (t - config.onset_tick) % config.antagonist_period
-    return phase < config.antagonist_duty * config.antagonist_period
+    phase = (t - config.onset_tick) % ANTAGONIST_PERIOD
+    return phase < ANTAGONIST_DUTY * ANTAGONIST_PERIOD
 
 
 def _interference_scenarios(ids: tuple):
@@ -201,45 +175,55 @@ def _interference_scenarios(ids: tuple):
 def build_manager(
     model, registry, config: DriftScenarioConfig
 ) -> LifecycleManager:
-    """A fully-wired manager from the scenario's knobs."""
+    """The scenario's fully-wired lifecycle manager."""
     return LifecycleManager(
         model,
         registry=registry,
+        # Window sizes are in *rows*, and the policy observes one row
+        # per container per tick (~7-13 for TeaStore with scale-out
+        # replicas).  Null-hypothesis PSI decays like
+        # (bins-1)(1/n_live + 1/n_ref); these sizes keep it far below
+        # the 0.25 alarm threshold, and the live window spans about two
+        # antagonist periods so the on/off mixture does not wobble the
+        # post-promotion reference.
         detector=DriftDetector(
-            n_bins=config.n_bins,
-            window=config.drift_window,
-            reference_rows=config.reference_rows,
-            min_rows=config.drift_min_rows,
-            psi_threshold=config.psi_threshold,
-            ks_threshold=config.ks_threshold,
-            min_features=config.min_features,
-            patience=config.patience,
+            n_bins=10,
+            window=800,
+            reference_rows=800,
+            min_rows=400,
+            psi_threshold=0.25,
+            ks_threshold=0.35,
+            min_features=8,
+            patience=3,
         ),
-        tracker=ModelPerformanceTracker(
-            window=config.tracker_window,
-            min_agreement=config.min_agreement,
-        ),
-        evaluator=ShadowEvaluator(
-            window=config.shadow_window,
-            wins_required=config.wins_required,
-            min_margin=config.min_margin,
-        ),
+        # The solo champion chronically over-flags this plateau (its
+        # corpus never contained TeaStore at steady state), so rolling
+        # agreement is pinned low from the start and is not a usable
+        # *trigger* here: the tracker stays observational
+        # (min_agreement 0) and the drift alarm is the trigger; the
+        # agreement trigger is covered by unit tests.
+        tracker=ModelPerformanceTracker(window=120, min_agreement=0.0),
+        # Near-ties go to the champion (min_margin): a late-run
+        # challenger retrained off the oscillating post-onset mixture
+        # scores within a point of the promoted champion, and without a
+        # margin it could flap the deployment on luck.
+        evaluator=ShadowEvaluator(window=24, wins_required=2, min_margin=0.05),
         retrainer=Retrainer(
             RetrainConfig(
-                min_rows=config.retrain_min_rows,
+                min_rows=60,
                 interference_scenarios=_interference_scenarios(
                     config.interference_scenario_ids
                 ),
-                interference_duration=config.interference_duration,
-                calibration_duration=config.calibration_duration,
+                interference_duration=120,
+                calibration_duration=100,
                 seed=config.seed,
                 n_jobs=config.n_jobs,
             )
         ),
-        stream_capacity=config.stream_capacity,
-        label_delay=config.label_delay,
-        retrain_cooldown=config.retrain_cooldown,
-        shadow_patience=config.shadow_patience,
+        stream_capacity=240,
+        label_delay=3,
+        retrain_cooldown=40,
+        shadow_patience=6,
     )
 
 
@@ -276,16 +260,16 @@ class DriftScenarioRunner:
             else None
         )
         simulation = teastore_simulation(config.seed)
-        node = config.antagonist_node
-        rules = teastore_scaling_rules(node=node)
+        # The antagonist shares M2 with the db/persistence tier, where
+        # the scale-outs land too.
+        rules = teastore_scaling_rules(node="M2")
         policy = MonitorlessPolicy(
             model, TelemetryAgent(seed=config.seed), lifecycle=self.manager
         )
         self.antagonist_name: str | None = None
         if config.antagonist is not None:
             self.antagonist_name = deploy_antagonist(
-                simulation, config.antagonist, config.antagonist_intensity,
-                node,
+                simulation, config.antagonist, 1.0, "M2"
             )
         self.orchestrator = Orchestrator(
             simulation, "teastore", policy, rules
@@ -353,7 +337,7 @@ class DriftScenarioRunner:
             if self.antagonist_name is not None and antagonist_active(
                 config, t
             ):
-                arrivals[self.antagonist_name] = config.antagonist_rate
+                arrivals[self.antagonist_name] = ANTAGONIST_RATE
             self.orchestrator.tick(arrivals)
             if (
                 checkpoint_path is not None
@@ -410,17 +394,9 @@ class DriftScenarioRunner:
 
 
 def run_drift_scenario(
-    model,
-    registry_dir,
-    config: DriftScenarioConfig | None = None,
-    *,
-    checkpoint_path=None,
-    checkpoint_interval: int = 0,
+    model, registry_dir, config: DriftScenarioConfig | None = None
 ) -> DriftScenarioResult:
     """Build, run and finish the scenario in one call."""
     runner = DriftScenarioRunner(model, registry_dir, config)
-    runner.run_until(
-        checkpoint_path=checkpoint_path,
-        checkpoint_interval=checkpoint_interval,
-    )
+    runner.run_until()
     return runner.finish()

@@ -42,7 +42,6 @@ from repro.obs.export import (
     metrics_to_json,
     metrics_to_prometheus,
     render_span_tree,
-    spans_to_json,
 )
 from repro.obs.registry import (
     DEFAULT_SECONDS_BUCKETS,
@@ -70,7 +69,6 @@ __all__ = [
     "dropped_spans",
     "metrics_to_json",
     "metrics_to_prometheus",
-    "spans_to_json",
     "render_span_tree",
     "aggregate_spans",
     "MetricsRegistry",
@@ -133,10 +131,8 @@ def enabled() -> bool:
     return _STATE.enabled
 
 
-def enable(max_spans: int | None = None) -> None:
-    """Turn recording on (optionally resizing the span retention cap)."""
-    if max_spans is not None:
-        _STATE.tracer.max_spans = int(max_spans)
+def enable() -> None:
+    """Turn recording on."""
     _STATE.enabled = True
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "metrics_to_prometheus",
     "aggregate_spans",
     "render_span_tree",
-    "spans_to_json",
 ]
 
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -137,13 +136,3 @@ def render_span_tree(roots: list[Span], dropped: int = 0) -> str:
         lines.append(f"({dropped} spans beyond the retention cap were timed "
                      "but not stored)")
     return "\n".join(lines)
-
-
-def spans_to_json(
-    roots: list[Span], dropped: int = 0, indent: int | None = 2
-) -> str:
-    """Aggregated span tree -> JSON document."""
-    return json.dumps(
-        {"spans": aggregate_spans(roots), "dropped_spans": dropped},
-        indent=indent,
-    )

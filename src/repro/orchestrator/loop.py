@@ -124,8 +124,9 @@ class Orchestrator:
     rules:
         Scaling mechanics; ``None`` disables scaling (the no-scaling
         baseline).
-    slo:
-        SLO thresholds (defaults to the paper's).
+
+    Ticks are scored against the paper's SLO (``slo``, a
+    :class:`~repro.orchestrator.slo.SloPolicy`).
     """
 
     def __init__(
@@ -134,7 +135,6 @@ class Orchestrator:
         application: str,
         policy,
         rules: ScalingRules | None = None,
-        slo: SloPolicy | None = None,
     ):
         if application not in simulation.deployments:
             raise ValueError(f"Application {application} is not deployed.")
@@ -142,7 +142,7 @@ class Orchestrator:
         self.application = application
         self.policy = policy
         self.rules = rules
-        self.slo = slo or SloPolicy()
+        self.slo = SloPolicy()
         self.autoscaler = (
             Autoscaler(simulation=simulation, application=application, rules=rules)
             if rules is not None
@@ -266,25 +266,13 @@ class Orchestrator:
         """
         from repro.reliability.checkpoint import (
             CheckpointError,
+            check_model_swap,
             load_checkpoint,
-            model_fingerprint,
-            read_header,
         )
 
         if model is None:
             return load_checkpoint(path)
-        header = read_header(path)
-        stored = header.get("model_fingerprint")
-        offered = model_fingerprint(model)
-        swap = stored is not None and offered != stored
-        if swap and not allow_model_swap:
-            raise CheckpointError(
-                f"{path} was checkpointed with model {stored[:12]}... but "
-                f"resume was offered model {offered[:12]}...; refusing to "
-                "swap the serving model mid-run (pass allow_model_swap=True "
-                "to override; checkpoints with a lifecycle manager never "
-                "accept a swap)."
-            )
+        swap = check_model_swap(path, model, allow_swap=allow_model_swap)
         orchestrator = load_checkpoint(path)
         policy = orchestrator.policy
         if getattr(policy, "lifecycle", None) is not None:
@@ -292,8 +280,8 @@ class Orchestrator:
                 raise CheckpointError(
                     f"{path} serves under a lifecycle manager, whose "
                     "registry owns the serving model; refusing to swap in "
-                    f"model {offered[:12]}... (promote it through the "
-                    "registry instead)."
+                    "another model (promote it through the registry "
+                    "instead)."
                 )
         elif hasattr(policy, "model"):
             policy.model = model

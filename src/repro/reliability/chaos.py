@@ -33,8 +33,9 @@ same fault sequence in every process:
 
 :func:`run_chaos` returns a :class:`ChaosReport` asserting-material:
 the SLO-violation delta versus the clean run and its documented bound
-(``max_violation_delta_fraction * duration``), plus the demotion /
-recovery / imputation counters read back from :mod:`repro.obs`.
+(:data:`MAX_VIOLATION_DELTA_FRACTION` of the duration), plus the
+demotion / recovery / imputation counters read back from
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ __all__ = [
     "chaos_stack",
     "ChaosReport",
     "run_chaos",
+    "MAX_VIOLATION_DELTA_FRACTION",
 ]
+
+#: The documented bound of a chaos run: its SLO-violation count may
+#: exceed the clean run's by at most this fraction of the duration.
+MAX_VIOLATION_DELTA_FRACTION = 0.15
 
 
 class InjectedTelemetryError(TelemetryFault):
@@ -117,34 +123,32 @@ class ChaosConfig:
     both-scoped blackout, one mild node slowdown).  Pass explicit
     tuples -- possibly empty -- to take full control.
 
+    A ``"nan"`` read corrupts 10% of its row.  The resilience layer
+    retries a failed read twice, and a demoted container needs 3
+    consecutive primary successes to count as healthy again (the
+    ``ResilientTelemetry`` and ``FallbackPolicy`` defaults).
+
     ``antagonist`` adds a noisy neighbour to the chaos run only: a
     single-resource stressor (:mod:`repro.apps.antagonist` kind
-    ``"cpu"``, ``"membw"`` or ``"disk"``) co-located on
-    ``antagonist_node``, idle until ``antagonist_start_fraction`` of
-    the run and hammering at ``antagonist_rate`` after.  The clean
-    reference run never sees it, so the violation delta includes the
-    interference the resilience stack has to ride out.
+    ``"cpu"``, ``"membw"`` or ``"disk"``) co-located on M2, where the
+    TeaStore scale-outs land, idle for the first 40% of the run and
+    hammering at ``antagonist_rate`` after.  The clean reference run
+    never sees it, so the violation delta includes the interference
+    the resilience stack has to ride out.
     """
 
     dropout_probability: float = 0.15
     hard_failure_probability: float = 0.02
     transient_failure_probability: float = 0.05
     nan_probability: float = 0.02
-    nan_fraction: float = 0.1
     state_failure_probability: float = 0.01
     blackouts: tuple | None = None
     node_faults: tuple | None = None
     staleness_budget: int = 5
-    max_retries: int = 2
     failsafe: str = "hold"
-    recovery_ticks: int = 3
-    max_violation_delta_fraction: float = 0.15
     seed: int = 0
     antagonist: str | None = None  # noisy-neighbour kind, chaos run only
     antagonist_rate: float = 100.0  # requests/s once active
-    antagonist_start_fraction: float = 0.4
-    antagonist_node: str = "M2"  # where the TeaStore scale-outs land
-    antagonist_intensity: float = 1.0
 
 
 class ChaosAgent:
@@ -208,10 +212,10 @@ class ChaosAgent:
 
     def nan_columns(self, name: str, t: int, size: int) -> np.ndarray:
         """Columns a ``"nan"`` read of tick ``t`` corrupts in a row of
-        ``size`` values."""
+        ``size`` values: 10% of them, at least one."""
         config = self.config
         rng = np.random.default_rng(_chaos_seed(config.seed, f"nan:{name}", t))
-        count = max(1, int(round(size * config.nan_fraction)))
+        count = max(1, int(round(size * 0.1)))
         return rng.choice(size, size=count, replace=False)
 
 
@@ -220,18 +224,16 @@ def chaos_stack(agent, config: ChaosConfig,
     """The injection stack over ``agent``, innermost first: a
     ``MetricDropout`` (``config.dropout_probability``, seeded with
     ``dropout_seed``), a :class:`ChaosAgent` and a
-    ``ResilientTelemetry`` (``config.staleness_budget`` and
-    ``config.max_retries``).  The chaos layer, which a threshold
-    fallback reads, is the returned stack's ``agent``."""
+    ``ResilientTelemetry`` (``config.staleness_budget``).  The chaos
+    layer, which a threshold fallback reads, is the returned stack's
+    ``agent``."""
     from repro.cluster.faults import MetricDropout
 
     lossy = MetricDropout(
         agent, probability=config.dropout_probability, seed=dropout_seed
     )
     return ResilientTelemetry(
-        ChaosAgent(lossy, config),
-        staleness_budget=config.staleness_budget,
-        max_retries=config.max_retries,
+        ChaosAgent(lossy, config), staleness_budget=config.staleness_budget
     )
 
 
@@ -427,7 +429,6 @@ def run_chaos(
             MonitorlessPolicy(model, resilient),
             fallback_threshold_policy(resilient.agent),
             failsafe=config.failsafe,
-            recovery_ticks=config.recovery_ticks,
         )
         fallback_holder["policy"] = policy
         return policy
@@ -436,11 +437,10 @@ def run_chaos(
     antagonist = None
     antagonist_onset = duration
     if config.antagonist is not None:
-        antagonist = deploy_antagonist(
-            simulation, config.antagonist, config.antagonist_intensity,
-            config.antagonist_node,
-        )
-        antagonist_onset = int(round(config.antagonist_start_fraction * duration))
+        # On M2, where the TeaStore scale-outs land; idle for the first
+        # 40% of the run.
+        antagonist = deploy_antagonist(simulation, config.antagonist, 1.0, "M2")
+        antagonist_onset = int(round(0.4 * duration))
     antagonist_ticks = 0
     schedule = FaultSchedule(list(node_faults)) if node_faults else None
 
@@ -483,7 +483,7 @@ def run_chaos(
     )
 
     delta = chaos_result.slo_violation_count - clean_result.slo_violation_count
-    bound = config.max_violation_delta_fraction * duration
+    bound = MAX_VIOLATION_DELTA_FRACTION * duration
     interesting = (
         "fallback.demotions",
         "fallback.recoveries",
@@ -505,7 +505,7 @@ def run_chaos(
         clean_violations=clean_result.slo_violation_count,
         chaos_violations=chaos_result.slo_violation_count,
         violation_delta=delta,
-        bound_fraction=config.max_violation_delta_fraction,
+        bound_fraction=MAX_VIOLATION_DELTA_FRACTION,
         violation_bound=bound,
         within_bound=delta <= bound,
         clean_scale_outs=clean_result.total_scale_outs,

@@ -35,7 +35,8 @@ uninterrupted one.
 The header also records the sha256 fingerprint of the serving model
 (``model_fingerprint``) when the policy exposes one, so a resume can
 refuse to continue a run with a model other than the one it was
-checkpointed with (see ``Orchestrator.resume_from``).
+checkpointed with (:func:`check_model_swap`, the guard of
+``Orchestrator.resume_from`` and of a fleet shard's resume).
 
 Compatibility caveats (also documented in ``docs/api_overview.md``):
 checkpoints are pickles, so they are **not** portable across repo
@@ -67,6 +68,7 @@ __all__ = [
     "read_model",
     "save_checkpoint",
     "load_checkpoint",
+    "check_model_swap",
 ]
 
 _MAGIC = b"REPRO-CKPT\n"
@@ -205,6 +207,28 @@ def load_checkpoint(path):
         orchestrator = pickle.loads(payload)
     obs.inc("checkpoint.loads")
     return orchestrator
+
+
+def check_model_swap(path, model, *, allow_swap: bool) -> bool:
+    """Whether resuming ``path`` with ``model`` swaps the serving model.
+
+    Compares ``model``'s fingerprint with the header's
+    ``model_fingerprint`` (a checkpoint without one never swaps); a
+    swap raises :class:`CheckpointError` naming ``path`` unless
+    ``allow_swap``.
+    """
+    stored = read_header(path).get("model_fingerprint")
+    offered = model_fingerprint(model)
+    swap = stored is not None and offered != stored
+    if swap and not allow_swap:
+        raise CheckpointError(
+            f"{path} was checkpointed with model {stored[:12]}... but "
+            f"resume was offered model {offered[:12]}...; refusing to "
+            "swap the serving model mid-run (Orchestrator.resume_from "
+            "accepts a swap with allow_model_swap=True, except under a "
+            "lifecycle manager)."
+        )
+    return swap
 
 
 def _parse(path: Path) -> tuple[dict, bytes]:

@@ -73,12 +73,6 @@ class FallbackPolicy:
         through this policy only.
     secondary:
         A ``ThresholdPolicy`` used per-container while demoted.
-    staleness_budget:
-        Optional *tighter* bound than the telemetry layer's own budget:
-        a container whose stream reports more than this many
-        consecutive imputed ticks is demoted even though its stream is
-        still serving rows.  ``None`` (default) trusts the telemetry
-        layer to raise when its budget runs out.
     failsafe:
         ``"hold"`` or ``"scale-up"`` -- the verdict when primary *and*
         secondary are unavailable.
@@ -93,7 +87,6 @@ class FallbackPolicy:
         primary,
         secondary,
         *,
-        staleness_budget: int | None = None,
         failsafe: str = "hold",
         recovery_ticks: int = 3,
     ):
@@ -101,12 +94,9 @@ class FallbackPolicy:
         self.secondary = secondary
         self.fleet = primary.fleet
         self.fleet.configure_fallback(
-            staleness_budget=staleness_budget,
-            failsafe=failsafe,
-            recovery_ticks=recovery_ticks,
+            failsafe=failsafe, recovery_ticks=recovery_ticks
         )
 
-    staleness_budget = _forward("staleness_budget")
     failsafe = _forward("failsafe")
     recovery_ticks = _forward("recovery_ticks")
     lifecycle = _forward("lifecycle")

@@ -9,10 +9,10 @@ contract to every row whose agent it wraps:
 
 - **Retry with deterministic backoff**: an agent read that raises a
   :class:`TelemetryFault` is retried up to ``max_retries`` times; the
-  backoff for attempt ``k`` is the deterministic ``backoff_base *
-  2**k`` -- recorded via :mod:`repro.obs` and handed to an optional
-  ``sleep`` hook, never slept implicitly, because simulated time must
-  not depend on wall clocks.
+  backoff for attempt ``k`` is the deterministic ``BACKOFF_BASE *
+  2**k`` seconds, recorded via :mod:`repro.obs`
+  (``resilience.retry_backoff_seconds``) and never slept, because
+  simulated time must not depend on wall clocks.
 - **Gap detection + LOCF imputation**: when every retry fails the
   tick is *lost*: the row's clock moves past it unsynthesized
   (tracking real time, exactly like a missed scrape) and the last
@@ -32,10 +32,15 @@ contract to every row whose agent it wraps:
 from __future__ import annotations
 
 __all__ = [
+    "BACKOFF_BASE",
     "TelemetryFault",
     "TelemetryUnavailable",
     "ResilientTelemetry",
 ]
+
+#: Seconds of (virtual) backoff before the first retry of a tick;
+#: attempt ``k`` backs off ``BACKOFF_BASE * 2**k``.
+BACKOFF_BASE = 0.05
 
 
 class TelemetryFault(RuntimeError):
@@ -64,35 +69,18 @@ class ResilientTelemetry:
         :class:`TelemetryUnavailable`.  0 disables imputation.
     max_retries:
         Extra read attempts after the first failure of one tick.
-    backoff_base:
-        Seconds of (virtual) backoff before the first retry; attempt
-        ``k`` backs off ``backoff_base * 2**k``.
-    sleep:
-        Optional callable receiving each backoff delay, for real
-        deployments that want actual waiting.  Default: record only.
     """
 
-    def __init__(
-        self,
-        agent,
-        *,
-        staleness_budget: int = 5,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
-        sleep=None,
-    ):
+    def __init__(self, agent, *, staleness_budget: int = 5,
+                 max_retries: int = 2):
         if staleness_budget < 0:
             raise ValueError("staleness_budget must be >= 0.")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0.")
-        if backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0.")
         self.agent = agent
         self.catalog = agent.catalog
         self.staleness_budget = staleness_budget
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.sleep = sleep
 
     # Batch reads are not imputed: a missing whole-run matrix is a
     # caller bug, not a lossy scrape.

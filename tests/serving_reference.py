@@ -48,6 +48,7 @@ from repro.cluster.faults import MetricDropout, _dropout_seed
 from repro.reliability.chaos import ChaosAgent, InjectedTelemetryError
 from repro.reliability.fallback import DEGRADED, FAILSAFE, HEALTHY, RECOVERING
 from repro.reliability.telemetry import (
+    BACKOFF_BASE,
     ResilientTelemetry,
     TelemetryFault,
     TelemetryUnavailable,
@@ -396,13 +397,10 @@ class ResilientInstanceStream(_Wrapper):
     """
 
     def __init__(self, inner, *, staleness_budget: int = 5,
-                 max_retries: int = 2, backoff_base: float = 0.05,
-                 sleep=None):
+                 max_retries: int = 2):
         self.inner = inner
         self.staleness_budget = staleness_budget
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.sleep = sleep
         self.staleness = 0
         self.imputed_ticks = 0
         self.masked_values = 0
@@ -422,13 +420,11 @@ class ResilientInstanceStream(_Wrapper):
             except TelemetryFault as error:
                 if attempt >= self.max_retries:
                     return self._lost_tick(error)
-                delay = self.backoff_base * (2.0 ** attempt)
+                delay = BACKOFF_BASE * (2.0 ** attempt)
                 self.retries += 1
                 attempt += 1
                 obs.inc("resilience.retries")
                 obs.observe("resilience.retry_backoff_seconds", delay)
-                if self.sleep is not None:
-                    self.sleep(delay)
         row = self._mask_nans(row)
         self.staleness = 0
         self._last_real = row
@@ -495,8 +491,6 @@ def open_reference_stream(agent, container, nodes, history: int = 16):
                 stream,
                 staleness_budget=layer.staleness_budget,
                 max_retries=layer.max_retries,
-                backoff_base=layer.backoff_base,
-                sleep=layer.sleep,
             )
         else:
             raise TypeError(f"No reference stream for {type(layer).__name__}.")
@@ -758,11 +752,10 @@ class ReferenceFallbackPolicy:
 
     name = "fallback"
 
-    def __init__(self, primary, secondary, *, staleness_budget=None,
-                 failsafe: str = "hold", recovery_ticks: int = 3):
+    def __init__(self, primary, secondary, *, failsafe: str = "hold",
+                 recovery_ticks: int = 3):
         self.primary = primary
         self.secondary = secondary
-        self.staleness_budget = staleness_budget
         self.failsafe = failsafe
         self.recovery_ticks = recovery_ticks
         self.health: dict[str, str] = {}
@@ -835,13 +828,6 @@ class ReferenceFallbackPolicy:
                         demoted.append((service, container))
                         continue
                     if features is None:
-                        continue
-                    staleness = getattr(stream.telemetry, "staleness", 0)
-                    if (
-                        self.staleness_budget is not None
-                        and staleness > self.staleness_budget
-                    ):
-                        demoted.append((service, container))
                         continue
                     primary_items.append(
                         (service, container, features, stream.last_complete)

@@ -108,8 +108,8 @@ class TestBatchedMonitorlessPolicy:
             flagged_ticks += bool(saturated)
         assert 0 < flagged_ticks < 60
         # One fleet row per live container.
-        assert fleet.index.pods_in("teastore") == {
-            instance.container.name
+        assert sorted(
+            fleet.index.row_of("teastore", instance.container.name)
             for replicas in deployment.instances.values()
             for instance in replicas
-        }
+        ) == fleet.index.live_rows()

@@ -26,6 +26,7 @@ from repro.fleet.telemetry import FleetTelemetryStream
 from repro.orchestrator.autoscaler import Autoscaler, ScalingRules
 from repro.orchestrator.loop import Orchestrator, OrchestratorResult
 from repro.orchestrator.policies import MonitorlessPolicy
+from repro.reliability.checkpoint import CheckpointError
 from repro.reliability.fallback import FallbackPolicy
 from repro.telemetry.agent import TelemetryAgent
 from repro.telemetry.catalog import default_catalog
@@ -73,7 +74,7 @@ class TestFleetIndex:
         index.add(_member(namespace="b", pod="p"))  # same pod, other cell
         with pytest.raises(ValueError):
             index.add(_member(namespace="a", pod="p"))
-        assert index.pods_in("a") == {"p"}
+        assert index.live_rows() == [index.row_of("a", "p"), index.row_of("b", "p")]
         assert index.member_at(index.row_of("b", "p")).namespace == "b"
 
 
@@ -324,9 +325,8 @@ class TestFleetEquivalence:
         ticks = 40
         specs = make_fleet_specs(2, base_seed=0, kind="teastore-chaos")
         workloads = default_fleet_workloads(2, ticks, seed=0)
-        runner = FleetShardRunner(
-            0, specs, tiny_model, policy_options={"recovery_ticks": 2}
-        )
+        runner = FleetShardRunner(0, specs, tiny_model)
+        runner.policy.configure_fallback(failsafe="hold", recovery_ticks=2)
         runner.start()
         for t in range(ticks):
             runner.tick(workloads[:, t])
@@ -378,9 +378,8 @@ class TestFleetEquivalence:
             }
 
         def fleet_run():
-            runner = FleetShardRunner(
-                0, specs, tiny_model, policy_options={"recovery_ticks": 2}
-            )
+            runner = FleetShardRunner(0, specs, tiny_model)
+            runner.policy.configure_fallback(failsafe="hold", recovery_ticks=2)
             runner.start()
             for t in range(ticks):
                 runner.tick(workloads[:, t])
@@ -658,6 +657,50 @@ class TestFleetKillResume:
                 assert np.array_equal(
                     getattr(clean.cells[namespace], attribute),
                     getattr(crashed.cells[namespace], attribute),
+                ), f"{namespace}.{attribute}"
+
+    @staticmethod
+    def _checkpointed_run(model, ticks, checkpoint_dir):
+        specs = make_fleet_specs(2, base_seed=0, kind="teastore")
+        return FleetOrchestrator(
+            specs, model, n_shards=1, n_jobs=1,
+            checkpoint_dir=checkpoint_dir, checkpoint_interval=8,
+        ).run(default_fleet_workloads(2, ticks, seed=0))
+
+    def test_checkpoint_of_another_run_is_refused(self, tiny_model,
+                                                   tmp_path):
+        """A 60-tick run finds the checkpoint a 40-tick run left in the
+        same directory: resuming it would replay the other run's first
+        ticks, so it raises and names the file."""
+        self._checkpointed_run(tiny_model, 40, tmp_path)
+        with pytest.raises(CheckpointError, match="shard-000.ckpt"):
+            self._checkpointed_run(tiny_model, 60, tmp_path)
+
+    def test_checkpoint_of_another_model_is_refused(self, tiny_model,
+                                                    tmp_path):
+        self._checkpointed_run(tiny_model, 20, tmp_path)
+        other = pickle.loads(pickle.dumps(tiny_model))
+        other.prediction_threshold = 0.55
+        with pytest.raises(CheckpointError, match="refusing to swap"):
+            self._checkpointed_run(other, 20, tmp_path)
+
+    def test_repeated_run_resumes_its_own_checkpoint(self, tiny_model,
+                                                     tmp_path):
+        """The same run again resumes from the tick-32 checkpoint and
+        equals a run without checkpoints bit for bit."""
+        fresh = self._checkpointed_run(tiny_model, 36, None)
+        self._checkpointed_run(tiny_model, 36, tmp_path)
+        repeated = self._checkpointed_run(tiny_model, 36, tmp_path)
+        assert repeated.shard_results[0].resumed_from_tick == 32
+        assert repeated.decisions == fresh.decisions
+        assert repeated.counters == fresh.counters
+        assert repeated.health == fresh.health
+        for namespace, cell in fresh.cells.items():
+            for attribute in ("extra_replicas", "violations",
+                              "response_time", "throughput"):
+                assert np.array_equal(
+                    getattr(cell, attribute),
+                    getattr(repeated.cells[namespace], attribute),
                 ), f"{namespace}.{attribute}"
 
     def test_sharding_is_invariant_under_n_jobs_and_n_shards(

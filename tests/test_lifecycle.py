@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.lifecycle import (
+    ANTAGONIST_DUTY,
+    ANTAGONIST_PERIOD,
+    ANTAGONIST_RATE,
     DriftDetector,
     DriftScenarioConfig,
     DriftScenarioRunner,
@@ -25,14 +28,13 @@ from repro.lifecycle import (
     StreamingHistograms,
     StreamWindow,
     antagonist_active,
-    batch_ks,
-    batch_psi,
     bin_counts,
     bin_rows,
     psi_from_counts,
     quantile_edges,
     scenario_workload,
 )
+from tests.drift_reference import batch_ks, batch_psi
 
 
 # ----------------------------------------------------------------------
@@ -620,10 +622,8 @@ class TestPolicyWiring:
 
         spy = _HookSpy(tiny_model)
         ticks = 40
-        runner = FleetShardRunner(
-            0, make_fleet_specs(2), tiny_model,
-            policy_options={"lifecycle": spy},
-        )
+        runner = FleetShardRunner(0, make_fleet_specs(2), tiny_model)
+        runner.policy.lifecycle = spy
         rates = default_fleet_workloads(2, ticks, low=100.0, high=900.0)
         runner.start()
         for t in range(ticks):
@@ -794,9 +794,7 @@ class TestDriftScenario:
         assert np.allclose(workload[config.onset_tick :], 60.0)
         assert not antagonist_active(config, config.onset_tick - 1)
         assert antagonist_active(config, config.onset_tick)
-        off = config.onset_tick + int(
-            config.antagonist_duty * config.antagonist_period
-        )
+        off = config.onset_tick + int(ANTAGONIST_DUTY * ANTAGONIST_PERIOD)
         assert not antagonist_active(config, off)
 
     def test_detects_retrains_and_promotes(self, scenario_result):
@@ -845,7 +843,7 @@ class TestDriftScenario:
         for t in range(config.duration):
             arrivals = {"teastore": float(runner.workload[t])}
             if antagonist_active(config, t):
-                arrivals[runner.antagonist_name] = config.antagonist_rate
+                arrivals[runner.antagonist_name] = ANTAGONIST_RATE
             runner.orchestrator.tick(arrivals)
         result = runner.finish()
         assert result.promoted

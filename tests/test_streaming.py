@@ -367,7 +367,8 @@ class TestStreamingPolicy:
             for replicas in sim.deployments["teastore"].instances.values()
             for instance in replicas
         }
-        assert fleet.index.pods_in("teastore") <= live
+        index = fleet.index
+        assert {index.member_at(row).pod for row in index.live_rows()} <= live
         for row in fleet.index.live_rows():
             container = fleet.telemetry.container_at(row)
             assert fleet.telemetry.clock(row) == container.created_at + len(
