@@ -137,7 +137,7 @@ def test_drift_lifecycle(benchmark, small_model, table_printer, tmp_path):
         checkpoint_interval=CHECKPOINT_INTERVAL,
     )
     del partial
-    resumed = DriftScenarioRunner.resume(checkpoint, config)
+    resumed = DriftScenarioRunner.resume(checkpoint)
     resumed.run_until()
     assert resumed.finish().promotion_history() == history, (
         "promotion history differs across kill-and-resume"

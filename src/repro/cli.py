@@ -308,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "--checkpoint is given (default 50)")
     lifecycle.add_argument("--resume", action="store_true",
                            help="resume the scenario from --checkpoint "
-                                "instead of starting fresh")
+                                "instead of starting fresh; it continues "
+                                "under the scenario flags the checkpoint "
+                                "records (--duration, --seed, "
+                                "--interference, --jobs are ignored)")
     lifecycle.add_argument("--interference", type=int, nargs="*",
                            default=None,
                            help="interference scenario ids mixed into "
@@ -774,12 +777,6 @@ def _cmd_lifecycle(args, out) -> int:
 
     from repro.lifecycle import DriftScenarioConfig, DriftScenarioRunner
 
-    config = DriftScenarioConfig(
-        duration=args.duration,
-        seed=args.seed,
-        interference_scenario_ids=tuple(args.interference or ()),
-        n_jobs=args.jobs,
-    )
     with contextlib.ExitStack() as stack:
         if args.resume:
             if not args.checkpoint:
@@ -790,11 +787,15 @@ def _cmd_lifecycle(args, out) -> int:
                 from repro.core.model import MonitorlessModel
 
                 model = MonitorlessModel.load(args.model)
-            runner = DriftScenarioRunner.resume(
-                args.checkpoint, config, model=model
-            )
+            runner = DriftScenarioRunner.resume(args.checkpoint, model=model)
             print(f"Resumed from tick {runner.t}.", file=out)
         else:
+            config = DriftScenarioConfig(
+                duration=args.duration,
+                seed=args.seed,
+                interference_scenario_ids=tuple(args.interference or ()),
+                n_jobs=args.jobs,
+            )
             # The scenario defaults are tuned for (1, 5) windows.
             model = _small_model(args, out, (1, 5), 0)
             registry_dir = args.registry
@@ -804,8 +805,8 @@ def _cmd_lifecycle(args, out) -> int:
                 )
             runner = DriftScenarioRunner(model, registry_dir, config)
         print(
-            f"Driving the drift scenario for {config.duration} ticks "
-            f"(onset at {config.onset_tick})...",
+            f"Driving the drift scenario for {runner.config.duration} ticks "
+            f"(onset at {runner.config.onset_tick})...",
             file=out,
         )
         runner.run_until(

@@ -1,26 +1,33 @@
 """Containers: the unit of deployment, limitation and monitoring.
 
-A container pairs a service instance with its cgroups and carries the
-per-tick accounting snapshots the telemetry agent turns into the 88
-container-level metrics.
+A container pairs a service instance with its cgroups and keeps its
+recorded ticks in one growable float64 log, a row of ``N_COLUMNS``
+values per simulated second in the ``F_*`` order below.  The first
+``N_FIELDS`` columns are what the telemetry agent turns into the 88
+container-level metrics (and into the container's share of its host's);
+the rest are the simulator's ground truth, never exposed as platform
+metrics.  The CPU quota, the memory limit and the CFS period count do
+not change from tick to tick, so they stay on the cgroups.
 
-Telemetry reads a recorded tick as one row of ``N_FIELDS`` floats in
-the ``F_*`` order below: :meth:`ContainerTick.fields` gives a record's
-row, and :class:`~repro.cluster.simulation.Lockstep` writes the same
-rows for a whole tick into its
-:class:`~repro.cluster.simulation.TickFrame`.
+Both stepping paths of :mod:`repro.cluster.simulation` write these
+rows: :meth:`~repro.cluster.simulation.ClusterSimulation.step` one per
+instance, and :class:`~repro.cluster.simulation.Lockstep` a whole
+tick's as one matrix, its :class:`~repro.cluster.simulation.TickFrame`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.cgroup import CpuAccounting, CpuCgroup, MemoryAccounting, MemoryCgroup
+import numpy as np
 
-__all__ = ["Container", "ContainerTick", "N_FIELDS", "ZERO_FIELDS"]
+from repro.cluster.cgroup import CpuCgroup, MemoryCgroup
+from repro.cluster.resources import Resource
+
+__all__ = ["BOTTLENECKS", "Container", "N_COLUMNS", "N_FIELDS"]
 
 # ----------------------------------------------------------------------
-# Raw per-tick field layout (one row per container-tick)
+# Per-tick row layout (one row per container-tick)
 # ----------------------------------------------------------------------
 F_USED_CORES = 0
 F_USAGE_BYTES = 1
@@ -33,60 +40,34 @@ F_NET_RX = 7
 F_NET_TX = 8
 F_TCP = 9
 F_PROCESSES = 10
-F_THROUGHPUT = 11
-F_CPU_STEAL = 12
-F_MEMBW = 13
-F_DISK_SHORTFALL = 14
+F_THROUGHPUT = 11  # completed requests/s
+# Shared-node contention accounting (interference channels):
+F_CPU_STEAL = 12  # runnable cores lost to neighbours
+F_MEMBW = 13  # DRAM traffic actually moved (bytes/s)
+F_DISK_SHORTFALL = 14  # disk work queued behind the device
+#: The columns telemetry reads.
 N_FIELDS = 15
+# Simulator ground truth:
+F_DEMAND_CORES = 15
+F_RESIDENT_BYTES = 16  # resident working set
+F_RESPONSE_TIME = 17  # seconds
+F_DROPPED = 18  # requests/s
+F_MAX_UTILIZATION = 19
+F_BOTTLENECK = 20  # index into BOTTLENECKS
+N_COLUMNS = 21
 
-#: The fields of a tick a container did not record.
-ZERO_FIELDS: tuple = (0.0,) * N_FIELDS
+#: The rate resources a tick's bottleneck can be, in the order the
+#: ``F_BOTTLENECK`` column counts them (ties go to the earliest).
+BOTTLENECKS = (
+    Resource.CPU,
+    Resource.DISK_BANDWIDTH,
+    Resource.DISK_QUEUE,
+    Resource.NETWORK,
+    Resource.MEMORY_BANDWIDTH,
+)
 
-
-@dataclass(slots=True)
-class ContainerTick:
-    """Everything observable about one container in one 1-second tick."""
-
-    cpu: CpuAccounting
-    memory: MemoryAccounting
-    disk_read_bytes: float = 0.0
-    disk_write_bytes: float = 0.0
-    network_rx_bytes: float = 0.0
-    network_tx_bytes: float = 0.0
-    tcp_connections: float = 0.0
-    processes: float = 1.0
-    throughput: float = 0.0  # completed requests/s
-    response_time: float = 0.0  # seconds
-    dropped: float = 0.0  # requests/s
-    # Shared-node contention accounting (interference channels):
-    cpu_steal_cores: float = 0.0  # runnable cores lost to neighbours
-    membw_bytes: float = 0.0  # DRAM traffic actually moved (bytes/s)
-    disk_shortfall_bytes: float = 0.0  # disk work queued behind the device
-    # Simulator ground truth (never exposed as platform metrics):
-    bottleneck: str = ""  # resource with the highest utilization
-    max_utilization: float = 0.0
-
-    def fields(self) -> tuple:
-        """This tick's raw fields, in the ``F_*`` order."""
-        cpu = self.cpu
-        memory = self.memory
-        return (
-            cpu.used_cores,
-            memory.usage_bytes,
-            memory.page_in_bytes,
-            memory.limit_utilization,
-            cpu.nr_throttled,
-            self.disk_read_bytes,
-            self.disk_write_bytes,
-            self.network_rx_bytes,
-            self.network_tx_bytes,
-            self.tcp_connections,
-            self.processes,
-            self.throughput,
-            self.cpu_steal_cores,
-            self.membw_bytes,
-            self.disk_shortfall_bytes,
-        )
+#: Rows a log grows by at least.
+_GROWTH = 16
 
 
 @dataclass
@@ -94,8 +75,8 @@ class Container:
     """A running service instance inside its cgroups.
 
     ``service`` and ``application`` are plain labels; the actual
-    performance model lives in :mod:`repro.apps` and writes one
-    :class:`ContainerTick` per simulated second via :meth:`record`.
+    performance model lives in :mod:`repro.apps`, and the simulation
+    appends one row per simulated second via :meth:`record`.
     """
 
     name: str
@@ -105,23 +86,37 @@ class Container:
     memory_cgroup: MemoryCgroup = field(default_factory=MemoryCgroup)
     node: str | None = None
     created_at: int = 0  # simulation tick at which the container started
-    history: list[ContainerTick] = field(default_factory=list)
+    _log: np.ndarray = field(
+        default_factory=lambda: np.empty((_GROWTH, N_COLUMNS)),
+        init=False, repr=False, compare=False,
+    )
+    _ticks: int = field(default=0, init=False, repr=False, compare=False)
 
-    def tick_at(self, t: int) -> ContainerTick | None:
-        """The accounting snapshot for absolute simulation tick ``t``."""
+    @property
+    def history(self) -> np.ndarray:
+        """The recorded ticks, ``(ticks, N_COLUMNS)``: a view of the log."""
+        return self._log[: self._ticks]
+
+    def tick_at(self, t: int) -> np.ndarray | None:
+        """The row of absolute simulation tick ``t`` (a view), or ``None``."""
         index = t - self.created_at
-        if 0 <= index < len(self.history):
-            return self.history[index]
+        if 0 <= index < self._ticks:
+            return self._log[index]
         return None
 
-    def record(self, tick: ContainerTick) -> None:
-        """Append one tick of accounting."""
-        self.history.append(tick)
+    def record(self, row) -> None:
+        """Append one tick's row of ``N_COLUMNS`` values."""
+        ticks = self._ticks
+        if ticks == len(self._log):
+            self._log = np.concatenate(
+                (self._log, np.empty((max(ticks, _GROWTH), N_COLUMNS)))
+            )
+        self._log[ticks] = row
+        self._ticks = ticks + 1
 
-    def last(self) -> ContainerTick:
-        if not self.history:
-            raise RuntimeError(f"Container {self.name} has no recorded ticks.")
-        return self.history[-1]
+    def __getstate__(self) -> dict:
+        # Only the recorded rows: pickling the view copies just them.
+        return {**self.__dict__, "_log": self.history}
 
     def __str__(self) -> str:
         return f"{self.application}/{self.service}/{self.name}"

@@ -11,7 +11,8 @@ Per tick the engine:
 4. arbitrates shared node resources with proportional fair sharing,
    respecting cgroup CPU quotas;
 5. resolves throughput / response time / drops per instance and
-   records a :class:`~repro.cluster.container.ContainerTick`;
+   appends a row to its container's log (the ``F_*`` layout of
+   :mod:`repro.cluster.container`);
 6. composes application KPIs.
 
 The engine is deliberately *stepwise*: :meth:`ClusterSimulation.step`
@@ -30,50 +31,50 @@ shard's cells) by one tick each in one vectorized pass over all their
 instances, sums its node groups by the same rule, and leaves every
 simulation bitwise in the state ``step`` would leave.  Its fixed cost
 per call is several times that of one scalar step, so it pays only
-across many cells.  Besides the records, each :meth:`Lockstep.step`
-publishes the tick it wrote as one field matrix, a :class:`TickFrame`,
-which fleet telemetry reads instead of walking the records.
+across many cells.  Each :meth:`Lockstep.step` writes the tick as one
+row matrix, a :class:`TickFrame`, appends its rows to the containers'
+logs and publishes it, and fleet telemetry reads the frame instead of
+the logs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import count, repeat
+from itertools import count
 from operator import is_not
 
 import numpy as np
 
 from repro.apps.base import ApplicationModel, InstanceRuntime
-from repro.cluster.cgroup import (
-    CFS_PERIODS_PER_SECOND,
-    CpuAccounting,
-    CpuCgroup,
-    MemoryAccounting,
-    MemoryCgroup,
-)
+from repro.cluster.cgroup import CFS_PERIODS_PER_SECOND, CpuCgroup, MemoryCgroup
 from repro.cluster.container import (
+    BOTTLENECKS,
+    F_BOTTLENECK,
     F_CPU_STEAL,
+    F_DEMAND_CORES,
     F_DISK_READ,
     F_DISK_SHORTFALL,
     F_DISK_WRITE,
+    F_DROPPED,
     F_LIMIT_UTIL,
+    F_MAX_UTILIZATION,
     F_MEMBW,
     F_NET_RX,
     F_NET_TX,
     F_NR_THROTTLED,
     F_PAGE_IN_BYTES,
     F_PROCESSES,
+    F_RESIDENT_BYTES,
+    F_RESPONSE_TIME,
     F_TCP,
     F_THROUGHPUT,
     F_USAGE_BYTES,
     F_USED_CORES,
-    N_FIELDS,
+    N_COLUMNS,
     Container,
-    ContainerTick,
 )
 from repro.cluster.node import NEGATIVE_DEMAND_TOLERANCE, Node, NodeSpec
-from repro.cluster.resources import Resource
 
 __all__ = [
     "Placement",
@@ -314,7 +315,7 @@ class ClusterSimulation:
                     cpu if cpu < q else q, disk, random_disk, net, membw
                 )
 
-        # Pass 3: resolve performance and record container ticks.
+        # Pass 3: resolve performance and record each container's row.
         per_app_service: dict[str, dict[str, list]] = {
             app: {service: [] for service in dep.instances}
             for app, dep in self.deployments.items()
@@ -360,26 +361,32 @@ class ClusterSimulation:
                 demand.cpu_cores, cpu
             )
             spec = instance.runtime.spec
-            tick = ContainerTick(
-                cpu=cpu_account,
-                memory=mem_account,
-                disk_read_bytes=performance.throughput * spec.disk_read_bytes
-                + mem_account.page_in_bytes * spec.thrash_amplification,
-                disk_write_bytes=performance.throughput * spec.disk_write_bytes,
-                network_rx_bytes=performance.throughput * spec.net_in_bytes,
-                network_tx_bytes=performance.throughput * spec.net_out_bytes,
-                tcp_connections=max(performance.concurrency, 0.0) + 2.0,
-                processes=4.0 + 0.05 * performance.concurrency,
-                throughput=performance.throughput,
-                response_time=performance.response_time,
-                dropped=performance.dropped,
-                bottleneck=performance.bottleneck.value,
-                max_utilization=performance.max_utilization,
-                cpu_steal_cores=cpu_steal,
-                membw_bytes=membw_bytes,
-                disk_shortfall_bytes=disk_shortfall,
+            instance.container.record(  # in the F_* order
+                (
+                    cpu_account.used_cores,
+                    mem_account.usage_bytes,
+                    mem_account.page_in_bytes,
+                    mem_account.limit_utilization,
+                    cpu_account.nr_throttled,
+                    performance.throughput * spec.disk_read_bytes
+                    + mem_account.page_in_bytes * spec.thrash_amplification,
+                    performance.throughput * spec.disk_write_bytes,
+                    performance.throughput * spec.net_in_bytes,
+                    performance.throughput * spec.net_out_bytes,
+                    max(performance.concurrency, 0.0) + 2.0,
+                    4.0 + 0.05 * performance.concurrency,
+                    performance.throughput,
+                    cpu_steal,
+                    membw_bytes,
+                    disk_shortfall,
+                    cpu_account.demand_cores,
+                    mem_account.resident_working_set,
+                    performance.response_time,
+                    performance.dropped,
+                    performance.max_utilization,
+                    _BOTTLENECK_INDEX[performance.bottleneck],
+                )
             )
-            instance.container.record(tick)
             per_app_service[instance.application][instance.service].append(
                 performance
             )
@@ -446,6 +453,10 @@ def _check_arrivals(simulation: ClusterSimulation, arrivals: dict) -> None:
             )
 
 
+#: A bottleneck's value in the ``F_BOTTLENECK`` column.
+_BOTTLENECK_INDEX = {resource: index for index, resource in enumerate(BOTTLENECKS)}
+
+
 #: Node groups with this many members or more are summed by numpy's
 #: pairwise ``np.add.reduce``; smaller groups are summed left to right
 #: from 0.0.  :func:`_node_total` and :meth:`Lockstep._node_sums` both
@@ -501,18 +512,6 @@ _CONSTANTS = 23
 #: ``mm1_response_time``'s default saturation cap, which ``resolve`` uses.
 _MM1_MAX_FACTOR = 60.0
 _MM1_SATURATED = 1.0 - 1.0 / _MM1_MAX_FACTOR
-
-#: The rate resources in bottleneck order: the first strict maximum wins.
-_BOTTLENECKS = np.array(
-    [
-        Resource.CPU.value,
-        Resource.DISK_BANDWIDTH.value,
-        Resource.DISK_QUEUE.value,
-        Resource.NETWORK.value,
-        Resource.MEMORY_BANDWIDTH.value,
-    ],
-    dtype=object,
-)
 
 
 def _min(a, b):
@@ -673,12 +672,13 @@ _LAYOUTS = count()
 
 @dataclass(frozen=True, eq=False)
 class TickFrame:
-    """The fields every instance of a :class:`Lockstep` recorded at ``tick``.
+    """The rows every instance of a :class:`Lockstep` recorded at ``tick``.
 
-    ``fields`` is ``(n_instances + 1, N_FIELDS)`` float64: row
-    ``row(container)`` equals ``container.tick_at(tick).fields()`` (the
-    ``F_*`` order of :mod:`repro.cluster.container`) bit for bit, and
-    the last row is all zeros, the fields of an unrecorded tick.
+    ``fields`` is ``(n_instances + 1, N_COLUMNS)`` float64 in the ``F_*``
+    order of :mod:`repro.cluster.container`: row ``row(container)`` is
+    the row the step appended to the container's log
+    (``container.tick_at(tick)``), and the last row is all zeros, the
+    row of an unrecorded tick.
     ``rows`` maps ``id(container)`` to its row; it and ``layout``, a
     number no other layout of the process shares, are rebuilt only
     when a stepped simulation's membership changes, so a reader can
@@ -704,7 +704,8 @@ class Lockstep:
     simulations' instances, per-node arbitration and per-service KPI
     composition are segment sums in the scalar path's order, and each
     simulation ends the tick bitwise in the state ``step`` would leave
-    (the recorded numbers are Python floats and ints).
+    (its logs hold the same rows; queue, cgroup and KPI state are Python
+    floats and ints).
 
     The per-instance constants -- specs, cgroup limits, queue timeouts
     and the node and service groups -- are cached per simulation and
@@ -714,7 +715,7 @@ class Lockstep:
     not pickled.
 
     After each step :attr:`frame` is the :class:`TickFrame` of the tick
-    just recorded, built from the same arrays as the records; it is
+    just recorded, the matrix whose rows the logs appended; it is
     ``None`` before the first step, after unpickling, and when the
     simulations' clocks differ (they then recorded different ticks).
     """
@@ -756,12 +757,10 @@ class Lockstep:
         instances = [i for part in parts for i in part.instances]
         self._rows = {id(i.container): row for row, i in enumerate(instances)}
         self._layout = next(_LAYOUTS)
-        self._histories = [i.container.history for i in instances]
+        self._records = [i.container.record for i in instances]
         self._runtimes = [i.runtime for i in instances]
         self._queues = [runtime.queue for runtime in self._runtimes]
         self._cgroups = [i.container.cpu_cgroup for i in instances]
-        self._quotas = [cgroup.quota_cores for cgroup in self._cgroups]
-        self._limits = [i.container.memory_cgroup.limit_bytes for i in instances]
         self._constants = np.concatenate([part.constants for part in parts], axis=1)
         self._has_quota = np.concatenate([part.has_quota for part in parts])
         self._has_limit = np.concatenate([part.has_limit for part in parts])
@@ -992,15 +991,9 @@ class Lockstep:
             app_response = app_response + per_visit_response[column]
             app_dropped = _max(app_dropped, per_visit_dropped[column])
 
-        # Write back: the tick frame, then each record class in its
-        # field order, from the same arrays.
-        disk_read_bytes = completed * disk_read + page_in * thrash
-        disk_write_bytes = completed * disk_write
-        rx_bytes = completed * net_in
-        tx_bytes = completed * net_out
-        connections = _max(concurrency, 0.0) + 2.0
-        processes = 4.0 + 0.05 * concurrency
-        fields = np.empty((len(used) + 1, N_FIELDS))
+        # Write back: the tick's rows, each appended to its container's
+        # log, then the queue and cgroup state.
+        fields = np.empty((len(used) + 1, N_COLUMNS))
         fields[-1] = 0.0
         for column, values in (
             (F_USED_CORES, used),
@@ -1008,62 +1001,35 @@ class Lockstep:
             (F_PAGE_IN_BYTES, page_in),
             (F_LIMIT_UTIL, memory_utilization),
             (F_NR_THROTTLED, throttled),
-            (F_DISK_READ, disk_read_bytes),
-            (F_DISK_WRITE, disk_write_bytes),
-            (F_NET_RX, rx_bytes),
-            (F_NET_TX, tx_bytes),
-            (F_TCP, connections),
-            (F_PROCESSES, processes),
+            (F_DISK_READ, completed * disk_read + page_in * thrash),
+            (F_DISK_WRITE, completed * disk_write),
+            (F_NET_RX, completed * net_in),
+            (F_NET_TX, completed * net_out),
+            (F_TCP, _max(concurrency, 0.0) + 2.0),
+            (F_PROCESSES, 4.0 + 0.05 * concurrency),
             (F_THROUGHPUT, completed),
             (F_CPU_STEAL, steal),
             (F_MEMBW, membw_moved),
             (F_DISK_SHORTFALL, shortfall),
+            (F_DEMAND_CORES, cpu),
+            (F_RESIDENT_BYTES, resident),
+            (F_RESPONSE_TIME, response),
+            (F_DROPPED, dropped),
+            (F_MAX_UTILIZATION, max_utilization),
+            (F_BOTTLENECK, bottleneck),
         ):
             fields[:-1, column] = values
-        throttled = throttled.tolist()
-        ticks = map(
-            ContainerTick,
-            map(
-                CpuAccounting,
-                cpu.tolist(),
-                used.tolist(),
-                self._quotas,
-                repeat(CFS_PERIODS_PER_SECOND),
-                throttled,
-            ),
-            map(
-                MemoryAccounting,
-                usage.tolist(),
-                self._limits,
-                resident.tolist(),
-                page_in.tolist(),
-            ),
-            disk_read_bytes.tolist(),
-            disk_write_bytes.tolist(),
-            rx_bytes.tolist(),
-            tx_bytes.tolist(),
-            connections.tolist(),
-            processes.tolist(),
-            completed.tolist(),
-            response.tolist(),
-            dropped.tolist(),
-            steal.tolist(),
-            membw_moved.tolist(),
-            shortfall.tolist(),
-            _BOTTLENECKS[bottleneck].tolist(),
-            max_utilization.tolist(),
-        )
-        for history, tick, runtime, queue, cgroup, pending, active, periods in zip(
-            self._histories,
-            ticks,
+        for record, row, runtime, queue, cgroup, pending, active, periods in zip(
+            self._records,
+            fields,
             self._runtimes,
             self._queues,
             self._cgroups,
             backlog.tolist(),
             concurrency.tolist(),
-            throttled,
+            throttled.tolist(),
         ):
-            history.append(tick)
+            record(row)
             queue.backlog = pending
             runtime.last_concurrency = active
             cgroup.total_periods += CFS_PERIODS_PER_SECOND

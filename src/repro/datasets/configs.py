@@ -19,6 +19,7 @@ from repro.apps.cassandra import cassandra_application
 from repro.apps.memcache import memcache_application
 from repro.apps.solr import solr_application
 from repro.cluster.resources import GIB
+from repro.cluster.simulation import Placement
 from repro.workloads.patterns import constant, linear_ramp, sine, sinnoise
 from repro.workloads.ycsb import YCSB_MIXES, YcsbWorkload
 
@@ -58,6 +59,12 @@ class RunConfig:
                 fsync_bound=self.fsync_bound,
             )
         raise ValueError(f"Unknown service {self.service!r}.")
+
+    def placement(self, node: str) -> Placement:
+        """One replica on ``node`` under this run's CPU and memory limits."""
+        return Placement(
+            node=node, cpu_limit=self.cpu_limit, memory_limit=self.mem_limit
+        )
 
     def workload(self, duration: int, seed: int = 0) -> np.ndarray:
         """The run's load series (requests/second)."""

@@ -17,6 +17,7 @@ threshold baselines, and per-instance metric matrices for monitorless.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,21 +231,24 @@ class Scenario:
         """Per-container monitorless prediction series.
 
         Cached per model instance: several benches (Tables 6/8,
-        Figure 3) score the same scenario with the same model.
+        Figure 3) score the same scenario with the same model.  An entry
+        holds a weak reference to its model and serves only that model,
+        so a model that reuses a freed model's ``id`` never gets its
+        predictions, and the cache keeps no model alive.
         """
         cache = getattr(self, "_prediction_cache", None)
         if cache is None:
             cache = {}
             self._prediction_cache = cache
-        key = id(model)
-        if key not in cache:
+        owner, predictions = cache.get(id(model), (None, None))
+        if owner is None or owner() is not model:
             meta = self.agent.catalog.feature_meta()
             predictions = {}
             for container in self.containers():
                 matrix = self.agent.instance_matrix(container, self.result.nodes)
                 predictions[container.name] = model.predict(matrix, meta)
-            cache[key] = predictions
-        return {name: series.copy() for name, series in cache[key].items()}
+            cache[id(model)] = (weakref.ref(model), predictions)
+        return {name: series.copy() for name, series in predictions.items()}
 
 
 def _ground_truth(

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.container import BOTTLENECKS, F_BOTTLENECK
 from repro.cluster.node import MACHINES
-from repro.cluster.simulation import ClusterSimulation, Placement
+from repro.cluster.simulation import ClusterSimulation
 from repro.core.features.meta import FeatureMeta
 from repro.core.labeling import KneedleLabeler
 from repro.datasets.configs import TABLE1_RUNS, RunConfig, sessions
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 _KPI_NOISE = 0.01  # 1% relative observation noise on the throughput KPI
+
+#: The resource names of the ``F_BOTTLENECK`` column's values.
+_BOTTLENECK_NAMES = np.array([resource.value for resource in BOTTLENECKS])
 
 
 @dataclass
@@ -88,12 +92,6 @@ class TrainingCorpus:
             }
             for run in self.runs
         ]
-
-
-def _placement(config: RunConfig, node: str) -> Placement:
-    return Placement(
-        node=node, cpu_limit=config.cpu_limit, memory_limit=config.mem_limit
-    )
 
 
 # The calibration ramp is a pure function of the fields below -- the
@@ -151,7 +149,7 @@ def _calibration_ramp(
         application = config.application()
         simulation.deploy(
             application,
-            {name: [_placement(config, node)] for name in application.services},
+            {name: [config.placement(node)] for name in application.services},
         )
         ramp = linear_ramp(duration, low, high)
         result = simulation.run({application.name: ramp})
@@ -238,7 +236,7 @@ def generate_session(
         applications[config.run_id] = application
         simulation.deploy(
             application,
-            {name: [_placement(config, node)] for name in application.services},
+            {name: [config.placement(node)] for name in application.services},
         )
         workloads[application.name] = config.workload(duration, seed=seed)
     result = simulation.run(workloads)
@@ -259,19 +257,16 @@ def generate_session(
             [agent.instance_matrix(c, result.nodes) for c in containers]
         )
         y_full = np.tile(y, len(containers))
-        saturated_bottlenecks = [
-            tick.bottleneck
-            for container in containers
-            for tick, label in zip(container.history, y)
-            if label == 1
+        bottlenecks = _BOTTLENECK_NAMES[
+            np.array([c.history[:, F_BOTTLENECK] for c in containers], dtype=np.intp)
         ]
         # When a run never saturates (interference partners at constant
         # sub-knee load), the limiting factor is still the modal
         # highest-utilization resource across the run.
-        all_bottlenecks = saturated_bottlenecks or [
-            tick.bottleneck for container in containers for tick in container.history
-        ]
-        values, counts = np.unique(all_bottlenecks, return_counts=True)
+        saturated = bottlenecks[:, y == 1]
+        values, counts = np.unique(
+            saturated if saturated.size else bottlenecks, return_counts=True
+        )
         modal = str(values[np.argmax(counts)])
         labeled.append(
             LabeledRun(

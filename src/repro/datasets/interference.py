@@ -28,9 +28,9 @@ import numpy as np
 
 from repro.apps.antagonist import ANTAGONIST_RATE
 from repro.cluster.node import MACHINES
-from repro.cluster.simulation import ClusterSimulation, Placement
+from repro.cluster.simulation import ClusterSimulation
 from repro.core.features.meta import FeatureMeta
-from repro.datasets.configs import RunConfig, run_by_id
+from repro.datasets.configs import run_by_id
 from repro.datasets.experiments import deploy_antagonist
 from repro.datasets.generate import calibrate_threshold
 from repro.parallel import parallel_map
@@ -153,12 +153,6 @@ class InterferenceCorpus:
         ]
 
 
-def _victim_placement(config: RunConfig, node: str) -> Placement:
-    return Placement(
-        node=node, cpu_limit=config.cpu_limit, memory_limit=config.mem_limit
-    )
-
-
 def generate_interference_run(
     scenario: InterferenceScenario,
     *,
@@ -192,7 +186,7 @@ def generate_interference_run(
     simulation.deploy(
         application,
         {
-            name: [_victim_placement(victim, scenario.node)]
+            name: [victim.placement(scenario.node)]
             for name in application.services
         },
     )

@@ -40,7 +40,7 @@ per-row RNG streams, counter accumulators and previous-cumulative rows
 aligned with the matrix row axis, and per *host group* (rows sharing
 ``(namespace, node, start)``) the shared host stream state.  Each round
 runs one kernel over ``(fields, plan)``.  ``fields`` is a float64
-matrix of container tick fields (rows in the ``F_*`` order of
+matrix of container log rows (the ``F_*`` layout of
 :mod:`repro.cluster.container`, the last row all zeros for an
 unrecorded tick); the plan is a set of index arrays: the round's
 groups, their host *entries* (one per unique ``(namespace, node,
@@ -57,12 +57,12 @@ The fields come from one of two sources.  A fleet shard passes the
 published: groups due to emit the frame's tick read their rows of it,
 through a plan compiled only when the active groups, the row
 membership or the frame's layout change (a swapped node ``spec`` only
-re-reads the capacities) and never pickled.  Everything else reads the
-containers' recorded histories (:func:`~repro.telemetry.synthesis.tick_fields`)
-with a plan built for the round: cells stepped by
-``ClusterSimulation.step`` (the one-cell policy views) and groups
-catching up behind the frame's tick after a fault.  Both sources hold
-the same numbers, so the rows are the same.  The result is
+re-reads the capacities) and never pickled.  Everything else takes the
+rows from the containers' logs (``Container.tick_at``) with a plan
+built for the round: cells stepped by ``ClusterSimulation.step`` (the
+one-cell policy views) and groups catching up behind the frame's tick
+after a fault.  The frame's rows are the ones ``Lockstep`` appended to
+the logs, so both sources give the same rows.  The result is
 bitwise-exact against the per-container reference streams of
 ``tests/serving_reference.py``: the state math replicates the scalar
 arithmetic op for op
@@ -122,6 +122,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from repro import obs
+from repro.cluster.container import N_COLUMNS
 from repro.cluster.faults import MetricDropout, _dropout_seed
 from repro.reliability.chaos import ChaosAgent, InjectedTelemetryError
 from repro.reliability.telemetry import (
@@ -497,8 +498,8 @@ class FleetTelemetryStream:
         of the tick just stepped, or ``None``.  Groups due to emit the
         frame's tick read their fields from it through a cached round
         plan; groups behind it (catching up after a fault) and, without
-        a frame, every group read them from the containers' histories.
-        The values are the same.  A group due past the frame's tick, or
+        a frame, every group read them from the containers' logs.
+        The rows are the same.  A group due past the frame's tick, or
         a container that recorded the frame's tick but has no row in
         it, raises :class:`ValueError`.
         """
@@ -511,13 +512,13 @@ class FleetTelemetryStream:
         for _key, slot in scan:
             anchor = grp_containers[slot][0]
             t = clocks[slot]
-            if t >= anchor.created_at + len(anchor.history):
+            if anchor.tick_at(t) is None:
+                if t < anchor.created_at:
+                    raise ValueError(
+                        f"Container {anchor.name} has no recorded tick {t}; "
+                        "advance the simulation before emitting."
+                    )
                 continue
-            if t < anchor.created_at:
-                raise ValueError(
-                    f"Container {anchor.name} has no recorded tick {t}; "
-                    "advance the simulation before emitting."
-                )
             if frame is not None and t > frame.tick:
                 raise ValueError(
                     f"The tick frame holds tick {frame.tick}, but container "
@@ -758,25 +759,25 @@ class FleetTelemetryStream:
 
     def _history_source(self, active: list[int]):
         """``(fields, plan)`` of a round gathered from the containers'
-        recorded histories (rows of unrecorded ticks read the zero
-        sentinel, the last row)."""
-        gathered: list[tuple] = []
+        logs (rows of unrecorded ticks read the zero sentinel, the last
+        row)."""
+        gathered: list[np.ndarray] = []
         found: dict[tuple[int, int], int] = {}
 
         def locate(container, t):
             key = (id(container), t)
             index = found.get(key)
             if index is None:
-                values = synthesis.tick_fields(container, t)
-                if values is None:
+                row = container.tick_at(t)
+                if row is None:
                     return None
                 index = found[key] = len(gathered)
-                gathered.append(values)
+                gathered.append(row)
             return index
 
         plan = _RoundPlan(self, active, locate, None)
-        gathered.append(synthesis.ZERO_FIELDS)
-        return np.array(gathered, dtype=np.float64), plan
+        gathered.append(np.zeros(N_COLUMNS))
+        return np.array(gathered), plan
 
     def _synthesize(self, fields: np.ndarray, plan: "_RoundPlan") -> list[int]:
         """Synthesize one round's rows from ``fields`` as ``plan`` lays

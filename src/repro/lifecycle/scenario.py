@@ -27,7 +27,8 @@ interference corpora), shadow-evaluate it walk-forward, and promote it
 -- producing a promotion history that is bitwise identical at every
 ``n_jobs`` and across a mid-run kill-and-resume
 (:class:`DriftScenarioRunner.resume` over an orchestrator checkpoint,
-which snapshots the manager, registry and detector state wholesale).
+which snapshots the manager, registry and detector state wholesale,
+and the scenario config the run continues under).
 
 The runner owns the scenario's arrivals and checkpoint cadence only:
 the orchestrator's tick reports each second's SLO outcome to the
@@ -238,8 +239,9 @@ class DriftScenarioRunner:
     orchestrator's tick reports each SLO outcome to the manager and
     steps the lifecycle clock).
     :meth:`resume` rebuilds a runner from an orchestrator checkpoint --
-    the pickled policy carries the manager, so the lifecycle replays
-    from exactly the saved tick.
+    the pickled policy carries the manager and the orchestrator the
+    scenario config, so the lifecycle replays from exactly the saved
+    tick of the same scenario.
     """
 
     def __init__(self, model, registry_dir, config=None):
@@ -274,14 +276,17 @@ class DriftScenarioRunner:
         self.orchestrator = Orchestrator(
             simulation, "teastore", policy, rules
         )
+        # A checkpoint pickles the orchestrator, so the config rides on
+        # it and :meth:`resume` continues under the config the run began
+        # with.
+        self.orchestrator.scenario_config = config
         self.orchestrator.start()
         self.resumed_from_tick: int | None = None
 
     @classmethod
-    def resume(
-        cls, checkpoint_path, config=None, *, model=None
-    ) -> "DriftScenarioRunner":
-        """Continue a checkpointed scenario from its saved tick.
+    def resume(cls, checkpoint_path, *, model=None) -> "DriftScenarioRunner":
+        """Continue a checkpointed scenario from its saved tick, under
+        the :class:`DriftScenarioConfig` the checkpoint records.
 
         ``model``, when given, must be the model the checkpoint was
         serving: the lifecycle manager's registry owns the serving
@@ -292,17 +297,18 @@ class DriftScenarioRunner:
         from repro.orchestrator.loop import Orchestrator
 
         runner = cls.__new__(cls)
-        runner.config = config = config or DriftScenarioConfig()
-        runner.workload = scenario_workload(config)
         runner.orchestrator = Orchestrator.resume_from(
             checkpoint_path, model=model
         )
         runner.manager = runner.orchestrator.policy.lifecycle
-        if runner.manager is None:
+        config = getattr(runner.orchestrator, "scenario_config", None)
+        if runner.manager is None or config is None:
             raise ValueError(
-                f"{checkpoint_path} holds no lifecycle manager; it is not "
-                "a drift-scenario checkpoint."
+                f"{checkpoint_path} holds no lifecycle manager or no "
+                "scenario config; it is not a drift-scenario checkpoint."
             )
+        runner.config = config
+        runner.workload = scenario_workload(config)
         runner.antagonist_name = None
         if config.antagonist is not None:
             from repro.apps.antagonist import antagonist_name

@@ -6,19 +6,18 @@ This is the struct-of-arrays core shared by
 :class:`repro.fleet.telemetry.FleetTelemetryStream` (many containers,
 one tick -- the serving path).  Both callers used to run a Python loop
 per (container, tick) doing ~20 scalar float operations; here the tick
-fields are one ``(n, N_FIELDS)`` float64 matrix, its rows in the
-``F_*`` order of :mod:`repro.cluster.container`, and every state
-channel is computed as a vector op over the whole batch.
+rows are one float64 matrix in the ``F_*`` layout of
+:mod:`repro.cluster.container` (telemetry reads its first ``N_FIELDS``
+columns), and every state channel is computed as a vector op over the
+whole batch.
 
-The matrix comes from one of two sources, which hold the same numbers.
-:func:`tick_fields` and :func:`gather_container_fields` read it off the
-recorded :class:`~repro.cluster.container.ContainerTick` history
-(``ContainerTick.fields``); the corpus path, cells stepped by
-``ClusterSimulation.step`` and fleet rounds catching up behind the
-current tick use them.  A fleet shard's rounds read the
-:class:`~repro.cluster.simulation.TickFrame` that
-:class:`~repro.cluster.simulation.Lockstep` writes from the same
-arrays as the records instead.
+The rows are the containers' own log rows, from one of two places.
+:func:`gather_container_fields` slices them off a container's log
+(``Container.history``) for the corpus path, and fleet rounds without
+a frame take them one by one with ``Container.tick_at``.  A fleet
+shard's rounds read the :class:`~repro.cluster.simulation.TickFrame`
+that :class:`~repro.cluster.simulation.Lockstep` writes, the matrix
+whose rows it appended to the logs.
 
 The contract is bitwise equality with the original per-offset scalar
 loops.  Every vectorized expression below replicates the scalar
@@ -28,7 +27,7 @@ same IEEE-754 results as the equivalent Python-float expressions, and
 the host accumulation preserves the reference's per-cell addition
 order (baseline first, then one addition per container in
 ``node.containers`` order).  Ticks outside the container's recorded
-history contribute all-zero field rows; adding the resulting zero
+history contribute all-zero rows; adding the resulting zero
 contributions is bitwise-neutral because every partial sum here is
 non-negative (``x + 0.0 == x`` except at ``-0.0``, which cannot occur).
 """
@@ -54,7 +53,6 @@ from repro.cluster.container import (
     F_USAGE_BYTES,
     F_USED_CORES,
     N_FIELDS,
-    ZERO_FIELDS,
 )
 from repro.telemetry.catalog import (
     CONTAINER_CHANNELS,
@@ -64,9 +62,6 @@ from repro.telemetry.catalog import (
 )
 
 __all__ = [
-    "N_FIELDS",
-    "ZERO_FIELDS",
-    "tick_fields",
     "gather_container_fields",
     "host_baseline",
     "host_additive_contributions",
@@ -78,35 +73,21 @@ _H = HOST_CHANNELS
 _C = CONTAINER_CHANNELS
 
 
-def tick_fields(container, t: int):
-    """The raw field tuple for one recorded tick, or ``None``.
-
-    Equivalent to reading the attributes off ``container.tick_at(t)``
-    but without constructing intermediate objects.
-    """
-    index = t - container.created_at
-    history = container.history
-    if index < 0 or index >= len(history):
-        return None
-    return history[index].fields()
-
-
 def gather_container_fields(container, start: int, end: int) -> np.ndarray:
-    """Stack ticks ``start..end-1`` into a ``(T, N_FIELDS)`` matrix.
+    """The telemetry columns of ticks ``start..end-1`` of a container's
+    log, ``(end - start, N_FIELDS)``.
 
     Ticks the container has not recorded become all-zero rows, which
     downstream vector math treats exactly like the reference loops
     treat a missing tick (zero contribution / zero state).
     """
-    T = end - start
-    rows: list[tuple] = [ZERO_FIELDS] * T
-    history = container.history
     created = container.created_at
-    lo = max(start, created)
-    hi = min(end, created + len(history))
-    for t in range(lo, hi):
-        rows[t - start] = history[t - created].fields()
-    return np.array(rows, dtype=np.float64)
+    history = container.history
+    lo = min(max(start, created), end)
+    hi = max(min(end, created + len(history)), lo)
+    fields = np.zeros((end - start, N_FIELDS))
+    fields[lo - start:hi - start] = history[lo - created:hi - created, :N_FIELDS]
+    return fields
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,20 @@
 """Tests for the cluster substrate: queueing, cgroups, nodes, engine."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.apps.solr import solr_application
 from repro.cluster.cgroup import CFS_PERIODS_PER_SECOND, CpuCgroup, MemoryCgroup
-from repro.cluster.container import Container, ContainerTick
+from repro.cluster.container import (
+    BOTTLENECKS,
+    F_BOTTLENECK,
+    F_NR_THROTTLED,
+    N_COLUMNS,
+    N_FIELDS,
+    Container,
+)
 from repro.cluster.node import MACHINES, Node, NodeSpec
 from repro.cluster.queueing import (
     BacklogQueue,
@@ -230,11 +239,10 @@ class TestSimulationEngine:
         sim = self._solr_sim(cpu_limit=3.0)
         result = sim.run({"solr": constant(20, 100.0)})
         container = result.containers[0]
-        assert len(container.history) == 20
-        tick = container.last()
-        assert isinstance(tick, ContainerTick)
-        assert tick.cpu.nr_throttled > 0  # demand 6 cores > 3-core quota
-        assert tick.bottleneck == str(Resource.CPU)
+        assert container.history.shape == (20, N_COLUMNS)
+        row = container.history[-1]
+        assert row[F_NR_THROTTLED] > 0  # demand 6 cores > 3-core quota
+        assert BOTTLENECKS[int(row[F_BOTTLENECK])] is Resource.CPU
 
     def test_missing_placement_rejected(self):
         sim = ClusterSimulation({"training": MACHINES["training"]}, seed=0)
@@ -254,3 +262,76 @@ class TestSimulationEngine:
     def test_node_rename_from_mapping_key(self):
         sim = ClusterSimulation({"host": MACHINES["training"]}, seed=0)
         assert sim.nodes["host"].spec.name == "host"
+
+
+class TestContainerLog:
+    """``Container.history``: the growable ``(ticks, N_COLUMNS)`` log."""
+
+    @staticmethod
+    def _late_container(ticks_before: int = 5, ticks_after: int = 40):
+        """A replica that joins a running simulation, so ``created_at > 0``."""
+        sim = ClusterSimulation({"training": MACHINES["training"]}, seed=0)
+        sim.deploy(solr_application(), {"solr": [Placement(node="training")]})
+        for t in range(ticks_before):
+            sim.step({"solr": 50.0 + t})
+        container = sim.add_replica("solr", "solr", Placement("training", 2.0))
+        for t in range(ticks_after):
+            sim.step({"solr": 100.0 + 9.0 * t})
+        return sim, container
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            (0, 45),  # starts before created_at, covers the log
+            (2, 8),  # starts before created_at
+            (30, 60),  # ends past the last recorded tick
+            (0, 3),  # wholly before
+            (50, 55),  # wholly after
+            (12, 12),  # empty
+            (5, 45),  # exactly the log
+        ],
+    )
+    def test_gather_matches_per_tick_rows(self, start, end):
+        from repro.telemetry.synthesis import gather_container_fields
+
+        _, container = self._late_container()
+        assert container.created_at == 5
+        gathered = gather_container_fields(container, start, end)
+        assert gathered.shape == (end - start, N_FIELDS)
+        zero = np.zeros(N_COLUMNS)
+        for offset, t in enumerate(range(start, end)):
+            row = container.tick_at(t)
+            expected = (zero if row is None else row)[:N_FIELDS]
+            assert gathered[offset].tobytes() == expected.tobytes(), t
+
+    def test_tick_at_is_a_row_view_inside_the_log_only(self):
+        _, container = self._late_container()
+        assert container.tick_at(4) is None
+        assert container.tick_at(45) is None
+        row = container.tick_at(5)
+        assert row.shape == (N_COLUMNS,)
+        assert np.shares_memory(row, container.history)
+        assert row.tobytes() == container.history[0].tobytes()
+
+    def test_log_grows_past_its_initial_capacity(self):
+        container = Container(name="c", service="s", application="a")
+        capacity = len(container._log)
+        rows = np.arange((3 * capacity + 1) * N_COLUMNS, dtype=np.float64)
+        rows = rows.reshape(-1, N_COLUMNS)
+        for t, row in enumerate(rows):
+            container.record(row)
+            assert len(container.history) == t + 1
+        assert container.history.dtype == np.float64
+        assert container.history.tobytes() == rows.tobytes()
+
+    def test_pickle_keeps_only_recorded_rows_and_appends_identically(self):
+        sim, container = self._late_container(ticks_after=21)
+        copy = pickle.loads(pickle.dumps(sim))
+        restored = copy.deployments["solr"].instances["solr"][1].container
+        assert restored._log.shape == (21, N_COLUMNS)
+        assert restored.history.tobytes() == container.history.tobytes()
+        for t in range(30):
+            for simulation in (sim, copy):
+                simulation.step({"solr": 400.0 + 7.0 * t})
+        assert len(restored.history) == 51
+        assert restored.history.tobytes() == container.history.tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.apps.solr import solr_application
+from repro.cluster.container import F_MAX_UTILIZATION
 from repro.cluster.faults import (
     DiskDegradation,
     FaultSchedule,
@@ -86,9 +87,9 @@ class TestFaultSchedule:
             simulation, {"memcache": constant(40, 30e3)}
         )
         container = result.containers[0]
-        during = container.history[20]
-        after = container.history[35]
-        assert during.max_utilization > after.max_utilization
+        during = container.history[20, F_MAX_UTILIZATION]
+        after = container.history[35, F_MAX_UTILIZATION]
+        assert during > after
 
     def test_unknown_node_rejected(self):
         fault = NodeSlowdown(node="ghost", factor=0.5, start=0, end=1)

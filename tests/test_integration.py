@@ -10,6 +10,18 @@ from repro.datasets.experiments import elgg_scenario, evaluate_detectors
 from repro.ml.metrics import f1_score
 
 
+class _ConstantModel:
+    """Predicts ``value`` for every row and counts its calls."""
+
+    def __init__(self, value):
+        self.value = value
+        self.calls = 0
+
+    def predict(self, matrix, meta):
+        self.calls += 1
+        return np.full(len(matrix), self.value)
+
+
 class TestTrainEvaluateTransfer:
     """The paper's central claim: a model trained only on Table-1
     services detects saturation of applications it has never seen."""
@@ -29,6 +41,17 @@ class TestTrainEvaluateTransfer:
         )
         assert confusion.accuracy > 0.75
         assert confusion.accuracy > all_positive.accuracy
+
+    def test_each_model_gets_its_own_predictions(self, elgg):
+        """Models scored in turn under one name are never served another
+        model's cached predictions, although a new model can reuse a
+        freed one's ``id``."""
+        for value in (1, 2, 3):
+            model = _ConstantModel(value)
+            for _ in range(2):
+                predictions = elgg.instance_predictions(model)
+                assert {int(v) for s in predictions.values() for v in s} == {value}
+            assert model.calls == len(predictions)  # the second call hit the cache
 
     def test_monitorless_close_to_tuned_cpu_baseline(self, tiny_model, elgg):
         comparison = evaluate_detectors(elgg, tiny_model, k=2)

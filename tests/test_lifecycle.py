@@ -862,10 +862,33 @@ class TestDriftScenario:
         )
         del runner  # the "kill": only the checkpoint file survives
 
-        resumed = DriftScenarioRunner.resume(checkpoint, config)
+        resumed = DriftScenarioRunner.resume(checkpoint)
         assert resumed.resumed_from_tick == 200
         resumed.run_until()
         result = resumed.finish()
         assert json.dumps(
             result.promotion_history(), sort_keys=True
         ) == json.dumps(scenario_result.promotion_history(), sort_keys=True)
+
+    def test_resume_continues_under_the_checkpointed_config(
+        self, tiny_model, tmp_path
+    ):
+        """A shorter scenario resumes to its own end, with its own onset,
+        not under the 360-tick default."""
+        from repro.lifecycle import run_drift_scenario
+
+        config = DriftScenarioConfig(duration=120)
+        uninterrupted = run_drift_scenario(tiny_model, tmp_path / "full", config)
+        checkpoint = tmp_path / "short.ckpt"
+        runner = DriftScenarioRunner(tiny_model, tmp_path / "reg", config)
+        runner.run_until(60, checkpoint_path=checkpoint, checkpoint_interval=60)
+        del runner
+
+        resumed = DriftScenarioRunner.resume(checkpoint)
+        assert resumed.run_until() == 120
+        assert resumed.config == config
+        result = resumed.finish()
+        assert (result.duration, result.onset_tick) == (120, 54)
+        assert json.dumps(
+            result.promotion_history(), sort_keys=True
+        ) == json.dumps(uninterrupted.promotion_history(), sort_keys=True)

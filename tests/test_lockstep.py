@@ -2,11 +2,11 @@
 against its reference, :meth:`ClusterSimulation.step`.
 
 Every test steps the same inputs through both paths and compares all
-the state a tick writes -- each appended ``ContainerTick`` with its CPU
-and memory accounting, queue backlogs, last concurrencies, cgroup
+the state a tick writes -- every container's whole log (all
+``N_COLUMNS`` columns), queue backlogs, last concurrencies, cgroup
 period totals, application KPIs and the clock -- as bits, so that a
 last-ulp difference or a ``-0.0`` fails.  The kernel's tick frame is
-checked against the records it wrote, row by row.  Also here: the
+checked against the log rows it appended, row by row.  Also here: the
 arrival-rate checks both paths share, and kill-and-resume of a fleet
 shard.
 """
@@ -24,8 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import ApplicationModel, ServiceSpec
-from repro.cluster.cgroup import CpuAccounting, MemoryAccounting
-from repro.cluster.container import N_FIELDS, ContainerTick
+from repro.cluster.container import F_LIMIT_UTIL, F_NR_THROTTLED, N_COLUMNS
 from repro.cluster.node import NodeSpec
 from repro.cluster.simulation import ClusterSimulation, Lockstep, Placement
 from repro.fleet.orchestrator import (
@@ -36,28 +35,11 @@ from repro.fleet.orchestrator import (
     make_fleet_specs,
 )
 from repro.reliability.checkpoint import load_checkpoint, save_checkpoint
-from repro.telemetry.synthesis import tick_fields
-
-_TICK_FIELDS = [
-    f.name for f in dataclasses.fields(ContainerTick) if f.name not in ("cpu", "memory")
-]
-_CPU_FIELDS = [f.name for f in dataclasses.fields(CpuAccounting)]
-_MEMORY_FIELDS = [f.name for f in dataclasses.fields(MemoryAccounting)]
 
 
 def _bits(value):
-    """A recorded value in comparable form: numbers as IEEE-754 bytes."""
-    if value is None or isinstance(value, str):
-        return value
+    """A recorded number in comparable form: its IEEE-754 bytes."""
     return struct.pack("<d", value)
-
-
-def _tick_values(tick):
-    return (
-        [getattr(tick, name) for name in _TICK_FIELDS]
-        + [getattr(tick.cpu, name) for name in _CPU_FIELDS]
-        + [getattr(tick.memory, name) for name in _MEMORY_FIELDS]
-    )
 
 
 def _instances(simulation):
@@ -81,10 +63,7 @@ def snapshot(simulation) -> dict:
             (
                 instance.container.name,
                 instance.container.node,
-                [
-                    [_bits(v) for v in _tick_values(tick)]
-                    for tick in instance.container.history
-                ],
+                instance.container.history.tobytes(),
                 _bits(instance.runtime.queue.backlog),
                 _bits(instance.runtime.last_concurrency),
                 instance.container.cpu_cgroup.total_periods,
@@ -96,15 +75,16 @@ def snapshot(simulation) -> dict:
 
 
 def assert_plain_values(simulation) -> None:
-    """The kernel records Python numbers, never numpy scalars."""
-    plain = (float, int, str, type(None))
+    """The kernel leaves Python numbers in the queues, runtimes, cgroups
+    and KPIs, never numpy scalars."""
     for instance in _instances(simulation):
         values = [
             instance.runtime.queue.backlog,
             instance.runtime.last_concurrency,
-            *_tick_values(instance.container.last()),
         ]
-        assert all(type(value) in plain for value in values), values
+        assert all(type(value) is float for value in values), values
+        cgroup = instance.container.cpu_cgroup
+        assert type(cgroup.total_throttled) is int, cgroup.total_throttled
     for kpis in simulation._kpis.values():
         assert all(type(values[-1]) is float for values in kpis.values())
 
@@ -114,10 +94,10 @@ def _compare(reference, lockstep) -> None:
         assert snapshot(actual) == snapshot(expected)
 
 
-def assert_frame_matches_records(lockstep) -> None:
-    """Every instance's row of the tick frame is, bit for bit, the
-    ``tick_fields`` of the record the step just wrote, and the last
-    row is the +0.0 sentinel."""
+def assert_frame_matches_logs(lockstep) -> None:
+    """Every instance's row of the tick frame is, bit for bit, the row
+    the step just appended to its container's log, and the last row is
+    the +0.0 sentinel."""
     frame = lockstep.frame
     instances = [
         instance
@@ -125,17 +105,17 @@ def assert_frame_matches_records(lockstep) -> None:
         for instance in _instances(simulation)
     ]
     assert frame.tick == lockstep.simulations[0].clock - 1
-    assert frame.fields.shape == (len(instances) + 1, N_FIELDS)
+    assert frame.fields.shape == (len(instances) + 1, N_COLUMNS)
     assert frame.fields.dtype == np.float64
-    assert frame.fields[-1].tobytes() == bytes(8 * N_FIELDS)
+    assert frame.fields[-1].tobytes() == bytes(8 * N_COLUMNS)
     assert sorted(frame.rows.values()) == list(range(len(instances)))
     for instance in instances:
         container = instance.container
-        record = tick_fields(container, frame.tick)
-        assert record == container.last().fields()
-        assert frame.fields[frame.row(container)].tobytes() == np.array(
-            record, dtype=np.float64
-        ).tobytes(), container.name
+        row = container.tick_at(frame.tick)
+        assert row.tobytes() == container.history[-1].tobytes()
+        assert frame.fields[frame.row(container)].tobytes() == row.tobytes(), (
+            container.name
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +294,7 @@ class TestLockstepMatchesScalarStep:
             _compare(reference, lockstep)
             for simulation in lockstep.simulations:
                 assert_plain_values(simulation)
-            assert_frame_matches_records(lockstep)
+            assert_frame_matches_logs(lockstep)
 
     def test_crowded_nodes_sum_like_the_scalar_branches(self):
         """Nodes of 1 to more than 12 members, crossing the 8-member
@@ -367,19 +347,19 @@ class TestLockstepMatchesScalarStep:
                 simulation.step({"app-0": rate})
             lockstep.step([{"app-0": rate} for rate in rates])
             _compare(reference, lockstep)
-            assert_frame_matches_records(lockstep)
+            assert_frame_matches_logs(lockstep)
             for instance in _instances(lockstep.simulations[0]):
-                record = instance.container.last()
-                throttled.add(record.cpu.nr_throttled)
-                if record.memory.limit_bytes is None:
-                    unlimited.add(record.memory.limit_utilization)
+                row = instance.container.history[-1]
+                throttled.add(float(row[F_NR_THROTTLED]))
+                if instance.container.memory_cgroup.limit_bytes is None:
+                    unlimited.add(float(row[F_LIMIT_UTIL]))
             seen.update(
                 len(node.containers) for node in reference[0].nodes.values()
             )
         assert min(seen) == 1 and max(seen) >= 12
-        # The frame rows held int throttled counts above 0 and unlimited
+        # The rows held throttled counts above 0 and unlimited
         # containers' 0.0 limit utilization.
-        assert max(throttled) > 0 and {type(n) for n in throttled} == {int}
+        assert max(throttled) > 0
         assert unlimited == {0.0}
 
     def test_layout_is_rebuilt_only_for_changed_simulations(self):
@@ -426,7 +406,7 @@ class TestLockstepMatchesScalarStep:
         lockstep.step([{"teastore": 70.0}] * 2)
         assert lockstep.frame.layout != first.layout
         assert lockstep.frame.row(added) is not None
-        assert_frame_matches_records(lockstep)
+        assert_frame_matches_logs(lockstep)
 
     def test_simulations_at_different_clocks_publish_no_frame(self):
         cells = [build_cell(spec) for spec in make_fleet_specs(2)]
