@@ -16,6 +16,15 @@ The combination *no first reduction + multiplicative features* is
 rejected, as in the paper, because it explodes the feature count
 (1040 raw metrics would yield ~500k products).
 
+Even after a first reduction the products dominate (17 615 of the
+training corpus's 19 183 step-5 columns), so they exist only where a
+step reads them.  With a filter second reduction, ``fit_transform``
+ranks each run on a block of that run's rows and products, and both
+``fit_transform`` and ``transform`` compute only the kept columns
+(:meth:`InteractionFeatures.columns`).  A PCA second reduction, or
+none, reads every product and gets the full matrix from
+:meth:`InteractionFeatures.transform`.
+
 :func:`grid_search_pipeline` evaluates each admissible configuration
 with grouped cross-validation using a random-forest scorer, mirroring
 how the paper picked its pipeline configuration.
@@ -180,15 +189,26 @@ class MonitorlessPipeline:
         else:
             self.temporal_ = None
         if self.config.interactions:
-            self.interactions_ = InteractionFeatures()
-            X, meta = self.interactions_.fit_transform(X, meta, y)
+            self.interactions_ = InteractionFeatures().fit(X, meta, y)
         else:
             self.interactions_ = None
 
-        # Step 5: second reduction.
+        # Step 5: second reduction.  A filter ranks each run on that
+        # run's own products and keeps their union; only the kept
+        # products are then computed for the whole corpus.
         self.reduction2_ = self._make_reduction(self.config.reduction2)
-        if self.reduction2_ is not None:
-            X, meta = self.reduction2_.fit_transform(X, meta, y, groups)
+        if self._selects_products():
+            interactions = self.interactions_
+            self.reduction2_.fit_blocks(
+                lambda rows: interactions.transform(X[rows], meta)[0],
+                meta + interactions.product_meta_, y, groups,
+            )
+            X, meta = self._selected_products(X, meta)
+        else:
+            if self.interactions_ is not None:
+                X, meta = self.interactions_.transform(X, meta)
+            if self.reduction2_ is not None:
+                X, meta = self.reduction2_.fit_transform(X, meta, y, groups)
 
         # Step 6: zero-variance removal.
         self.variance_ = VarianceFilter()
@@ -207,6 +227,8 @@ class MonitorlessPipeline:
             raise RuntimeError("Pipeline must be fit_transform-ed first.")
         X = np.asarray(X, dtype=np.float64)
         meta = list(meta)
+        if X.shape[1] != len(meta):
+            raise ValueError("meta must describe every column of X.")
         with obs.trace("pipeline.transform"):
             X, meta = self.binary_.transform(X, meta)
             X, meta = self.log_.transform(X, meta)
@@ -216,13 +238,30 @@ class MonitorlessPipeline:
                 X, meta = self.reduction1_.transform(X, meta)
             if self.temporal_ is not None:
                 X, meta = self.temporal_.transform(X, meta, groups)
-            if self.interactions_ is not None:
-                X, meta = self.interactions_.transform(X, meta)
-            if self.reduction2_ is not None:
-                X, meta = self.reduction2_.transform(X, meta)
+            if self._selects_products():
+                X, meta = self._selected_products(X, meta)
+            else:
+                if self.interactions_ is not None:
+                    X, meta = self.interactions_.transform(X, meta)
+                if self.reduction2_ is not None:
+                    X, meta = self.reduction2_.transform(X, meta)
             X, meta = self.variance_.transform(X, meta)
         obs.inc("pipeline.transform_rows", X.shape[0])
         return X, meta
+
+    def _selects_products(self) -> bool:
+        """Whether a filter picks step 5's columns among the products."""
+        return self.interactions_ is not None and isinstance(
+            self.reduction2_, RandomForestFilter
+        )
+
+    def _selected_products(
+        self, X: np.ndarray, meta: list[FeatureMeta]
+    ) -> tuple[np.ndarray, list[FeatureMeta]]:
+        """Steps 4-5 of a fitted filter pipeline: the kept columns only."""
+        keep = self.reduction2_.selected_
+        wide_meta = meta + self.interactions_.product_meta_
+        return self.interactions_.columns(X, keep), [wide_meta[i] for i in keep]
 
     @property
     def feature_names_(self) -> list[str]:

@@ -12,6 +12,11 @@ Two alternatives plus a final cleanup:
   latent and lose physical interpretability.
 - :class:`VarianceFilter` -- drop zero-variance columns (they carry no
   information and break standardisation downstream).
+
+:meth:`RandomForestFilter.fit_blocks` ranks each run on a row block
+that the caller builds on demand, so an input far wider than the
+filter's output (the pipeline's interaction products) never exists as
+one matrix; ``fit`` hands it row blocks of a given matrix.
 """
 
 from __future__ import annotations
@@ -62,10 +67,12 @@ class RandomForestFilter:
         self.max_depth = max_depth
         self.random_state = random_state
 
-    def _rank_one(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Indices of the top-k features for one dataset."""
+    def _rank_one(self, block, rows, y: np.ndarray) -> np.ndarray:
+        """Indices of the top-k features for the run at ``rows``."""
+        y = y[rows]
         if len(np.unique(y)) < 2:
             return np.array([], dtype=np.int64)  # unlabeled-variance run
+        X = block(rows)
         forest = RandomForestClassifier(
             n_estimators=self.n_estimators,
             max_depth=self.max_depth,
@@ -84,6 +91,22 @@ class RandomForestFilter:
         y: np.ndarray,
         groups: np.ndarray | None = None,
     ) -> "RandomForestFilter":
+        return self.fit_blocks(lambda rows: X[rows], meta, y, groups)
+
+    def fit_blocks(
+        self,
+        block,
+        meta: list[FeatureMeta],
+        y: np.ndarray,
+        groups: np.ndarray | None = None,
+    ) -> "RandomForestFilter":
+        """Fit on an input matrix given by its row blocks.
+
+        ``block(rows)`` returns the rows ``rows`` (a boolean mask, or
+        ``slice(None)`` for all) of the matrix ``meta`` describes, so a
+        caller can build each run's rows on demand instead of holding
+        the whole matrix.  Only runs with both classes are built.
+        """
         if y is None:
             raise ValueError("RandomForestFilter is supervised; y is required.")
         y = np.asarray(y)
@@ -91,14 +114,13 @@ class RandomForestFilter:
         if self.per_group and groups is not None:
             groups = np.asarray(groups)
             for group in np.unique(groups):
-                mask = groups == group
-                selected.update(self._rank_one(X[mask], y[mask]).tolist())
+                selected.update(self._rank_one(block, groups == group, y).tolist())
         else:
-            selected.update(self._rank_one(X, y).tolist())
+            selected.update(self._rank_one(block, slice(None), y).tolist())
         if not selected:
             # Pathological input (every run single-class): keep everything
             # rather than emit an empty matrix.
-            selected = set(range(X.shape[1]))
+            selected = set(range(len(meta)))
         self.selected_ = np.asarray(sorted(selected), dtype=np.int64)
         self.n_features_in_ = len(meta)
         return self

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.features import interactions
 from repro.core.features.binary import BinaryLevelFeatures
 from repro.core.features.interactions import InteractionFeatures
 from repro.core.features.meta import Domain, FeatureMeta, Scope, infer_domain
@@ -13,6 +14,7 @@ from repro.core.features.selection import (
     VarianceFilter,
 )
 from repro.core.features.temporal import TemporalFeatures, lagged, rolling_average
+from repro.reliability.checkpoint import model_fingerprint
 
 
 def meta_of(*specs):
@@ -216,6 +218,69 @@ class TestInteractions:
         _, out_meta = InteractionFeatures().fit_transform(np.ones((2, 2)), meta)
         assert out_meta[-1].interaction
 
+    def test_refit_computes_its_own_pairs(self):
+        """A second fit's products, not the first fit's, reach the output."""
+        X = np.arange(1.0, 13.0).reshape(3, 4)
+        step = InteractionFeatures()
+        step.fit_transform(X[:, :3], meta_of(
+            ("c", Domain.CPU, Scope.HOST),
+            ("m", Domain.MEMORY, Scope.HOST),
+            ("n", Domain.NETWORK, Scope.HOST),
+        ))
+        meta = meta_of(
+            ("c1", Domain.CPU, Scope.HOST), ("c2", Domain.CPU, Scope.HOST),
+            ("m1", Domain.MEMORY, Scope.HOST), ("m2", Domain.MEMORY, Scope.HOST),
+        )
+        refit, refit_meta = step.fit_transform(X, meta)
+        fresh, _ = InteractionFeatures().fit_transform(X, meta)
+        assert refit.shape == (3, 8) and len(refit_meta) == 8
+        assert refit.tobytes() == fresh.tobytes()
+
+    def test_refit_without_pairs_pickles_as_a_fresh_step(self):
+        X = np.ones((2, 2))
+        single_domain = meta_of(
+            ("a", Domain.CPU, Scope.HOST), ("b", Domain.CPU, Scope.HOST)
+        )
+        step = InteractionFeatures().fit(X, meta_of(
+            ("a", Domain.CPU, Scope.HOST), ("b", Domain.DISK, Scope.HOST)
+        ))
+        step.fit(X, single_domain)
+        assert step.transform(X, single_domain)[0] is X
+        assert model_fingerprint(step) == model_fingerprint(
+            InteractionFeatures().fit(X, single_domain)
+        )
+
+    @pytest.mark.parametrize("block_values", [1 << 16, 20])
+    def test_columns_and_row_blocks_are_bitwise_the_full_matrix(
+        self, rng, monkeypatch, block_values
+    ):
+        monkeypatch.setattr(interactions, "_BLOCK_VALUES", block_values)
+        domains = (Domain.CPU, Domain.MEMORY, Domain.NETWORK)
+        meta = [FeatureMeta(f"m{i}", domains[i % 3]) for i in range(9)]
+        X = rng.normal(size=(7, 9))
+        step = InteractionFeatures().fit(X, meta)
+        full, _ = step.transform(X, meta)
+        assert full.shape == (7, 9 + 27) and full.flags.c_contiguous
+        left, right = np.asarray(step.pairs_).T
+        reference = np.hstack([X, X[:, left] * X[:, right]])
+        assert full.tobytes() == reference.tobytes()
+        for keep in (
+            np.arange(full.shape[1]), np.array([0, 4, 8]),
+            np.array([9, 20, 35]), np.array([2, 11, 12, 30]),
+            np.array([], dtype=np.int64),
+        ):
+            got = step.columns(X, keep)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(full[:, keep]).tobytes()
+        rows = np.array([False, True, True, False, True, False, True])
+        assert step.transform(X[rows], meta)[0].tobytes() == full[rows].tobytes()
+
+    def test_columns_checks_the_input_width(self):
+        meta = meta_of(("a", Domain.CPU, Scope.HOST), ("b", Domain.DISK, Scope.HOST))
+        step = InteractionFeatures().fit(np.ones((2, 2)), meta)
+        with pytest.raises(ValueError, match="fitted with 2"):
+            step.columns(np.ones((2, 3)), np.array([2]))
+
 
 class TestSelection:
     def test_rf_filter_keeps_informative_feature(self, rng):
@@ -240,6 +305,27 @@ class TestSelection:
         ).fit_transform(X, meta, y, groups)
         names = [m.name for m in out_meta]
         assert "m1" in names and "m8" in names
+
+    def test_rf_filter_from_row_blocks_matches_fit(self, rng):
+        """``fit_blocks`` ranks the same rows ``fit`` does and builds
+        only the runs it ranks (both classes present)."""
+        X = rng.normal(size=(300, 12))
+        groups = np.repeat([0, 1, 2], 100)
+        y = (X[:, 3] > 0).astype(int)
+        y[groups == 2] = 0
+        meta = [FeatureMeta(name=f"m{i}") for i in range(12)]
+        direct = RandomForestFilter(top_k=3, n_estimators=8).fit(X, meta, y, groups)
+        built = []
+
+        def block(rows):
+            built.append(rows)
+            return X[rows]
+
+        from_blocks = RandomForestFilter(top_k=3, n_estimators=8).fit_blocks(
+            block, meta, y, groups
+        )
+        assert np.array_equal(from_blocks.selected_, direct.selected_)
+        assert from_blocks.n_features_in_ == 12 and len(built) == 2
 
     def test_rf_filter_requires_labels(self):
         with pytest.raises(ValueError, match="supervised"):

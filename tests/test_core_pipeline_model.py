@@ -1,5 +1,7 @@
 """Tests for the 6-step pipeline, aggregation, thresholds and the model facade."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.core.features.pipeline import (
 )
 from repro.core.model import CLASSIFIERS, MonitorlessModel, make_classifier
 from repro.core.thresholds import ThresholdBaseline, tune_threshold_baseline
+from repro.reliability.checkpoint import model_fingerprint
+from tests.pipeline_reference import reference_fit_transform, reference_transform
 
 
 def synthetic_metrics(n=240, seed=0):
@@ -39,6 +43,34 @@ def synthetic_metrics(n=240, seed=0):
     y = (cpu > 85).astype(np.int64)
     groups = np.array([0] * (n // 2) + [1] * (n - n // 2))
     return X, meta, y, groups
+
+
+def three_runs_one_single_class():
+    """Three runs of ``synthetic_metrics()``; the last never saturates."""
+    X, meta, y, _ = synthetic_metrics()
+    groups = np.repeat([0, 1, 2], 80)
+    y = np.where(groups == 2, 0, y)
+    return X, meta, y, groups
+
+
+def without_runs():
+    X, meta, y, _ = synthetic_metrics()
+    return X, meta, y, None
+
+
+def wide_metrics(n_runs=10, rows=60, width=120, seed=0):
+    """Many runs of many host metrics over four domains, so that the
+    interaction products outweigh everything else a fit holds."""
+    rng = np.random.default_rng(seed)
+    n = n_runs * rows
+    load = np.abs(np.sin(np.linspace(0, 3 * n_runs, n))) * 100
+    X = load[:, None] * rng.uniform(0.2, 2.0, width) + rng.normal(0, 5, (n, width))
+    domains = (Domain.CPU, Domain.MEMORY, Domain.NETWORK, Domain.DISK)
+    meta = [
+        FeatureMeta(f"m{i}", domains[i % 4], Scope.HOST) for i in range(width)
+    ]
+    y = (load > 85).astype(np.int64)
+    return X, meta, y, np.repeat(np.arange(n_runs), rows)
 
 
 class TestPipelineConfig:
@@ -104,6 +136,28 @@ class TestPipeline:
         # Only binary levels + log scale + variance filter applied.
         assert X_out.shape[1] >= X.shape[1]
 
+    def test_transform_rejects_meta_that_does_not_describe_X(self):
+        X, meta, y, groups = synthetic_metrics()
+        pipeline = MonitorlessPipeline(PipelineConfig(temporal_windows=(1, 5)))
+        pipeline.fit_transform(X, meta, y, groups)
+        with pytest.raises(ValueError, match="meta must describe"):
+            pipeline.transform(X, meta[:-1], groups)
+
+    def test_default_fit_never_holds_the_full_product_matrix(self):
+        """The second filter ranks each run on its own products, and
+        only the kept products are computed for the whole corpus."""
+        X, meta, y, groups = wide_metrics()
+        pipeline = MonitorlessPipeline()
+        tracemalloc.start()
+        try:
+            pipeline.fit_transform(X, meta, y, groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full_matrix = X.shape[0] * pipeline.reduction2_.n_features_in_ * 8
+        assert pipeline.reduction2_.n_features_in_ > 10 * X.shape[1]
+        assert peak < full_matrix
+
     def test_transform_before_fit_raises(self):
         X, meta, _, _ = synthetic_metrics()
         with pytest.raises(RuntimeError, match="fit_transform"):
@@ -121,6 +175,40 @@ class TestPipeline:
         assert len(results) == 2
         assert results[0].mean_f1 >= results[1].mean_f1
         assert all(r.n_features > 0 for r in results)
+
+
+class TestPipelineAgainstReference:
+    """``MonitorlessPipeline`` against ``tests/pipeline_reference.py``,
+    which fits the public steps on every product of the whole input."""
+
+    @pytest.mark.parametrize(
+        "variant", [synthetic_metrics, three_runs_one_single_class, without_runs]
+    )
+    @pytest.mark.parametrize(
+        "config",
+        admissible_configs(temporal_windows=(1, 5)),
+        ids=PipelineConfig.describe,
+    )
+    def test_bitwise_equal(self, config, variant):
+        X, meta, y, groups = variant()
+        pipeline = MonitorlessPipeline(config)
+        X_out, out_meta = pipeline.fit_transform(X, meta, y, groups)
+        reference, X_ref, ref_meta = reference_fit_transform(
+            config, X, meta, y, groups
+        )
+        assert X_out.shape == X_ref.shape
+        assert X_out.tobytes() == X_ref.tobytes()
+        assert [m.name for m in out_meta] == [m.name for m in ref_meta]
+        assert model_fingerprint(pipeline) == model_fingerprint(reference)
+
+        X_new = synthetic_metrics(seed=1)[0]
+        got, got_meta = pipeline.transform(X_new, meta, groups)
+        want, want_meta = reference_transform(reference, X_new, meta, groups)
+        assert got.tobytes() == want.tobytes()
+        assert [m.name for m in got_meta] == [m.name for m in want_meta]
+        if "filter" in (config.reduction1, config.reduction2):
+            again, _ = pipeline.transform(X, meta, groups)
+            assert again.tobytes() == X_out.tobytes()
 
 
 class TestAggregation:
