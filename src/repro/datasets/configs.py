@@ -20,7 +20,7 @@ from repro.apps.memcache import memcache_application
 from repro.apps.solr import solr_application
 from repro.cluster.resources import GIB
 from repro.cluster.simulation import Placement
-from repro.workloads.patterns import constant, linear_ramp, sine, sinnoise
+from repro.workloads.patterns import constant, sine, sinnoise
 from repro.workloads.ycsb import YCSB_MIXES, YcsbWorkload
 
 __all__ = ["RunConfig", "TABLE1_RUNS", "sessions"]
@@ -83,11 +83,6 @@ class RunConfig:
                 rate_range=(self.rate_low, self.rate_high),
             ).generate()
         raise ValueError(f"Unknown pattern {self.pattern!r}.")
-
-    def calibration_ramp(self, duration: int) -> np.ndarray:
-        """Linear ramp past the traffic range for threshold discovery."""
-        return linear_ramp(duration, max(self.rate_low * 0.1, 1.0),
-                           self.rate_high * 1.3)
 
     @property
     def label(self) -> str:

@@ -2,9 +2,9 @@
 
 The package closes the serving loop around the Monitorless model
 itself: the live feature stream is watched for distribution drift
-(:mod:`~repro.lifecycle.drift`) and prediction-vs-outcome agreement
-(:mod:`~repro.lifecycle.tracker`); alarms trigger retraining
-(:mod:`~repro.lifecycle.retrain`); new models enter a versioned,
+(:mod:`~repro.lifecycle.drift`), and prediction-vs-outcome agreement
+is tracked (:mod:`~repro.lifecycle.tracker`); drift alarms trigger
+retraining (:mod:`~repro.lifecycle.retrain`); new models enter a versioned,
 checksummed registry (:mod:`~repro.lifecycle.registry`) and must win a
 walk-forward shadow comparison (:mod:`~repro.lifecycle.shadow`) before
 :class:`~repro.lifecycle.manager.LifecycleManager` promotes them to

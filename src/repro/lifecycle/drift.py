@@ -22,10 +22,10 @@ binned by the same ``>=`` rule on both sides, so a zero-variance
 feature lands its entire mass -- reference and live alike -- in one
 bin and contributes exactly 0 PSI (constant features can never alarm).
 
-The alarm requires ``min_features`` simultaneously shifted features
-for ``patience`` consecutive checks over at least ``min_rows`` live
-rows: single-feature noise, near-empty windows and one-tick blips all
-stay quiet.
+The alarm requires :data:`MIN_FEATURES` simultaneously shifted
+features for :data:`PATIENCE` consecutive checks over at least
+:data:`MIN_ROWS` live rows: single-feature noise, near-empty windows
+and one-tick blips all stay quiet.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ import numpy as np
 from repro import obs
 
 __all__ = [
+    "N_BINS",
+    "WINDOW_ROWS",
+    "REFERENCE_ROWS",
+    "MIN_ROWS",
+    "PSI_THRESHOLD",
+    "KS_THRESHOLD",
+    "MIN_FEATURES",
+    "PATIENCE",
     "quantile_edges",
     "bin_rows",
     "bin_counts",
@@ -50,6 +58,29 @@ __all__ = [
 #: Probability floor under the PSI log ratio; empty bins contribute a
 #: large-but-finite surprise instead of an infinity.
 PSI_EPSILON = 1e-4
+
+# The detector's settings.  Window sizes are in *rows*, and the policy
+# observes one row per container per tick (~7-13 for TeaStore with
+# scale-out replicas).  Null-hypothesis PSI decays like
+# (bins-1)(1/n_live + 1/n_ref); these sizes keep it far below the 0.25
+# alarm threshold, and the live window spans about two antagonist
+# periods of the drift scenario, so the on/off mixture does not wobble
+# the post-promotion reference.
+#: Histogram bins per feature.
+N_BINS = 10
+#: Clean rows in the rolling live window.
+WINDOW_ROWS = 800
+#: Clean rows collected from the stream before the reference freezes.
+REFERENCE_ROWS = 800
+#: Fewest live rows a check needs before it may count as shifted.
+MIN_ROWS = 400
+#: A feature is shifted when its PSI or its KS statistic exceeds these.
+PSI_THRESHOLD = 0.25
+KS_THRESHOLD = 0.35
+#: Shifted features a check needs to count towards the alarm.
+MIN_FEATURES = 8
+#: Consecutive counting checks that raise the alarm.
+PATIENCE = 3
 
 
 # ----------------------------------------------------------------------
@@ -146,11 +177,6 @@ class StreamingHistograms:
         """Rows currently retained (<= window)."""
         return min(self._total, self.window)
 
-    @property
-    def total(self) -> int:
-        """Rows ever pushed, including evicted ones."""
-        return self._total
-
     def push(self, row: np.ndarray) -> None:
         """Add one clean row, evicting the oldest once at capacity."""
         codes = bin_rows(row[None, :], self.edges)[0]
@@ -165,11 +191,6 @@ class StreamingHistograms:
         rows = np.atleast_2d(rows)
         for row in rows:
             self.push(row)
-
-    def reset(self) -> None:
-        self._codes[:] = 0
-        self.counts[:] = 0
-        self._total = 0
 
 
 @dataclass
@@ -189,46 +210,19 @@ class DriftStatus:
 class DriftDetector:
     """Completeness-aware streaming covariate-shift alarm.
 
-    Reference acquisition is streaming too: until ``reference_rows``
+    Reference acquisition is streaming too: until :data:`REFERENCE_ROWS`
     clean rows have arrived, :meth:`update` accumulates them as the
     reference sample (the healthy warm-up window); the quantile edges
     and reference histogram are then frozen and subsequent rows feed
-    the rolling live window.  Pass a matrix to :meth:`fit_reference`
-    instead to seed the reference from held-out data (e.g. the
-    training corpus).
+    the rolling live window.
 
-    ``update`` takes an optional per-row completeness vector (fraction
-    in [0, 1], as carried by the telemetry layer); a row below 1 -- any
-    value imputed, held or masked -- never touches the reference or
-    live window.
+    ``update`` takes each row's completeness (fraction in [0, 1], as
+    carried by the telemetry layer); a row below 1 -- any value
+    imputed, held or masked -- never touches the reference or live
+    window.
     """
 
-    def __init__(
-        self,
-        *,
-        n_bins: int = 10,
-        window: int = 96,
-        reference_rows: int = 96,
-        min_rows: int = 32,
-        psi_threshold: float = 0.25,
-        ks_threshold: float = 0.35,
-        min_features: int = 4,
-        patience: int = 3,
-    ):
-        if min_rows < 1:
-            raise ValueError("min_rows must be >= 1.")
-        if min_features < 1:
-            raise ValueError("min_features must be >= 1.")
-        if patience < 1:
-            raise ValueError("patience must be >= 1.")
-        self.n_bins = n_bins
-        self.window = window
-        self.reference_rows = reference_rows
-        self.min_rows = min_rows
-        self.psi_threshold = psi_threshold
-        self.ks_threshold = ks_threshold
-        self.min_features = min_features
-        self.patience = patience
+    def __init__(self):
         self._reference_buffer: list[np.ndarray] = []
         self._reference_counts: np.ndarray | None = None
         self.live: StreamingHistograms | None = None
@@ -243,11 +237,11 @@ class DriftDetector:
     def fit_reference(self, reference: np.ndarray) -> "DriftDetector":
         """Freeze the reference distribution from a sample matrix."""
         reference = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-        edges = quantile_edges(reference, self.n_bins)
+        edges = quantile_edges(reference, N_BINS)
         self._reference_counts = bin_counts(
-            bin_rows(reference, edges), edges.shape[0], self.n_bins
+            bin_rows(reference, edges), edges.shape[0], N_BINS
         )
-        self.live = StreamingHistograms(edges, self.window)
+        self.live = StreamingHistograms(edges, WINDOW_ROWS)
         self._reference_buffer = []
         self._consecutive = 0
         return self
@@ -257,20 +251,17 @@ class DriftDetector:
 
         Called after a model promotion: the new champion was trained on
         the shifted distribution, so the old reference would keep the
-        alarm latched forever.  The next ``reference_rows`` clean rows
-        become the new healthy baseline.
+        alarm latched forever.  The next :data:`REFERENCE_ROWS` clean
+        rows become the new healthy baseline.
         """
         self._reference_buffer = []
         self._reference_counts = None
         self.live = None
         self._consecutive = 0
 
-    def _clean_rows(
-        self, rows: np.ndarray, completeness
-    ) -> np.ndarray:
+    def update(self, rows: np.ndarray, completeness) -> None:
+        """Feed one tick's feature rows and their completeness."""
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        if completeness is None:
-            return rows
         completeness = np.asarray(completeness, dtype=np.float64).ravel()
         if completeness.size != rows.shape[0]:
             raise ValueError(
@@ -279,17 +270,13 @@ class DriftDetector:
             )
         clean = completeness >= 1.0
         self.rows_skipped += int((~clean).sum())
-        return rows[clean]
-
-    def update(self, rows: np.ndarray, completeness=None) -> None:
-        """Feed one tick's feature rows (plus optional completeness)."""
-        rows = self._clean_rows(rows, completeness)
+        rows = rows[clean]
         if rows.shape[0] == 0:
             return
         if not self.fitted:
-            self._reference_buffer.append(rows.copy())
+            self._reference_buffer.append(rows)
             collected = sum(part.shape[0] for part in self._reference_buffer)
-            if collected >= self.reference_rows:
+            if collected >= REFERENCE_ROWS:
                 self.fit_reference(np.vstack(self._reference_buffer))
             return
         self.live.push_many(rows)
@@ -298,11 +285,11 @@ class DriftDetector:
         """Evaluate the alarm; O(features x bins), safe to call per tick.
 
         Never alarms before the reference is frozen or while the live
-        window holds fewer than ``min_rows`` clean rows -- an
+        window holds fewer than :data:`MIN_ROWS` clean rows -- an
         all-imputed stretch (chaos blackout) empties the evidence
         rather than tripping the alarm.
         """
-        if not self.fitted or len(self.live) < self.min_rows:
+        if not self.fitted or len(self.live) < MIN_ROWS:
             self._consecutive = 0
             return DriftStatus(
                 drifted=False,
@@ -312,14 +299,12 @@ class DriftDetector:
             )
         psi = psi_from_counts(self._reference_counts, self.live.counts)
         ks = ks_from_counts(self._reference_counts, self.live.counts)
-        shifted = int(
-            ((psi > self.psi_threshold) | (ks > self.ks_threshold)).sum()
-        )
-        if shifted >= self.min_features:
+        shifted = int(((psi > PSI_THRESHOLD) | (ks > KS_THRESHOLD)).sum())
+        if shifted >= MIN_FEATURES:
             self._consecutive += 1
         else:
             self._consecutive = 0
-        drifted = self._consecutive >= self.patience
+        drifted = self._consecutive >= PATIENCE
         if obs.enabled():
             obs.set_gauge("lifecycle.psi_max", float(psi.max()))
             obs.set_gauge("lifecycle.ks_max", float(ks.max()))

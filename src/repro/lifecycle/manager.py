@@ -10,11 +10,11 @@ replaceable component:
    completeness-aware drift detector, buffered for retraining, and
    shadow-scored by the challenger (when one exists) on the *same*
    batch via the flat-forest path -- the challenger never actuates;
-2. ground-truth outcomes arrive ``label_delay`` ticks late and settle
-   the prediction-vs-outcome agreement tracker and the walk-forward
-   champion/challenger duel;
-3. a drift alarm (or an agreement collapse) triggers **retraining** on
-   the recent stream plus optional interference corpora; the new model
+2. ground-truth outcomes arrive :data:`LABEL_DELAY` ticks late and
+   settle the prediction-vs-outcome agreement tracker and the
+   walk-forward champion/challenger duel;
+3. a drift alarm triggers **retraining** on the recent stream plus
+   optional interference corpora; the new model
    is registered as a *candidate*, immediately staged to *shadow*, and
    promoted to *champion* only after winning the walk-forward
    comparison with hysteresis -- the previous champion retires;
@@ -38,11 +38,30 @@ import numpy as np
 from repro import obs
 from repro.lifecycle.drift import DriftDetector, DriftStatus
 from repro.lifecycle.registry import ModelRegistry
-from repro.lifecycle.retrain import Retrainer, StreamWindow
+from repro.lifecycle.retrain import (
+    STREAM_CAPACITY,
+    RetrainConfig,
+    Retrainer,
+    StreamWindow,
+)
 from repro.lifecycle.shadow import ShadowEvaluator
 from repro.lifecycle.tracker import ModelPerformanceTracker
 
-__all__ = ["LifecycleManager"]
+__all__ = [
+    "LABEL_DELAY",
+    "RETRAIN_COOLDOWN",
+    "SHADOW_PATIENCE",
+    "LifecycleManager",
+]
+
+#: Ticks until a prediction's ground truth arrives.
+LABEL_DELAY = 3
+#: Fewest ticks between retrain triggers (also restarted by promotions
+#: and rejections).
+RETRAIN_COOLDOWN = 40
+#: Walk-forward windows a challenger gets to prove itself before it is
+#: retired as rejected.
+SHADOW_PATIENCE = 6
 
 
 class LifecycleManager:
@@ -55,52 +74,21 @@ class LifecycleManager:
         (stage ``champion``, reason ``bootstrap``) unless the registry
         already knows it.
     registry:
-        A :class:`~repro.lifecycle.registry.ModelRegistry` or a
-        directory path to create one in.
-    detector / tracker / evaluator / retrainer:
-        The lifecycle components; ``detector`` and ``retrainer``
-        default to ``None`` (feature-drift alarms / retraining off),
-        tracker and evaluator to their default configurations.
-    label_delay:
-        Ticks until a prediction's ground truth arrives.
-    retrain_cooldown:
-        Minimum ticks between retrain triggers (also restarted by
-        promotions and rejections).
-    shadow_patience:
-        Walk-forward windows a challenger gets to prove itself before
-        being retired as rejected.
+        The :class:`~repro.lifecycle.registry.ModelRegistry` the
+        versions go to.
+    retrain:
+        The :class:`~repro.lifecycle.retrain.RetrainConfig` of the
+        manager's retrainer.
     """
 
     def __init__(
-        self,
-        champion,
-        *,
-        registry,
-        detector: DriftDetector | None = None,
-        tracker: ModelPerformanceTracker | None = None,
-        evaluator: ShadowEvaluator | None = None,
-        retrainer: Retrainer | None = None,
-        stream_capacity: int = 240,
-        label_delay: int = 5,
-        retrain_cooldown: int = 60,
-        shadow_patience: int = 8,
+        self, champion, *, registry: ModelRegistry, retrain: RetrainConfig
     ):
-        if label_delay < 0:
-            raise ValueError("label_delay must be >= 0.")
-        if retrain_cooldown < 1:
-            raise ValueError("retrain_cooldown must be >= 1.")
-        if shadow_patience < 1:
-            raise ValueError("shadow_patience must be >= 1.")
-        if not isinstance(registry, ModelRegistry):
-            registry = ModelRegistry(registry)
         self.registry = registry
-        self.detector = detector
-        self.tracker = tracker or ModelPerformanceTracker()
-        self.evaluator = evaluator or ShadowEvaluator()
-        self.retrainer = retrainer
-        self.label_delay = label_delay
-        self.retrain_cooldown = retrain_cooldown
-        self.shadow_patience = shadow_patience
+        self.detector = DriftDetector()
+        self.tracker = ModelPerformanceTracker()
+        self.evaluator = ShadowEvaluator()
+        self.retrainer = Retrainer(retrain)
         record = registry.register(
             champion, reason="bootstrap", stage="champion"
         )
@@ -108,11 +96,8 @@ class LifecycleManager:
         self.champion_version = record["version"]
         self.challenger = None
         self.challenger_version: int | None = None
-        self.stream = (
-            StreamWindow(stream_capacity) if retrainer is not None else None
-        )
+        self.stream = StreamWindow()
         self.history: list[dict] = []
-        self.last_status: DriftStatus | None = None
         self._pending: dict[int, tuple[float, float | None]] = {}
         self._outcomes: dict[int, bool] = {}
         self._last_trigger: int | None = None
@@ -122,14 +107,14 @@ class LifecycleManager:
     # Serving-side hooks
     # ------------------------------------------------------------------
     def observe(
-        self, t: int, features: np.ndarray, flags, completeness=None
+        self, t: int, features: np.ndarray, flags, completeness
     ) -> np.ndarray | None:
         """Called by the policy with each tick's classified batch.
 
         ``features`` are the engineered rows the champion just scored,
         in membership order (the drift window and the retrain stream
         depend on row order), ``flags`` its per-row verdicts,
-        ``completeness`` the optional per-row observedness fractions.
+        ``completeness`` the per-row observedness fractions.
         Returns the challenger's per-row flags when one is
         shadow-scoring (never acted upon by the caller), else ``None``.
         """
@@ -137,22 +122,14 @@ class LifecycleManager:
         if features.shape[0] == 0:
             return None
         with obs.trace("lifecycle.observe"):
-            if self.detector is not None:
-                self.detector.update(features, completeness)
+            self.detector.update(features, completeness)
             challenger_flags = None
             if self.challenger is not None:
                 challenger_flags = self.challenger.flags(features)
                 obs.inc("lifecycle.shadow_ticks")
-            if self.stream is not None:
-                if completeness is None:
-                    self.stream.push(t, features)
-                else:
-                    clean = (
-                        np.asarray(completeness, dtype=np.float64).ravel()
-                        >= 1.0
-                    )
-                    if clean.any():
-                        self.stream.push(t, features[clean])
+            clean = np.asarray(completeness, dtype=np.float64).ravel() >= 1.0
+            if clean.any():
+                self.stream.push(t, features[clean])
             champion_flags = np.asarray(flags)
             # The tracker watches the *serving decision* (any row
             # flagged drives the autoscaler); the evaluator duels on
@@ -182,12 +159,12 @@ class LifecycleManager:
         drift status when the detector has a frozen reference.
         """
         with obs.trace("lifecycle.step"):
-            self._resolve_through(t - self.label_delay)
+            self._resolve_through(t - LABEL_DELAY)
             promoted = self._maybe_promote(t)
             if not promoted:
                 self._maybe_reject(t)
             status = None
-            if self.detector is not None and self.detector.fitted:
+            if self.detector.fitted:
                 status = self.detector.check()
                 if status.drifted and not self._alarm_active:
                     self._alarm_active = True
@@ -202,7 +179,6 @@ class LifecycleManager:
                     )
                 elif not status.drifted:
                     self._alarm_active = False
-                self.last_status = status
             self._maybe_retrain(t, status)
             self._prune(t)
         return status
@@ -250,8 +226,7 @@ class LifecycleManager:
         self.challenger_version = None
         self.evaluator.reset()
         self.tracker.reset()
-        if self.detector is not None:
-            self.detector.reset_reference()
+        self.detector.reset_reference()
         self._alarm_active = False
         self._last_trigger = t
         return True
@@ -259,7 +234,7 @@ class LifecycleManager:
     def _maybe_reject(self, t: int) -> None:
         if (
             self.challenger is None
-            or self.evaluator.windows_completed < self.shadow_patience
+            or self.evaluator.windows_completed < SHADOW_PATIENCE
         ):
             return
         version = self.challenger_version
@@ -282,18 +257,15 @@ class LifecycleManager:
         self._last_trigger = t
 
     def _maybe_retrain(self, t: int, status: DriftStatus | None) -> None:
-        if self.retrainer is None or self.challenger is not None:
+        if self.challenger is not None:
             return
         if (
             self._last_trigger is not None
-            and t - self._last_trigger < self.retrain_cooldown
+            and t - self._last_trigger < RETRAIN_COOLDOWN
         ):
             return
-        drifted = status is not None and status.drifted
-        unhealthy = not self.tracker.healthy()
-        if not (drifted or unhealthy):
+        if status is None or not status.drifted:
             return
-        reason = "drift" if drifted else "agreement"
         self._last_trigger = t  # failed attempts also wait out the cooldown
         result = self.retrainer.retrain(
             self.champion, self.stream, self._outcomes
@@ -304,19 +276,19 @@ class LifecycleManager:
         model, info = result
         record = self.registry.register(
             model,
-            reason=f"retrain@{t}:{reason}",
+            reason=f"retrain@{t}:drift",
             tick=t,
             parent_version=self.champion_version,
             corpus_fingerprint=info["corpus_fingerprint"],
         )
         self.registry.transition(
-            record["version"], "shadow", tick=t, reason=reason
+            record["version"], "shadow", tick=t, reason="drift"
         )
         self._log(
             t,
             "retrain",
             record["version"],
-            f"{reason}: {info['stream_rows']} stream + "
+            f"drift: {info['stream_rows']} stream + "
             f"{info['corpus_rows']} corpus rows",
         )
         self.challenger = model
@@ -326,8 +298,7 @@ class LifecycleManager:
             obs.set_gauge("lifecycle.challenger_version", record["version"])
 
     def _prune(self, t: int) -> None:
-        stream_span = self.stream.capacity if self.stream is not None else 0
-        horizon = t - stream_span - self.label_delay - 60
+        horizon = t - STREAM_CAPACITY - LABEL_DELAY - 60
         for tick in [k for k in self._outcomes if k < horizon]:
             del self._outcomes[tick]
         for tick in [k for k in self._pending if k < horizon]:

@@ -31,22 +31,33 @@ import numpy as np
 from repro import obs
 from repro.lifecycle.registry import corpus_fingerprint
 
-__all__ = ["StreamWindow", "RetrainConfig", "Retrainer"]
+__all__ = [
+    "STREAM_CAPACITY",
+    "MIN_ROWS",
+    "StreamWindow",
+    "RetrainConfig",
+    "Retrainer",
+]
+
+#: Ticks of classified batches the recent stream keeps.
+STREAM_CAPACITY = 240
+#: A retrain needs at least this many labeled rows.
+MIN_ROWS = 60
 
 
 class StreamWindow:
     """Rolling buffer of recent clean engineered feature batches.
 
     One entry per tick (the policy's whole classified batch, copied --
-    the fleet path reuses its feature matrix in place).  Capacity
-    bounds memory at O(capacity x batch x features).
+    the fleet path reuses its feature matrix in place), for the last
+    :data:`STREAM_CAPACITY` ticks, which bounds memory at
+    O(capacity x batch x features).
     """
 
-    def __init__(self, capacity: int = 240):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1.")
-        self.capacity = capacity
-        self._ticks: deque[tuple[int, np.ndarray]] = deque(maxlen=capacity)
+    def __init__(self):
+        self._ticks: deque[tuple[int, np.ndarray]] = deque(
+            maxlen=STREAM_CAPACITY
+        )
 
     def __len__(self) -> int:
         return len(self._ticks)
@@ -87,25 +98,19 @@ class StreamWindow:
             return np.empty((0, n_features)), np.empty(0, dtype=np.int64)
         return np.vstack(parts_X), np.concatenate(parts_y)
 
-    def clear(self) -> None:
-        self._ticks.clear()
-
 
 @dataclass
 class RetrainConfig:
-    """Knobs of one retraining round.
+    """What varies between runs of a retraining round.
 
     The recent stream always contributes its labeled rows, and the
     challenger keeps the champion's classifier settings.
     """
 
-    min_rows: int = 60  # refuse to retrain on less labeled evidence
     #: Interference scenarios mixed into the retrain corpus (see
     #: :data:`repro.datasets.interference.INTERFERENCE_SCENARIOS`);
     #: empty means stream-only retraining.
     interference_scenarios: tuple = ()
-    interference_duration: int = 120
-    calibration_duration: int = 100
     seed: int = 0
     n_jobs: int | None = None
 
@@ -113,8 +118,8 @@ class RetrainConfig:
 class Retrainer:
     """Builds a challenger from the recent stream + optional corpora."""
 
-    def __init__(self, config: RetrainConfig | None = None):
-        self.config = config or RetrainConfig()
+    def __init__(self, config: RetrainConfig):
+        self.config = config
 
     def retrain(
         self, champion, stream: StreamWindow, outcomes: dict[int, bool]
@@ -137,9 +142,11 @@ class Retrainer:
             if config.interference_scenarios:
                 from repro.datasets.generate import build_training_corpus
 
+                # 120-tick interference runs, each calibrated on a
+                # 100-tick ramp.
                 corpus = build_training_corpus(
-                    duration=config.interference_duration,
-                    calibration_duration=config.calibration_duration,
+                    duration=120,
+                    calibration_duration=100,
                     seed=config.seed,
                     runs=[],
                     interference_scenarios=list(config.interference_scenarios),
@@ -151,8 +158,7 @@ class Retrainer:
                 corpus_rows = int(engineered.shape[0])
                 parts_X.append(engineered)
                 parts_y.append(corpus.y.astype(np.int64))
-            total = stream_rows + corpus_rows
-            if total < config.min_rows:
+            if stream_rows + corpus_rows < MIN_ROWS:
                 return None
             X = np.vstack(parts_X)
             y = np.concatenate(parts_y)

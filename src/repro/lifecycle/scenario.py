@@ -21,8 +21,8 @@ alarm tick lands after the onset, not wherever a ramp happened to
 drift past the reference.
 
 The attached :class:`~repro.lifecycle.manager.LifecycleManager` must
-then detect the feature-distribution drift within its configured
-window, retrain a challenger on the recent stream (plus optional
+then detect the feature-distribution drift within its live window,
+retrain a challenger on the recent stream (plus optional
 interference corpora), shadow-evaluate it walk-forward, and promote it
 -- producing a promotion history that is bitwise identical at every
 ``n_jobs`` and across a mid-run kill-and-resume
@@ -44,17 +44,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.lifecycle.drift import DriftDetector
 from repro.lifecycle.manager import LifecycleManager
 from repro.lifecycle.registry import ModelRegistry
-from repro.lifecycle.retrain import RetrainConfig, Retrainer
-from repro.lifecycle.shadow import ShadowEvaluator
-from repro.lifecycle.tracker import ModelPerformanceTracker
+from repro.lifecycle.retrain import RetrainConfig
 
 __all__ = [
     "ANTAGONIST_DUTY",
     "ANTAGONIST_PERIOD",
     "ANTAGONIST_RATE",
+    "WORKLOAD_RATE",
     "DriftScenarioConfig",
     "DriftScenarioResult",
     "DriftScenarioRunner",
@@ -69,18 +67,20 @@ __all__ = [
 ANTAGONIST_PERIOD = 40
 ANTAGONIST_DUTY = 0.5
 ANTAGONIST_RATE = 100.0
+#: The stationary plateau (requests/s) before the onset step.
+WORKLOAD_RATE = 140.0
 
 
 @dataclass
 class DriftScenarioConfig:
     """What varies between runs of the seeded drift scenario.
 
-    Everything else -- the onset at 45% of the run, the 1.2x workload
-    step, the antagonist's bursts, the detector, tracker, shadow and
-    retrain settings -- is fixed where it is used
-    (:func:`scenario_workload`, :func:`antagonist_active`,
-    :func:`build_manager`), with the reason for each value.  All
-    durations are in ticks, never seconds.
+    Everything else -- the plateau, the onset at 45% of the run, the
+    1.2x workload step, the antagonist's bursts, the detector, tracker,
+    shadow and retrain settings -- is fixed where it is used
+    (:func:`scenario_workload`, :func:`antagonist_active` and the
+    :mod:`repro.lifecycle` modules), with the reason for each value.
+    All durations are in ticks, never seconds.
     """
 
     duration: int = 360
@@ -88,8 +88,6 @@ class DriftScenarioConfig:
     #: Antagonist kind squeezing the db/persistence node in bursts
     #: from the onset tick on (``None`` for none).
     antagonist: str | None = "membw"
-    #: The stationary plateau (requests/s) before the onset step.
-    workload_rate: float = 140.0
     #: Interference scenario ids (from
     #: :data:`repro.datasets.interference.INTERFERENCE_SCENARIOS`) mixed
     #: into the retrain corpus; empty keeps retraining stream-only.
@@ -145,9 +143,9 @@ class DriftScenarioResult:
 
 
 def scenario_workload(config: DriftScenarioConfig) -> np.ndarray:
-    """The stepped arrival plateau (requests/s per tick): 1.2x the
-    plateau from the onset on."""
-    shifted = np.full(config.duration, config.workload_rate, dtype=np.float64)
+    """The stepped arrival plateau (requests/s per tick): 1.2x
+    :data:`WORKLOAD_RATE` from the onset on."""
+    shifted = np.full(config.duration, WORKLOAD_RATE, dtype=np.float64)
     shifted[config.onset_tick:] *= 1.2
     return shifted
 
@@ -171,61 +169,6 @@ def _interference_scenarios(ids: tuple):
             f"{sorted(catalog)}."
         )
     return tuple(catalog[i] for i in ids)
-
-
-def build_manager(
-    model, registry, config: DriftScenarioConfig
-) -> LifecycleManager:
-    """The scenario's fully-wired lifecycle manager."""
-    return LifecycleManager(
-        model,
-        registry=registry,
-        # Window sizes are in *rows*, and the policy observes one row
-        # per container per tick (~7-13 for TeaStore with scale-out
-        # replicas).  Null-hypothesis PSI decays like
-        # (bins-1)(1/n_live + 1/n_ref); these sizes keep it far below
-        # the 0.25 alarm threshold, and the live window spans about two
-        # antagonist periods so the on/off mixture does not wobble the
-        # post-promotion reference.
-        detector=DriftDetector(
-            n_bins=10,
-            window=800,
-            reference_rows=800,
-            min_rows=400,
-            psi_threshold=0.25,
-            ks_threshold=0.35,
-            min_features=8,
-            patience=3,
-        ),
-        # The solo champion chronically over-flags this plateau (its
-        # corpus never contained TeaStore at steady state), so rolling
-        # agreement is pinned low from the start and is not a usable
-        # *trigger* here: the tracker stays observational
-        # (min_agreement 0) and the drift alarm is the trigger; the
-        # agreement trigger is covered by unit tests.
-        tracker=ModelPerformanceTracker(window=120, min_agreement=0.0),
-        # Near-ties go to the champion (min_margin): a late-run
-        # challenger retrained off the oscillating post-onset mixture
-        # scores within a point of the promoted champion, and without a
-        # margin it could flap the deployment on luck.
-        evaluator=ShadowEvaluator(window=24, wins_required=2, min_margin=0.05),
-        retrainer=Retrainer(
-            RetrainConfig(
-                min_rows=60,
-                interference_scenarios=_interference_scenarios(
-                    config.interference_scenario_ids
-                ),
-                interference_duration=120,
-                calibration_duration=100,
-                seed=config.seed,
-                n_jobs=config.n_jobs,
-            )
-        ),
-        stream_capacity=240,
-        label_delay=3,
-        retrain_cooldown=40,
-        shadow_patience=6,
-    )
 
 
 class DriftScenarioRunner:
@@ -256,11 +199,19 @@ class DriftScenarioRunner:
 
         self.config = config = config or DriftScenarioConfig()
         self.workload = scenario_workload(config)
-        self.manager = (
-            build_manager(model, ModelRegistry(registry_dir), config)
-            if config.lifecycle_enabled
-            else None
-        )
+        self.manager = None
+        if config.lifecycle_enabled:
+            self.manager = LifecycleManager(
+                model,
+                registry=ModelRegistry(registry_dir),
+                retrain=RetrainConfig(
+                    interference_scenarios=_interference_scenarios(
+                        config.interference_scenario_ids
+                    ),
+                    seed=config.seed,
+                    n_jobs=config.n_jobs,
+                ),
+            )
         simulation = teastore_simulation(config.seed)
         # The antagonist shares M2 with the db/persistence tier, where
         # the scale-outs land too.

@@ -2,9 +2,9 @@
 
 The challenger shadow-scores every tick but is only judged on
 *resolved* ticks -- those whose ground-truth outcome has arrived.
-Resolved ticks fill tumbling windows of ``window`` ticks; each window
-is scored once and never revisited, the walk-forward discipline that
-keeps the comparison honest on non-stationary streams.
+Resolved ticks fill tumbling windows of :data:`SHADOW_WINDOW` ticks;
+each window is scored once and never revisited, the walk-forward
+discipline that keeps the comparison honest on non-stationary streams.
 
 Predictions may be booleans (the tick-level verdict; scored 1 when it
 matches the outcome) or the *fraction of container rows flagged* that
@@ -16,10 +16,10 @@ container during a burst beats a champion that flags three chronic
 false positives, even though both have *some* row up every tick.
 
 Hysteresis keeps the serving model sticky: the challenger must beat
-the champion *strictly* by more than ``min_margin`` in
-``wins_required`` consecutive windows.  Ties and near-ties go to the
-champion, so a statistically indistinguishable challenger can never
-flap the deployment.
+the champion *strictly* by more than :data:`MIN_MARGIN` in
+:data:`WINS_REQUIRED` consecutive windows.  Ties and near-ties go to
+the champion, so a statistically indistinguishable challenger can
+never flap the deployment.
 """
 
 from __future__ import annotations
@@ -28,7 +28,23 @@ from dataclasses import dataclass
 
 from repro import obs
 
-__all__ = ["WindowResult", "ShadowEvaluator"]
+__all__ = [
+    "SHADOW_WINDOW",
+    "WINS_REQUIRED",
+    "MIN_MARGIN",
+    "WindowResult",
+    "ShadowEvaluator",
+]
+
+#: Resolved ticks per walk-forward window.
+SHADOW_WINDOW = 24
+#: Consecutive window wins that promote the challenger.
+WINS_REQUIRED = 2
+#: Near-ties go to the champion: in the drift scenario a late-run
+#: challenger retrained off the oscillating post-onset mixture scores
+#: within a point of the promoted champion, and without a margin it
+#: could flap the deployment on luck.
+MIN_MARGIN = 0.05
 
 
 @dataclass
@@ -46,28 +62,12 @@ class WindowResult:
 class ShadowEvaluator:
     """Tumbling-window accuracy duel between champion and challenger."""
 
-    def __init__(
-        self,
-        *,
-        window: int = 30,
-        wins_required: int = 2,
-        min_margin: float = 0.0,
-    ):
-        if window < 1:
-            raise ValueError("window must be >= 1.")
-        if wins_required < 1:
-            raise ValueError("wins_required must be >= 1.")
-        if min_margin < 0.0:
-            raise ValueError("min_margin must be >= 0.")
-        self.window = window
-        self.wins_required = wins_required
-        self.min_margin = min_margin
+    def __init__(self):
         self.windows: list[WindowResult] = []
         self.win_streak = 0
         self._champion_scores: list[float] = []
         self._challenger_scores: list[float] = []
         self._start_tick: int | None = None
-        self._last_tick: int | None = None
 
     @staticmethod
     def _score(pred, outcome: bool) -> float:
@@ -87,14 +87,13 @@ class ShadowEvaluator:
         outcome = bool(outcome)
         if self._start_tick is None:
             self._start_tick = t
-        self._last_tick = t
         self._champion_scores.append(self._score(champion_pred, outcome))
         self._challenger_scores.append(self._score(challenger_pred, outcome))
-        if len(self._champion_scores) < self.window:
+        if len(self._champion_scores) < SHADOW_WINDOW:
             return None
-        champion = sum(self._champion_scores) / self.window
-        challenger = sum(self._challenger_scores) / self.window
-        won = challenger > champion + self.min_margin
+        champion = sum(self._champion_scores) / SHADOW_WINDOW
+        challenger = sum(self._challenger_scores) / SHADOW_WINDOW
+        won = challenger > champion + MIN_MARGIN
         result = WindowResult(
             index=len(self.windows),
             start_tick=self._start_tick,
@@ -120,8 +119,8 @@ class ShadowEvaluator:
 
     @property
     def should_promote(self) -> bool:
-        """Challenger has won ``wins_required`` consecutive windows."""
-        return self.win_streak >= self.wins_required
+        """Challenger has won :data:`WINS_REQUIRED` consecutive windows."""
+        return self.win_streak >= WINS_REQUIRED
 
     def reset(self) -> None:
         """Start over (a new challenger entered shadow)."""
@@ -130,4 +129,3 @@ class ShadowEvaluator:
         self._champion_scores = []
         self._challenger_scores = []
         self._start_tick = None
-        self._last_tick = None

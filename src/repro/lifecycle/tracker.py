@@ -1,12 +1,15 @@
 """Prediction-vs-outcome agreement over ground-truth-delayed windows.
 
 Saturation ground truth (did the application actually violate its SLO
-around tick ``t``?) only becomes known ``label_delay`` ticks after the
+around tick ``t``?) only becomes known a few ticks after the
 prediction was served.  :class:`ModelPerformanceTracker` buffers each
 tick's verdict, accepts the outcome when the driver learns it, and
-maintains rolling agreement over the last ``window`` resolved ticks --
-the model-health signal that catches a *silently stale* model even
-when the feature distribution looks unremarkable.
+maintains rolling agreement over the last :data:`AGREEMENT_WINDOW`
+resolved ticks, published as the ``lifecycle.agreement`` gauge.  It
+observes only: the drift scenario's solo champion chronically
+over-flags its plateau (its corpus never contained TeaStore at steady
+state), so rolling agreement is pinned low from the start and is no
+usable retrain trigger; the drift alarm is the trigger.
 """
 
 from __future__ import annotations
@@ -15,29 +18,20 @@ from collections import deque
 
 from repro import obs
 
-__all__ = ["ModelPerformanceTracker"]
+__all__ = ["AGREEMENT_WINDOW", "MIN_RESOLVED", "ModelPerformanceTracker"]
+
+#: Resolved ticks the rolling agreement covers.
+AGREEMENT_WINDOW = 120
+#: Resolved ticks the window needs before agreement is reported.
+MIN_RESOLVED = 20
 
 
 class ModelPerformanceTracker:
     """Rolling agreement between served verdicts and delayed outcomes."""
 
-    def __init__(
-        self,
-        *,
-        window: int = 120,
-        min_agreement: float = 0.7,
-        min_resolved: int = 20,
-    ):
-        if window < 1:
-            raise ValueError("window must be >= 1.")
-        if not 0.0 <= min_agreement <= 1.0:
-            raise ValueError("min_agreement must be in [0, 1].")
-        self.window = window
-        self.min_agreement = min_agreement
-        self.min_resolved = min_resolved
+    def __init__(self):
         self._pending: dict[int, bool] = {}
-        self._resolved: deque[bool] = deque(maxlen=window)
-        self.resolved_total = 0
+        self._resolved: deque[bool] = deque(maxlen=AGREEMENT_WINDOW)
 
     def record(self, t: int, predicted: bool) -> None:
         """Buffer the verdict served at tick ``t``."""
@@ -55,7 +49,6 @@ class ModelPerformanceTracker:
             return None
         agreed = predicted == bool(outcome)
         self._resolved.append(agreed)
-        self.resolved_total += 1
         if obs.enabled():
             agreement = self.agreement()
             if agreement is not None:
@@ -68,20 +61,10 @@ class ModelPerformanceTracker:
 
     def agreement(self) -> float | None:
         """Mean agreement over the rolling window; ``None`` while the
-        window holds fewer than ``min_resolved`` settled ticks."""
-        if len(self._resolved) < self.min_resolved:
+        window holds fewer than :data:`MIN_RESOLVED` settled ticks."""
+        if len(self._resolved) < MIN_RESOLVED:
             return None
         return sum(self._resolved) / len(self._resolved)
-
-    def healthy(self) -> bool:
-        """False once rolling agreement drops below ``min_agreement``.
-
-        Insufficient evidence (fewer than ``min_resolved`` resolved
-        ticks) counts as healthy -- an empty window is not a failing
-        model.
-        """
-        agreement = self.agreement()
-        return agreement is None or agreement >= self.min_agreement
 
     def reset(self) -> None:
         """Forget everything (a new champion starts with a clean slate)."""

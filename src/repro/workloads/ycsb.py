@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.patterns import constant, linear_ramp
+from repro.workloads.patterns import constant
 
 __all__ = ["YcsbMix", "YCSB_MIXES", "YcsbWorkload"]
 
@@ -104,8 +104,3 @@ class YcsbWorkload:
                 [series, constant(self.duration - series.size, levels[-1])]
             )
         return series
-
-    def calibration_ramp(self) -> np.ndarray:
-        """Linear ramp across the range for Kneedle threshold discovery."""
-        low, high = self.rate_range
-        return linear_ramp(self.duration, low, high * 1.2)

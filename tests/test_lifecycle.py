@@ -34,6 +34,20 @@ from repro.lifecycle import (
     quantile_edges,
     scenario_workload,
 )
+from repro.lifecycle.drift import (
+    MIN_FEATURES,
+    MIN_ROWS,
+    PATIENCE,
+    PSI_THRESHOLD,
+    REFERENCE_ROWS,
+    WINDOW_ROWS,
+)
+from repro.lifecycle.manager import LABEL_DELAY
+from repro.lifecycle.retrain import MIN_ROWS as RETRAIN_MIN_ROWS
+from repro.lifecycle.retrain import STREAM_CAPACITY
+from repro.lifecycle.scenario import WORKLOAD_RATE
+from repro.lifecycle.shadow import MIN_MARGIN, SHADOW_WINDOW, WINS_REQUIRED
+from repro.lifecycle.tracker import AGREEMENT_WINDOW, MIN_RESOLVED
 from tests.drift_reference import batch_ks, batch_psi
 
 
@@ -135,140 +149,174 @@ class TestDriftPrimitives:
 # ----------------------------------------------------------------------
 # DriftDetector
 # ----------------------------------------------------------------------
-def _detector(**overrides):
-    kwargs = dict(
-        n_bins=5,
-        window=40,
-        reference_rows=40,
-        min_rows=10,
-        min_features=1,
-        patience=2,
-    )
-    kwargs.update(overrides)
-    return DriftDetector(**kwargs)
+WIDTH = MIN_FEATURES  # every feature must shift for a check to count
+
+
+def _feed(detector, rows):
+    """Update with fully observed rows."""
+    detector.update(rows, np.ones(rows.shape[0]))
+
+
+def _frozen(rng):
+    """A detector whose reference is frozen on standard normal rows."""
+    detector = DriftDetector()
+    _feed(detector, rng.normal(size=(REFERENCE_ROWS, WIDTH)))
+    assert detector.fitted
+    return detector
 
 
 class TestDriftDetector:
     def test_reference_collects_from_stream(self):
         rng = np.random.default_rng(0)
-        detector = _detector()
-        for _ in range(3):
+        detector = DriftDetector()
+        for _ in range(4):
             assert not detector.fitted
-            detector.update(rng.normal(size=(15, 4)))
+            _feed(detector, rng.normal(size=(REFERENCE_ROWS // 4, WIDTH)))
         assert detector.fitted
 
     def test_never_alarms_before_reference_or_min_rows(self):
-        detector = _detector()
+        detector = DriftDetector()
         status = detector.check()
         assert not status.drifted and status.n_rows == 0
         rng = np.random.default_rng(1)
-        detector.update(rng.normal(size=(40, 4)))  # freezes reference
-        detector.update(rng.normal(loc=9.0, size=(5, 4)))  # < min_rows
-        status = detector.check()
-        assert not status.drifted
-        assert status.n_rows == 5
+        _feed(detector, rng.normal(size=(REFERENCE_ROWS, WIDTH)))  # freezes
+        _feed(detector, rng.normal(loc=9.0, size=(MIN_ROWS - 1, WIDTH)))
+        for _ in range(PATIENCE):
+            status = detector.check()
+            assert not status.drifted
+        assert status.n_rows == MIN_ROWS - 1
 
     def test_patience_gates_the_alarm(self):
         rng = np.random.default_rng(2)
-        detector = _detector()
-        detector.update(rng.normal(size=(40, 4)))
-        detector.update(rng.normal(loc=9.0, size=(20, 4)))
-        first = detector.check()
-        assert not first.drifted and first.consecutive == 1
-        second = detector.check()
-        assert second.drifted and second.consecutive == 2
-        assert second.features_shifted >= 1
-        assert second.psi_max > 0.25
+        detector = _frozen(rng)
+        _feed(detector, rng.normal(loc=9.0, size=(MIN_ROWS, WIDTH)))
+        for consecutive in range(1, PATIENCE):
+            status = detector.check()
+            assert not status.drifted and status.consecutive == consecutive
+        status = detector.check()
+        assert status.drifted and status.consecutive == PATIENCE
+        assert status.features_shifted == WIDTH
+        assert status.psi_max > PSI_THRESHOLD
+
+    def test_too_few_shifted_features_never_alarm(self):
+        rng = np.random.default_rng(3)
+        detector = _frozen(rng)
+        rows = rng.normal(size=(MIN_ROWS, WIDTH))
+        rows[:, 1:] += 9.0  # all but one feature shift
+        _feed(detector, rows)
+        for _ in range(PATIENCE + 1):
+            status = detector.check()
+            assert not status.drifted
+        assert status.features_shifted == MIN_FEATURES - 1
 
     def test_all_imputed_rows_never_alarm(self):
         """A chaos blackout (completeness < 1 everywhere) adds no
         evidence: the live window stays empty and the alarm off."""
-        rng = np.random.default_rng(3)
-        detector = _detector()
-        detector.update(rng.normal(size=(40, 4)))
-        shifted = rng.normal(loc=9.0, size=(30, 4))
-        detector.update(shifted, completeness=np.zeros(30))
-        assert detector.rows_skipped == 30
+        rng = np.random.default_rng(4)
+        detector = _frozen(rng)
+        shifted = rng.normal(loc=9.0, size=(MIN_ROWS, WIDTH))
+        detector.update(shifted, np.zeros(MIN_ROWS))
+        assert detector.rows_skipped == MIN_ROWS
         assert len(detector.live) == 0
-        for _ in range(5):
+        for _ in range(PATIENCE + 2):
             assert not detector.check().drifted
 
     def test_partial_completeness_keeps_clean_rows_only(self):
-        rng = np.random.default_rng(4)
-        detector = _detector()
-        detector.update(rng.normal(size=(40, 4)))
-        rows = rng.normal(size=(10, 4))
+        rng = np.random.default_rng(5)
+        detector = _frozen(rng)
+        rows = rng.normal(size=(10, WIDTH))
         completeness = np.array([1.0] * 4 + [0.5] * 6)
-        detector.update(rows, completeness=completeness)
+        detector.update(rows, completeness)
         assert len(detector.live) == 4
         assert detector.rows_skipped == 6
 
     def test_completeness_length_mismatch_raises(self):
-        detector = _detector()
+        detector = DriftDetector()
         with pytest.raises(ValueError, match="completeness"):
-            detector.update(np.ones((3, 4)), completeness=np.ones(2))
+            detector.update(np.ones((3, WIDTH)), np.ones(2))
 
     def test_reset_reference_recollects(self):
-        rng = np.random.default_rng(5)
-        detector = _detector()
-        detector.update(rng.normal(size=(40, 4)))
-        assert detector.fitted
+        rng = np.random.default_rng(6)
+        detector = _frozen(rng)
         detector.reset_reference()
         assert not detector.fitted and detector.live is None
-        detector.update(rng.normal(loc=9.0, size=(40, 4)))
+        _feed(detector, rng.normal(loc=9.0, size=(REFERENCE_ROWS, WIDTH)))
         assert detector.fitted  # new baseline is the shifted regime
-        detector.update(rng.normal(loc=9.0, size=(15, 4)))
-        assert not detector.check().drifted
+        _feed(detector, rng.normal(loc=9.0, size=(MIN_ROWS, WIDTH)))
+        for _ in range(PATIENCE):
+            assert not detector.check().drifted
 
-    def test_single_row_window(self):
-        rng = np.random.default_rng(6)
-        detector = _detector(window=1, min_rows=1, patience=1)
-        detector.update(rng.normal(size=(40, 2)))
-        detector.update(np.array([[99.0, 99.0]]))
-        assert detector.check().drifted
+    def test_live_window_holds_the_last_rows(self):
+        """A shifted stretch alarms; once as many healthy rows have
+        pushed it out of the live window, its evidence is gone."""
+        rng = np.random.default_rng(7)
+        detector = _frozen(rng)
+        _feed(detector, rng.normal(loc=9.0, size=(WINDOW_ROWS, WIDTH)))
+        for _ in range(PATIENCE):
+            status = detector.check()
+        assert status.drifted
+        _feed(detector, rng.normal(size=(WINDOW_ROWS, WIDTH)))
+        assert len(detector.live) == WINDOW_ROWS
+        status = detector.check()
+        assert not status.drifted and status.features_shifted == 0
 
 
 # ----------------------------------------------------------------------
 # Tracker / shadow evaluator
 # ----------------------------------------------------------------------
-class TestTracker:
-    def test_insufficient_evidence_counts_as_healthy(self):
-        tracker = ModelPerformanceTracker(window=10, min_resolved=5)
-        for t in range(4):
-            tracker.record(t, True)
-            tracker.resolve(t, False)
-        assert tracker.agreement() is None
-        assert tracker.healthy()
+def _resolve(tracker, ticks, agreed):
+    for t in ticks:
+        tracker.record(t, True)
+        tracker.resolve(t, agreed)
 
-    def test_agreement_collapse_flips_health(self):
-        tracker = ModelPerformanceTracker(
-            window=10, min_agreement=0.6, min_resolved=5
-        )
-        for t in range(10):
-            tracker.record(t, True)
-            tracker.resolve(t, t % 2 == 0)
-        assert tracker.agreement() == 0.5
-        assert not tracker.healthy()
+
+class TestTracker:
+    def test_agreement_needs_min_resolved_ticks(self):
+        tracker = ModelPerformanceTracker()
+        _resolve(tracker, range(MIN_RESOLVED - 1), False)
+        assert tracker.agreement() is None
+        _resolve(tracker, [MIN_RESOLVED - 1], True)
+        assert tracker.agreement() == 1.0 / MIN_RESOLVED
+
+    def test_agreement_rolls_over_the_window(self):
+        tracker = ModelPerformanceTracker()
+        _resolve(tracker, range(10), False)
+        _resolve(tracker, range(10, 10 + AGREEMENT_WINDOW), True)
+        assert tracker.agreement() == 1.0
 
     def test_unknown_tick_resolves_to_none(self):
         tracker = ModelPerformanceTracker()
         assert tracker.resolve(99, True) is None
 
     def test_reset_clears_window(self):
-        tracker = ModelPerformanceTracker(min_resolved=1)
-        tracker.record(0, True)
-        tracker.resolve(0, True)
+        tracker = ModelPerformanceTracker()
+        _resolve(tracker, range(MIN_RESOLVED), True)
+        tracker.record(MIN_RESOLVED, True)
         tracker.reset()
         assert tracker.agreement() is None
         assert tracker.pending_count == 0
 
 
+def _shadow_window(evaluator, champion_misses, start=0):
+    """Resolve one window of violated ticks: the challenger always flags,
+    the champion misses the first ``champion_misses`` ticks."""
+    result = None
+    for i in range(SHADOW_WINDOW):
+        result = evaluator.resolve(start + i, i >= champion_misses, True, True)
+    return result
+
+
 class TestShadowEvaluator:
     def test_bool_predictions_score_exact_accuracy(self):
-        evaluator = ShadowEvaluator(window=4, wins_required=1)
-        for t, outcome in enumerate([True, True, False, False]):
-            result = evaluator.resolve(t, True, outcome, outcome)
-        assert result is not None
+        evaluator = ShadowEvaluator()
+        outcomes = [t % 2 == 0 for t in range(SHADOW_WINDOW)]
+        results = [
+            evaluator.resolve(t, True, outcome, outcome)
+            for t, outcome in enumerate(outcomes)
+        ]
+        assert results[:-1] == [None] * (SHADOW_WINDOW - 1)
+        result = results[-1]
+        assert (result.start_tick, result.end_tick) == (0, SHADOW_WINDOW - 1)
         assert result.champion_accuracy == 0.5
         assert result.challenger_accuracy == 1.0
         assert result.challenger_won
@@ -276,37 +324,35 @@ class TestShadowEvaluator:
     def test_fraction_predictions_score_per_row(self):
         """A flagged fraction scores each row against the outcome:
         fraction when the SLO broke, 1 - fraction when it held."""
-        evaluator = ShadowEvaluator(window=2, wins_required=1)
-        evaluator.resolve(0, 0.25, 1.0, True)
-        result = evaluator.resolve(1, 0.25, 0.0, False)
+        evaluator = ShadowEvaluator()
+        for t in range(SHADOW_WINDOW):
+            violated = t % 2 == 0
+            result = evaluator.resolve(t, 0.25, float(violated), violated)
         assert result.champion_accuracy == pytest.approx((0.25 + 0.75) / 2)
         assert result.challenger_accuracy == 1.0
 
     def test_ties_go_to_the_champion(self):
-        evaluator = ShadowEvaluator(window=2, wins_required=1, min_margin=0.0)
-        evaluator.resolve(0, True, True, True)
-        result = evaluator.resolve(1, True, True, True)
+        evaluator = ShadowEvaluator()
+        result = _shadow_window(evaluator, champion_misses=0)
         assert not result.challenger_won
         assert not evaluator.should_promote
 
     def test_min_margin_hysteresis(self):
-        evaluator = ShadowEvaluator(window=2, wins_required=1, min_margin=0.3)
-        evaluator.resolve(0, False, True, True)
-        result = evaluator.resolve(1, True, True, True)  # 0.5 vs 1.0
-        assert result.challenger_won
+        """One miss in a window is within the margin, two are not."""
+        assert 1 / SHADOW_WINDOW < MIN_MARGIN < 2 / SHADOW_WINDOW
+        evaluator = ShadowEvaluator()
+        assert not _shadow_window(evaluator, champion_misses=1).challenger_won
         evaluator.reset()
-        evaluator.resolve(0, False, True, True)
-        result = evaluator.resolve(1, True, False, True)  # 0.5 vs 0.5
-        assert not result.challenger_won
+        assert _shadow_window(evaluator, champion_misses=2).challenger_won
 
     def test_win_streak_must_be_consecutive(self):
-        evaluator = ShadowEvaluator(window=1, wins_required=2)
-        evaluator.resolve(0, False, True, True)  # win
-        assert not evaluator.should_promote
-        evaluator.resolve(1, True, False, True)  # loss resets streak
-        evaluator.resolve(2, False, True, True)  # win
-        assert not evaluator.should_promote
-        evaluator.resolve(3, False, True, True)  # second consecutive win
+        assert WINS_REQUIRED == 2
+        evaluator = ShadowEvaluator()
+        for index, misses in enumerate([SHADOW_WINDOW, 0, SHADOW_WINDOW]):
+            # win, tie (which resets the streak), win
+            _shadow_window(evaluator, misses, start=index * SHADOW_WINDOW)
+            assert not evaluator.should_promote
+        _shadow_window(evaluator, SHADOW_WINDOW, start=3 * SHADOW_WINDOW)
         assert evaluator.should_promote
         assert evaluator.windows_completed == 4
 
@@ -316,7 +362,7 @@ class TestShadowEvaluator:
 # ----------------------------------------------------------------------
 class TestStreamWindow:
     def test_labeled_skips_unknown_ticks(self):
-        stream = StreamWindow(capacity=10)
+        stream = StreamWindow()
         stream.push(0, np.ones((2, 3)))
         stream.push(1, np.full((3, 3), 2.0))
         X, y = stream.labeled({1: True})
@@ -324,14 +370,15 @@ class TestStreamWindow:
         assert y.tolist() == [1, 1, 1]
 
     def test_capacity_evicts_oldest_tick(self):
-        stream = StreamWindow(capacity=2)
-        for t in range(5):
+        stream = StreamWindow()
+        ticks = range(STREAM_CAPACITY + 2)
+        for t in ticks:
             stream.push(t, np.full((1, 2), float(t)))
-        X, y = stream.labeled({t: False for t in range(5)})
-        assert X[:, 0].tolist() == [3.0, 4.0]
+        X, y = stream.labeled({t: False for t in ticks})
+        assert X[:, 0].tolist() == [float(t) for t in ticks[2:]]
 
     def test_empty_window_labels_to_empty(self):
-        stream = StreamWindow(capacity=4)
+        stream = StreamWindow()
         X, y = stream.labeled({0: True})
         assert X.shape[0] == 0 and y.shape[0] == 0
 
@@ -339,7 +386,7 @@ class TestStreamWindow:
 class TestRetrainer:
     def _stream(self, model, rng, positives=30, negatives=30):
         width = model.n_engineered_features_
-        stream = StreamWindow(capacity=100)
+        stream = StreamWindow()
         outcomes = {}
         for t in range(positives):
             stream.push(t, rng.normal(loc=4.0, size=(1, width)))
@@ -351,24 +398,29 @@ class TestRetrainer:
 
     def test_insufficient_rows_returns_none(self, tiny_model):
         rng = np.random.default_rng(0)
-        retrainer = Retrainer(RetrainConfig(min_rows=1000))
-        stream, outcomes = self._stream(tiny_model, rng)
+        retrainer = Retrainer(RetrainConfig())
+        stream, outcomes = self._stream(
+            tiny_model, rng, negatives=RETRAIN_MIN_ROWS - 31
+        )
         assert retrainer.retrain(tiny_model, stream, outcomes) is None
 
     def test_single_class_evidence_returns_none(self, tiny_model):
         rng = np.random.default_rng(1)
-        retrainer = Retrainer(RetrainConfig(min_rows=10))
-        stream, outcomes = self._stream(tiny_model, rng, positives=0)
+        retrainer = Retrainer(RetrainConfig())
+        stream, outcomes = self._stream(
+            tiny_model, rng, positives=0, negatives=RETRAIN_MIN_ROWS
+        )
         assert retrainer.retrain(tiny_model, stream, outcomes) is None
 
     def test_challenger_shares_frozen_pipeline(self, tiny_model):
         rng = np.random.default_rng(2)
-        retrainer = Retrainer(RetrainConfig(min_rows=10))
+        retrainer = Retrainer(RetrainConfig())
         stream, outcomes = self._stream(tiny_model, rng)
         challenger, info = retrainer.retrain(tiny_model, stream, outcomes)
         assert challenger.pipeline_ is tiny_model.pipeline_
         assert challenger.classifier_ is not tiny_model.classifier_
-        assert info["stream_rows"] == 60 and info["corpus_rows"] == 0
+        assert info["stream_rows"] == RETRAIN_MIN_ROWS
+        assert info["corpus_rows"] == 0
         assert 0.0 < info["positive_fraction"] < 1.0
         assert len(info["corpus_fingerprint"]) == 64
 
@@ -519,47 +571,48 @@ class TestModelRegistry:
 # ----------------------------------------------------------------------
 # Manager (no simulation)
 # ----------------------------------------------------------------------
+def _manager(model, root) -> LifecycleManager:
+    return LifecycleManager(
+        model, registry=ModelRegistry(root), retrain=RetrainConfig()
+    )
+
+
 class TestLifecycleManager:
     def test_bootstrap_registers_champion(self, tiny_model, tmp_path):
-        manager = LifecycleManager(tiny_model, registry=tmp_path)
+        manager = _manager(tiny_model, tmp_path)
         assert manager.champion_version == 1
         assert manager.registry.champion()["reason"] == "bootstrap"
         assert manager.challenger is None
 
     def test_empty_batch_is_ignored(self, tiny_model, tmp_path):
-        manager = LifecycleManager(tiny_model, registry=tmp_path)
+        manager = _manager(tiny_model, tmp_path)
         width = tiny_model.n_engineered_features_
-        assert manager.observe(0, np.empty((0, width)), []) is None
+        empty = np.empty((0, width))
+        assert manager.observe(0, empty, [], np.empty(0)) is None
         assert manager._pending == {}
 
     def test_outcomes_resolve_after_label_delay(self, tiny_model, tmp_path):
-        manager = LifecycleManager(
-            tiny_model, registry=tmp_path, label_delay=2
-        )
-        manager.tracker.min_resolved = 1
+        manager = _manager(tiny_model, tmp_path)
         width = tiny_model.n_engineered_features_
         rows = np.zeros((3, width))
-        manager.observe(0, rows, [True, False, False])
-        manager.outcome(0, True)
-        manager.step(0)
-        manager.step(1)
-        assert manager.tracker.agreement() is None  # not matured yet
-        manager.step(2)
+        last = MIN_RESOLVED - 1
+        for t in range(last + LABEL_DELAY):
+            if t <= last:
+                manager.observe(t, rows, [True, False, False], np.ones(3))
+                manager.outcome(t, True)
+            manager.step(t)
+        assert manager.tracker.agreement() is None  # tick `last` is pending
+        manager.step(last + LABEL_DELAY)
         assert manager.tracker.agreement() == 1.0
 
     def test_imputed_rows_stay_out_of_stream(self, tiny_model, tmp_path):
-        manager = LifecycleManager(
-            tiny_model,
-            registry=tmp_path,
-            detector=_detector(),
-            retrainer=Retrainer(RetrainConfig(min_rows=10)),
-        )
+        manager = _manager(tiny_model, tmp_path)
         width = tiny_model.n_engineered_features_
         rows = np.ones((4, width))
-        manager.observe(0, rows, [False] * 4, completeness=np.zeros(4))
+        manager.observe(0, rows, [False] * 4, np.zeros(4))
         assert len(manager.stream) == 0
         assert manager.detector.rows_skipped == 4
-        manager.observe(1, rows, [False] * 4, completeness=np.ones(4))
+        manager.observe(1, rows, [False] * 4, np.ones(4))
         assert manager.stream.row_count == 4
 
 
@@ -578,7 +631,7 @@ class TestPolicyWiring:
         from repro.orchestrator.policies import MonitorlessPolicy
         from repro.telemetry.agent import TelemetryAgent
 
-        manager = LifecycleManager(tiny_model, registry=tmp_path)
+        manager = _manager(tiny_model, tmp_path)
         with pytest.raises(ValueError, match="streaming"):
             MonitorlessPolicy(
                 tiny_model, TelemetryAgent(seed=0), streaming=False,
@@ -667,7 +720,7 @@ class _HookSpy:
         self.champion = champion
         self.calls = []
 
-    def observe(self, t, features, flags, completeness=None):
+    def observe(self, t, features, flags, completeness):
         self.calls.append(("observe", t))
 
     def outcome(self, t, violated):
@@ -788,10 +841,10 @@ def scenario_result(tiny_model, tmp_path_factory):
 
 class TestDriftScenario:
     def test_workload_steps_at_onset(self):
-        config = DriftScenarioConfig(duration=100, workload_rate=50.0)
+        config = DriftScenarioConfig(duration=100)
         workload = scenario_workload(config)
-        assert workload[: config.onset_tick].tolist() == [50.0] * 45
-        assert np.allclose(workload[config.onset_tick :], 60.0)
+        assert workload[: config.onset_tick].tolist() == [WORKLOAD_RATE] * 45
+        assert np.allclose(workload[config.onset_tick :], 1.2 * WORKLOAD_RATE)
         assert not antagonist_active(config, config.onset_tick - 1)
         assert antagonist_active(config, config.onset_tick)
         off = config.onset_tick + int(ANTAGONIST_DUTY * ANTAGONIST_PERIOD)
@@ -808,6 +861,38 @@ class TestDriftScenario:
         assert result.promoted
         assert result.promotion_tick > result.retrain_tick
         assert result.champion_version == 2
+
+    def test_default_scenario_outcome_is_pinned(self, scenario_result):
+        """Every decision of the default scenario on ``tiny_model``:
+        two drift alarms, two retrains, one promotion, and the loop's
+        SLO violations and scale-outs (model fingerprints are left out:
+        they hash pickles whose bytes follow numpy's module paths)."""
+        history = [
+            (entry["tick"], entry["event"], entry["version"], entry["reason"])
+            for entry in scenario_result.history
+        ]
+        assert history == [
+            (180, "drift", None,
+             "33 features shifted (psi_max=0.376, ks_max=0.216)"),
+            (180, "retrain", 2, "drift: 2341 stream + 0 corpus rows"),
+            (231, "promote", 2, "won 2 consecutive windows vs v1"),
+            (310, "drift", None,
+             "66 features shifted (psi_max=0.860, ks_max=0.243)"),
+            (310, "retrain", 3, "drift: 3333 stream + 0 corpus rows"),
+        ]
+        events = [
+            (event["tick"], event["version"], event["from"], event["to"],
+             event["reason"])
+            for event in scenario_result.registry_events
+        ]
+        assert events == [
+            (180, 2, "candidate", "shadow", "drift"),
+            (231, 1, "champion", "retired", "superseded by v2"),
+            (231, 2, "shadow", "champion", "shadow-win"),
+            (310, 3, "candidate", "shadow", "drift"),
+        ]
+        assert scenario_result.violations == 115
+        assert scenario_result.scale_outs == 21
 
     def test_registry_end_state(self, scenario_result):
         stages = {
