@@ -29,10 +29,10 @@ def test_fig2_kneedle(benchmark, table_printer):
     load, observed = _ramp_run()
 
     result = benchmark.pedantic(
-        lambda: kneedle(load, observed, window_length=21), rounds=3, iterations=1
+        lambda: kneedle(load, observed), rounds=3, iterations=1
     )
 
-    labeler = KneedleLabeler(window_length=21).fit(load, observed)
+    labeler = KneedleLabeler().fit(load, observed)
     # Emit the three series of the figure at a coarse resolution.
     rows = []
     for index in range(0, len(load), len(load) // 12):

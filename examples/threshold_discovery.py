@@ -42,7 +42,7 @@ def main() -> None:
         1.0 + rng.normal(0.0, 0.02, duration)
     )
 
-    labeler = KneedleLabeler(window_length=21).fit(load, observed)
+    labeler = KneedleLabeler().fit(load, observed)
     knee = labeler.knee_
 
     print("Observed (*) and smoothed (o) throughput vs load, "

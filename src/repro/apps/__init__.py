@@ -19,11 +19,6 @@ Evaluation applications (section 4, never used for training):
 """
 
 from repro.apps.base import ApplicationModel, ServiceSpec
-from repro.apps.callgraph import (
-    CallGraph,
-    sockshop_call_graph,
-    teastore_call_graph,
-)
 from repro.apps.cassandra import cassandra_application
 from repro.apps.elgg import elgg_application
 from repro.apps.memcache import memcache_application
@@ -40,7 +35,4 @@ __all__ = [
     "elgg_application",
     "teastore_application",
     "sockshop_application",
-    "CallGraph",
-    "teastore_call_graph",
-    "sockshop_call_graph",
 ]

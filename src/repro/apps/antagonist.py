@@ -18,7 +18,7 @@ models explicitly:
 - ``"disk"``: large sequential + seek-bound IO -> disk-queue
   interference (``disk.all.aveq`` and the iowait family).
 
-Intensity 1.0 is calibrated so that :data:`ANTAGONIST_RATE` requests/s
+Each stressor is sized so that :data:`ANTAGONIST_RATE` requests/s
 oversubscribe the targeted resource on an M3-class node (8 cores,
 400 MB/s disk, 10 GB/s DRAM budget) roughly 1.5x.
 """
@@ -34,21 +34,19 @@ __all__ = [
     "antagonist_name",
 ]
 
-#: The canonical driving rate (requests/s) for intensity calibration.
+#: The canonical driving rate (requests/s) the stressors are sized for.
 ANTAGONIST_RATE = 100.0
 
 ANTAGONIST_KINDS = ("cpu", "membw", "disk")
 
 
-def antagonist_service(kind: str, intensity: float = 1.0) -> ServiceSpec:
+def antagonist_service(kind: str) -> ServiceSpec:
     """The stressor's service spec for one contention ``kind``."""
-    if intensity <= 0:
-        raise ValueError("intensity must be positive.")
     if kind == "cpu":
         # 100 req/s * 0.12 core-s = 12 cores demanded on an 8-core node.
         return ServiceSpec(
             name="antagonist-cpu",
-            cpu_seconds=0.12 * intensity,
+            cpu_seconds=0.12,
             base_latency=0.002,
             mem_base_bytes=64e6,
             mem_per_connection_bytes=1e4,
@@ -60,25 +58,25 @@ def antagonist_service(kind: str, intensity: float = 1.0) -> ServiceSpec:
         # 100 req/s * 150 MB = 15 GB/s against a 10 GB/s DRAM budget.
         return ServiceSpec(
             name="antagonist-membw",
-            cpu_seconds=0.004 * intensity,
+            cpu_seconds=0.004,
             base_latency=0.002,
             mem_base_bytes=256e6,
             mem_per_connection_bytes=1e4,
             net_in_bytes=100.0,
             net_out_bytes=100.0,
-            mem_bandwidth_bytes=150e6 * intensity,
+            mem_bandwidth_bytes=150e6,
         )
     if kind == "disk":
         # 100 req/s * 6 MB = 600 MB/s against a 400 MB/s disk.
         return ServiceSpec(
             name="antagonist-disk",
-            cpu_seconds=0.002 * intensity,
+            cpu_seconds=0.002,
             base_latency=0.004,
             mem_base_bytes=128e6,
             mem_per_connection_bytes=1e4,
-            disk_read_bytes=4e6 * intensity,
-            disk_write_bytes=2e6 * intensity,
-            serial_io_seconds=0.002 * intensity,
+            disk_read_bytes=4e6,
+            disk_write_bytes=2e6,
+            serial_io_seconds=0.002,
             net_in_bytes=100.0,
             net_out_bytes=100.0,
             mem_bandwidth_bytes=1e5,
@@ -93,8 +91,8 @@ def antagonist_name(kind: str) -> str:
     return f"antagonist-{kind}"
 
 
-def antagonist_application(kind: str, intensity: float = 1.0) -> ApplicationModel:
+def antagonist_application(kind: str) -> ApplicationModel:
     """A single-service noisy-neighbour application."""
     application = ApplicationModel(name=antagonist_name(kind))
-    application.add_service(antagonist_service(kind, intensity))
+    application.add_service(antagonist_service(kind))
     return application

@@ -9,11 +9,14 @@ curve:
 1. smooth ``f(alpha) = beta`` with a Savitzky-Golay filter;
 2. normalize both axes to the unit square;
 3. compute the difference curve ``beta_i - alpha_i``;
-4. candidate knees are the local maxima of that curve; the chosen
-   maximum's KPI value is the saturation threshold ``Upsilon``.
+4. candidate knees are the local maxima of that curve; the highest
+   maximum's KPI value, less a small margin, is the saturation
+   threshold ``Upsilon``.
 
 Samples with KPI above ``Upsilon`` are labeled saturated (1), the rest
-non-saturated (0).
+non-saturated (0).  Every KPI calibrated here is a throughput, which
+rises with the load; the paper flips both axes for a KPI that falls
+instead.
 """
 
 from __future__ import annotations
@@ -31,10 +34,20 @@ __all__ = [
     "savitzky_golay",
 ]
 
+#: Savitzky-Golay window (points) and polynomial order.  The paper tunes
+#: them by visual inspection; every calibration here smooths its KPI's
+#: observation noise with a 21-point cubic fit.
+SMOOTHING_WINDOW = 21
+SMOOTHING_ORDER = 3
 
-def savitzky_golay(
-    values: np.ndarray, window_length: int = 11, polyorder: int = 3
-) -> np.ndarray:
+#: Relative slack under the knee.  A saturated system's throughput sits
+#: *at* capacity, i.e. essentially at the knee, so the threshold is
+#: placed 2% below it to keep capacity-pinned samples on the saturated
+#: side of the measurement noise.
+MARGIN = 0.02
+
+
+def savitzky_golay(values: np.ndarray) -> np.ndarray:
     """Savitzky-Golay smoothing with defensive window handling.
 
     The window is clipped to the series length (and forced odd), so
@@ -46,11 +59,9 @@ def savitzky_golay(
     n = values.size
     if n < 3:
         return values.copy()
-    window = min(window_length, n if n % 2 == 1 else n - 1)
-    if window % 2 == 0:
-        window -= 1
+    window = min(SMOOTHING_WINDOW, n if n % 2 == 1 else n - 1)
     window = max(window, 3)
-    order = min(polyorder, window - 1)
+    order = min(SMOOTHING_ORDER, window - 1)
     return savgol_filter(values, window_length=window, polyorder=order)
 
 
@@ -91,8 +102,9 @@ class KneeResult:
     knee_index:
         Index of the chosen knee in the input arrays.
     knee_x, knee_y:
-        Workload intensity and raw KPI value at the knee (``knee_y`` is
-        the saturation threshold :math:`\\Upsilon`).
+        Workload intensity and smoothed KPI value at the knee (the
+        saturation threshold :math:`\\Upsilon` is ``knee_y`` less
+        :data:`MARGIN`).
     smoothed:
         The Savitzky-Golay-smoothed KPI curve.
     difference:
@@ -109,28 +121,12 @@ class KneeResult:
     candidates: np.ndarray
 
 
-def kneedle(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    window_length: int = 11,
-    polyorder: int = 3,
-    concave_down: bool = False,
-    choose: int | None = None,
-) -> KneeResult:
+def kneedle(x: np.ndarray, y: np.ndarray) -> KneeResult:
     """Find the knee of a KPI-vs-workload curve.
 
-    Parameters
-    ----------
-    x, y:
-        Workload intensity and observed KPI.
-    concave_down:
-        Set when the curve has negative concavity; the paper flips
-        both axes (``v <- max(v) - v``) and applies the same method.
-    choose:
-        The paper "manually chooses" among candidate local maxima; pass
-        an index into ``result.candidates`` to override the default of
-        taking the global maximum of the difference curve.
+    ``x`` is the workload intensity, ``y`` the observed KPI.  Where the
+    paper "manually chooses" among the difference curve's local maxima,
+    this takes the highest.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -139,31 +135,14 @@ def kneedle(
     if x.size < 5:
         raise ValueError("Need at least 5 points to locate a knee.")
 
-    smoothed = savitzky_golay(y, window_length, polyorder)
-    x_work = x.copy()
-    y_work = smoothed.copy()
-    if concave_down:
-        x_work = np.max(x_work) - x_work
-        y_work = np.max(y_work) - y_work
-
-    alpha = _normalize_unit(x_work)
-    beta = _normalize_unit(y_work)
-    difference = beta - alpha
-
+    smoothed = savitzky_golay(y)
+    difference = _normalize_unit(smoothed) - _normalize_unit(x)
     candidates = _local_maxima(difference)
     if candidates.size == 0:
         # Degenerate (e.g. perfectly linear) curve: fall back to the
         # global maximum of the difference curve.
-        knee_index = int(np.argmax(difference))
-        candidates = np.asarray([knee_index], dtype=np.int64)
-    if choose is not None:
-        if not 0 <= choose < candidates.size:
-            raise ValueError(
-                f"choose={choose} out of range for {candidates.size} candidates."
-            )
-        knee_index = int(candidates[choose])
-    else:
-        knee_index = int(candidates[np.argmax(difference[candidates])])
+        candidates = np.asarray([np.argmax(difference)], dtype=np.int64)
+    knee_index = int(candidates[np.argmax(difference[candidates])])
 
     return KneeResult(
         knee_index=knee_index,
@@ -180,52 +159,18 @@ class KneedleLabeler:
     and label arbitrary KPI series against it.
 
     This is the paper's :math:`\\tilde{\\mathcal{P}}_{\\mathcal{A}}`:
-    ``label(t) = 1`` iff ``kpi(t) > Upsilon``.
-
-    Parameters
-    ----------
-    window_length, polyorder:
-        Savitzky-Golay settings (tunable per the paper; visual
-        inspection recommended).
-    concave_down:
-        Whether the KPI decreases with load (e.g. availability) rather
-        than increasing (e.g. throughput).
-    margin:
-        Relative slack applied to the knee value: a saturated system's
-        throughput sits *at* capacity, i.e. essentially at the knee, so
-        the decision threshold is placed ``margin`` below it (above it
-        for concave-down KPIs) to keep capacity-pinned samples on the
-        saturated side of the measurement noise.
+    ``label(t) = 1`` iff ``kpi(t) > Upsilon``, with ``Upsilon`` the
+    knee's KPI value less :data:`MARGIN`.
     """
 
-    def __init__(
-        self,
-        window_length: int = 11,
-        polyorder: int = 3,
-        concave_down: bool = False,
-        margin: float = 0.02,
-    ):
-        if not 0.0 <= margin < 1.0:
-            raise ValueError("margin must be in [0, 1).")
-        self.window_length = window_length
-        self.polyorder = polyorder
-        self.concave_down = concave_down
-        self.margin = margin
+    def __init__(self):
         self.threshold_: float | None = None
         self.knee_: KneeResult | None = None
 
-    def fit(self, workload: np.ndarray, kpi: np.ndarray, *, choose=None) -> "KneedleLabeler":
+    def fit(self, workload: np.ndarray, kpi: np.ndarray) -> "KneedleLabeler":
         """Run Kneedle on a calibration ramp to obtain ``threshold_``."""
-        self.knee_ = kneedle(
-            workload,
-            kpi,
-            window_length=self.window_length,
-            polyorder=self.polyorder,
-            concave_down=self.concave_down,
-            choose=choose,
-        )
-        factor = (1.0 + self.margin) if self.concave_down else (1.0 - self.margin)
-        self.threshold_ = self.knee_.knee_y * factor
+        self.knee_ = kneedle(workload, kpi)
+        self.threshold_ = self.knee_.knee_y * (1.0 - MARGIN)
         return self
 
     def label(self, kpi: np.ndarray) -> np.ndarray:
@@ -233,13 +178,11 @@ class KneedleLabeler:
         if self.threshold_ is None:
             raise RuntimeError("KneedleLabeler must be fitted first.")
         kpi = np.asarray(kpi, dtype=np.float64)
-        if self.concave_down:
-            return (kpi < self.threshold_).astype(np.int64)
         return (kpi > self.threshold_).astype(np.int64)
 
-    def fit_label(self, workload, kpi, *, choose=None) -> np.ndarray:
+    def fit_label(self, workload, kpi) -> np.ndarray:
         """Fit on the run and label the same run."""
-        return self.fit(workload, kpi, choose=choose).label(kpi)
+        return self.fit(workload, kpi).label(kpi)
 
 
 class MultiLevelLabeler:
@@ -258,13 +201,7 @@ class MultiLevelLabeler:
     number of classes is ``len(levels) + 2``.
     """
 
-    def __init__(
-        self,
-        levels: tuple[float, ...] = (0.7,),
-        window_length: int = 11,
-        polyorder: int = 3,
-        margin: float = 0.02,
-    ):
+    def __init__(self, levels: tuple[float, ...] = (0.7,)):
         if not levels:
             raise ValueError("levels must contain at least one fraction.")
         if any(not 0.0 < level < 1.0 for level in levels):
@@ -272,9 +209,7 @@ class MultiLevelLabeler:
         if list(levels) != sorted(set(levels)):
             raise ValueError("levels must be strictly increasing.")
         self.levels = tuple(levels)
-        self._binary = KneedleLabeler(
-            window_length=window_length, polyorder=polyorder, margin=margin
-        )
+        self._binary = KneedleLabeler()
         self.boundaries_: np.ndarray | None = None
 
     @property

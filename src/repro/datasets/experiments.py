@@ -32,12 +32,12 @@ from repro.cluster.resources import GIB
 from repro.cluster.simulation import ClusterSimulation, Placement, SimulationResult
 from repro.core.aggregation import aggregate_or
 from repro.core.evaluation import LaggedConfusion, lagged_confusion
-from repro.core.labeling import KneedleLabeler
 from repro.core.model import MonitorlessModel
 from repro.core.thresholds import BASELINE_KINDS, tune_threshold_baseline
+from repro.datasets.generate import calibrate, observe_kpi
 from repro.telemetry.agent import TelemetryAgent
 from repro.workloads.locust import staggered_locust_runs
-from repro.workloads.patterns import linear_ramp, sinnoise
+from repro.workloads.patterns import sinnoise
 from repro.workloads.traces import teastore_trace
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "evaluate_detectors",
     "DetectorComparison",
 ]
-
-_KPI_NOISE = 0.01
 
 
 # ----------------------------------------------------------------------
@@ -84,17 +82,17 @@ def teastore_placements() -> dict[str, list[Placement]]:
     }
 
 
-def teastore_scaling_rules(node: str = "M2"):
+def teastore_scaling_rules():
     """The TeaStore autoscaling recipe (section 4.2.2).
 
-    Auth, Recommender and WebUI scale out onto ``node`` (2, 1 and 1
-    cores, 4 GB each); a replica lives 120 s, and Auth and Recommender
-    always scale together.
+    Auth, Recommender and WebUI scale out onto M2 (2, 1 and 1 cores,
+    4 GB each); a replica lives 120 s, and Auth and Recommender always
+    scale together.
     """
     from repro.orchestrator.autoscaler import ScalingRules
 
     def place(cores):
-        return Placement(node=node, cpu_limit=cores, memory_limit=4 * GIB)
+        return Placement(node="M2", cpu_limit=cores, memory_limit=4 * GIB)
 
     return ScalingRules(
         placements={
@@ -145,10 +143,10 @@ def teastore_simulation(seed: int) -> ClusterSimulation:
 
 
 def deploy_antagonist(simulation: ClusterSimulation, kind: str,
-                      intensity: float, node: str) -> str:
+                      node: str) -> str:
     """Deploy the ``kind`` noisy neighbour with every service on
     ``node``; return its application name."""
-    antagonist = antagonist_application(kind, intensity)
+    antagonist = antagonist_application(kind)
     simulation.deploy(
         antagonist,
         {name: [Placement(node=node)] for name in antagonist.services},
@@ -164,37 +162,26 @@ def calibrate_application(
     placements: dict[str, list[Placement]],
     nodes: dict[str, NodeSpec],
     *,
-    duration: int = 400,
-    start_rate: float = 1.0,
-    max_rate: float = 2000.0,
+    max_rate: float,
     seed: int = 0,
 ) -> float:
-    """Kneedle threshold from a linear-ramp run of the app in isolation.
-
-    Extends the ramp (doubling, up to five times) until the throughput
-    KPI flattens, as an operator would.
+    """Kneedle threshold of a whole application from a 400-tick linear
+    ramp of it in isolation, starting at 1 req/s (the calibration of
+    :func:`repro.datasets.generate.calibrate`, uncached).
     """
-    high = max_rate
-
-    def ramp_run(high_rate):
-        simulation = ClusterSimulation(dict(nodes), seed=seed)
-        application = application_factory()
-        simulation.deploy(application, placements)
-        ramp = linear_ramp(duration, start_rate, high_rate)
-        result = simulation.run({application.name: ramp})
-        return ramp, result.kpi(application.name, "throughput")
-
-    for _ in range(6):
-        ramp, throughput = ramp_run(high)
-        if throughput[-1] < 0.9 * ramp[-1]:
-            break
-        high *= 2.0
-    capacity = float(np.max(throughput))
-    ramp, throughput = ramp_run(capacity * 1.6)
-    rng = np.random.default_rng(seed)
-    observed = throughput * (1.0 + rng.normal(0.0, _KPI_NOISE, throughput.size))
-    labeler = KneedleLabeler(window_length=21).fit(ramp, observed)
-    return float(labeler.threshold_)
+    threshold, _, _ = calibrate(
+        application_factory,
+        placements,
+        nodes,
+        duration=400,
+        low=1.0,
+        high=max_rate,
+        restart=0.0,
+        seed=seed,
+        noise_seed=seed,
+        cache_key=None,
+    )
+    return threshold
 
 
 # ----------------------------------------------------------------------
@@ -254,15 +241,12 @@ class Scenario:
 def _ground_truth(
     result: SimulationResult, app_name: str, threshold: float, seed: int
 ) -> np.ndarray:
-    throughput = result.kpi(app_name, "throughput")
     rng = np.random.default_rng(seed + 99)
-    observed = throughput * (1.0 + rng.normal(0.0, _KPI_NOISE, throughput.size))
+    observed = observe_kpi(result.kpi(app_name, "throughput"), rng)
     return (observed > threshold).astype(np.int64)
 
 
-def elgg_scenario(
-    *, duration: int = 2450, seed: int = 0, agent: TelemetryAgent | None = None
-) -> Scenario:
+def elgg_scenario(*, duration: int = 2450, seed: int = 0) -> Scenario:
     """The Table-5 experiment: Elgg under sinnoise1000 / 10."""
     nodes = {"host": MACHINES["training"]}
     placements = elgg_placements()
@@ -274,7 +258,6 @@ def elgg_scenario(
     simulation.deploy(application, placements)
     workload = sinnoise(duration, 1.0, 100.0, seed=seed + 5)
     result = simulation.run({application.name: workload})
-    agent = agent or TelemetryAgent(seed=seed)
     y_true = _ground_truth(result, application.name, threshold, seed)
     return Scenario(
         application=application,
@@ -282,15 +265,12 @@ def elgg_scenario(
         workload=workload,
         y_true=y_true,
         threshold=threshold,
-        agent=agent,
+        agent=TelemetryAgent(seed=seed),
     )
 
 
 def multitenant_scenario(
-    *,
-    duration: int = 7000,
-    seed: int = 0,
-    agent: TelemetryAgent | None = None,
+    *, duration: int = 7000, seed: int = 0
 ) -> tuple[Scenario, Scenario]:
     """The section-4.2 deployment: TeaStore + Sockshop on M1/M2/M3.
 
@@ -321,7 +301,7 @@ def multitenant_scenario(
         hatch_seconds=int(duration // 7 * 0.7),
     )
     result = simulation.run({"teastore": tea_load, "sockshop": sock_load})
-    agent = agent or TelemetryAgent(seed=seed)
+    agent = TelemetryAgent(seed=seed)
 
     tea = Scenario(
         application=teastore,

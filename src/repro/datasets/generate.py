@@ -5,7 +5,10 @@ parallel for interference):
 
 1. **Calibrate**: each run executes alone under a linearly-increasing
    load; Kneedle on the observed throughput yields the saturation
-   threshold :math:`\\Upsilon` (paper section 2.2).
+   threshold :math:`\\Upsilon` (paper section 2.2).  :func:`calibrate`
+   is the one calibration routine: the evaluation scenarios of
+   :mod:`repro.datasets.experiments` calibrate whole applications
+   through it too.
 2. **Simulate**: the session's applications run together on the
    training host under their Table-1 traffic patterns.
 3. **Label**: every second is labeled saturated iff the run's
@@ -17,24 +20,28 @@ parallel for interference):
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.apps.base import ApplicationModel
 from repro.cluster.container import BOTTLENECKS, F_BOTTLENECK
-from repro.cluster.node import MACHINES
-from repro.cluster.simulation import ClusterSimulation
+from repro.cluster.node import MACHINES, NodeSpec
+from repro.cluster.simulation import ClusterSimulation, Placement
 from repro.core.features.meta import FeatureMeta
 from repro.core.labeling import KneedleLabeler
 from repro.datasets.configs import TABLE1_RUNS, RunConfig, sessions
 from repro.parallel import parallel_map
 from repro.telemetry.agent import TelemetryAgent
-from repro.telemetry.catalog import MetricCatalog, default_catalog
+from repro.telemetry.catalog import default_catalog
 from repro.workloads.patterns import linear_ramp
 
 __all__ = [
     "LabeledRun",
     "TrainingCorpus",
+    "observe_kpi",
+    "calibrate",
     "calibrate_threshold",
     "calibration_cache_info",
     "clear_calibration_cache",
@@ -94,32 +101,20 @@ class TrainingCorpus:
         ]
 
 
-# The calibration ramp is a pure function of the fields below -- the
-# run id, traffic pattern and intended-bottleneck label play no part in
-# it -- so repeated sessions reusing an app/limit combination (e.g.
-# Table-1 runs 3 and 4) and repeated corpus builds in one process skip
-# the expensive doubling-ramp simulations entirely.  Per-run observation
-# noise is applied *after* the cache, so thresholds are bitwise
-# identical with and without a cache hit.
+def observe_kpi(throughput: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The throughput KPI as an operator measures it: 1% relative
+    observation noise on every second."""
+    return throughput * (1.0 + rng.normal(0.0, _KPI_NOISE, throughput.size))
+
+
+# A calibration ramp is a pure function of its application, placements,
+# nodes, duration, rates and seed, so callers that calibrate one
+# configuration repeatedly (Table-1 runs 3 and 4; repeated corpus builds
+# in one process) pass a ``cache_key`` and skip the doubling-ramp
+# simulations.  The observation noise is applied after the cache, so
+# thresholds are bitwise identical with and without a cache hit.
 _RAMP_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _RAMP_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def _ramp_cache_key(config: RunConfig, duration: int, node: str, seed: int):
-    return (
-        config.service,
-        config.demand_scale,
-        config.mix,
-        config.io_heavy,
-        config.fsync_bound,
-        config.cpu_limit,
-        config.mem_limit,
-        config.rate_low,
-        config.rate_high,
-        duration,
-        node,
-        seed,
-    )
 
 
 def calibration_cache_info() -> dict[str, int]:
@@ -133,50 +128,61 @@ def clear_calibration_cache() -> None:
     _RAMP_CACHE_STATS.update(hits=0, misses=0)
 
 
-def _calibration_ramp(
-    config: RunConfig, duration: int, node: str, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The noise-free calibration ramp and its observed throughput."""
-    key = _ramp_cache_key(config, duration, node, seed)
-    cached = _RAMP_CACHE.get(key)
+def calibrate(
+    application: Callable[[], ApplicationModel],
+    placements: dict[str, list[Placement]],
+    nodes: dict[str, NodeSpec],
+    *,
+    duration: int,
+    low: float,
+    high: float,
+    restart: float,
+    seed: int,
+    noise_seed: int,
+    cache_key: tuple | None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Kneedle threshold of an application running alone under a
+    linear ramp (paper section 2.2).
+
+    While the throughput still tracks the offered load at the ramp's
+    top, the top doubles (up to five times), as an operator keeps
+    raising the calibration load until the KPI flattens.  A second ramp
+    from ``max(restart * capacity, 1)`` to 1.6x the capacity found puts
+    the knee well inside the run.  Returns ``(threshold, ramp_load,
+    observed_throughput)``; ``cache_key`` (or ``None``) names the ramp
+    in the calibration cache.
+    """
+
+    def ramp_run(start: float, top: float) -> tuple[np.ndarray, np.ndarray]:
+        simulation = ClusterSimulation(dict(nodes), seed=seed)
+        deployed = application()
+        simulation.deploy(deployed, placements)
+        ramp = linear_ramp(duration, start, top)
+        result = simulation.run({deployed.name: ramp})
+        return ramp, result.kpi(deployed.name, "throughput")
+
+    cached = _RAMP_CACHE.get(cache_key) if cache_key is not None else None
     if cached is not None:
         _RAMP_CACHE_STATS["hits"] += 1
-        return cached
-    _RAMP_CACHE_STATS["misses"] += 1
-
-    def ramp_run(low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
-        simulation = ClusterSimulation({node: MACHINES[node]}, seed=seed)
-        application = config.application()
-        simulation.deploy(
-            application,
-            {name: [config.placement(node)] for name in application.services},
-        )
-        ramp = linear_ramp(duration, low, high)
-        result = simulation.run({application.name: ramp})
-        return ramp, result.kpi(application.name, "throughput")
-
-    # Phase 1: find the capacity region, doubling the ramp top until the
-    # KPI visibly flattens.
-    high = config.rate_high * 1.3
-    low = max(config.rate_low * 0.1, 1.0)
-    for _ in range(6):
-        ramp, throughput = ramp_run(low, high)
-        if throughput[-1] < 0.9 * ramp[-1]:
-            break
-        high *= 2.0
-
-    # Phase 2: re-ramp to ~1.6x the estimated capacity so the knee sits
-    # well inside the run and is sampled densely.
-    capacity_estimate = float(np.max(throughput))
-    ramp, throughput = ramp_run(
-        max(capacity_estimate * 0.05, 1.0), capacity_estimate * 1.6
-    )
-    # Cached arrays are shared across callers; freeze them so a caller
-    # mutating its "own" ramp cannot silently corrupt later sessions.
-    ramp.setflags(write=False)
-    throughput.setflags(write=False)
-    _RAMP_CACHE[key] = (ramp, throughput)
-    return ramp, throughput
+        ramp, throughput = cached
+    else:
+        for _ in range(6):
+            ramp, throughput = ramp_run(low, high)
+            if throughput[-1] < 0.9 * ramp[-1]:
+                break
+            high *= 2.0
+        capacity = float(np.max(throughput))
+        ramp, throughput = ramp_run(max(capacity * restart, 1.0), capacity * 1.6)
+        if cache_key is not None:
+            _RAMP_CACHE_STATS["misses"] += 1
+            # Cached arrays are shared across callers; freeze them so a
+            # caller mutating its "own" ramp cannot corrupt later ones.
+            ramp.setflags(write=False)
+            throughput.setflags(write=False)
+            _RAMP_CACHE[cache_key] = (ramp, throughput)
+    observed = observe_kpi(throughput, np.random.default_rng(noise_seed))
+    threshold = KneedleLabeler().fit(ramp, observed).threshold_
+    return float(threshold), ramp, observed
 
 
 def calibrate_threshold(
@@ -186,21 +192,31 @@ def calibrate_threshold(
     node: str = "training",
     seed: int = 0,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Discover the run's saturation threshold with a linear ramp.
+    """Discover a Table-1 run's saturation threshold on ``node``.
 
-    Returns ``(threshold, ramp_load, observed_throughput)``.
-
-    If the configured ramp never reaches saturation (throughput still
-    tracks the offered load at the ramp's top), the ramp is extended --
-    doubled up to five times -- until a knee appears, mirroring how an
-    operator keeps increasing the calibration load until the KPI
-    flattens (section 2.2).
+    The ramp starts at a tenth of the run's low rate and tops out at
+    1.3x its high rate; its noise-free part is cached per app/limit
+    configuration (the run id, traffic pattern and intended-bottleneck
+    label play no part in it).  Returns ``(threshold, ramp_load,
+    observed_throughput)``.
     """
-    rng = np.random.default_rng(seed + config.run_id)
-    ramp, throughput = _calibration_ramp(config, duration, node, seed)
-    observed = throughput * (1.0 + rng.normal(0.0, _KPI_NOISE, throughput.size))
-    labeler = KneedleLabeler(window_length=21).fit(ramp, observed)
-    return float(labeler.threshold_), ramp, observed
+    services = config.application().services
+    return calibrate(
+        config.application,
+        {name: [config.placement(node)] for name in services},
+        {node: MACHINES[node]},
+        duration=duration,
+        low=max(config.rate_low * 0.1, 1.0),
+        high=config.rate_high * 1.3,
+        restart=0.05,
+        seed=seed,
+        noise_seed=seed + config.run_id,
+        cache_key=(
+            config.service, config.demand_scale, config.mix, config.io_heavy,
+            config.fsync_bound, config.cpu_limit, config.mem_limit,
+            config.rate_low, config.rate_high, duration, node, seed,
+        ),
+    )
 
 
 def generate_session(
@@ -208,24 +224,25 @@ def generate_session(
     *,
     duration: int = 600,
     calibration_duration: int = 300,
-    node: str = "training",
     seed: int = 0,
-    agent: TelemetryAgent | None = None,
 ) -> list[LabeledRun]:
-    """Simulate one session and return each run's labeled samples."""
-    agent = agent or TelemetryAgent(seed=seed)
+    """Simulate one session on the training host and return each run's
+    labeled samples.
 
+    The telemetry agent is built here from the seed; its metric streams
+    are keyed by node/container name and seed, never by call order, so
+    a session simulated in a pool worker emits the rows a serial build
+    would.
+    """
+    agent = TelemetryAgent(seed=seed)
     thresholds = {
         config.run_id: calibrate_threshold(
-            config,
-            duration=calibration_duration,
-            node=node,
-            seed=seed,
+            config, duration=calibration_duration, seed=seed
         )[0]
         for config in session
     }
 
-    simulation = ClusterSimulation({node: MACHINES[node]}, seed=seed)
+    simulation = ClusterSimulation({"training": MACHINES["training"]}, seed=seed)
     workloads = {}
     applications = {}
     for config in session:
@@ -236,7 +253,7 @@ def generate_session(
         applications[config.run_id] = application
         simulation.deploy(
             application,
-            {name: [config.placement(node)] for name in application.services},
+            {name: [config.placement("training")] for name in application.services},
         )
         workloads[application.name] = config.workload(duration, seed=seed)
     result = simulation.run(workloads)
@@ -245,10 +262,7 @@ def generate_session(
     labeled: list[LabeledRun] = []
     for config in session:
         application = applications[config.run_id]
-        throughput = result.kpi(application.name, "throughput")
-        observed = throughput * (
-            1.0 + rng.normal(0.0, _KPI_NOISE, throughput.size)
-        )
+        observed = observe_kpi(result.kpi(application.name, "throughput"), rng)
         y = (observed > thresholds[config.run_id]).astype(np.int64)
         containers = [
             c for c in result.containers if c.application == application.name
@@ -282,22 +296,13 @@ def generate_session(
 
 
 def _generate_session_task(task, arrays) -> list[LabeledRun]:
-    """Simulate/calibrate/label one session; runs in-process or in a
-    pool worker.
-
-    The telemetry agent is rebuilt per call from ``(catalog, seed)``;
-    its metric streams are keyed by node/container name and seed, never
-    by call order, so a per-worker agent emits the same rows the shared
-    serial agent would.
-    """
-    session, duration, calibration_duration, seed, catalog = task
-    agent = TelemetryAgent(catalog=catalog, seed=seed)
+    """One session; runs in-process or in a pool worker."""
+    session, duration, calibration_duration, seed = task
     return generate_session(
         session,
         duration=duration,
         calibration_duration=calibration_duration,
         seed=seed,
-        agent=agent,
     )
 
 
@@ -308,7 +313,6 @@ def build_training_corpus(
     seed: int = 0,
     runs: list[RunConfig] | None = None,
     interference_scenarios: list | None = None,
-    catalog: MetricCatalog | None = None,
     n_jobs: int | None = None,
 ) -> TrainingCorpus:
     """Generate the full Table-1 corpus (all sessions).
@@ -325,9 +329,8 @@ def build_training_corpus(
     ``runs=[]`` with scenarios builds a pure-interference corpus -- the
     shape the drift-triggered retrainer uses.
     """
-    catalog = catalog or default_catalog()
     tasks = [
-        (session, duration, calibration_duration, seed, catalog)
+        (session, duration, calibration_duration, seed)
         for session in sessions(runs if runs is not None else TABLE1_RUNS)
     ]
     all_runs: list[LabeledRun] = []
@@ -350,7 +353,6 @@ def build_training_corpus(
             calibration_duration=calibration_duration,
             seed=seed,
             scenarios=list(interference_scenarios),
-            catalog=catalog,
             n_jobs=n_jobs,
         )
         parts_X.append(contention.X)
@@ -365,6 +367,6 @@ def build_training_corpus(
         X=np.vstack(parts_X),
         y=np.concatenate(parts_y),
         groups=np.concatenate(parts_groups),
-        meta=catalog.feature_meta(),
+        meta=default_catalog().feature_meta(),
         runs=all_runs,
     )

@@ -32,10 +32,10 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.core.features.meta import FeatureMeta
 from repro.datasets.configs import run_by_id
 from repro.datasets.experiments import deploy_antagonist
-from repro.datasets.generate import calibrate_threshold
+from repro.datasets.generate import calibrate_threshold, observe_kpi
 from repro.parallel import parallel_map
 from repro.telemetry.agent import TelemetryAgent
-from repro.telemetry.catalog import MetricCatalog, default_catalog
+from repro.telemetry.catalog import default_catalog
 from repro.workloads.patterns import constant
 
 __all__ = [
@@ -56,8 +56,13 @@ CAUSE_NONE = 0  # the victim delivered its offered load
 CAUSE_SELF = 1  # degraded with no antagonist active (own overload)
 CAUSE_NEIGHBOR = 2  # degraded while a co-located antagonist is active
 
-_KPI_NOISE = 0.01  # same 1% observation jitter as the training corpus
 _DEGRADED_MARGIN = 0.9  # observed < 90% of offered => degraded second
+#: Every victim and its antagonist share one M3-class node (8 cores,
+#: 400 MB/s disk), the node the antagonists are sized for.
+_NODE = "M3"
+#: The antagonist switches on 40% into the run, so every run opens
+#: with a solo baseline on the same node.
+_ONSET = 0.4
 
 
 @dataclass(frozen=True)
@@ -66,28 +71,24 @@ class InterferenceScenario:
 
     ``victim_load`` is a fraction of the victim's calibrated saturation
     threshold (its solo knee): below 1.0 the victim is healthy on its
-    own, so any degradation after ``onset`` is the neighbour's doing;
-    above 1.0 the victim overloads *itself* (a self-saturation control
-    with ``antagonist=None``).  Scenarios without an antagonist and
-    ``victim_load < 1`` are clean solo controls for the false-alarm
-    baseline.
+    own, so any degradation after the antagonist's onset is the
+    neighbour's doing; above 1.0 the victim overloads *itself* (a
+    self-saturation control with ``antagonist=None``).  Scenarios
+    without an antagonist and ``victim_load < 1`` are clean solo
+    controls for the false-alarm baseline.
     """
 
     scenario_id: int
     victim_run: int  # Table-1 run id providing the victim config
     antagonist: str | None  # "cpu" | "membw" | "disk" | None
-    node: str = "M3"
     victim_load: float = 0.6  # fraction of the calibrated knee
-    antagonist_rate: float = ANTAGONIST_RATE
-    onset: float = 0.4  # fraction of the run when the antagonist starts
-    intensity: float = 1.0
 
     @property
     def label(self) -> str:
         suffix = self.antagonist or "solo"
         return (
             f"#{self.scenario_id} run{self.victim_run}"
-            f"@{self.victim_load:g} vs {suffix} on {self.node}"
+            f"@{self.victim_load:g} vs {suffix} on {_NODE}"
         )
 
 
@@ -141,7 +142,7 @@ class InterferenceCorpus:
                 "scenario": run.scenario.scenario_id,
                 "victim_run": run.scenario.victim_run,
                 "antagonist": run.scenario.antagonist,
-                "node": run.scenario.node,
+                "node": _NODE,
                 "victim_load": run.scenario.victim_load,
                 "samples": int(run.y.size),
                 "degraded": round(run.degraded_fraction, 3),
@@ -159,55 +160,49 @@ def generate_interference_run(
     duration: int = 600,
     calibration_duration: int = 300,
     seed: int = 0,
-    agent: TelemetryAgent | None = None,
 ) -> InterferenceRun:
     """Simulate one colocation scenario and label the victim's seconds.
 
-    The victim's knee is calibrated solo on the scenario node (same
-    cache and noise discipline as the training corpus), then the victim
-    runs at ``victim_load`` times that knee while the antagonist -- if
-    any -- switches from idle to ``antagonist_rate`` at the onset tick.
-    A second is degraded iff the observed victim throughput falls below
-    ``0.9x`` the constant offered rate.
+    The victim's knee is calibrated solo on the M3 node (same cache and
+    noise discipline as the training corpus), then the victim runs at
+    ``victim_load`` times that knee while the antagonist -- if any --
+    switches from idle to ``ANTAGONIST_RATE`` at the onset tick.  A
+    second is degraded iff the observed victim throughput falls below
+    ``0.9x`` the constant offered rate.  The telemetry agent is built
+    from the seed, as :func:`~repro.datasets.generate.generate_session`
+    builds its own.
     """
-    agent = agent or TelemetryAgent(seed=seed)
+    agent = TelemetryAgent(seed=seed)
     victim = run_by_id(scenario.victim_run)
     threshold, _, _ = calibrate_threshold(
-        victim, duration=calibration_duration, node=scenario.node, seed=seed
+        victim, duration=calibration_duration, node=_NODE, seed=seed
     )
     offered = scenario.victim_load * threshold
-    onset_tick = int(round(scenario.onset * duration))
+    onset_tick = int(round(_ONSET * duration))
 
-    simulation = ClusterSimulation(
-        {scenario.node: MACHINES[scenario.node]}, seed=seed
-    )
+    simulation = ClusterSimulation({_NODE: MACHINES[_NODE]}, seed=seed)
     application = victim.application()
     application.name = f"{application.name}-{victim.run_id}"
     simulation.deploy(
         application,
         {
-            name: [victim.placement(scenario.node)]
+            name: [victim.placement(_NODE)]
             for name in application.services
         },
     )
     workloads = {application.name: constant(duration, offered)}
     if scenario.antagonist is not None:
-        antagonist = deploy_antagonist(
-            simulation, scenario.antagonist, scenario.intensity, scenario.node
-        )
+        antagonist = deploy_antagonist(simulation, scenario.antagonist, _NODE)
         # Idle until onset, then a constant hammering rate.  Zero-rate
         # ticks generate no antagonist work, so the pre-onset window is
         # a true solo baseline on the very same node.
         schedule = np.zeros(duration)
-        schedule[onset_tick:] = scenario.antagonist_rate
+        schedule[onset_tick:] = ANTAGONIST_RATE
         workloads[antagonist] = schedule
     result = simulation.run(workloads)
 
     rng = np.random.default_rng(seed + 7000 + scenario.scenario_id)
-    throughput = result.kpi(application.name, "throughput")
-    observed = throughput * (
-        1.0 + rng.normal(0.0, _KPI_NOISE, throughput.size)
-    )
+    observed = observe_kpi(result.kpi(application.name, "throughput"), rng)
     degraded = observed < _DEGRADED_MARGIN * offered
     active = np.zeros(duration, dtype=bool)
     if scenario.antagonist is not None:
@@ -240,19 +235,16 @@ def generate_interference_run(
 def _generate_run_task(task, arrays) -> InterferenceRun:
     """One scenario; runs in-process or in a pool worker.
 
-    Like the training-corpus task, the telemetry agent is rebuilt per
-    call from ``(catalog, seed)`` and all randomness is keyed by the
-    corpus seed and scenario id, never by call order -- so the corpus
-    is bitwise identical at every ``n_jobs``.
+    All randomness is keyed by the corpus seed and scenario id, never
+    by call order -- so the corpus is bitwise identical at every
+    ``n_jobs``.
     """
-    scenario, duration, calibration_duration, seed, catalog = task
-    agent = TelemetryAgent(catalog=catalog, seed=seed)
+    scenario, duration, calibration_duration, seed = task
     return generate_interference_run(
         scenario,
         duration=duration,
         calibration_duration=calibration_duration,
         seed=seed,
-        agent=agent,
     )
 
 
@@ -262,15 +254,13 @@ def build_interference_corpus(
     calibration_duration: int = 300,
     seed: int = 0,
     scenarios: list[InterferenceScenario] | None = None,
-    catalog: MetricCatalog | None = None,
     n_jobs: int | None = None,
 ) -> InterferenceCorpus:
     """Generate the interference corpus (all scenarios)."""
-    catalog = catalog or default_catalog()
     if scenarios is None:
         scenarios = INTERFERENCE_SCENARIOS
     tasks = [
-        (scenario, duration, calibration_duration, seed, catalog)
+        (scenario, duration, calibration_duration, seed)
         for scenario in scenarios
     ]
     runs = list(
@@ -287,7 +277,7 @@ def build_interference_corpus(
         y=y,
         cause=cause,
         groups=groups,
-        meta=catalog.feature_meta(),
+        meta=default_catalog().feature_meta(),
         runs=runs,
     )
 

@@ -355,7 +355,7 @@ def _run_shard(item: dict, arrays: dict) -> FleetShardResult:
                     "shard, cells, workload rows or tick count differ); "
                     "remove it or use another checkpoint directory."
                 )
-            check_model_swap(path, item["model"], allow_swap=False)
+            check_model_swap(path, item["model"])
             runner.resumed_from_tick = runner._t
     if runner is None:
         runner = FleetShardRunner(item["shard"], item["specs"], item["model"])

@@ -215,14 +215,14 @@ class DriftScenarioRunner:
         simulation = teastore_simulation(config.seed)
         # The antagonist shares M2 with the db/persistence tier, where
         # the scale-outs land too.
-        rules = teastore_scaling_rules(node="M2")
+        rules = teastore_scaling_rules()
         policy = MonitorlessPolicy(
             model, TelemetryAgent(seed=config.seed), lifecycle=self.manager
         )
         self.antagonist_name: str | None = None
         if config.antagonist is not None:
             self.antagonist_name = deploy_antagonist(
-                simulation, config.antagonist, 1.0, "M2"
+                simulation, config.antagonist, "M2"
             )
         self.orchestrator = Orchestrator(
             simulation, "teastore", policy, rules

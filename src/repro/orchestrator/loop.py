@@ -244,48 +244,25 @@ class Orchestrator:
         return save_checkpoint(self, path)
 
     @staticmethod
-    def resume_from(
-        path, model=None, allow_model_swap: bool = False
-    ) -> "Orchestrator":
+    def resume_from(path, model=None) -> "Orchestrator":
         """Reload an orchestrator checkpointed by :meth:`save_checkpoint`.
 
         The returned instance continues exactly where the saved one
         stopped: call :meth:`tick` with the remaining arrivals and
         :meth:`finish` as usual.
 
-        Passing ``model`` asks to resume *serving with that model*.
-        The checkpoint header stores the fingerprint of the model the
-        run was saved with; resuming with a different one silently
-        changes every remaining verdict, so a mismatch raises
-        :class:`CheckpointError` unless ``allow_model_swap=True``
-        explicitly accepts the swap.  A policy with a lifecycle manager
-        never accepts one: the manager's registry owns the serving
-        model, and promotions go through it.  A monitorless policy also
-        refuses (``ValueError``) a model whose feature pipeline differs
-        from the one it serves.
+        Passing ``model`` checks that the run resumes with the model it
+        was saved with: the checkpoint header stores that model's
+        fingerprint, and another model raises :class:`CheckpointError`
+        (resuming with it would silently change every remaining
+        verdict; under a lifecycle manager, the registry owns the
+        serving model and promotions go through it).
         """
-        from repro.reliability.checkpoint import (
-            CheckpointError,
-            check_model_swap,
-            load_checkpoint,
-        )
+        from repro.reliability.checkpoint import check_model_swap, load_checkpoint
 
-        if model is None:
-            return load_checkpoint(path)
-        swap = check_model_swap(path, model, allow_swap=allow_model_swap)
-        orchestrator = load_checkpoint(path)
-        policy = orchestrator.policy
-        if getattr(policy, "lifecycle", None) is not None:
-            if swap:
-                raise CheckpointError(
-                    f"{path} serves under a lifecycle manager, whose "
-                    "registry owns the serving model; refusing to swap in "
-                    "another model (promote it through the registry "
-                    "instead)."
-                )
-        elif hasattr(policy, "model"):
-            policy.model = model
-        return orchestrator
+        if model is not None:
+            check_model_swap(path, model)
+        return load_checkpoint(path)
 
     def run(self, workloads: dict[str, np.ndarray]) -> OrchestratorResult:
         """Run the full trace; returns provisioning and SLO accounting.

@@ -439,7 +439,7 @@ def run_chaos(
     if config.antagonist is not None:
         # On M2, where the TeaStore scale-outs land; idle for the first
         # 40% of the run.
-        antagonist = deploy_antagonist(simulation, config.antagonist, 1.0, "M2")
+        antagonist = deploy_antagonist(simulation, config.antagonist, "M2")
         antagonist_onset = int(round(0.4 * duration))
     antagonist_ticks = 0
     schedule = FaultSchedule(list(node_faults)) if node_faults else None

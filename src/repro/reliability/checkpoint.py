@@ -209,26 +209,21 @@ def load_checkpoint(path):
     return orchestrator
 
 
-def check_model_swap(path, model, *, allow_swap: bool) -> bool:
-    """Whether resuming ``path`` with ``model`` swaps the serving model.
+def check_model_swap(path, model) -> None:
+    """Refuse to resume ``path`` with another model than its own.
 
     Compares ``model``'s fingerprint with the header's
-    ``model_fingerprint`` (a checkpoint without one never swaps); a
-    swap raises :class:`CheckpointError` naming ``path`` unless
-    ``allow_swap``.
+    ``model_fingerprint`` (a checkpoint without one accepts any model)
+    and raises :class:`CheckpointError` naming ``path`` on a mismatch.
     """
     stored = read_header(path).get("model_fingerprint")
     offered = model_fingerprint(model)
-    swap = stored is not None and offered != stored
-    if swap and not allow_swap:
+    if stored is not None and offered != stored:
         raise CheckpointError(
             f"{path} was checkpointed with model {stored[:12]}... but "
             f"resume was offered model {offered[:12]}...; refusing to "
-            "swap the serving model mid-run (Orchestrator.resume_from "
-            "accepts a swap with allow_model_swap=True, except under a "
-            "lifecycle manager)."
+            "swap the serving model mid-run."
         )
-    return swap
 
 
 def _parse(path: Path) -> tuple[dict, bytes]:

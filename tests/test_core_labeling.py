@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.labeling import KneedleLabeler, kneedle, savitzky_golay
+from repro.core.labeling import MARGIN, KneedleLabeler, kneedle, savitzky_golay
 
 
 def saturation_curve(knee=700.0, top=1000.0, n=300, noise=0.0, seed=0):
@@ -19,7 +19,7 @@ class TestSavitzkyGolay:
     def test_smooths_noise(self, rng):
         signal = np.sin(np.linspace(0, 4, 200))
         noisy = signal + rng.normal(0, 0.2, 200)
-        smoothed = savitzky_golay(noisy, window_length=21, polyorder=3)
+        smoothed = savitzky_golay(noisy)
         assert np.mean((smoothed - signal) ** 2) < np.mean((noisy - signal) ** 2)
 
     def test_short_series_passthrough(self):
@@ -27,8 +27,8 @@ class TestSavitzkyGolay:
         assert np.array_equal(savitzky_golay(values), values)
 
     def test_window_clipped_to_length(self):
-        values = np.linspace(0, 1, 7)
-        smoothed = savitzky_golay(values, window_length=99, polyorder=2)
+        values = np.linspace(0, 1, 7)  # shorter than the 21-point window
+        smoothed = savitzky_golay(values)
         assert smoothed.shape == values.shape
 
     def test_rejects_2d(self):
@@ -44,7 +44,7 @@ class TestKneedle:
 
     def test_finds_knee_under_noise(self):
         load, kpi = saturation_curve(noise=15.0)
-        result = kneedle(load, kpi, window_length=21)
+        result = kneedle(load, kpi)
         assert abs(result.knee_x - 700.0) < 60.0
 
     def test_knee_y_close_to_capacity(self):
@@ -52,24 +52,13 @@ class TestKneedle:
         result = kneedle(load, kpi)
         assert abs(result.knee_y - 700.0) < 40.0
 
-    def test_concave_down_flip(self):
-        # An availability-style KPI: flat then dropping.
-        load = np.linspace(1, 1000, 300)
-        kpi = np.minimum(1000.0 - load, 300.0)[::-1]  # decreasing, elbow
-        result = kneedle(load, kpi, concave_down=True)
-        assert 0 <= result.knee_index < 300
-
-    def test_choose_overrides_candidate(self):
+    def test_knee_is_the_highest_candidate(self):
         load, kpi = saturation_curve(noise=10.0)
         result = kneedle(load, kpi)
-        if result.candidates.size > 1:
-            chosen = kneedle(load, kpi, choose=0)
-            assert chosen.knee_index == result.candidates[0]
-
-    def test_choose_out_of_range(self):
-        load, kpi = saturation_curve()
-        with pytest.raises(ValueError, match="choose"):
-            kneedle(load, kpi, choose=99)
+        assert result.knee_index in result.candidates
+        assert result.difference[result.knee_index] == np.max(
+            result.difference[result.candidates]
+        )
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="5 points"):
@@ -88,38 +77,27 @@ class TestKneedle:
 class TestKneedleLabeler:
     def test_labels_split_at_threshold(self):
         load, kpi = saturation_curve()
-        labeler = KneedleLabeler(margin=0.0).fit(load, kpi)
+        labeler = KneedleLabeler().fit(load, kpi)
         labels = labeler.label(np.array([100.0, 690.0, 710.0, 900.0]))
         assert labels[0] == 0 and labels[-1] == 1
 
     def test_margin_moves_threshold_down(self):
         load, kpi = saturation_curve()
-        tight = KneedleLabeler(margin=0.0).fit(load, kpi)
-        slack = KneedleLabeler(margin=0.05).fit(load, kpi)
-        assert slack.threshold_ < tight.threshold_
+        labeler = KneedleLabeler().fit(load, kpi)
+        assert labeler.threshold_ == labeler.knee_.knee_y * (1.0 - MARGIN)
+        assert labeler.threshold_ < labeler.knee_.knee_y
 
     def test_capacity_pinned_kpi_labeled_saturated(self):
         """The reason the margin exists: a saturated service reports
         throughput == capacity, which must land on the saturated side."""
         load, kpi = saturation_curve(noise=5.0)
-        labeler = KneedleLabeler(window_length=21).fit(load, kpi)
+        labeler = KneedleLabeler().fit(load, kpi)
         pinned = np.full(50, 700.0)
         assert labeler.label(pinned).mean() > 0.9
-
-    def test_concave_down_labels_low_values(self):
-        load = np.linspace(1, 100, 200)
-        kpi = np.maximum(80.0 - np.maximum(load - 50, 0.0), 20.0)
-        labeler = KneedleLabeler(concave_down=True).fit(load, kpi)
-        assert labeler.label(np.array([15.0]))[0] == 1
-        assert labeler.label(np.array([79.0]))[0] == 0
 
     def test_label_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="fitted"):
             KneedleLabeler().label(np.zeros(3))
-
-    def test_invalid_margin(self):
-        with pytest.raises(ValueError, match="margin"):
-            KneedleLabeler(margin=1.5)
 
     def test_fit_label_shortcut(self):
         load, kpi = saturation_curve()

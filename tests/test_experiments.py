@@ -51,7 +51,6 @@ class TestCalibration:
             elgg_application,
             elgg_placements(),
             {"host": evaluation_nodes()["M1"]},
-            duration=200,
             max_rate=150.0,
             seed=0,
         )

@@ -1,6 +1,5 @@
 """Tests for the section-5 extension features: domain adaptation,
-interpretability, rightsizing, edge offloading, multi-class labeling
-and the call-graph substrate."""
+interpretability, rightsizing and multi-class labeling."""
 
 import numpy as np
 import pytest
@@ -8,13 +7,6 @@ import pytest
 from repro.core.adaptation import CoralAligner, ImportanceWeighter
 from repro.core.interpret import LimeExplainer, SurrogateTree
 from repro.core.labeling import MultiLevelLabeler
-from repro.apps.callgraph import (
-    CallGraph,
-    sockshop_call_graph,
-    teastore_call_graph,
-)
-from repro.apps.sockshop import _PROFILES as SOCKSHOP_PROFILES
-from repro.apps.teastore import teastore_application
 from repro.orchestrator.rightsizing import (
     Recommendation,
     Rightsizer,
@@ -176,7 +168,7 @@ class TestMultiLevelLabeler:
 
     def test_graded_labels(self):
         load, kpi = self._curve()
-        labeler = MultiLevelLabeler(levels=(0.5,), margin=0.0).fit(load, kpi)
+        labeler = MultiLevelLabeler(levels=(0.5,)).fit(load, kpi)
         labels = labeler.label(np.array([100.0, 500.0, 900.0]))
         assert labels.tolist() == [0, 1, 2]
 
@@ -242,58 +234,3 @@ class TestRightsizing:
         assert Recommendation("s", 2, 3).action == "scale_out"
         assert Recommendation("s", 2, 2).action == "hold"
         assert Recommendation("s", 2, 1).action == "scale_in"
-
-
-class TestCallGraph:
-    def test_teastore_visits_match_service_specs(self):
-        graph_visits = teastore_call_graph().visit_counts()
-        application = teastore_application()
-        for service, spec in application.services.items():
-            assert graph_visits[service] == pytest.approx(spec.visits), service
-
-    def test_sockshop_visits_match_service_specs(self):
-        graph_visits = sockshop_call_graph().visit_counts()
-        for service, profile in SOCKSHOP_PROFILES.items():
-            assert graph_visits[service] == pytest.approx(
-                profile["visits"]
-            ), service
-
-    def test_cycle_rejected(self):
-        graph = CallGraph(entry="a")
-        graph.add_call("a", "b")
-        graph.add_call("b", "a")
-        with pytest.raises(ValueError, match="cycle"):
-            graph.visit_counts()
-
-    def test_unreachable_rejected(self):
-        graph = CallGraph(entry="a")
-        graph.add_call("a", "b")
-        graph.graph.add_node("orphan")
-        with pytest.raises(ValueError, match="unreachable|Unreachable"):
-            graph.validate()
-
-    def test_cross_node_traffic_counts_remote_edges_only(self):
-        graph = CallGraph(entry="a")
-        graph.add_call("a", "b", calls=2.0, request_bytes=100, response_bytes=400)
-        graph.add_call("a", "c", calls=1.0, request_bytes=100, response_bytes=400)
-        co_located = graph.cross_node_traffic({"a": "n1", "b": "n1", "c": "n1"})
-        split = graph.cross_node_traffic({"a": "n1", "b": "n2", "c": "n1"})
-        assert co_located == 0.0
-        assert split == 2.0 * 500.0
-
-    def test_teastore_cross_node_traffic_under_paper_placement(self):
-        graph = teastore_call_graph()
-        placement = {
-            "recommender": "M1", "auth": "M1", "registry": "M1",
-            "db": "M2", "persistence": "M2",
-            "webui": "M3", "imageprovider": "M3",
-        }
-        remote = graph.cross_node_traffic(placement)
-        everything_remote = graph.cross_node_traffic(
-            {s: f"n{i}" for i, s in enumerate(graph.services())}
-        )
-        assert 0.0 < remote < everything_remote
-
-    def test_fan_out(self):
-        assert teastore_call_graph().fan_out("webui") == 5
-        assert sockshop_call_graph().fan_out("front-end") == 4

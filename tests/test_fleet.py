@@ -554,10 +554,9 @@ class TestServingModelSwap:
             orchestrator.tick({cell.application: 40.0 + 8.0 * t})
         path = tmp_path / "stream.ckpt"
         orchestrator.save_checkpoint(path)
-        with pytest.raises(ValueError, match="feature pipeline"):
+        with pytest.raises(CheckpointError, match="refusing to swap"):
             Orchestrator.resume_from(
-                path, model=_foreign_pipeline_model(tiny_model),
-                allow_model_swap=True,
+                path, model=_foreign_pipeline_model(tiny_model)
             )
 
     def test_promotion_and_reloaded_copy_are_served(self, tiny_model,

@@ -424,6 +424,24 @@ class TestRetrainer:
         assert 0.0 < info["positive_fraction"] < 1.0
         assert len(info["corpus_fingerprint"]) == 64
 
+    def test_interference_corpus_retrain_is_pinned(self, tiny_model):
+        """The ``lifecycle --interference`` path: scenario 101's
+        120-tick corpus alone trains the challenger.  Values recorded
+        at commit b66e283."""
+        from repro.datasets.interference import INTERFERENCE_SCENARIOS
+
+        scenario = next(
+            s for s in INTERFERENCE_SCENARIOS if s.scenario_id == 101
+        )
+        retrainer = Retrainer(RetrainConfig(interference_scenarios=(scenario,)))
+        _, info = retrainer.retrain(tiny_model, StreamWindow(), {})
+        assert info["stream_rows"] == 0
+        assert info["corpus_rows"] == 120
+        assert info["corpus_fingerprint"] == (
+            "52c3bf2a0caa3d4bbe06e17db7009e9568519cd6eaa4d84ea0028582aa17e066"
+        )
+        assert info["positive_fraction"] == 0.575
+
 
 # ----------------------------------------------------------------------
 # Registry
@@ -774,58 +792,14 @@ class TestResumeFingerprint:
             Orchestrator.resume_from(checkpoint, model=other)
 
     def test_swap_refused_under_a_lifecycle(self, tiny_model, checkpoint):
-        """The manager's registry owns the serving model: even an
-        explicitly allowed swap is refused, instead of being silently
-        undone by the champion on the next tick."""
-        from repro.orchestrator.loop import Orchestrator
+        """A drift scenario's resume, where the manager's registry owns
+        the serving model, refuses another model like every resume."""
         from repro.reliability.checkpoint import CheckpointError
 
         other = pickle.loads(pickle.dumps(tiny_model))
         other.prediction_threshold = 0.55
-        with pytest.raises(CheckpointError, match="lifecycle manager"):
-            Orchestrator.resume_from(
-                checkpoint, model=other, allow_model_swap=True
-            )
-
-    def test_allowed_swap_serves_without_a_lifecycle(
-        self, tiny_model, tmp_path
-    ):
-        """A lifecycle-free streaming checkpoint resumed with another
-        model (threshold 0: every row flags) serves that model."""
-        from repro.orchestrator.loop import Orchestrator
-        from repro.orchestrator.policies import MonitorlessPolicy
-        from repro.telemetry.agent import TelemetryAgent
-        from tests.test_reliability import _threshold_orchestrator
-
-        orchestrator = _threshold_orchestrator()
-        orchestrator.policy = MonitorlessPolicy(
-            tiny_model, TelemetryAgent(seed=0)
-        )
-        orchestrator.start()
-        for _ in range(4):
-            orchestrator.tick({"teastore": 20.0})
-        path = tmp_path / "stream.ckpt"
-        orchestrator.save_checkpoint(path)
-
-        other = pickle.loads(pickle.dumps(tiny_model))
-        other.prediction_threshold = 0.0
-        resumed = Orchestrator.resume_from(
-            path, model=other, allow_model_swap=True
-        )
-        obs.reset()
-        obs.enable()
-        try:
-            resumed.tick({"teastore": 20.0})
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.disable()
-            obs.reset()
-        assert resumed.policy.model is other
-        assert counters["policy.classified_instances"] > 0
-        assert (
-            counters["policy.saturation_verdicts"]
-            == counters["policy.classified_instances"]
-        )
+        with pytest.raises(CheckpointError, match="refusing to swap"):
+            DriftScenarioRunner.resume(checkpoint, model=other)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The closed loop's settable values, pinned by name.
+"""The settable values of the closed loop and the offline path, pinned
+by name.
 
 A settable value is a parameter with a default or a dataclass field.
 Each component below keeps only the values its callers set to more
@@ -13,7 +14,31 @@ import dataclasses
 import inspect
 
 from repro import obs
+from repro.apps.antagonist import antagonist_application, antagonist_service
+from repro.core.labeling import (
+    KneedleLabeler,
+    MultiLevelLabeler,
+    kneedle,
+    savitzky_golay,
+)
 from repro.core.model import MonitorlessModel
+from repro.datasets.experiments import (
+    calibrate_application,
+    elgg_scenario,
+    multitenant_scenario,
+    teastore_scaling_rules,
+)
+from repro.datasets.generate import (
+    build_training_corpus,
+    calibrate,
+    calibrate_threshold,
+    generate_session,
+)
+from repro.datasets.interference import (
+    InterferenceScenario,
+    build_interference_corpus,
+    generate_interference_run,
+)
 from repro.fleet.orchestrator import (
     FleetOrchestrator,
     FleetShardRunner,
@@ -47,6 +72,7 @@ SETTABLE = {
     make_fleet_specs: ["base_seed", "kind"],
     ResilientTelemetry: ["staleness_budget", "max_retries"],
     Orchestrator: ["rules"],
+    Orchestrator.resume_from: ["model"],
     MonitorlessModel.refit_classifier: [],
     DriftDetector: [],
     run_drift_scenario: ["config"],
@@ -67,6 +93,33 @@ SETTABLE = {
     ModelPerformanceTracker: [],
     ShadowEvaluator: [],
     StreamWindow: [],
+    # The offline path: corpora, calibration, labeling, scenarios.
+    build_training_corpus: [
+        "duration", "calibration_duration", "seed", "runs",
+        "interference_scenarios", "n_jobs",
+    ],
+    build_interference_corpus: [
+        "duration", "calibration_duration", "seed", "scenarios", "n_jobs",
+    ],
+    generate_session: ["duration", "calibration_duration", "seed"],
+    generate_interference_run: ["duration", "calibration_duration", "seed"],
+    calibrate: [],
+    calibrate_threshold: ["duration", "node", "seed"],
+    calibrate_application: ["seed"],
+    InterferenceScenario: [
+        "scenario_id", "victim_run", "antagonist", "victim_load",
+    ],
+    elgg_scenario: ["duration", "seed"],
+    multitenant_scenario: ["duration", "seed"],
+    teastore_scaling_rules: [],
+    antagonist_service: [],
+    antagonist_application: [],
+    savitzky_golay: [],
+    kneedle: [],
+    KneedleLabeler: [],
+    KneedleLabeler.fit: [],
+    KneedleLabeler.fit_label: [],
+    MultiLevelLabeler: ["levels"],
 }
 
 
@@ -87,4 +140,4 @@ def test_each_component_keeps_its_settable_values():
 
 
 def test_settable_value_count():
-    assert sum(len(settable_values(c)) for c in SETTABLE) == 36
+    assert sum(len(settable_values(c)) for c in SETTABLE) == 67
